@@ -137,6 +137,76 @@ def mode_kernel_table(grid: RadialGrid, l_values, shifted: bool) -> np.ndarray:
     return out
 
 
+class ModeConvolution:
+    """The quadrature of mode_kernel_table, applied in O(n_r log n_r) per mode.
+
+    K_l(r, s) is a sum of products of a function of r_< and one of r_>, so
+    each mode's matrix is semiseparable.  With h = g_l s^2 w / (2 (2l+1)),
+    A = 1/(2l+3) and B = 1/(2l-1), row j of the table product splits into the
+    sources inside (s <= r_j, diagonal included) and outside r_j:
+
+        inner  r_j (A P^(l+2)_j - B P^l_j),  P^k_j = (r_{j-1}/r_j)^k P^k_{j-1} + h_j
+        outer  A Q^(l+2)_j - B Q^l_j,        Q^k_j = (r_j/r_{j+1})^k (Q^k_{j+1} + r_{j+1} h_{j+1})
+
+    The shifted l = 0 mode subtracts the scalar sum r h; there B = -1, so
+    the outer term -B Q^0_j minus that sum is exactly -sum_{i<=j} r_i h_i,
+    which is summed directly to keep the field accurate relative to its size
+    as r -> 0.
+
+    The four first-order recurrences per mode run as one log-depth doubling
+    scan over (n_r, 4 n_modes); every multiplier is a radius ratio <= 1, so
+    nothing overflows, and products below the smallest normal float are
+    flushed to 0.  The multipliers do not depend on the density, so the
+    scan's per-level coefficients are built once here.
+    """
+
+    def __init__(self, grid: RadialGrid, l_values, shifted: bool):
+        r = grid.r
+        n = r.size
+        l = np.asarray(list(l_values), dtype=float)
+        self.a = 1.0 / (2.0 * l + 3.0)
+        self.b = 1.0 / (2.0 * l - 1.0)
+        self.r = r
+        self.hw = (r**2 * grid.line_w)[:, None] / (2.0 * (2.0 * l + 1.0))
+        self.shifted_cols = np.flatnonzero(l == 0.0) if shifted else []
+        self.n_modes = l.size
+        # rho[j] = r_{j-1} / r_j; the prefix sums multiply by rho[j]^k, the
+        # suffix sums (run in reversed order) by rho[j+1]^k
+        rho = np.zeros(n)
+        rho[1:] = r[:-1] / r[1:]
+        kk = np.concatenate([l, l + 2.0])
+        pre = rho[:, None] ** kk
+        suf = np.zeros_like(pre)
+        suf[:-1] = pre[1:]
+        self.suf_rev = suf[::-1]
+        c = np.concatenate([pre, self.suf_rev], axis=1)
+        c[c < np.finfo(float).tiny] = 0.0
+        self.levels = []
+        d = 1
+        while d < n:
+            self.levels.append((d, c[d:].copy()))
+            c[d:] *= c[:-d]
+            c[c < np.finfo(float).tiny] = 0.0
+            d *= 2
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        """Field modes (n_r, n_modes) from density modes g (n_r, n_modes)."""
+        m = self.n_modes
+        h = g * self.hw
+        rh = self.r[:, None] * h
+        src = np.zeros_like(rh)  # outer sources r_{j+1} h_{j+1}, reversed
+        src[1:] = rh[:0:-1]
+        x = np.concatenate([h, h, src, src], axis=1)
+        x[:, 2 * m:] *= self.suf_rev
+        for d, c in self.levels:
+            x[d:] += c * x[:-d]
+        p_l, p_l2 = x[:, :m], x[:, m:2 * m]
+        q_l, q_l2 = x[::-1, 2 * m:3 * m], x[::-1, 3 * m:]
+        far = -self.b * q_l
+        far[:, self.shifted_cols] = -np.cumsum(rh[:, self.shifted_cols], axis=0)
+        return self.r[:, None] * (self.a * p_l2 - self.b * p_l) + (self.a * q_l2 + far)
+
+
 def kernel_row(r_target: float, grid: RadialGrid, l: int = 0, shifted: bool = False) -> np.ndarray:
     """Quadrature row for one target radius (used for off-grid evaluation)."""
     kl = legendre_mode_kernel(l, r_target, grid.r)

@@ -12,7 +12,10 @@ On radial grids the angular integral is the closed-form spherical mean.  On
 axisymmetric grids the density is expanded in even Legendre modes of cos theta
 (exact Gauss-Legendre transform), each mode is convolved with its closed-form
 radial kernel, and the field is resynthesized; no pointwise kernel singularity
-is ever evaluated.  One application costs O(n_modes * n_r^2).
+is ever evaluated.  Each mode's radial kernel is semiseparable, so the
+convolution runs as prefix and suffix recurrences over the radii
+(kernels.ModeConvolution): one application costs O(n_modes * n_r log n_r)
+time and O(n_modes * n_r log n_r) memory, with no dense kernel tables.
 
 Iteration is damped Picard: v <- (1 - theta) v + theta T(v), with theta from
 the config and automatic halving when the step norm keeps rising.  Divergence
@@ -29,7 +32,8 @@ import numpy as np
 from .model import (AxisymmetricGrid, ConfigError, NonFiniteError, Profile,
                     RadialGrid, SolutionReport, SolveConfig, validate_config,
                     x_norm)
-from .kernels import mode_kernel_table
+from .kernels import ModeConvolution
+from .kernels import mode_kernel_table  # noqa: F401  (perfbench/tracing.py patches this name)
 
 
 class SphericalReduction:
@@ -66,24 +70,23 @@ class SphericalReduction:
 
 
 def convolve(grid, density, shifted: bool, reduction: SphericalReduction | None = None,
-             tables: np.ndarray | None = None):
+             modes: ModeConvolution | None = None):
     """(1/8 pi) int kernel(x, y) density(y) dy on the grid nodes.
 
     density is node values ((n,) radial, (n_r, n_angle) axisymmetric).
-    Returns field values of the same shape.  Pass a reduction/tables pair to
-    reuse precomputed transforms across calls.
+    Returns field values of the same shape.  Pass the reduction and the
+    ModeConvolution built for this grid and kernel variant to reuse them
+    across calls.
     """
     if isinstance(grid, RadialGrid):
-        if tables is None:
-            tables = mode_kernel_table(grid, [0], shifted)
-        return tables[0] @ density
+        if modes is None:
+            modes = ModeConvolution(grid, [0], shifted)
+        return modes(density[:, None])[:, 0]
     if reduction is None:
         reduction = SphericalReduction(grid)
-    if tables is None:
-        tables = mode_kernel_table(grid, reduction.l_values, shifted)
-    ghat = reduction.analyze(density)
-    vhat = np.einsum("lrs,sl->rl", tables, ghat)
-    return reduction.synthesize(vhat)
+    if modes is None:
+        modes = ModeConvolution(grid, reduction.l_values, shifted)
+    return reduction.synthesize(modes(reduction.analyze(density)))
 
 
 @dataclass
@@ -99,40 +102,32 @@ class IterationState:
 
 
 class OperatorContext:
-    """Grid, polynomial values, kernel tables, and transforms for one config."""
+    """Grid, polynomial values, mode convolution, and transforms for one config."""
 
     def __init__(self, cfg: SolveConfig, grid=None, _share=None):
         self.cfg = cfg
-        self.grid = grid if grid is not None else cfg.build_grid()
         self.shifted = cfg.kernel_variant == "shifted"
         if _share is not None:
-            # same grid and kernel variant, new polynomial: reuse the tables
+            # same grid and kernel variant, new polynomial
+            self.grid = _share.grid
             self.reduction = _share.reduction
-            self.tables = _share.tables
-            self._s2w = _share._s2w
-            self._s3w = _share._s3w
-            if self.reduction is None:
-                self.p_values = cfg.poly.value_radial(self.grid.r)
-            else:
-                self.p_values = cfg.poly.value_rt(self.grid.r[:, None],
-                                                  self.grid.t[None, :])
-            return
-        if isinstance(self.grid, RadialGrid):
-            self.reduction = None
-            self.p_values = cfg.poly.value_radial(self.grid.r)
-            self.tables = mode_kernel_table(self.grid, [0], self.shifted)
-            self._s2w = 0.5 * self.grid.r**2 * self.grid.line_w
-            self._s3w = 0.5 * self.grid.r**3 * self.grid.line_w
+            self.modes = _share.modes
         else:
-            self.reduction = SphericalReduction(self.grid)
-            self.p_values = cfg.poly.value_rt(self.grid.r[:, None], self.grid.t[None, :])
-            n_modes = len(self.reduction.l_values)
-            if n_modes * self.grid.n_r**2 > 6e8:
-                raise ConfigError("kernel tables would exceed the memory budget; "
-                                  "reduce n_r or n_angle")
-            self.tables = mode_kernel_table(self.grid, self.reduction.l_values, self.shifted)
-            self._s2w = 0.5 * self.grid.r**2 * self.grid.line_w
-            self._s3w = 0.5 * self.grid.r**3 * self.grid.line_w
+            self.grid = grid if grid is not None else cfg.build_grid()
+            if isinstance(self.grid, RadialGrid):
+                self.reduction = None
+                self.modes = ModeConvolution(self.grid, [0], self.shifted)
+            else:
+                self.reduction = SphericalReduction(self.grid)
+                self.modes = ModeConvolution(self.grid, self.reduction.l_values,
+                                             self.shifted)
+        g = self.grid
+        if self.reduction is None:
+            self.p_values = cfg.poly.value_radial(g.r)
+        else:
+            self.p_values = cfg.poly.value_rt(g.r[:, None], g.t[None, :])
+        self._s2w = 0.5 * g.r**2 * g.line_w
+        self._s3w = 0.5 * g.r**3 * g.line_w
 
     # -- pieces ------------------------------------------------------------
 
@@ -181,14 +176,11 @@ class OperatorContext:
         tb = self.tail_bound_alpha()
         return self.alpha_quadrature(dens0) + (tb if math.isfinite(tb) else 0.0)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        dens = self.density(v)
-        if self.reduction is None:
-            out = self.tables[0] @ dens
-        else:
-            ghat = self.reduction.analyze(dens)
-            vhat = np.einsum("lrs,sl->rl", self.tables, ghat)
-            out = self.reduction.synthesize(vhat)
+    def apply(self, v: np.ndarray, dens: np.ndarray | None = None) -> np.ndarray:
+        """T(v); pass dens = self.density(v) when the caller already has it."""
+        if dens is None:
+            dens = self.density(v)
+        out = convolve(self.grid, dens, self.shifted, self.reduction, self.modes)
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("operator output not finite")
         return out
@@ -240,10 +232,11 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     bound = ctx.iterate_bound()
     rising = 0
     converged = False
+    dens = None  # density of the current v, once computed
 
     for k in range(cfg.max_iters):
         try:
-            tv = ctx.apply(v)
+            tv = ctx.apply(v, dens)
         except NonFiniteError as exc:
             state.diverged_reason = str(exc)
             break
@@ -252,7 +245,8 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
         vn_norm = float(np.max(np.abs(v_next) / (1.0 + r_col)))
         state.iters = k + 1
         state.diff_history.append(diff)
-        state.alpha_history.append(ctx.alpha_quadrature(ctx.density(v_next)))
+        dens = ctx.density(v_next)
+        state.alpha_history.append(ctx.alpha_quadrature(dens))
         state.bound_violation = max(state.bound_violation, vn_norm - bound)
         v = v_next
 
@@ -280,7 +274,8 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     prof = Profile(grid=grid, values=v, symmetry=symmetry,
                    tail_bound=(lambda tb: tb if math.isfinite(tb) else None)(
                        ctx.tail_bound_alpha()))
-    dens = ctx.density(v)
+    if dens is None:
+        dens = ctx.density(v)
     report = SolutionReport(
         converged=converged,
         iters=state.iters,
@@ -323,9 +318,10 @@ class ContinuationResult:
 def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
     """Solve along cfg.continuation.eps_sequence, warm-starting each stage.
 
-    The grid and kernel tables are shared across stages (only the polynomial
-    changes).  Cauchy diagnostics record sup_{r <= 10} |v_i - v_{i-1}|; a
-    decreasing sequence is the empirical sign that the family converges.
+    The grid, the Legendre reduction and the mode convolution are shared
+    across stages (only the polynomial changes).  Cauchy diagnostics record
+    sup_{r <= 10} |v_i - v_{i-1}|; a decreasing sequence is the empirical
+    sign that the family converges.
     """
     if cfg.continuation is None:
         raise ConfigError("continuation_eps_to_zero requires cfg.continuation")
@@ -339,7 +335,7 @@ def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
         if ctx is None:
             ctx = OperatorContext(stage_cfg)
         else:
-            ctx = OperatorContext(stage_cfg, grid=ctx.grid, _share=ctx)
+            ctx = OperatorContext(stage_cfg, _share=ctx)
         prof, rep, _ = solve_fixed_point(stage_cfg, v0=warm, context=ctx)
         profiles.append(prof)
         reports.append(rep)

@@ -1,6 +1,6 @@
 """Independent verification of computed profiles.
 
-Nothing here reuses the solver's kernel tables as ground truth: the PDE
+Nothing here reuses the solver's mode convolution as ground truth: the PDE
 residual differentiates node values with local polynomial stencils, the
 integral identity is re-evaluated at off-diagonal sample points from the raw
 mode kernels, and the Pohozaev balance integrates two different moments of

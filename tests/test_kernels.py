@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from biharm.kernels import (axisym_kernel, kernel_row, legendre_mode_kernel,
-                            mc_kernel_oracle, mode_kernel_table, radial_kernel)
-from biharm.model import RadialGrid
+from biharm.kernels import (ModeConvolution, axisym_kernel, kernel_row,
+                            legendre_mode_kernel, mc_kernel_oracle,
+                            mode_kernel_table, radial_kernel)
+from biharm.model import AxisymmetricGrid, RadialGrid
 
 
 class TestRadialKernel:
@@ -55,15 +56,27 @@ class TestLegendreModes:
         assert total_minus == pytest.approx(r + s, abs=1e-10)
 
     def test_mode_projection_oracle(self):
-        # numerically project |x - y| onto P_l and compare
-        t, wt = np.polynomial.legendre.leggauss(400)
+        # project |x - y| onto P_l in 30-digit arithmetic.  A float64 Gauss
+        # projection is no oracle here: its O(1) terms cancel to ~1e-5 for
+        # l = 10, leaving a noise floor near 1e-12 absolute.  The closed form
+        # is two float64 terms; xi^l carries l roundings of xi and each term
+        # a few more, so its error is below (l + 8) eps times their absolute sum.
+        import mpmath
+
         r, s = 1.9, 0.8
-        vals = np.sqrt(r * r + s * s - 2 * r * s * t)
-        for l in (1, 2, 5, 10):
-            pl = np.polynomial.legendre.Legendre.basis(l)(t)
-            proj = (2 * l + 1) / 2.0 * np.sum(wt * pl * vals)
-            assert proj == pytest.approx(legendre_mode_kernel(l, r, s),
-                                         rel=1e-10)
+        rm, sm = mpmath.mpf(r), mpmath.mpf(s)
+        with mpmath.workdps(30):
+            for l in (1, 2, 5, 10):
+                integral, quad_err = mpmath.quad(
+                    lambda t: mpmath.legendre(l, t)
+                    * mpmath.sqrt(rm * rm + sm * sm - 2 * rm * sm * t),
+                    [-1, 1], error=True)
+                proj = (2 * l + 1) / mpmath.mpf(2) * integral
+                xi = s / r
+                terms = r * (xi ** (l + 2) / (2 * l + 3) + xi ** l / abs(2 * l - 1))
+                tol = (l + 8) * np.finfo(float).eps * terms + float(quad_err) * (2 * l + 1)
+                got = legendre_mode_kernel(l, r, s)
+                assert abs(got - float(proj)) <= tol, (l, got, float(proj), tol)
 
     def test_even_modes_decay_geometrically(self):
         r, s = 3.0, 1.0
@@ -149,3 +162,32 @@ class TestModeTables:
         g = RadialGrid.graded(64, 10.0)
         row = kernel_row(1e-9, g, l=0, shifted=True)
         assert np.max(np.abs(row)) < 1e-9
+
+
+class TestModeConvolution:
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("kind", ["radial", "axisymmetric"])
+    def test_matches_dense_table(self, kind, shifted):
+        # same quadrature as mode_kernel_table, summed in another order: the
+        # rounding of any order is a few eps times sum |K_l| |h| (plus s |h|
+        # where the shift subtracts s), so 1e-12 of that bounds the gap
+        if kind == "radial":
+            grid, l_values, checked = RadialGrid.graded(400, 40.0), [0], [0]
+        else:
+            grid = AxisymmetricGrid.build(400, 256, 40.0)
+            l_values = list(range(0, 256, 2))
+            checked = [0, 2, 10, 64, 128, 200, 254]
+        r = grid.r
+        assert r[-1] / r[0] >= 1e5
+        g = np.random.default_rng(3).standard_normal((r.size, len(l_values)))
+        got = ModeConvolution(grid, l_values, shifted)(g)
+        assert np.all(np.isfinite(got))
+        tables = mode_kernel_table(grid, checked, shifted)
+        for table, l in zip(tables, checked):
+            col = l_values.index(l)
+            h = np.abs(g[:, col]) * r**2 * grid.line_w / (2 * (2 * l + 1))
+            k = np.abs(legendre_mode_kernel(l, r[:, None], r[None, :]))
+            if shifted and l == 0:
+                k = k + r[None, :]
+            err = np.abs(got[:, col] - table @ g[:, col])
+            assert np.all(err <= 1e-12 * (k @ h)), (l, np.max(err / (k @ h)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,20 @@ class TestOperatorPieces:
             g2.r**2 * g2.line_w * dens2)
         np.testing.assert_allclose(v2, lam**4 * v1, rtol=1e-12)
 
+    def test_large_axisym_grid_applies(self):
+        # 128 dense mode tables of 2048^2 entries took 4.3 GB; the scan's
+        # per-level coefficients take about 0.1 GB
+        cfg = _axisym_cfg(n_r=2048, n_angle=256, r_max=100.0)
+        tracemalloc.start()
+        try:
+            ctx = OperatorContext(cfg)
+            v = ctx.apply(np.zeros((2048, 256)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(v))
+        assert peak < 0.5e9
+
     def test_iterate_bound_holds_along_the_iteration(self):
         cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=600, r_max=100.0)
         ctx = OperatorContext(cfg)
@@ -182,6 +197,17 @@ class TestSolve:
         prof, report, _ = solve_fixed_point(cfg)
         assert not report.converged
         assert "max_iters" in report.diverged_reason
+
+    def test_density_is_evaluated_once_per_iterate(self):
+        cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=200, r_max=50.0)
+        ctx = OperatorContext(cfg)
+        calls = []
+        density = ctx.density
+        ctx.density = lambda v: calls.append(1) or density(v)
+        _, report, _ = solve_fixed_point(cfg, context=ctx)
+        assert report.converged
+        # iterate_bound's P^-q, the start value, then one per new iterate
+        assert len(calls) == report.iters + 2
 
     def test_warm_start_context_reuse(self):
         cfg = _radial_cfg(q=5.0, a=1.0, eps=0.1, n=300, r_max=30.0)
