@@ -7,47 +7,33 @@ equation, against independent re-evaluations of the integral, against an
 integral identity of Pohozaev type, and against a radial ODE integrator.
 """
 
-from .model import (AxisymmetricGrid, ConfigError, ContinuationSpec, GridSpec,
-                    NonFiniteError, Profile, QuadraticPolynomial, RadialGrid,
-                    SolutionReport, SolveConfig, ValidationResult,
-                    load_profile_csv, report_json, save_profile_csv,
-                    validate_config, x_norm)
-from .kernels import (axisym_kernel, kernel_row, legendre_mode_kernel,
-                      mc_kernel_oracle, mode_kernel_table, radial_kernel)
-from .operator import (ContinuationResult, IterationState, OperatorContext,
-                       SphericalReduction, apply_T, continuation_eps_to_zero,
-                       solve_fixed_point)
-from .analysis import (GrowthFit, InsufficientTailError, NotIntegrableError,
-                       check_hessian_decay, compute_beta, decompose,
-                       fit_growth, hessian_decay_rate, ray_values,
-                       tail_correction_rows, tail_power_fit)
-from .verify import (IntegralResidualResult, PDEResidualResult,
-                     PohozaevResult, RadialLaplacian, exact_q7_laplacian,
-                     exact_q7_profile, exact_q7_value, integral_residual,
+from .model import (ConfigError, GridSpec, NonFiniteError, NotIntegrableError,
+                    InsufficientTailError, Profile, QuadraticPolynomial,
+                    SolveConfig, load_profile_csv, report_json,
+                    save_profile_csv, validate_config)
+from .kernels import mc_kernel_oracle
+from .operator import continuation_eps_to_zero, solve_fixed_point
+from .analysis import (check_hessian_decay, compute_beta, decompose,
+                       fit_growth, ray_values)
+from .verify import (exact_q7_profile, exact_q7_value, integral_residual,
                      pde_residual, pohozaev_residual)
-from .shooting import (BisectResult, BracketNotFoundError, Trajectory,
-                       bisect_growth_threshold, borderline_exponent,
-                       integrate_radial, threshold_growth_diagnostics,
-                       universal_coefficient)
+from .shooting import (BracketNotFoundError, bisect_growth_threshold,
+                       borderline_exponent, integrate_radial,
+                       threshold_growth_diagnostics, universal_coefficient)
 
 __version__ = "1.0.0"
 
+# what the CLI, the demos and the README use, plus the exception types;
+# everything else is reached through its module (biharm.operator, ...)
 __all__ = [
-    "AxisymmetricGrid", "BisectResult", "BracketNotFoundError", "ConfigError",
-    "ContinuationResult", "ContinuationSpec", "GridSpec", "GrowthFit",
-    "InsufficientTailError", "IntegralResidualResult", "IterationState",
-    "NonFiniteError", "NotIntegrableError", "OperatorContext",
-    "PDEResidualResult", "PohozaevResult", "Profile", "QuadraticPolynomial",
-    "RadialGrid", "RadialLaplacian", "SolutionReport", "SolveConfig",
-    "SphericalReduction", "Trajectory", "ValidationResult", "apply_T",
-    "axisym_kernel", "bisect_growth_threshold", "borderline_exponent",
-    "check_hessian_decay", "compute_beta", "continuation_eps_to_zero",
-    "decompose", "exact_q7_laplacian", "exact_q7_profile", "exact_q7_value",
-    "fit_growth", "hessian_decay_rate", "integral_residual",
-    "integrate_radial", "kernel_row", "legendre_mode_kernel",
-    "load_profile_csv", "mc_kernel_oracle", "mode_kernel_table",
-    "pde_residual", "pohozaev_residual", "radial_kernel", "ray_values",
-    "report_json", "save_profile_csv", "solve_fixed_point",
-    "tail_correction_rows", "tail_power_fit", "threshold_growth_diagnostics",
-    "universal_coefficient", "validate_config", "x_norm",
+    "BracketNotFoundError", "ConfigError", "GridSpec",
+    "InsufficientTailError", "NonFiniteError", "NotIntegrableError",
+    "Profile", "QuadraticPolynomial", "SolveConfig",
+    "bisect_growth_threshold", "borderline_exponent", "check_hessian_decay",
+    "compute_beta", "continuation_eps_to_zero", "decompose",
+    "exact_q7_profile", "exact_q7_value", "fit_growth", "integral_residual",
+    "integrate_radial", "load_profile_csv", "mc_kernel_oracle",
+    "pde_residual", "pohozaev_residual", "ray_values", "report_json",
+    "save_profile_csv", "solve_fixed_point", "threshold_growth_diagnostics",
+    "universal_coefficient", "validate_config",
 ]

@@ -1,9 +1,12 @@
 """Far-field structure analysis of computed profiles.
 
 Everything here reads node values only: growth-law fits along rays, the
-far-field slope beta = (1/8 pi) int u^-q dy with analytic tail correction,
-the split of a solution into polynomial part plus kernel convolution, and
-decay-rate checks for second derivatives of the correction term.
+power-law tail beyond r_max (PowerTail: fitted to the last decade, with
+closed-form moments that return inf when they diverge), the far-field slope
+beta = (1/8 pi) int u^-q dy and the first moment (1/8 pi) int |y| u^-q dy
+with that tail, the split of a solution into polynomial part plus kernel
+convolution, and decay-rate checks for second derivatives of the correction
+term.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (AxisymmetricGrid, InsufficientTailError, NonFiniteError,
-                    NotIntegrableError, Profile, RadialGrid)
-from .operator import SphericalReduction, convolve
+from .model import (InsufficientTailError, NonFiniteError, NotIntegrableError,
+                    Profile, RadialGrid)
+from .kernels import convolve
 
 _LOG_DRIFT_MODEL = "linear_times_log_quarter"
 FIT_MODELS = ("linear", "quadratic", "power", _LOG_DRIFT_MODEL)
@@ -113,8 +116,31 @@ def fit_growth(r: np.ndarray, values: np.ndarray, model: str,
                      window=window, n_nodes=rw.size, direction=direction)
 
 
-def ray_values(profile: Profile, t: Optional[float] = None,
-               reduction: Optional[SphericalReduction] = None):
+@dataclass(frozen=True)
+class PowerTail:
+    """Power law coeff * s^-exponent continuing a radial profile beyond r_max."""
+
+    coeff: float
+    exponent: float
+
+    @classmethod
+    def fit(cls, r: np.ndarray, values: np.ndarray) -> "PowerTail":
+        """Fit the last decade of positive values(r) (fit_growth's power model)."""
+        fit = fit_growth(r, values, "power")
+        return cls(fit.params["coeff"], -fit.params["exponent"])
+
+    def moment(self, k: int, r_max: float) -> float:
+        """int_{r_max}^inf coeff s^-exponent s^(k+2) ds in closed form.
+
+        Returns inf when the integral diverges (exponent <= k + 3).
+        """
+        e = k + 3.0
+        if self.exponent <= e:
+            return math.inf
+        return self.coeff * r_max ** (e - self.exponent) / (self.exponent - e)
+
+
+def ray_values(profile: Profile, t: Optional[float] = None):
     """(radii, values) along the ray with polar cosine t.
 
     Radial profiles ignore t.  Axisymmetric profiles are resynthesized from
@@ -126,27 +152,11 @@ def ray_values(profile: Profile, t: Optional[float] = None,
         return g.r, profile.values
     if t is None:
         raise ValueError("axisymmetric profiles need a ray direction t")
-    red = reduction if reduction is not None else SphericalReduction(g)
-    coeffs = red.analyze(profile.values)
-    return g.r, red.synthesize_at(coeffs, float(t))
+    coeffs = g.reduction.analyze(profile.values)
+    return g.r, g.reduction.synthesize_at(coeffs, float(t))
 
 
-def _mode0(profile_values, grid, reduction=None) -> np.ndarray:
-    if isinstance(grid, RadialGrid):
-        return np.asarray(profile_values, dtype=float)
-    red = reduction if reduction is not None else SphericalReduction(grid)
-    return red.analyze(profile_values)[:, 0]
-
-
-def tail_power_fit(r: np.ndarray, g0: np.ndarray, r_window=None,
-                   min_nodes: int = 30) -> tuple[float, float]:
-    """(coeff, exponent) of a decaying power law fitted to the last decade."""
-    fit = fit_growth(r, g0, "power", r_window=r_window, min_nodes=min_nodes)
-    return fit.params["coeff"], -fit.params["exponent"]
-
-
-def compute_beta(u_profile: Profile, q: float,
-                 reduction: Optional[SphericalReduction] = None):
+def compute_beta(u_profile: Profile, q: float):
     """Far-field slope beta = (1/8 pi) int u^-q dy with analytic tail.
 
     The grid integral covers r <= r_max; the remainder is integrated in closed
@@ -158,37 +168,34 @@ def compute_beta(u_profile: Profile, q: float,
     u = u_profile.values
     if np.min(u) <= 0.0:
         raise NonFiniteError("beta needs a strictly positive profile")
-    dens = u ** (-q)
-    g0 = _mode0(dens, g, reduction)
+    g0 = g.mode0(u ** (-q))
     quad = 0.5 * float(np.sum(g.r**2 * g.line_w * g0))
-    coeff, p = tail_power_fit(g.r, g0)
-    if p <= 3.0:
+    fit = PowerTail.fit(g.r, g0)
+    tail = 0.5 * fit.moment(0, g.r_max)
+    if math.isinf(tail):
         raise NotIntegrableError(
-            f"int u^-q diverges: angular mean of u^-q decays like r^-{p:.3g} "
-            f"(need faster than r^-3)")
-    tail = coeff * g.r_max ** (3.0 - p) / (2.0 * (p - 3.0))
+            f"int u^-q diverges: angular mean of u^-q decays like "
+            f"r^-{fit.exponent:.3g} (need faster than r^-3)")
     note = (f"grid part {quad:.6g}, tail beyond r_max adds {tail:.3g} "
-            f"(fitted decay r^-{p:.3g})")
+            f"(fitted decay r^-{fit.exponent:.3g})")
     return quad + tail, note
 
 
-def tail_correction_rows(r_targets: np.ndarray, r_max: float, coeff: float,
-                         p: float, shifted: bool) -> np.ndarray:
-    """Closed-form kernel mass beyond r_max for a power-law density tail.
+def first_moment(grid, g0: np.ndarray) -> float:
+    """(1/8 pi) int |y| g(y) dy from the angular mean g0 of a density g.
 
-    For s > r the spherical mean of |x - y| is s + r^2/(3 s); integrating
-    C s^-p against (1/2) s^2 ds from r_max gives the unshifted correction.
-    The shifted kernel subtracts the s term, leaving only the r^2 piece.
-    Divergent pieces (p too small) return inf so callers can flag truncation.
+    The grid sum covers r <= r_max and a power law fitted to the last decade
+    of g0 the rest.  Raises NotIntegrableError when that tail diverges
+    (fitted decay r^-4 or slower) and InsufficientTailError when the grid
+    has no usable last decade.
     """
-    r = np.asarray(r_targets, dtype=float)
-    quad_piece = (coeff * r**2 / 3.0 * r_max ** (2.0 - p) / (2.0 * (p - 2.0))
-                  if p > 2.0 else np.full_like(r, math.inf))
-    if shifted:
-        return quad_piece
-    lin_piece = (coeff * r_max ** (4.0 - p) / (2.0 * (p - 4.0))
-                 if p > 4.0 else math.inf)
-    return quad_piece + lin_piece
+    fit = PowerTail.fit(grid.r, g0)
+    tail = fit.moment(1, grid.r_max)
+    if math.isinf(tail):
+        raise NotIntegrableError(
+            f"first moment int |y| u^-q dy diverges: angular mean of u^-q "
+            f"decays like r^-{fit.exponent:.3g} (need faster than r^-4)")
+    return 0.5 * float(np.sum(grid.r**3 * grid.line_w * g0)) + 0.5 * tail
 
 
 def decompose(u_profile: Profile, q: float, beta: Optional[float] = None,
@@ -209,8 +216,7 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None,
     if np.min(u) <= 0.0:
         raise NonFiniteError("decomposition needs a strictly positive profile")
     dens = u ** (-q)
-    reduction = None if isinstance(g, RadialGrid) else SphericalReduction(g)
-    v_dec = convolve(g, dens, shifted=True, reduction=reduction)
+    v_dec = convolve(g, dens, shifted=True)
     w = u - v_dec
 
     if isinstance(g, RadialGrid):
@@ -245,13 +251,10 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None,
     c = coeffs["c"]
 
     # first moment of the density, for the identity gap (finite iff decay > 4)
-    g0 = _mode0(dens, g, reduction)
-    t_coeff, p = tail_power_fit(g.r, g0)
-    first_moment = 0.5 * float(np.sum(g.r**3 * g.line_w * g0))
-    gamma_gap = None
-    if p > 4.0:
-        first_moment += t_coeff * g.r_max ** (4.0 - p) / (2.0 * (p - 4.0))
-        gamma_gap = c - first_moment
+    try:
+        moment1 = first_moment(g, g.mode0(dens))
+    except NotIntegrableError:
+        moment1 = None
 
     a_scale = max(max(abs(x) for x in a), 1e-12)
     constraints = {
@@ -262,8 +265,8 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None,
         constraints["b_bounded_by_beta"] = bool(
             max(abs(x) for x in b) <= beta + b_tolerance)
     return {"a": a, "b": b, "c": c, "fit_residual": fit_residual,
-            "gamma_identity_gap": gamma_gap, "first_moment": first_moment
-            if p > 4.0 else None, "constraints": constraints}
+            "gamma_identity_gap": None if moment1 is None else c - moment1,
+            "first_moment": moment1, "constraints": constraints}
 
 
 def _second_derivative_nonuniform(r: np.ndarray, vals: np.ndarray):
@@ -300,10 +303,8 @@ def check_hessian_decay(v_profile: Profile, q: float,
     if isinstance(g, RadialGrid):
         ray_list = [(None, v_profile.values)]
     else:
-        red = SphericalReduction(g)
-        coeffs = red.analyze(v_profile.values)
-        ray_list = [(t, coeffs @ np.polynomial.legendre.legvander(
-            np.array([t]), red.l_values[-1])[0, red.l_values]) for t in rays]
+        coeffs = g.reduction.analyze(v_profile.values)
+        ray_list = [(t, g.reduction.synthesize_at(coeffs, t)) for t in rays]
 
     results = []
     for t, vals in ray_list:

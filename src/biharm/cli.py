@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -30,8 +29,7 @@ from .model import (ConfigError, GridSpec, NonFiniteError, Profile,
                     QuadraticPolynomial, RadialGrid, SolveConfig,
                     load_profile_csv, report_json, save_profile_csv,
                     validate_config)
-from .operator import (SphericalReduction, continuation_eps_to_zero,
-                       solve_fixed_point)
+from .operator import continuation_eps_to_zero, solve_fixed_point
 from . import analysis, shooting, verify
 
 EXIT_OK = 0
@@ -90,12 +88,6 @@ def _write_trace(path: Path, report) -> None:
             w.writerow([i, repr(float(d)), repr(float(a))])
 
 
-def _poly_values_on(grid, poly):
-    if isinstance(grid, RadialGrid):
-        return poly.value_radial(grid.r)
-    return poly.value_rt(grid.r[:, None], grid.t[None, :])
-
-
 def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
     """Attach growth fits, beta, and the decomposition to a solve report.
 
@@ -105,8 +97,8 @@ def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
     """
     fit_poly = limit_poly if limit_poly is not None else cfg.poly
     g = prof.grid
-    u_fit = prof.values + _poly_values_on(g, fit_poly)
-    u_solved = prof.values + _poly_values_on(g, cfg.poly)
+    u_fit = prof.values + g.poly_values(fit_poly)
+    u_solved = prof.values + g.poly_values(cfg.poly)
 
     def ray_model(t: float) -> str:
         # growth along a ray: quartic term dominates everywhere, otherwise
@@ -191,7 +183,7 @@ def cmd_solve(args) -> int:
         extra = {}
         stage_cfg = cfg
 
-    u = prof.values + _poly_values_on(prof.grid, stage_cfg.poly)
+    u = prof.values + prof.grid.poly_values(stage_cfg.poly)
     save_profile_csv(Profile(grid=prof.grid, values=u, symmetry=prof.symmetry),
                      out / "profile.csv")
     _write_trace(out / "trace.csv", report)
@@ -222,15 +214,9 @@ def _run_exact_q7(d: dict, out: Path, seed: int) -> int:
     prof = verify.exact_q7_profile(g)
     pde = verify.pde_residual(prof, 7.0)
 
-    class _ZeroPoly:
-        c = 0.0
-
-        @staticmethod
-        def value_radial(r):
-            return np.zeros_like(np.asarray(r, dtype=float))
-
-    integ = verify.integral_residual(prof, 7.0, _ZeroPoly(), n_samples=20,
-                                     seed=seed)
+    integ = verify.integral_residual(prof, 7.0,
+                                     QuadraticPolynomial((0, 0, 0), c=0.0),
+                                     n_samples=20, seed=seed)
     checks = {
         "pde": _check(pde.max_rel, th.get("pde", 1e-3)),
         "integral": _check(integ.max_rel, th.get("integral", 1e-3)),
@@ -272,27 +258,22 @@ def cmd_verify(args) -> int:
     integ = verify.integral_residual(prof, cfg.q, poly, n_samples=20, seed=seed)
 
     po_value, po_note = None, ""
-    if cfg.q > 4.0:
-        gamma_offset = 0.0
-        if cfg.kernel_variant == "shifted":
-            dens = u ** (-cfg.q)
-            if isinstance(grid, RadialGrid):
-                g0 = dens
-            else:
-                g0 = SphericalReduction(grid).analyze(dens)[:, 0]
-            try:
-                coeff, p = analysis.tail_power_fit(grid.r, g0)
-            except analysis.InsufficientTailError:
-                coeff, p = 0.0, math.inf
-            fm = 0.5 * float(np.sum(grid.r**3 * grid.line_w * g0))
-            if math.isfinite(p) and p > 4.0:
-                fm += coeff * grid.r_max ** (4.0 - p) / (2.0 * (p - 4.0))
-            gamma_offset = -fm
-        po = verify.pohozaev_residual(prof, cfg.q, poly,
-                                      gamma_offset=gamma_offset)
-        po_value, po_note = po.residual, po.note
-    else:
+    if cfg.q <= 4.0:
         po_note = f"NotApplicable: q = {cfg.q:g} (identity checked for q > 4)"
+    else:
+        try:
+            gamma_offset = 0.0
+            if cfg.kernel_variant == "shifted":
+                # shifted-kernel solutions carry -(1/8 pi) int |y| u^-q dy
+                gamma_offset = -analysis.first_moment(
+                    grid, grid.mode0(u ** (-cfg.q)))
+        except (analysis.NotIntegrableError,
+                analysis.InsufficientTailError) as exc:
+            po_note = f"NotApplicable: shifted-kernel constant undefined: {exc}"
+        else:
+            po = verify.pohozaev_residual(prof, cfg.q, poly,
+                                          gamma_offset=gamma_offset)
+            po_value, po_note = po.residual, po.note
 
     checks = {
         "positivity": {"status": "pass", "note": "u > 0 on all nodes"},
@@ -396,17 +377,13 @@ def _sweep_point(payload):
             row["alpha"] = report.alpha
             row["beta"] = "" if report.beta is None else report.beta
             g = prof.grid
-            u = prof.values + _poly_values_on(g, cfg.poly)
+            u = prof.values + g.poly_values(cfg.poly)
             up = Profile(grid=g, values=u, symmetry=prof.symmetry)
-            rays = [("exponent_e1", 1.0)] if not isinstance(g, RadialGrid) \
-                else [("exponent_e1", None)]
+            rays = [("exponent_e1", 1.0)]
             if not isinstance(g, RadialGrid):
                 rays.append(("exponent_eperp", 0.0))
             for key, t in rays:
-                if t is None:
-                    r, vals = g.r, u
-                else:
-                    r, vals = analysis.ray_values(up, t)
+                r, vals = analysis.ray_values(up, t)
                 fit = analysis.fit_growth(r, vals, "power")
                 row[key] = fit.params["exponent"]
         else:
@@ -415,7 +392,7 @@ def _sweep_point(payload):
         pd.mkdir(parents=True, exist_ok=True)
         report_json({"config": cfg.to_dict(), "result": report.to_dict()},
                     pd / "report.json")
-        u = prof.values + _poly_values_on(prof.grid, cfg.poly)
+        u = prof.values + prof.grid.poly_values(cfg.poly)
         save_profile_csv(Profile(grid=prof.grid, values=u,
                                  symmetry=prof.symmetry), pd / "profile.csv")
     except Exception as exc:  # per-point isolation: record, never abort

@@ -17,6 +17,9 @@ symmetric grids the angular integrals collapse to closed forms:
   Gauss-Legendre quadrature in the angle (smooth integrand away from node
   coincidence; accuracy checks live in the tests).
 
+convolve() applies (1/8 pi) int kernel(x, y) density(y) dy on a grid: the
+grid's Legendre analysis (axisymmetric grids), ModeConvolution, synthesis.
+
 A Monte-Carlo sphere average with a counter-based generator (Philox) serves as
 the model-independent oracle for all of the above.
 """
@@ -205,6 +208,21 @@ class ModeConvolution:
         far = -self.b * q_l
         far[:, self.shifted_cols] = -np.cumsum(rh[:, self.shifted_cols], axis=0)
         return self.r[:, None] * (self.a * p_l2 - self.b * p_l) + (self.a * q_l2 + far)
+
+
+def convolve(grid, density, shifted: bool, modes: ModeConvolution | None = None):
+    """(1/8 pi) int kernel(x, y) density(y) dy on the grid nodes.
+
+    density is node values ((n,) radial, (n_r, n_angle) axisymmetric).
+    Returns field values of the same shape.  Pass the ModeConvolution built
+    for this grid and kernel variant to reuse it across calls.
+    """
+    if modes is None:
+        modes = ModeConvolution(grid, grid.l_values, shifted)
+    if isinstance(grid, RadialGrid):
+        return modes(density[:, None])[:, 0]
+    red = grid.reduction
+    return red.synthesize(modes(red.analyze(density)))
 
 
 def kernel_row(r_target: float, grid: RadialGrid, l: int = 0, shifted: bool = False) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 Everything here is plain numpy plus frozen dataclasses.  Grids carry their own
 quadrature weights so that integrals over R^3 under the declared symmetry are
-single weighted sums.  Configuration objects round-trip through JSON with fixed
-field names, and report serialization is deterministic (floats rounded to 12
-significant digits) so identical runs produce byte-identical files.
+single weighted sums, and own everything else that depends only on the nodes:
+the Legendre transform pair of an axisymmetric grid (grid.reduction, built
+once per grid object), the angular mean of a node field (grid.mode0), and P
+and its Pohozaev weight at the nodes (grid.poly_values, grid.pohozaev_weight).
+Configuration objects round-trip through JSON with fixed field names, and
+report serialization is deterministic (floats rounded to 12 significant
+digits) so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,11 +38,7 @@ class NotIntegrableError(ArithmeticError):
 
 
 class InsufficientTailError(ValueError):
-    """Raised when a tail fit window has too few nodes or spans less than a decade."""
-
-
-class GridTooCoarseError(ValueError):
-    """Raised when a grid cannot support the requested finite-difference stencil."""
+    """Raised when a tail fit window has too few nodes or spans a radius factor below 3."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,14 @@ class QuadraticPolynomial:
             raise ConfigError("value_radial requires a1 == a2 == a3 and b == 0")
         r = np.asarray(r, dtype=float)
         return self.c + self.a[0] * r * r + self.eps_quartic * r**4
+
+    def pohozaev_weight_radial(self, r: np.ndarray) -> np.ndarray:
+        """2 (x . grad P) - P for a radial polynomial."""
+        if not self.is_radial():
+            raise ConfigError(
+                "pohozaev_weight_radial requires a1 == a2 == a3 and b == 0")
+        r = np.asarray(r, dtype=float)
+        return 3.0 * self.a[0] * r**2 + 7.0 * self.eps_quartic * r**4 - self.c
 
     def pohozaev_weight_rt(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """2 (x . grad P) - P, the dilation weight entering the integral identity."""
@@ -226,6 +235,23 @@ class RadialGrid:
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(self.weights * values))
 
+    @property
+    def l_values(self) -> list:
+        """Legendre modes a node field carries: only l = 0 under radial symmetry."""
+        return [0]
+
+    def mode0(self, values: np.ndarray) -> np.ndarray:
+        """Angular mean of node values at each radius (the values themselves)."""
+        return np.asarray(values, dtype=float)
+
+    def poly_values(self, poly: QuadraticPolynomial) -> np.ndarray:
+        """P at the nodes."""
+        return poly.value_radial(self.r)
+
+    def pohozaev_weight(self, poly: QuadraticPolynomial) -> np.ndarray:
+        """2 (x . grad P) - P at the nodes."""
+        return poly.pohozaev_weight_radial(self.r)
+
 
 @dataclass(frozen=True)
 class AxisymmetricGrid:
@@ -282,9 +308,62 @@ class AxisymmetricGrid:
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(self.weights * values))
 
-    def mirror(self, values: np.ndarray) -> np.ndarray:
-        """Values at the x1-mirrored nodes."""
-        return values[:, ::-1]
+    @cached_property
+    def reduction(self) -> SphericalReduction:
+        """The grid's Legendre transform pair, built on first use and kept."""
+        return SphericalReduction(self)
+
+    @property
+    def l_values(self) -> list:
+        """Even Legendre modes a node field carries."""
+        return self.reduction.l_values
+
+    def mode0(self, values: np.ndarray) -> np.ndarray:
+        """Angular mean of node values at each radius (the l = 0 Legendre mode)."""
+        return self.reduction.analyze(values)[:, 0]
+
+    def poly_values(self, poly: QuadraticPolynomial) -> np.ndarray:
+        """P at the nodes."""
+        return poly.value_rt(self.r[:, None], self.t[None, :])
+
+    def pohozaev_weight(self, poly: QuadraticPolynomial) -> np.ndarray:
+        """2 (x . grad P) - P at the nodes."""
+        return poly.pohozaev_weight_rt(self.r[:, None], self.t[None, :])
+
+
+class SphericalReduction:
+    """Even-mode Legendre transform pair for an axisymmetric grid.
+
+    analyze() projects node values onto even Legendre modes of t = cos theta
+    (exact for the grid's angular band); synthesize() evaluates the mode sum
+    back at the nodes, computing the t > 0 half and mirroring it so evenness
+    in x1 holds bit-for-bit.  Use grid.reduction, which builds it once per grid.
+    """
+
+    def __init__(self, grid: AxisymmetricGrid):
+        L = grid.n_angle
+        self.half = L // 2  # no reference to the grid, which holds this object
+        self.l_values = list(range(0, L, 2))
+        vander = np.polynomial.legendre.legvander(grid.t, L - 1)
+        self.pl = vander[:, self.l_values]  # (L, n_modes)
+        scale = np.array([(2 * l + 1) / 2.0 for l in self.l_values])
+        self.forward = (self.pl * grid.wt[:, None]).T * scale[:, None]  # (n_modes, L)
+
+    def analyze(self, values: np.ndarray) -> np.ndarray:
+        return values @ self.forward.T  # (n_r, n_modes)
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        upper = coeffs @ self.pl[self.half:, :].T  # t > 0 half
+        return np.concatenate([upper[:, ::-1], upper], axis=1)
+
+    def legendre_row(self, t: float) -> np.ndarray:
+        """P_l(t) for the grid's modes l (any t in [-1, 1])."""
+        l_max = self.l_values[-1]
+        return np.polynomial.legendre.legvander(np.array([t]), l_max)[0, self.l_values]
+
+    def synthesize_at(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+        """Mode sum along the ray with polar cosine t (any t in [-1, 1])."""
+        return coeffs @ self.legendre_row(t)
 
 
 Grid = RadialGrid | AxisymmetricGrid
@@ -305,7 +384,6 @@ class Profile:
     grid: Grid
     values: np.ndarray
     symmetry: str
-    tail_bound: Optional[float] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)

@@ -10,12 +10,14 @@ unshifted variant requires an integrable first moment and keeps the constant.
 
 On radial grids the angular integral is the closed-form spherical mean.  On
 axisymmetric grids the density is expanded in even Legendre modes of cos theta
-(exact Gauss-Legendre transform), each mode is convolved with its closed-form
-radial kernel, and the field is resynthesized; no pointwise kernel singularity
-is ever evaluated.  Each mode's radial kernel is semiseparable, so the
-convolution runs as prefix and suffix recurrences over the radii
-(kernels.ModeConvolution): one application costs O(n_modes * n_r log n_r)
-time and O(n_modes * n_r log n_r) memory, with no dense kernel tables.
+(the grid's exact Gauss-Legendre transform, grid.reduction), each mode is
+convolved with its closed-form radial kernel, and the field is resynthesized;
+no pointwise kernel singularity is ever evaluated.  Each mode's radial kernel
+is semiseparable, so the convolution (kernels.convolve) runs as prefix and
+suffix recurrences over the radii (kernels.ModeConvolution): one application
+costs O(n_modes * n_r log n_r) time and O(n_modes * n_r log n_r) memory, with
+no dense kernel tables.  The analytic bound on the mass beyond r_max is a
+moment of analysis.PowerTail.
 
 Iteration is damped Picard: v <- (1 - theta) v + theta T(v), with theta from
 the config and automatic halving when the step norm keeps rising.  Divergence
@@ -24,69 +26,18 @@ is a flag on the report, never an exception.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (AxisymmetricGrid, ConfigError, NonFiniteError, Profile,
-                    RadialGrid, SolutionReport, SolveConfig, validate_config,
-                    x_norm)
-from .kernels import ModeConvolution
+from .model import (ConfigError, NonFiniteError, Profile, RadialGrid,
+                    SolutionReport, SolveConfig, validate_config, x_norm)
+from .model import SphericalReduction  # noqa: F401  (perfbench/tracing.py patches this name)
+from .kernels import ModeConvolution, convolve
 from .kernels import mode_kernel_table  # noqa: F401  (perfbench/tracing.py patches this name)
-
-
-class SphericalReduction:
-    """Even-mode Legendre transform pair for an axisymmetric grid.
-
-    analyze() projects node values onto even Legendre modes of t = cos theta
-    (exact for the grid's angular band); synthesize() evaluates the mode sum
-    back at the nodes, computing the t > 0 half and mirroring it so evenness
-    in x1 holds bit-for-bit.
-    """
-
-    def __init__(self, grid: AxisymmetricGrid):
-        L = grid.n_angle
-        self.grid = grid
-        self.l_values = list(range(0, L, 2))
-        vander = np.polynomial.legendre.legvander(grid.t, L - 1)
-        self.pl = vander[:, self.l_values]  # (L, n_modes)
-        scale = np.array([(2 * l + 1) / 2.0 for l in self.l_values])
-        self.forward = (self.pl * grid.wt[:, None]).T * scale[:, None]  # (n_modes, L)
-
-    def analyze(self, values: np.ndarray) -> np.ndarray:
-        return values @ self.forward.T  # (n_r, n_modes)
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        half = self.grid.n_angle // 2
-        upper = coeffs @ self.pl[half:, :].T  # t > 0 half
-        return np.concatenate([upper[:, ::-1], upper], axis=1)
-
-    def synthesize_at(self, coeffs: np.ndarray, t: float) -> np.ndarray:
-        """Mode sum along the ray with polar cosine t (any t in [-1, 1])."""
-        l_max = self.l_values[-1]
-        row = np.polynomial.legendre.legvander(np.array([t]), l_max)[0, self.l_values]
-        return coeffs @ row
-
-
-def convolve(grid, density, shifted: bool, reduction: SphericalReduction | None = None,
-             modes: ModeConvolution | None = None):
-    """(1/8 pi) int kernel(x, y) density(y) dy on the grid nodes.
-
-    density is node values ((n,) radial, (n_r, n_angle) axisymmetric).
-    Returns field values of the same shape.  Pass the reduction and the
-    ModeConvolution built for this grid and kernel variant to reuse them
-    across calls.
-    """
-    if isinstance(grid, RadialGrid):
-        if modes is None:
-            modes = ModeConvolution(grid, [0], shifted)
-        return modes(density[:, None])[:, 0]
-    if reduction is None:
-        reduction = SphericalReduction(grid)
-    if modes is None:
-        modes = ModeConvolution(grid, reduction.l_values, shifted)
-    return reduction.synthesize(modes(reduction.analyze(density)))
+from .analysis import PowerTail
 
 
 @dataclass
@@ -102,32 +53,27 @@ class IterationState:
 
 
 class OperatorContext:
-    """Grid, polynomial values, mode convolution, and transforms for one config."""
+    """Grid, polynomial values and mode convolution for one config."""
 
-    def __init__(self, cfg: SolveConfig, grid=None, _share=None):
+    def __init__(self, cfg: SolveConfig):
         self.cfg = cfg
         self.shifted = cfg.kernel_variant == "shifted"
-        if _share is not None:
-            # same grid and kernel variant, new polynomial
-            self.grid = _share.grid
-            self.reduction = _share.reduction
-            self.modes = _share.modes
-        else:
-            self.grid = grid if grid is not None else cfg.build_grid()
-            if isinstance(self.grid, RadialGrid):
-                self.reduction = None
-                self.modes = ModeConvolution(self.grid, [0], self.shifted)
-            else:
-                self.reduction = SphericalReduction(self.grid)
-                self.modes = ModeConvolution(self.grid, self.reduction.l_values,
-                                             self.shifted)
-        g = self.grid
-        if self.reduction is None:
-            self.p_values = cfg.poly.value_radial(g.r)
-        else:
-            self.p_values = cfg.poly.value_rt(g.r[:, None], g.t[None, :])
+        self.grid = g = cfg.build_grid()
+        self.modes = ModeConvolution(g, g.l_values, self.shifted)
+        self.p_values = g.poly_values(cfg.poly)
         self._s2w = 0.5 * g.r**2 * g.line_w
         self._s3w = 0.5 * g.r**3 * g.line_w
+
+    def with_poly(self, poly) -> "OperatorContext":
+        """The context for this config with another polynomial.
+
+        The grid (with its Legendre transforms) and the mode convolution
+        depend only on the grid and the kernel variant, so they are shared.
+        """
+        other = copy.copy(self)
+        other.cfg = self.cfg.replace_poly(poly)
+        other.p_values = self.grid.poly_values(poly)
+        return other
 
     # -- pieces ------------------------------------------------------------
 
@@ -145,30 +91,28 @@ class OperatorContext:
             raise NonFiniteError("density (P + |v|)^-q not finite")
         return dens
 
-    def mode0(self, dens: np.ndarray) -> np.ndarray:
-        if self.reduction is None:
-            return dens
-        return self.reduction.analyze(dens)[:, 0]
-
     def alpha_quadrature(self, dens: np.ndarray) -> float:
         """(1/8 pi) int density dy truncated at r_max (the far-field slope)."""
-        return float(self._s2w @ self.mode0(dens))
+        return float(self._s2w @ self.grid.mode0(dens))
 
     def origin_value(self, dens: np.ndarray) -> float:
         """Field value at the origin: 0 shifted, (1/2) int s^3 g_0 ds unshifted."""
         if self.shifted:
             return 0.0
-        return float(self._s3w @ self.mode0(dens))
+        return float(self._s3w @ self.grid.mode0(dens))
 
     def tail_bound_alpha(self) -> float:
-        """Analytic bound on the slope mass beyond r_max, from P's leading power."""
+        """Analytic bound on the slope mass beyond r_max, from P's leading power.
+
+        P^-q decays like lead^-q r^-(m q) for P's growth order m; the slope
+        mass is (1/2) int_{r_max}^inf of it against s^2 ds.
+        """
         q, p = self.cfg.q, self.cfg.poly
-        m = p.growth_order()
         lead = p.tail_leading_coeff()
-        if m == 0 or lead <= 0.0 or m * q <= 3.0:
+        if lead <= 0.0:  # no growth (m = 0): no decay to bound with
             return math.inf
-        R = self.grid.r_max
-        return lead ** (-q) * R ** (3.0 - m * q) / (2.0 * (m * q - 3.0))
+        tail = PowerTail(lead ** (-q), p.growth_order() * q)
+        return 0.5 * tail.moment(0, self.grid.r_max)
 
     def iterate_bound(self) -> float:
         """Bound (1/8 pi) int P^-q dy on the weighted sup norm of every iterate."""
@@ -180,20 +124,10 @@ class OperatorContext:
         """T(v); pass dens = self.density(v) when the caller already has it."""
         if dens is None:
             dens = self.density(v)
-        out = convolve(self.grid, dens, self.shifted, self.reduction, self.modes)
+        out = convolve(self.grid, dens, self.shifted, self.modes)
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("operator output not finite")
         return out
-
-
-def apply_T(profile: Profile, cfg: SolveConfig, context: OperatorContext | None = None) -> Profile:
-    """One application of the integral operator to a profile."""
-    ctx = context if context is not None else OperatorContext(cfg)
-    out = ctx.apply(profile.values)
-    tb = ctx.tail_bound_alpha()
-    return Profile(grid=ctx.grid, values=out,
-                   symmetry=profile.symmetry,
-                   tail_bound=tb if math.isfinite(tb) else None)
 
 
 _DIVERGENCE_FACTOR = 1e6  # x-norm blowup threshold relative to the iterate bound
@@ -271,9 +205,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     if not converged and state.diverged_reason is None:
         state.diverged_reason = f"no convergence within max_iters = {cfg.max_iters}"
 
-    prof = Profile(grid=grid, values=v, symmetry=symmetry,
-                   tail_bound=(lambda tb: tb if math.isfinite(tb) else None)(
-                       ctx.tail_bound_alpha()))
+    prof = Profile(grid=grid, values=v, symmetry=symmetry)
     if dens is None:
         dens = ctx.density(v)
     report = SolutionReport(
@@ -318,10 +250,10 @@ class ContinuationResult:
 def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
     """Solve along cfg.continuation.eps_sequence, warm-starting each stage.
 
-    The grid, the Legendre reduction and the mode convolution are shared
-    across stages (only the polynomial changes).  Cauchy diagnostics record
-    sup_{r <= 10} |v_i - v_{i-1}|; a decreasing sequence is the empirical
-    sign that the family converges.
+    The grid, its Legendre reduction and the mode convolution are shared
+    across stages (only the polynomial changes: OperatorContext.with_poly).
+    Cauchy diagnostics record sup_{r <= 10} |v_i - v_{i-1}|; a decreasing
+    sequence is the empirical sign that the family converges.
     """
     if cfg.continuation is None:
         raise ConfigError("continuation_eps_to_zero requires cfg.continuation")
@@ -332,10 +264,8 @@ def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
     warm = None
     for eps in eps_values:
         stage_cfg = cfg.replace_poly(cfg.poly.with_eps(cont.eps_param, eps))
-        if ctx is None:
-            ctx = OperatorContext(stage_cfg)
-        else:
-            ctx = OperatorContext(stage_cfg, _share=ctx)
+        ctx = (OperatorContext(stage_cfg) if ctx is None
+               else ctx.with_poly(stage_cfg.poly))
         prof, rep, _ = solve_fixed_point(stage_cfg, v0=warm, context=ctx)
         profiles.append(prof)
         reports.append(rep)

@@ -4,23 +4,24 @@ Nothing here reuses the solver's mode convolution as ground truth: the PDE
 residual differentiates node values with local polynomial stencils, the
 integral identity is re-evaluated at off-diagonal sample points from the raw
 mode kernels, and the Pohozaev balance integrates two different moments of
-the solution.  Each check returns a normalized scalar plus enough context to
-judge it.
+the solution.  Tails beyond r_max are analysis.PowerTail fits and angular
+transforms are the grid's own.  Each check returns a normalized scalar plus
+enough context to judge it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from scipy.stats import qmc
 
-from .model import AxisymmetricGrid, NonFiniteError, Profile, RadialGrid
+from .model import (FOUR_PI, InsufficientTailError, NonFiniteError, Profile,
+                    RadialGrid)
 from .kernels import kernel_row
-from .operator import SphericalReduction
-from .analysis import tail_correction_rows, tail_power_fit
+from .analysis import PowerTail
 
 A_Q7 = math.sqrt(1.0 / 15.0)  # sqrt(a + r^2) solves the q = 7 equation
 
@@ -144,7 +145,7 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
             normalization=norm, window=(float(r_window[0]), float(r_window[1])),
             values=res, radii=g.r)
 
-    red = SphericalReduction(g)
+    red = g.reduction
     coeffs = red.analyze(u)
     lap = RadialLaplacian(g.r, width)
     out = np.empty_like(coeffs)
@@ -225,16 +226,14 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
         raise NonFiniteError("integral residual needs a strictly positive profile")
     dens = u ** (-q)
     radial = isinstance(g, RadialGrid)
-    red = None if radial else SphericalReduction(g)
-    ghat = dens if radial else red.analyze(dens)
+    ghat = dens if radial else g.reduction.analyze(dens)
 
     note = ""
-    t_coeff = p_tail = None
+    power = None
     if tail:
-        g0 = ghat if radial else ghat[:, 0]
         try:
-            t_coeff, p_tail = tail_power_fit(g.r, g0)
-        except Exception as exc:  # window too small on coarse grids
+            power = PowerTail.fit(g.r, g.mode0(dens))
+        except (InsufficientTailError, NonFiniteError) as exc:
             note = f"no tail correction ({exc})"
     u01 = _halton(max(n_samples, 4), 2, seed)
     r_lo, r_hi = g.r_max / 500.0, g.r_max / 2.0
@@ -253,23 +252,25 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
             tj = int(np.clip(round(float(u01[pos % u01.shape[0], 1])
                                    * (g.n_angle - 1)), 0, g.n_angle - 1))
             tval = float(g.t[tj])
-            pl_row = np.polynomial.legendre.legvander(
-                np.array([tval]), red.l_values[-1])[0]
-            acc = 0.0
-            for j, l in enumerate(red.l_values):
+            # accumulated mode by mode: synthesize_at's dot product sums in
+            # another order, which moves the written residual's last digits
+            pl_row = g.reduction.legendre_row(tval)
+            ival = 0.0
+            for j, l in enumerate(g.l_values):
                 row = kernel_row(rk, g, l, shifted=False)
-                acc += float(row @ ghat[:, j]) * float(pl_row[l])
-            ival = acc
+                ival += float(row @ ghat[:, j]) * float(pl_row[j])
             uval = float(u[k, tj])
             pval = float(poly.value_rt(rk, tval))
-        if t_coeff is not None:
-            corr = tail_correction_rows(np.array([rk]), g.r_max, t_coeff,
-                                        p_tail, shifted=False)[0]
+        if power is not None:
+            # spherical mean of |x - y| for |y| = s > r is s + r^2 / (3 s):
+            # (1/2) int_{r_max}^inf (s + r^2 / (3 s)) C s^-p s^2 ds
+            r2_term = PowerTail(power.coeff * (rk * rk) / 3.0, power.exponent)
+            corr = 0.5 * (r2_term.moment(-1, g.r_max) + power.moment(1, g.r_max))
             if math.isfinite(corr):
                 ival += corr
             elif not note:
                 note = (f"kernel mass beyond r_max diverges for fitted decay "
-                        f"r^-{p_tail:.3g}; residual includes truncation")
+                        f"r^-{power.exponent:.3g}; residual includes truncation")
         samples.append({"r": rk, "t": tval, "u": uval, "P": pval, "I": ival,
                         "offset": uval - pval - ival})
 
@@ -310,34 +311,25 @@ def pohozaev_residual(u_profile: Profile, q: float, poly,
         raise NonFiniteError("pohozaev residual needs a strictly positive profile")
     if q <= 1.0:
         return PohozaevResult(None, None, None, "identity needs q > 1")
-    c_eff = poly.c + gamma_offset
     c_q = 0.5 - 3.0 / (q - 1.0)
 
     dil = u ** (1.0 - q)
-    if isinstance(g, RadialGrid):
-        wvals = (3.0 * poly.a[0] * g.r**2 + 7.0 * poly.eps_quartic * g.r**4
-                 - c_eff)
-    else:
-        # pohozaev_weight_rt carries -c; shift it to -c_eff
-        wvals = poly.pohozaev_weight_rt(g.r[:, None], g.t[None, :]) - gamma_offset
-    wgt = wvals * u ** (-q)
+    wgt = g.pohozaev_weight(replace(poly, c=poly.c + gamma_offset)) * u ** (-q)
 
-    red = None if isinstance(g, RadialGrid) else SphericalReduction(g)
     terms = []
     for vals in (dil, wgt):
         total = g.integrate(vals)
-        m0 = vals if isinstance(g, RadialGrid) else red.analyze(vals)[:, 0]
-        sign_ref = m0[-1]
+        m0 = g.mode0(vals)
         try:
-            coeff, p = tail_power_fit(g.r, np.abs(m0) + 1e-300)
-        except Exception as exc:
+            fit = PowerTail.fit(g.r, np.abs(m0) + 1e-300)
+        except (InsufficientTailError, NonFiniteError) as exc:
             return PohozaevResult(None, None, None, f"tail fit failed: {exc}")
-        if p <= 3.0:
+        tail = PowerTail(FOUR_PI * fit.coeff, fit.exponent).moment(0, g.r_max)
+        if math.isinf(tail):
             return PohozaevResult(None, None, None,
-                                  f"integrand tail decays like r^-{p:.3g}, "
-                                  f"integral diverges")
-        tail = 4.0 * math.pi * coeff * g.r_max ** (3.0 - p) / (p - 3.0)
-        total += math.copysign(tail, sign_ref)
+                                  f"integrand tail decays like "
+                                  f"r^-{fit.exponent:.3g}, integral diverges")
+        total += math.copysign(tail, m0[-1])
         terms.append(total)
 
     t1 = c_q * terms[0]

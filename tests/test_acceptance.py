@@ -22,12 +22,6 @@ MODULE_T0 = time.perf_counter()
 ZERO_POLY = QuadraticPolynomial((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0.0)
 
 
-def poly_on(grid, poly):
-    if hasattr(grid, "t"):
-        return poly.value_rt(grid.r[:, None], grid.t[None, :])
-    return poly.value_radial(grid.r)
-
-
 def stage_poly(cfg: SolveConfig) -> QuadraticPolynomial:
     if cfg.continuation is None:
         return cfg.poly
@@ -74,7 +68,7 @@ def test_criterion_3_anisotropic_quadratic_growth(thm1_run, timings):
     rep = cont.final_report
     assert all(r.converged for r in cont.reports)
     g = prof.grid
-    u_fit = prof.values + poly_on(g, cont.limit_poly)
+    u_fit = prof.values + g.poly_values(cont.limit_poly)
     up = Profile(grid=g, values=u_fit, symmetry=prof.symmetry)
     for t, target in ((1.0, 1.0), (0.0, 2.0)):
         r, vals = analysis.ray_values(up, t)
@@ -98,8 +92,8 @@ def test_criterion_4_degenerate_direction_limit(thm2_run, timings):
     g = cont.final_profile.grid
     v = cont.final_profile.values
     sp = stage_poly(cfg)
-    u_stage = Profile(grid=g, values=v + poly_on(g, sp), symmetry="even")
-    u_proxy = Profile(grid=g, values=v + poly_on(g, cont.limit_poly),
+    u_stage = Profile(grid=g, values=v + g.poly_values(sp), symmetry="even")
+    u_proxy = Profile(grid=g, values=v + g.poly_values(cont.limit_poly),
                       symmetry="even")
     integ = verify.integral_residual(u_proxy, cfg.q, cont.limit_poly, seed=0)
     assert integ.max_rel < 1e-2, f"integral residual {integ.max_rel:.3e}"
@@ -202,8 +196,8 @@ def test_criterion_8_decomposition_recovers_polynomial(thm1_run):
     cfg, cont = thm1_run
     prof = cont.final_profile
     g = prof.grid
-    u_stage = prof.values + poly_on(g, stage_poly(cfg))
-    u_fit = prof.values + poly_on(g, cont.limit_poly)
+    u_stage = prof.values + g.poly_values(stage_poly(cfg))
+    u_fit = prof.values + g.poly_values(cont.limit_poly)
     beta, _ = analysis.compute_beta(
         Profile(grid=g, values=u_stage, symmetry="even"), cfg.q)
     dec = analysis.decompose(

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import quad
+
 from biharm.analysis import (InsufficientTailError, NotIntegrableError,
-                             check_hessian_decay, compute_beta, decompose,
-                             fit_growth, hessian_decay_rate, ray_values,
-                             tail_correction_rows, tail_power_fit)
+                             PowerTail, check_hessian_decay, compute_beta,
+                             decompose, fit_growth, hessian_decay_rate,
+                             ray_values)
 from biharm.model import Profile, RadialGrid
 from biharm.operator import solve_fixed_point
 from biharm.verify import exact_q7_profile
@@ -65,22 +67,34 @@ class TestFitGrowth:
 class TestTailPowerFit:
     def test_recovers_power_law(self):
         g = _grid(800, 200.0)
-        coeff, p = tail_power_fit(g.r, 4.0 * g.r**-3.5)
-        assert p == pytest.approx(3.5, rel=1e-10)
-        assert coeff == pytest.approx(4.0, rel=1e-8)
+        tail = PowerTail.fit(g.r, 4.0 * g.r**-3.5)
+        assert tail.exponent == pytest.approx(3.5, rel=1e-10)
+        assert tail.coeff == pytest.approx(4.0, rel=1e-8)
 
-    def test_correction_rows_shifted_vs_unshifted(self):
-        # the unshifted correction carries an extra linear-in-r piece that
-        # only converges when the first moment does (p > 4)
-        rows_s = tail_correction_rows(np.array([1.0]), 50.0, 1.0, 3.5,
-                                      shifted=True)
-        rows_u = tail_correction_rows(np.array([1.0]), 50.0, 1.0, 3.5,
-                                      shifted=False)
-        assert np.isfinite(rows_s).all()
-        assert not np.isfinite(rows_u).all()
-        rows_u4 = tail_correction_rows(np.array([1.0]), 50.0, 1.0, 4.5,
-                                       shifted=False)
-        assert np.isfinite(rows_u4).all()
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    @pytest.mark.parametrize("excess", [0.5, 2.0, 4.5])
+    def test_moments_match_quadrature(self, k, excess):
+        # excess = exponent - (k + 3): how fast the integrand decays past 1/s
+        coeff, p, r_max = 2.5, k + 3.0 + excess, 40.0
+        ref, err = quad(lambda s: coeff * s**-p * s ** (k + 2), r_max, np.inf,
+                        epsabs=0.0, epsrel=1e-12)
+        got = PowerTail(coeff, p).moment(k, r_max)
+        assert got == pytest.approx(ref, rel=1e-9, abs=err)
+
+    def test_divergence_flagged_at_threshold(self):
+        # the s^(k+2) moment of s^-p converges exactly when p > k + 3: for
+        # the kernel tail (k = -1 and k = 1 pieces) p = 3.5 keeps the r^2
+        # piece finite but not the s piece, and p = 4.5 keeps both
+        r_max = 50.0
+        for k in (-1, 0, 1):
+            edge = k + 3.0
+            assert PowerTail(1.0, edge).moment(k, r_max) == math.inf
+            assert PowerTail(1.0, edge - 0.5).moment(k, r_max) == math.inf
+            above = PowerTail(1.0, float(np.nextafter(edge, np.inf)))
+            assert math.isfinite(above.moment(k, r_max))
+        assert math.isfinite(PowerTail(1.0, 3.5).moment(-1, r_max))
+        assert PowerTail(1.0, 3.5).moment(1, r_max) == math.inf
+        assert math.isfinite(PowerTail(1.0, 4.5).moment(1, r_max))
 
 
 class TestBeta:

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from biharm import cli
+from biharm.model import Profile, RadialGrid, save_profile_csv
 
 
 def run(capsys, *argv):
@@ -168,6 +169,28 @@ class TestVerify:
         doc = json.loads((tmp_path / "chk" / "verification.json").read_text())
         assert doc["checks"]["pde"]["status"] == "pass"
         assert doc["checks"]["integral"]["status"] == "pass"
+
+    @pytest.mark.parametrize("n_r, power, why", [
+        (400, 0.39, "first moment"),  # u^-5 ~ r^-3.9: the moment diverges
+        (40, 0.5, "need 30"),         # 28 nodes in the last decade: no fit
+    ])
+    def test_undefined_shifted_constant_makes_pohozaev_not_applicable(
+            self, tmp_path, capsys, n_r, power, why):
+        # the shifted kernel's Pohozaev constant is the first moment of u^-q;
+        # a truncated grid sum in its place gives a meaningless number
+        cfg = quick_config(tmp_path, poly={"a": [0.0, 0.0, 0.0], "c": 1.0},
+                           grid={"kind": "radial", "n_r": n_r,
+                                 "r_max": 400.0, "grading": 2.0})
+        g = RadialGrid.graded(n_r, 400.0)
+        prof = tmp_path / "u.csv"
+        save_profile_csv(Profile(grid=g, values=(1.0 + g.r**2) ** power,
+                                 symmetry="radial"), prof)
+        run(capsys, "verify", "--config", str(cfg), "--profile", str(prof),
+            "--out", str(tmp_path / "v"))
+        doc = json.loads((tmp_path / "v" / "verification.json").read_text())
+        poh = doc["checks"]["pohozaev"]
+        assert poh["status"] == "not_applicable"
+        assert why in poh["note"]
 
     def test_truncated_profile_is_structural_error(self, solved, tmp_path,
                                                    capsys):

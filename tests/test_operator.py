@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from biharm import cli
 from biharm.kernels import radial_kernel
 from biharm.model import (NonFiniteError, Profile, QuadraticPolynomial,
-                          RadialGrid, SolveConfig, x_norm)
-from biharm.operator import (OperatorContext, SphericalReduction, apply_T,
-                             continuation_eps_to_zero, solve_fixed_point)
+                          RadialGrid, SolveConfig, SphericalReduction, x_norm)
+from biharm.operator import (OperatorContext, continuation_eps_to_zero,
+                             solve_fixed_point)
 
 
 def _radial_cfg(q=5.0, a=1.0, c=1.0, eps=0.0, n=400, r_max=40.0,
@@ -44,7 +45,7 @@ class TestSphericalReduction:
     def test_roundtrip_even_field(self):
         cfg = _axisym_cfg()
         g = cfg.build_grid()
-        red = SphericalReduction(g)
+        red = g.reduction
         f = np.cos(g.x1) * np.exp(-g.rho**2 / 9.0)
         f = 0.5 * (f + f[:, ::-1])
         back = red.synthesize(red.analyze(f))
@@ -53,13 +54,28 @@ class TestSphericalReduction:
     def test_synthesize_at_matches_grid_nodes(self):
         cfg = _axisym_cfg(r_max=6.0)
         g = cfg.build_grid()
-        red = SphericalReduction(g)
+        red = g.reduction
         f = np.exp(-(g.x1**2 + 0.5 * g.rho**2))
         coeffs = red.analyze(f)
         j = g.n_angle // 2 + 3
         vals = red.synthesize_at(coeffs, float(g.t[j]))
         np.testing.assert_allclose(vals, red.synthesize(coeffs)[:, j],
                                    rtol=1e-9, atol=1e-12)
+
+    def test_built_once_per_grid(self, monkeypatch):
+        # the solve, the ray fits, beta and the decomposition all read the
+        # transform of the one grid the solve built
+        built = []
+        init = SphericalReduction.__init__
+        monkeypatch.setattr(SphericalReduction, "__init__",
+                            lambda self, grid: built.append(grid) or init(self, grid))
+        cfg = _axisym_cfg(q=5.0, a=(1.0, 2.0, 2.0), n_r=96, n_angle=32)
+        prof, report, _ = solve_fixed_point(cfg)
+        assert report.converged
+        report = cli._enrich_report(report, prof, cfg)
+        assert report.beta is not None and report.decomposition is not None
+        assert len(report.growth_fits) == 2
+        assert len(built) == 1 and built[0] is prof.grid
 
 
 class TestOperatorPieces:
@@ -168,9 +184,8 @@ class TestSolve:
     def test_fixed_point_is_a_fixed_point(self):
         cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=800, r_max=100.0)
         prof, report, _ = solve_fixed_point(cfg)
-        again = apply_T(prof, cfg)
-        assert x_norm(Profile(grid=prof.grid,
-                              values=again.values - prof.values,
+        again = OperatorContext(cfg).apply(prof.values)
+        assert x_norm(Profile(grid=prof.grid, values=again - prof.values,
                               symmetry="radial")) < 10 * cfg.tol_fixed_point
 
     def test_damping_controller_engages_on_flat_polynomial(self, flat_q5_run):
@@ -214,7 +229,8 @@ class TestSolve:
         ctx = OperatorContext(cfg)
         prof1, rep1, _ = solve_fixed_point(cfg, context=ctx)
         cfg2 = cfg.replace_poly(cfg.poly.with_eps("quartic", 0.05))
-        ctx2 = OperatorContext(cfg2, grid=ctx.grid, _share=ctx)
+        ctx2 = ctx.with_poly(cfg2.poly)
+        assert ctx2.modes is ctx.modes and ctx2.cfg == cfg2
         prof2a, rep2a, _ = solve_fixed_point(cfg2, v0=prof1, context=ctx2)
         prof2b, rep2b, _ = solve_fixed_point(cfg2)
         assert rep2a.converged and rep2b.converged
