@@ -41,7 +41,7 @@ def main() -> None:
     prof = cont.final_profile
     g = prof.grid
     u = prof.values + cont.limit_poly.value_rt(g.r[:, None], g.t[None, :])
-    up = Profile(grid=g, values=u, symmetry="even")
+    up = Profile(grid=g, values=u)
 
     print("\nquadratic growth of the limit proxy:")
     for t, label in ((1.0, "along the x1 axis "), (0.0, "across the axis   ")):

@@ -37,7 +37,7 @@ def main() -> None:
     prof = cont.final_profile
     g = prof.grid
     u = prof.values + cont.limit_poly.value_rt(g.r[:, None], g.t[None, :])
-    up = Profile(grid=g, values=u, symmetry="even")
+    up = Profile(grid=g, values=u)
 
     r, axis = ray_values(up, 1.0)
     fit_axis = fit_growth(r, axis, "linear")

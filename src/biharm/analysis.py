@@ -143,17 +143,14 @@ class PowerTail:
 def ray_values(profile: Profile, t: Optional[float] = None):
     """(radii, values) along the ray with polar cosine t.
 
-    Radial profiles ignore t.  Axisymmetric profiles are resynthesized from
-    their even Legendre modes, which evaluates the ray exactly within the
-    grid's angular band (t = +-1 gives the symmetry axis).
+    The profile is resynthesized from its even Legendre modes, which
+    evaluates the ray exactly within the grid's angular band (t = +-1 gives
+    the symmetry axis).  Radial profiles ignore t; axisymmetric ones raise
+    ValueError without it.
     """
     g = profile.grid
-    if isinstance(g, RadialGrid):
-        return g.r, profile.values
-    if t is None:
-        raise ValueError("axisymmetric profiles need a ray direction t")
-    coeffs = g.reduction.analyze(profile.values)
-    return g.r, g.reduction.synthesize_at(coeffs, float(t))
+    red = g.reduction
+    return g.r, red.synthesize_at(red.analyze(profile.values), t)
 
 
 def compute_beta(u_profile: Profile, q: float):
@@ -219,41 +216,38 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None,
     v_dec = convolve(g, dens, shifted=True)
     w = u - v_dec
 
+    # quadratics of the grid's symmetry class (constant first), and how
+    # their coefficients map to P's a and b
     if isinstance(g, RadialGrid):
-        r = g.r
-        basis = [np.ones_like(r), r * r]
-        names = ["c", "r2"]
-        quad_scale = 1.0 + r * r
-        wts = g.weights / quad_scale**2
-        flat_w = w
+        basis = [np.ones_like(g.r), g.r * g.r]
+
+        def to_ab(a):
+            return [a, a, a], [0.0, 0.0, 0.0]
     else:
         x1 = g.x1
         basis = [np.ones_like(x1), x1, x1 * x1, g.rho**2]
-        names = ["c", "x1", "x1sq", "rhosq"]
-        quad_scale = 1.0 + g.r[:, None] ** 2
-        wts = g.weights / quad_scale**2
-        flat_w = w
+
+        def to_ab(b1, a1, a23):
+            return [a1, a23, a23], [b1, 0.0, 0.0]
+    quad_scale = 1.0 + g.r_nodes**2
+    wts = g.weights / quad_scale**2
 
     A = np.stack([b.ravel() for b in basis], axis=1)
     sw = np.sqrt(wts.ravel())
-    coef, *_ = np.linalg.lstsq(A * sw[:, None], flat_w.ravel() * sw, rcond=None)
+    coef, *_ = np.linalg.lstsq(A * sw[:, None], w.ravel() * sw, rcond=None)
     fit_vals = (A @ coef).reshape(w.shape)
     denom = float(np.max(np.abs(fit_vals) / quad_scale))
     fit_residual = float(np.max(np.abs(w - fit_vals) / quad_scale)) / max(denom, 1e-300)
 
-    coeffs = dict(zip(names, (float(c) for c in coef)))
-    if isinstance(g, RadialGrid):
-        a = [coeffs["r2"]] * 3
-        b = [0.0, 0.0, 0.0]
-    else:
-        a = [coeffs["x1sq"], coeffs["rhosq"], coeffs["rhosq"]]
-        b = [coeffs["x1"], 0.0, 0.0]
-    c = coeffs["c"]
+    c, *rest = (float(x) for x in coef)
+    a, b = to_ab(*rest)
 
-    # first moment of the density, for the identity gap (finite iff decay > 4)
+    # first moment of the density, for the identity gap (finite iff decay
+    # > 4, and fittable only with a last decade of enough nodes); optional,
+    # so either failure leaves the rest of the decomposition standing
     try:
         moment1 = first_moment(g, g.mode0(dens))
-    except NotIntegrableError:
+    except (NotIntegrableError, InsufficientTailError):
         moment1 = None
 
     a_scale = max(max(abs(x) for x in a), 1e-12)

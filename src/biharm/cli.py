@@ -115,8 +115,7 @@ def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
             fits.append(analysis.fit_growth(g.r, u_fit, ray_model(1.0)).to_dict())
         else:
             for t in (1.0, 0.0):
-                r, vals = analysis.ray_values(
-                    Profile(grid=g, values=u_fit, symmetry=prof.symmetry), t)
+                r, vals = analysis.ray_values(Profile(grid=g, values=u_fit), t)
                 fits.append(analysis.fit_growth(r, vals, ray_model(t),
                                                 direction=t).to_dict())
     except analysis.InsufficientTailError as exc:
@@ -124,18 +123,18 @@ def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
     report.growth_fits = fits
 
     if report.converged:
-        up = Profile(grid=g, values=u_solved, symmetry=prof.symmetry)
+        up = Profile(grid=g, values=u_solved)
         try:
             beta, note = analysis.compute_beta(up, cfg.q)
-            report.beta = beta
-            report.beta_note = note
         except (analysis.NotIntegrableError,
                 analysis.InsufficientTailError) as exc:
-            report.beta = None
-            report.beta_note = str(exc)
+            beta, note = None, str(exc)
+        report.beta = beta
+        # after the reason the growth fits were skipped, if they were
+        report.beta_note = "; ".join(filter(None, (report.beta_note, note)))
         # the decomposition basis is quadratic, so for continuation runs it
         # applies to the limit object v + P_limit, not the quartic stage
-        up_fit = Profile(grid=g, values=u_fit, symmetry=prof.symmetry)
+        up_fit = Profile(grid=g, values=u_fit)
         try:
             report.decomposition = analysis.decompose(up_fit, cfg.q,
                                                       beta=report.beta)
@@ -184,8 +183,7 @@ def cmd_solve(args) -> int:
         stage_cfg = cfg
 
     u = prof.values + prof.grid.poly_values(stage_cfg.poly)
-    save_profile_csv(Profile(grid=prof.grid, values=u, symmetry=prof.symmetry),
-                     out / "profile.csv")
+    save_profile_csv(Profile(grid=prof.grid, values=u), out / "profile.csv")
     _write_trace(out / "trace.csv", report)
     doc = {"config": cfg.to_dict(), "result": report.to_dict(), **extra,
            "warnings": check.warnings}
@@ -207,6 +205,13 @@ def _check(value, threshold, note=""):
             "note": note}
 
 
+def _integral_check(integ, threshold):
+    """The integral identity's check; a truncated, divergent tail grades nothing."""
+    if integ.tail_diverges:
+        return _check(None, threshold, f"NotApplicable: {integ.note}")
+    return _check(integ.max_rel, threshold)
+
+
 def _run_exact_q7(d: dict, out: Path, seed: int) -> int:
     gspec = GridSpec.from_dict(d["grid"])
     g = gspec.build()
@@ -219,7 +224,7 @@ def _run_exact_q7(d: dict, out: Path, seed: int) -> int:
                                      n_samples=20, seed=seed)
     checks = {
         "pde": _check(pde.max_rel, th.get("pde", 1e-3)),
-        "integral": _check(integ.max_rel, th.get("integral", 1e-3)),
+        "integral": _integral_check(integ, th.get("integral", 1e-3)),
         "gamma": _check(abs(integ.gamma), th.get("gamma", 1e-2)),
     }
     doc = {"mode": "exact-q7", "q": 7.0, "grid": gspec.to_dict(),
@@ -278,7 +283,7 @@ def cmd_verify(args) -> int:
     checks = {
         "positivity": {"status": "pass", "note": "u > 0 on all nodes"},
         "pde": _check(pde.max_rel, th["pde"]),
-        "integral": _check(integ.max_rel, th["integral"]),
+        "integral": _integral_check(integ, th["integral"]),
         "pohozaev": _check(po_value, th["pohozaev"], po_note),
     }
     doc = {"config": cfg.to_dict(), "checks": checks,
@@ -378,7 +383,7 @@ def _sweep_point(payload):
             row["beta"] = "" if report.beta is None else report.beta
             g = prof.grid
             u = prof.values + g.poly_values(cfg.poly)
-            up = Profile(grid=g, values=u, symmetry=prof.symmetry)
+            up = Profile(grid=g, values=u)
             rays = [("exponent_e1", 1.0)]
             if not isinstance(g, RadialGrid):
                 rays.append(("exponent_eperp", 0.0))
@@ -393,8 +398,7 @@ def _sweep_point(payload):
         report_json({"config": cfg.to_dict(), "result": report.to_dict()},
                     pd / "report.json")
         u = prof.values + prof.grid.poly_values(cfg.poly)
-        save_profile_csv(Profile(grid=prof.grid, values=u,
-                                 symmetry=prof.symmetry), pd / "profile.csv")
+        save_profile_csv(Profile(grid=prof.grid, values=u), pd / "profile.csv")
     except Exception as exc:  # per-point isolation: record, never abort
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

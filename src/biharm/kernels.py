@@ -18,7 +18,8 @@ symmetric grids the angular integrals collapse to closed forms:
   coincidence; accuracy checks live in the tests).
 
 convolve() applies (1/8 pi) int kernel(x, y) density(y) dy on a grid: the
-grid's Legendre analysis (axisymmetric grids), ModeConvolution, synthesis.
+grid's Legendre analysis, ModeConvolution, synthesis (a radial grid is the
+one-mode case).
 
 A Monte-Carlo sphere average with a counter-based generator (Philox) serves as
 the model-independent oracle for all of the above.
@@ -213,14 +214,12 @@ class ModeConvolution:
 def convolve(grid, density, shifted: bool, modes: ModeConvolution | None = None):
     """(1/8 pi) int kernel(x, y) density(y) dy on the grid nodes.
 
-    density is node values ((n,) radial, (n_r, n_angle) axisymmetric).
-    Returns field values of the same shape.  Pass the ModeConvolution built
-    for this grid and kernel variant to reuse it across calls.
+    density is node values in the layout grid.shape; returns field values in
+    the same layout.  Pass the ModeConvolution built for this grid and kernel
+    variant to reuse it across calls.
     """
     if modes is None:
         modes = ModeConvolution(grid, grid.l_values, shifted)
-    if isinstance(grid, RadialGrid):
-        return modes(density[:, None])[:, 0]
     red = grid.reduction
     return red.synthesize(modes(red.analyze(density)))
 

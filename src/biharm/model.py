@@ -1,11 +1,12 @@
 """Core data types: polynomial data, quadrature grids, profiles, configs, reports.
 
-Everything here is plain numpy plus frozen dataclasses.  Grids carry their own
-quadrature weights so that integrals over R^3 under the declared symmetry are
-single weighted sums, and own everything else that depends only on the nodes:
-the Legendre transform pair of an axisymmetric grid (grid.reduction, built
-once per grid object), the angular mean of a node field (grid.mode0), and P
-and its Pohozaev weight at the nodes (grid.poly_values, grid.pohozaev_weight).
+Everything here is plain numpy plus frozen dataclasses.  Both grid kinds
+share one node interface: values have the layout grid.shape, grid.r_nodes
+is r broadcast to it, and grid.reduction (built once per grid) maps node
+values to even Legendre modes (n_r, n_modes) and back; a radial grid is the
+one-mode case l = 0.  Grids also own their quadrature (grid.integrate) and
+what else depends only on the nodes: grid.l_values, the angular mean
+grid.mode0, and P and its Pohozaev weight (grid.poly_values, ...).
 Configuration objects round-trip through JSON with fixed field names, and
 report serialization is deterministic (floats rounded to 12 significant
 digits) so identical runs produce byte-identical files.
@@ -205,8 +206,24 @@ def _graded_nodes(n: int, r_max: float, grading: float):
     return r_all[1:], w[1:]
 
 
+class _NodeGrid:
+    """What both grid kinds define through weights and reduction."""
+
+    def integrate(self, values: np.ndarray) -> float:
+        return float(np.sum(self.weights * values))
+
+    @property
+    def l_values(self) -> list:
+        """Even Legendre modes a node field carries."""
+        return self.reduction.l_values
+
+    def mode0(self, values: np.ndarray) -> np.ndarray:
+        """Angular mean of node values at each radius (the l = 0 Legendre mode)."""
+        return self.reduction.analyze(values)[:, 0]
+
+
 @dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(_NodeGrid):
     """Strictly increasing radii with weights for int_{R^3} f = 4 pi int f r^2 dr."""
 
     r: np.ndarray
@@ -228,21 +245,24 @@ class RadialGrid:
         return self.r.size
 
     @property
+    def shape(self) -> tuple:
+        """Layout of node values: one value per radius."""
+        return (self.r.size,)
+
+    @property
+    def r_nodes(self) -> np.ndarray:
+        """Radius of every node, in the node layout."""
+        return self.r
+
+    @property
     def weights(self) -> np.ndarray:
         """Quadrature weights for integration over R^3 of radial integrands."""
         return FOUR_PI * self.r * self.r * self.line_w
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weights * values))
-
-    @property
-    def l_values(self) -> list:
-        """Legendre modes a node field carries: only l = 0 under radial symmetry."""
-        return [0]
-
-    def mode0(self, values: np.ndarray) -> np.ndarray:
-        """Angular mean of node values at each radius (the values themselves)."""
-        return np.asarray(values, dtype=float)
+    @cached_property
+    def reduction(self) -> "RadialReduction":
+        """The one-mode (l = 0) transform, built on first use and kept."""
+        return RadialReduction()
 
     def poly_values(self, poly: QuadraticPolynomial) -> np.ndarray:
         """P at the nodes."""
@@ -254,7 +274,7 @@ class RadialGrid:
 
 
 @dataclass(frozen=True)
-class AxisymmetricGrid:
+class AxisymmetricGrid(_NodeGrid):
     """Product grid: graded radii x Gauss-Legendre polar cosines.
 
     Nodes are (x1, rho) = (r t, r sqrt(1 - t^2)); the t nodes are symmetric
@@ -294,6 +314,16 @@ class AxisymmetricGrid:
         return self.t.size
 
     @property
+    def shape(self) -> tuple:
+        """Layout of node values: radii by polar cosines."""
+        return (self.r.size, self.t.size)
+
+    @property
+    def r_nodes(self) -> np.ndarray:
+        """Radius of every node, broadcastable against the node layout."""
+        return self.r[:, None]
+
+    @property
     def x1(self) -> np.ndarray:
         return np.outer(self.r, self.t)
 
@@ -305,22 +335,10 @@ class AxisymmetricGrid:
     def weights(self) -> np.ndarray:
         return TWO_PI * np.outer(self.r * self.r * self.line_w, self.wt)
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weights * values))
-
     @cached_property
     def reduction(self) -> SphericalReduction:
         """The grid's Legendre transform pair, built on first use and kept."""
         return SphericalReduction(self)
-
-    @property
-    def l_values(self) -> list:
-        """Even Legendre modes a node field carries."""
-        return self.reduction.l_values
-
-    def mode0(self, values: np.ndarray) -> np.ndarray:
-        """Angular mean of node values at each radius (the l = 0 Legendre mode)."""
-        return self.reduction.analyze(values)[:, 0]
 
     def poly_values(self, poly: QuadraticPolynomial) -> np.ndarray:
         """P at the nodes."""
@@ -337,12 +355,14 @@ class SphericalReduction:
     analyze() projects node values onto even Legendre modes of t = cos theta
     (exact for the grid's angular band); synthesize() evaluates the mode sum
     back at the nodes, computing the t > 0 half and mirroring it so evenness
-    in x1 holds bit-for-bit.  Use grid.reduction, which builds it once per grid.
+    in x1 holds bit-for-bit.  t holds the polar cosines of the node columns.
+    Use grid.reduction, which builds it once per grid.
     """
 
     def __init__(self, grid: AxisymmetricGrid):
         L = grid.n_angle
         self.half = L // 2  # no reference to the grid, which holds this object
+        self.t = grid.t
         self.l_values = list(range(0, L, 2))
         vander = np.polynomial.legendre.legvander(grid.t, L - 1)
         self.pl = vander[:, self.l_values]  # (L, n_modes)
@@ -358,12 +378,36 @@ class SphericalReduction:
 
     def legendre_row(self, t: float) -> np.ndarray:
         """P_l(t) for the grid's modes l (any t in [-1, 1])."""
+        if t is None:
+            raise ValueError("axisymmetric profiles need a ray direction t")
         l_max = self.l_values[-1]
         return np.polynomial.legendre.legvander(np.array([t]), l_max)[0, self.l_values]
 
     def synthesize_at(self, coeffs: np.ndarray, t: float) -> np.ndarray:
         """Mode sum along the ray with polar cosine t (any t in [-1, 1])."""
         return coeffs @ self.legendre_row(t)
+
+
+class RadialReduction:
+    """SphericalReduction's one-mode case: a radial field is its own l = 0 mode.
+
+    P_0 = 1, so every ray (any t, or None) sees the same values; the single
+    node column has no polar cosine (t is None).
+    """
+
+    l_values = [0]
+    t = (None,)
+
+    def analyze(self, values: np.ndarray) -> np.ndarray:
+        return values[:, None]
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        return coeffs[:, 0]
+
+    def legendre_row(self, t=None) -> np.ndarray:
+        return np.ones(1)
+
+    synthesize_at = SphericalReduction.synthesize_at
 
 
 Grid = RadialGrid | AxisymmetricGrid
@@ -375,42 +419,22 @@ Grid = RadialGrid | AxisymmetricGrid
 
 @dataclass(frozen=True)
 class Profile:
-    """Sampled scalar field on a grid.
-
-    values has shape (n,) on a radial grid and (n_r, n_angle) on an
-    axisymmetric grid.  symmetry is "radial" or "even" (even in x1).
-    """
+    """Sampled scalar field on a grid; values has the layout grid.shape."""
 
     grid: Grid
     values: np.ndarray
-    symmetry: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if isinstance(self.grid, RadialGrid):
-            if v.shape != (self.grid.n,):
-                raise ConfigError(f"radial profile shape {v.shape} != ({self.grid.n},)")
-        else:
-            if v.shape != (self.grid.n_r, self.grid.n_angle):
-                raise ConfigError(
-                    f"axisymmetric profile shape {v.shape} != "
-                    f"({self.grid.n_r}, {self.grid.n_angle})")
-        if self.symmetry not in ("radial", "even"):
-            raise ConfigError(f"unknown symmetry tag {self.symmetry!r}")
+        if v.shape != self.grid.shape:
+            raise ConfigError(
+                f"profile shape {v.shape} != grid node layout {self.grid.shape}")
 
 
-def x_norm(profile_or_values, r=None) -> float:
+def x_norm(profile: Profile) -> float:
     """Weighted sup norm sup |v(x)| / (1 + |x|)."""
-    if isinstance(profile_or_values, Profile):
-        grid = profile_or_values.grid
-        v = profile_or_values.values
-        if isinstance(grid, RadialGrid):
-            return float(np.max(np.abs(v) / (1.0 + grid.r)))
-        return float(np.max(np.abs(v) / (1.0 + grid.r[:, None])))
-    v = np.asarray(profile_or_values, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return float(np.max(np.abs(v) / (1.0 + r)))
+    return float(np.max(np.abs(profile.values) / (1.0 + profile.grid.r_nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +469,7 @@ def load_profile_csv(path, grid: Grid) -> Profile:
         v = np.atleast_1d(data["value"])
         if r.size != grid.n or not np.allclose(r, grid.r, rtol=1e-9, atol=1e-12):
             raise ConfigError("profile radii do not match the configured grid")
-        return Profile(grid=grid, values=v, symmetry="radial")
+        return Profile(grid=grid, values=v)
     if data.dtype.names != ("x1", "rho", "value"):
         raise ConfigError(f"expected header x1,rho,value, got {data.dtype.names}")
     n = grid.n_r * grid.n_angle
@@ -457,8 +481,7 @@ def load_profile_csv(path, grid: Grid) -> Profile:
     if (np.max(np.abs(x1 - grid.x1) / scale) > 1e-9
             or np.max(np.abs(rho - grid.rho) / scale) > 1e-9):
         raise ConfigError("profile coordinates do not match the configured grid")
-    return Profile(grid=grid, values=data["value"].reshape(grid.n_r, grid.n_angle),
-                   symmetry="even")
+    return Profile(grid=grid, values=data["value"].reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -748,12 +771,6 @@ class SolutionReport:
     iterate_bound: float = math.nan
     tail_bound: float = math.nan
     growth_fits: list = field(default_factory=list)
-    gamma_offset: Optional[float] = None
-    integral_residual_max: Optional[float] = None
-    integral_residual_note: str = ""
-    pde_residual_max: Optional[float] = None
-    pohozaev_residual: Optional[float] = None
-    pohozaev_note: str = ""
     decomposition: Optional[dict] = None
     diff_history: list = field(default_factory=list)
     alpha_history: list = field(default_factory=list)

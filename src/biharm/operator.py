@@ -8,15 +8,16 @@ with kernel |x - y| (unshifted) or |x - y| - |y| (shifted).  The shifted
 variant pins T(v)(0) = 0 and produces fields with at most linear growth; the
 unshifted variant requires an integrable first moment and keeps the constant.
 
-On radial grids the angular integral is the closed-form spherical mean.  On
-axisymmetric grids the density is expanded in even Legendre modes of cos theta
-(the grid's exact Gauss-Legendre transform, grid.reduction), each mode is
-convolved with its closed-form radial kernel, and the field is resynthesized;
-no pointwise kernel singularity is ever evaluated.  Each mode's radial kernel
-is semiseparable, so the convolution (kernels.convolve) runs as prefix and
-suffix recurrences over the radii (kernels.ModeConvolution): one application
-costs O(n_modes * n_r log n_r) time and O(n_modes * n_r log n_r) memory, with
-no dense kernel tables.  The analytic bound on the mass beyond r_max is a
+The density is expanded in even Legendre modes of cos theta (the grid's
+transform pair, grid.reduction: exact Gauss-Legendre on axisymmetric grids,
+the single l = 0 mode on radial ones, where the angular integral is the
+closed-form spherical mean), each mode is convolved with its closed-form
+radial kernel, and the field is resynthesized; no pointwise kernel
+singularity is ever evaluated.  Each mode's radial kernel is semiseparable,
+so the convolution (kernels.convolve) runs as prefix and suffix recurrences
+over the radii (kernels.ModeConvolution): one application costs
+O(n_modes * n_r log n_r) time and O(n_modes * n_r log n_r) memory, with no
+dense kernel tables.  The analytic bound on the mass beyond r_max is a
 moment of analysis.PowerTail.
 
 Iteration is damped Picard: v <- (1 - theta) v + theta T(v), with theta from
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (ConfigError, NonFiniteError, Profile, RadialGrid,
-                    SolutionReport, SolveConfig, validate_config, x_norm)
+from .model import (ConfigError, NonFiniteError, Profile, SolutionReport,
+                    SolveConfig, validate_config, x_norm)
 from .model import SphericalReduction  # noqa: F401  (perfbench/tracing.py patches this name)
 from .kernels import ModeConvolution, convolve
 from .kernels import mode_kernel_table  # noqa: F401  (perfbench/tracing.py patches this name)
@@ -146,11 +147,9 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     if check.hard_errors:
         raise ConfigError("; ".join(check.hard_errors))
 
-    symmetry = "radial" if cfg.grid.kind == "radial" else "even"
     if check.gate_failures:
         grid = cfg.build_grid()
-        shape = grid.n if isinstance(grid, RadialGrid) else (grid.n_r, grid.n_angle)
-        prof = Profile(grid=grid, values=np.zeros(shape), symmetry=symmetry)
+        prof = Profile(grid=grid, values=np.zeros(grid.shape))
         report = SolutionReport(converged=False, iters=0, final_residual=math.nan,
                                 damping_final=cfg.damping, q=cfg.q,
                                 kernel_variant=cfg.kernel_variant,
@@ -160,7 +159,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     ctx = context if context is not None else OperatorContext(cfg)
     grid = ctx.grid
     v = np.zeros_like(ctx.p_values) if v0 is None else np.array(v0.values, dtype=float)
-    r_col = grid.r if isinstance(grid, RadialGrid) else grid.r[:, None]
+    r_col = grid.r_nodes
 
     state = IterationState(theta=cfg.damping)
     bound = ctx.iterate_bound()
@@ -205,7 +204,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     if not converged and state.diverged_reason is None:
         state.diverged_reason = f"no convergence within max_iters = {cfg.max_iters}"
 
-    prof = Profile(grid=grid, values=v, symmetry=symmetry)
+    prof = Profile(grid=grid, values=v)
     if dens is None:
         dens = ctx.density(v)
     report = SolutionReport(
@@ -270,11 +269,8 @@ def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
         profiles.append(prof)
         reports.append(rep)
         if warm is not None:
-            g = prof.grid
-            sel = g.r <= 10.0
             delta = np.abs(prof.values - profiles[-2].values)
-            cauchy.append(float(np.max(delta[sel] if isinstance(g, RadialGrid)
-                                       else delta[sel, :])))
+            cauchy.append(float(np.max(delta[prof.grid.r <= 10.0])))
         warm = prof
         if not rep.converged:
             break

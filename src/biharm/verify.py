@@ -38,7 +38,7 @@ def exact_q7_laplacian(r):
 
 
 def exact_q7_profile(grid: RadialGrid) -> Profile:
-    return Profile(grid=grid, values=exact_q7_value(grid.r), symmetry="radial")
+    return Profile(grid=grid, values=exact_q7_value(grid.r))
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +115,15 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
                  width: int = 5, r_window=None) -> PDEResidualResult:
     """max |Lap^2 u + u^-q - 120 eps| / max u^-q over an interior window.
 
-    The bilaplacian is two applications of the discrete Laplacian (spectral in
-    angle, finite differences in radius).  The 120 eps constant is the exact
+    The bilaplacian is two applications of the discrete Laplacian on each
+    Legendre mode of the grid's reduction (l = 0 alone on a radial grid),
+    finite differences in radius.  The 120 eps constant is the exact
     bilaplacian of an eps |x|^4 term, so profiles computed with a quartic
     confinement can be checked against the equation they actually solve.
     The default window drops the outer nodes reached by one-sided stencils
-    and the innermost nodes where roundoff amplified by h^-4 (and, on
-    axisymmetric grids, by the l(l+1)/r^2 terms) exceeds any attainable
-    truncation error; the reported window records the cut.
+    and the innermost nodes where roundoff amplified by h^-4 (and, for
+    l > 0, by the l(l+1)/r^2 terms) exceeds any attainable truncation error;
+    the reported window records the cut.
     """
     g = u_profile.grid
     u = u_profile.values
@@ -131,19 +132,6 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
     dens = u ** (-q)
     forcing = 120.0 * eps_quartic
     norm = float(np.max(dens))
-
-    if isinstance(g, RadialGrid):
-        lap = RadialLaplacian(g.r, width)
-        bilap = lap.apply(lap.apply(u))
-        res = bilap + dens - forcing
-        if r_window is None:
-            hi = g.r[-(2 * width)] if g.r.size > 2 * width else g.r[-1]
-            r_window = (_roundoff_cut(g.r, np.abs(u), norm), hi)
-        sel = (g.r >= r_window[0]) & (g.r <= r_window[1])
-        return PDEResidualResult(
-            max_rel=float(np.max(np.abs(res[sel])) / norm),
-            normalization=norm, window=(float(r_window[0]), float(r_window[1])),
-            values=res, radii=g.r)
 
     red = g.reduction
     coeffs = red.analyze(u)
@@ -169,12 +157,12 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
         ok = ang_floor <= 1e-4 * norm
         ang_cut = float(g.r[np.argmax(ok)]) if np.any(ok) else float(g.r[0])
         ang_cut = min(ang_cut, float(g.r[g.r.size // 4]))
-        u_ray = np.max(np.abs(u), axis=1)
-        r_window = (max(_roundoff_cut(g.r, u_ray, norm), ang_cut),
-                    g.r[-(2 * width)])
+        u_ray = np.max(np.abs(u).reshape(g.r.size, -1), axis=1)
+        hi = g.r[-(2 * width)] if g.r.size > 2 * width else g.r[-1]
+        r_window = (max(_roundoff_cut(g.r, u_ray, norm), ang_cut), hi)
     sel = (g.r >= r_window[0]) & (g.r <= r_window[1])
     return PDEResidualResult(
-        max_rel=float(np.max(np.abs(res[sel, :])) / norm),
+        max_rel=float(np.max(np.abs(res[sel])) / norm),
         normalization=norm, window=(float(r_window[0]), float(r_window[1])),
         values=res, radii=g.r)
 
@@ -189,6 +177,7 @@ class IntegralResidualResult:
     gamma: float  # fitted constant offset u - P - I
     samples: list
     note: str = ""
+    tail_diverges: bool = False  # kernel mass beyond r_max is infinite
 
 
 def _halton(n: int, dim: int, seed: int) -> np.ndarray:
@@ -210,23 +199,26 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
 
     Sample points are grid nodes chosen by a scrambled Halton sequence,
     log-spread over radii [r_max/500, r_max/2] (truncation of the integral
-    grows toward the boundary, so the outer half is excluded).  The kernel is
-    re-expanded at each sample from the closed-form mode kernels, off the
-    solver's precomputed path.  gamma is fitted as the mean offset; for the
-    shifted kernel variant it estimates -(1/8 pi) int |y| u^-q dy, for
-    unshifted solutions and entire solutions it should vanish.  The residual
-    is max |u - P - I - gamma| / |u| over the samples.  A power-law tail
-    fitted to the angular mean of u^-q supplies the kernel mass beyond r_max;
-    if that mass diverges the note says so and the residual includes the
-    truncation error honestly.
+    grows toward the boundary, so the outer half is excluded), in the node
+    column nearest a second Halton coordinate.  The kernel is re-expanded at
+    each sample from the closed-form mode kernels, off the solver's
+    precomputed path.  gamma is fitted as the mean offset; for the shifted
+    kernel variant it estimates -(1/8 pi) int |y| u^-q dy, for unshifted
+    solutions and entire solutions it should vanish.  The residual is
+    max |u - P - I - gamma| / |u| over the samples.  A power-law tail fitted
+    to the angular mean of u^-q supplies the kernel mass beyond r_max; if
+    that mass diverges, tail_diverges is set and max_rel is of no use.
     """
     g = u_profile.grid
     u = u_profile.values
     if np.min(u) <= 0.0:
         raise NonFiniteError("integral residual needs a strictly positive profile")
     dens = u ** (-q)
-    radial = isinstance(g, RadialGrid)
-    ghat = dens if radial else g.reduction.analyze(dens)
+    red = g.reduction
+    ghat = red.analyze(dens)
+    n_t = len(red.t)
+    u_nodes = u.reshape(g.r.size, n_t)
+    p_nodes = g.poly_values(poly).reshape(g.r.size, n_t)
 
     note = ""
     power = None
@@ -235,6 +227,13 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
             power = PowerTail.fit(g.r, g.mode0(dens))
         except (InsufficientTailError, NonFiniteError) as exc:
             note = f"no tail correction ({exc})"
+    # the s part of the far kernel needs faster decay than its r^2 / s part
+    diverges = power is not None and math.isinf(power.moment(1, g.r_max))
+    if diverges:
+        note = (f"kernel mass beyond r_max diverges for fitted decay "
+                f"r^-{power.exponent:.3g}; the residual measures the "
+                f"truncated integral")
+        power = None
     u01 = _halton(max(n_samples, 4), 2, seed)
     r_lo, r_hi = g.r_max / 500.0, g.r_max / 2.0
     idx = _sample_indices(g.r, max(r_lo, g.r[0]), r_hi, u01[:, 0])
@@ -242,35 +241,23 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
     samples = []
     for pos, k in enumerate(idx):
         rk = float(g.r[k])
-        if radial:
-            ival = float(kernel_row(rk, g, 0, shifted=False) @ ghat)
-            uval = float(u[k])
-            pval = float(poly.value_radial(rk))
-            tval = None
-        else:
-            # nearest angular node to the Halton draw, exact P_l there
-            tj = int(np.clip(round(float(u01[pos % u01.shape[0], 1])
-                                   * (g.n_angle - 1)), 0, g.n_angle - 1))
-            tval = float(g.t[tj])
-            # accumulated mode by mode: synthesize_at's dot product sums in
-            # another order, which moves the written residual's last digits
-            pl_row = g.reduction.legendre_row(tval)
-            ival = 0.0
-            for j, l in enumerate(g.l_values):
-                row = kernel_row(rk, g, l, shifted=False)
-                ival += float(row @ ghat[:, j]) * float(pl_row[j])
-            uval = float(u[k, tj])
-            pval = float(poly.value_rt(rk, tval))
+        tj = int(np.clip(round(float(u01[pos % u01.shape[0], 1]) * (n_t - 1)),
+                         0, n_t - 1))
+        tval = red.t[tj]
+        # accumulated mode by mode: synthesize_at's dot product sums in
+        # another order, which moves the written residual's last digits
+        pl_row = red.legendre_row(tval)
+        ival = 0.0
+        for j, l in enumerate(red.l_values):
+            row = kernel_row(rk, g, l, shifted=False)
+            ival += float(row @ ghat[:, j]) * float(pl_row[j])
         if power is not None:
             # spherical mean of |x - y| for |y| = s > r is s + r^2 / (3 s):
             # (1/2) int_{r_max}^inf (s + r^2 / (3 s)) C s^-p s^2 ds
             r2_term = PowerTail(power.coeff * (rk * rk) / 3.0, power.exponent)
-            corr = 0.5 * (r2_term.moment(-1, g.r_max) + power.moment(1, g.r_max))
-            if math.isfinite(corr):
-                ival += corr
-            elif not note:
-                note = (f"kernel mass beyond r_max diverges for fitted decay "
-                        f"r^-{power.exponent:.3g}; residual includes truncation")
+            ival += 0.5 * (r2_term.moment(-1, g.r_max) + power.moment(1, g.r_max))
+        uval = float(u_nodes[k, tj])
+        pval = float(p_nodes[k, tj])
         samples.append({"r": rk, "t": tval, "u": uval, "P": pval, "I": ival,
                         "offset": uval - pval - ival})
 
@@ -279,7 +266,7 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
     rel = float(np.max(np.abs(offsets - gamma)
                        / np.array([abs(s["u"]) for s in samples])))
     return IntegralResidualResult(max_rel=rel, gamma=gamma, samples=samples,
-                                  note=note)
+                                  note=note, tail_diverges=diverges)
 
 
 # ---------------------------------------------------------------------------

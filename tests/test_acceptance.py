@@ -69,7 +69,7 @@ def test_criterion_3_anisotropic_quadratic_growth(thm1_run, timings):
     assert all(r.converged for r in cont.reports)
     g = prof.grid
     u_fit = prof.values + g.poly_values(cont.limit_poly)
-    up = Profile(grid=g, values=u_fit, symmetry=prof.symmetry)
+    up = Profile(grid=g, values=u_fit)
     for t, target in ((1.0, 1.0), (0.0, 2.0)):
         r, vals = analysis.ray_values(up, t)
         fit = analysis.fit_growth(r, vals, "quadratic")
@@ -92,9 +92,8 @@ def test_criterion_4_degenerate_direction_limit(thm2_run, timings):
     g = cont.final_profile.grid
     v = cont.final_profile.values
     sp = stage_poly(cfg)
-    u_stage = Profile(grid=g, values=v + g.poly_values(sp), symmetry="even")
-    u_proxy = Profile(grid=g, values=v + g.poly_values(cont.limit_poly),
-                      symmetry="even")
+    u_stage = Profile(grid=g, values=v + g.poly_values(sp))
+    u_proxy = Profile(grid=g, values=v + g.poly_values(cont.limit_poly))
     integ = verify.integral_residual(u_proxy, cfg.q, cont.limit_poly, seed=0)
     assert integ.max_rel < 1e-2, f"integral residual {integ.max_rel:.3e}"
     poh = verify.pohozaev_residual(u_stage, cfg.q, sp, gamma_offset=0.0)
@@ -111,7 +110,7 @@ def test_criterion_5_flat_polynomial_slope_equals_density_integral(
     assert rep.converged
     g = prof.grid
     u = prof.values + cfg.poly.value_radial(g.r)
-    up = Profile(grid=g, values=u, symmetry="radial")
+    up = Profile(grid=g, values=u)
     beta, _ = analysis.compute_beta(up, cfg.q)
     fit = analysis.fit_growth(g.r, u, "linear")
     assert fit.params["slope"] == pytest.approx(beta, rel=1e-2)
@@ -199,9 +198,9 @@ def test_criterion_8_decomposition_recovers_polynomial(thm1_run):
     u_stage = prof.values + g.poly_values(stage_poly(cfg))
     u_fit = prof.values + g.poly_values(cont.limit_poly)
     beta, _ = analysis.compute_beta(
-        Profile(grid=g, values=u_stage, symmetry="even"), cfg.q)
+        Profile(grid=g, values=u_stage), cfg.q)
     dec = analysis.decompose(
-        Profile(grid=g, values=u_fit, symmetry="even"), cfg.q, beta=beta)
+        Profile(grid=g, values=u_fit), cfg.q, beta=beta)
     for got, want in zip(dec["a"], (1.0, 2.0, 2.0)):
         assert got == pytest.approx(want, rel=0.05)
     assert max(abs(x) for x in dec["b"]) <= 0.02

@@ -106,7 +106,7 @@ class TestBeta:
     def test_slow_decay_raises(self):
         g = _grid(500, 100.0)
         u = (1.0 + g.r**2) ** (1.0 / 3.0)
-        prof = Profile(grid=g, values=u, symmetry="radial")
+        prof = Profile(grid=g, values=u)
         # u^-4 ~ r^(-8/3) decays too slowly for a finite slope integral
         with pytest.raises(NotIntegrableError):
             compute_beta(prof, 4.0)
@@ -137,7 +137,7 @@ class TestDecompose:
     def test_flat_q5_solve_decomposes_to_its_polynomial(self, flat_q5_run):
         cfg, prof, report = flat_q5_run
         u = prof.values + cfg.poly.value_radial(prof.grid.r)
-        up = Profile(grid=prof.grid, values=u, symmetry="radial")
+        up = Profile(grid=prof.grid, values=u)
         dec = decompose(up, 5.0, beta=report.beta)
         assert max(abs(x) for x in dec["a"]) < 1e-6
         assert dec["c"] == pytest.approx(1.0, rel=1e-5)
@@ -161,7 +161,7 @@ class TestHessianDecay:
 class TestRayValues:
     def test_radial_profile_returns_radii(self):
         g = _grid(100, 10.0)
-        prof = Profile(grid=g, values=np.sin(g.r), symmetry="radial")
+        prof = Profile(grid=g, values=np.sin(g.r))
         r, vals = ray_values(prof, 1.0)
         np.testing.assert_array_equal(r, g.r)
         np.testing.assert_array_equal(vals, prof.values)
@@ -171,7 +171,7 @@ class TestRayValues:
         g = AxisymmetricGrid.build(64, 32, 20.0)
         p = QuadraticPolynomial((1.0, 2.0, 2.0), (0, 0, 0), 1.0)
         vals = p.value_rt(g.r[:, None], g.t[None, :])
-        prof = Profile(grid=g, values=vals, symmetry="even")
+        prof = Profile(grid=g, values=vals)
         for t in (1.0, 0.0, 0.6):
             r, ray = ray_values(prof, t)
             np.testing.assert_allclose(

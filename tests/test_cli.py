@@ -80,6 +80,28 @@ class TestSolve:
         assert code == 0
         assert (target / "report.json").exists()
 
+    def test_short_last_decade_keeps_decomposition_and_reasons(
+            self, tmp_path, capsys):
+        # 28 nodes in [4, 40]: no tail fit, so no growth fits, beta or first
+        # moment, but the quadratic fit needs no tail and is still written
+        cfg = quick_config(tmp_path, grid={"kind": "radial", "n_r": 40,
+                                           "r_max": 40.0, "grading": 2.0})
+        assert run(capsys, "solve", "--config", str(cfg),
+                   "--out", str(tmp_path / "o"))[0] == 0
+        res = json.loads((tmp_path / "o" / "report.json").read_text())["result"]
+        dec = res["decomposition"]
+        assert "error" not in dec
+        assert dec["a"] == pytest.approx([1.0] * 3, rel=1e-6)
+        assert dec["c"] == pytest.approx(1.0, rel=1e-6)
+        assert dec["fit_residual"] < 1e-6
+        assert dec["first_moment"] is None
+        assert dec["gamma_identity_gap"] is None
+        assert res["growth_fits"] == []
+        assert res["beta"] is None
+        assert res["beta_note"].startswith(
+            "growth fits skipped: fit window [4, 40] contains 28 nodes")
+        assert res["beta_note"].count("need 30") == 2  # and beta's own reason
+
     def test_nonexistence_regime_exits_two(self, tmp_path, capsys):
         cfg = quick_config(tmp_path, q=0.5)
         code, _, err = run(capsys, "solve", "--config", str(cfg),
@@ -183,14 +205,36 @@ class TestVerify:
                                  "r_max": 400.0, "grading": 2.0})
         g = RadialGrid.graded(n_r, 400.0)
         prof = tmp_path / "u.csv"
-        save_profile_csv(Profile(grid=g, values=(1.0 + g.r**2) ** power,
-                                 symmetry="radial"), prof)
+        save_profile_csv(Profile(grid=g, values=(1.0 + g.r**2) ** power), prof)
         run(capsys, "verify", "--config", str(cfg), "--profile", str(prof),
             "--out", str(tmp_path / "v"))
         doc = json.loads((tmp_path / "v" / "verification.json").read_text())
         poh = doc["checks"]["pohozaev"]
         assert poh["status"] == "not_applicable"
         assert why in poh["note"]
+        if n_r == 400:
+            # the unshifted kernel's mass beyond r_max diverges as well, so
+            # the truncated integral identity grades nothing either
+            integ = doc["checks"]["integral"]
+            assert integ["status"] == "not_applicable"
+            assert "r^-3.9" in integ["note"] and "diverges" in integ["note"]
+
+    def test_axisym_grid_with_few_radii_verifies(self, tmp_path, capsys):
+        # configs allow n_r >= 8; the equation check's window must not index
+        # past the radii (it raised IndexError for n_r < 2 * stencil width)
+        cfg = quick_config(tmp_path, poly={"a": [1.0, 2.0, 2.0], "c": 1.0},
+                           grid={"kind": "axisymmetric", "n_r": 9,
+                                 "n_angle": 8, "r_max": 10.0,
+                                 "grading": 2.0})
+        assert run(capsys, "solve", "--config", str(cfg),
+                   "--out", str(tmp_path / "o"))[0] == 0
+        code, _, _ = run(capsys, "verify", "--config", str(cfg),
+                         "--profile", str(tmp_path / "o" / "profile.csv"),
+                         "--out", str(tmp_path / "v"))
+        assert code in (0, 3)
+        doc = json.loads((tmp_path / "v" / "verification.json").read_text())
+        assert doc["checks"]["pde"]["status"] in ("pass", "fail")
+        assert doc["pde_window"][1] == pytest.approx(10.0)
 
     def test_truncated_profile_is_structural_error(self, solved, tmp_path,
                                                    capsys):

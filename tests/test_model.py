@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from biharm.kernels import ModeConvolution, convolve
 from biharm.model import (AxisymmetricGrid, ConfigError, GridSpec, Profile,
                           QuadraticPolynomial, RadialGrid, SolveConfig,
                           load_profile_csv, report_json, save_profile_csv,
@@ -106,7 +107,7 @@ class TestGrids:
 class TestProfileIO:
     def test_radial_roundtrip(self, tmp_path):
         g = RadialGrid.graded(64, 8.0)
-        prof = Profile(grid=g, values=np.cos(g.r), symmetry="radial")
+        prof = Profile(grid=g, values=np.cos(g.r))
         path = tmp_path / "p.csv"
         save_profile_csv(prof, path)
         back = load_profile_csv(path, g)
@@ -115,7 +116,7 @@ class TestProfileIO:
     def test_axisymmetric_roundtrip(self, tmp_path):
         g = AxisymmetricGrid.build(16, 8, 5.0)
         vals = np.cos(g.x1) + g.rho
-        prof = Profile(grid=g, values=vals, symmetry="even")
+        prof = Profile(grid=g, values=vals)
         path = tmp_path / "p.csv"
         save_profile_csv(prof, path)
         back = load_profile_csv(path, g)
@@ -123,8 +124,7 @@ class TestProfileIO:
 
     def test_grid_mismatch_is_config_error(self, tmp_path):
         g = RadialGrid.graded(64, 8.0)
-        save_profile_csv(Profile(grid=g, values=np.ones(64),
-                                 symmetry="radial"), tmp_path / "p.csv")
+        save_profile_csv(Profile(grid=g, values=np.ones(64)), tmp_path / "p.csv")
         other = RadialGrid.graded(64, 9.0)
         with pytest.raises(ConfigError):
             load_profile_csv(tmp_path / "p.csv", other)
@@ -132,14 +132,73 @@ class TestProfileIO:
     def test_shape_mismatch_is_config_error(self):
         g = RadialGrid.graded(64, 8.0)
         with pytest.raises(ConfigError):
-            Profile(grid=g, values=np.ones(65), symmetry="radial")
+            Profile(grid=g, values=np.ones(65))
+
+
+_GRIDS = {
+    "radial": lambda: RadialGrid.graded(48, 12.0),
+    "axisymmetric": lambda: AxisymmetricGrid.build(48, 12, 12.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GRIDS))
+class TestGridContract:
+    """The node-layout interface both grid kinds share."""
+
+    def test_profile_rejects_other_layouts(self, kind):
+        g = _GRIDS[kind]()
+        Profile(grid=g, values=np.ones(g.shape))
+        n = g.r.size
+        for shape in ((n + 1,) + g.shape[1:], (n, 1), (n * 2,), (1, n)):
+            with pytest.raises(ConfigError):
+                Profile(grid=g, values=np.ones(shape))
+
+    def test_r_nodes_broadcasts_against_node_values(self, kind):
+        g = _GRIDS[kind]()
+        radii = np.zeros(g.shape) + g.r_nodes
+        assert radii.shape == g.shape
+        np.testing.assert_array_equal(radii.reshape(g.r.size, -1)[:, -1], g.r)
+        prof = Profile(grid=g, values=-2.0 * (1.0 + radii))
+        assert x_norm(prof) == pytest.approx(2.0)
+
+    def test_round_trip_gives_an_even_field(self, kind):
+        g = _GRIDS[kind]()
+        red = g.reduction
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(g.shape)
+        back = red.synthesize(red.analyze(v))
+        assert back.shape == g.shape
+        cols = back.reshape(g.r.size, -1)
+        np.testing.assert_array_equal(cols, cols[:, ::-1])  # even in x1
+        even = 0.5 * (v + v.reshape(g.r.size, -1)[:, ::-1].reshape(g.shape))
+        np.testing.assert_allclose(red.synthesize(red.analyze(even)), even,
+                                   rtol=0, atol=1e-12)
+        assert g.l_values == red.l_values and g.l_values[0] == 0
+
+    def test_mode0_is_the_first_analyzed_mode(self, kind):
+        g = _GRIDS[kind]()
+        v = np.random.default_rng(4).standard_normal(g.shape)
+        np.testing.assert_array_equal(g.mode0(v), g.reduction.analyze(v)[:, 0])
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_radial_density_convolves_to_the_l0_column(self, kind, shifted):
+        g = _GRIDS[kind]()
+        dens = np.zeros(g.shape) + (1.0 + g.r_nodes**2) ** -2.5
+        col = ModeConvolution(g, [0], shifted)(g.mode0(dens)[:, None])[:, 0]
+        expect = np.zeros(g.shape) + col.reshape(g.r_nodes.shape)
+        field = convolve(g, dens, shifted)
+        if kind == "radial":
+            np.testing.assert_array_equal(field, expect)
+        else:  # the other modes of a radial density vanish up to rounding
+            np.testing.assert_allclose(field, expect, rtol=1e-12,
+                                       atol=1e-14 * np.max(np.abs(col)))
 
 
 class TestXNorm:
     def test_weighted_sup(self):
         g = RadialGrid.graded(50, 10.0)
         v = 3.0 * (1.0 + g.r)
-        prof = Profile(grid=g, values=v, symmetry="radial")
+        prof = Profile(grid=g, values=v)
         assert x_norm(prof) == pytest.approx(3.0)
 
 

@@ -59,7 +59,7 @@ class TestPDEResidual:
         g = RadialGrid.graded(2000, 100.0)
         clean = pde_residual(exact_q7_profile(g), 7.0)
         u = exact_q7_value(g.r) * (1.0 + 1e-3 * np.exp(-((g.r - 5.0) ** 2)))
-        res = pde_residual(Profile(grid=g, values=u, symmetry="radial"), 7.0)
+        res = pde_residual(Profile(grid=g, values=u), 7.0)
         assert res.max_rel > 20.0 * clean.max_rel
 
     def test_quartic_forcing_is_subtracted(self, flat_q5_run):
@@ -67,10 +67,10 @@ class TestPDEResidual:
         cfg, prof, report = flat_q5_run
         g = prof.grid
         u = prof.values + cfg.poly.value_radial(g.r)
-        base = Profile(grid=g, values=u, symmetry="radial")
+        base = Profile(grid=g, values=u)
         r0 = pde_residual(base, 5.0)
         eps = 1e-3
-        bumped = Profile(grid=g, values=u + eps * g.r**4, symmetry="radial")
+        bumped = Profile(grid=g, values=u + eps * g.r**4)
         # the density changes, so compare the bilaplacian part only through
         # the forcing cancellation: residual stays small with the matching
         # eps_quartic and blows up without it
@@ -85,8 +85,7 @@ class TestPDEResidual:
     def test_positivity_required(self):
         g = RadialGrid.graded(100, 10.0)
         with pytest.raises(Exception):
-            pde_residual(Profile(grid=g, values=np.linspace(-1, 1, 100),
-                                 symmetry="radial"), 5.0)
+            pde_residual(Profile(grid=g, values=np.linspace(-1, 1, 100)), 5.0)
 
 
 class TestIntegralResidual:
@@ -112,8 +111,7 @@ class TestIntegralResidual:
         cfg, prof, report = flat_q5_run
         g = prof.grid
         u = prof.values + cfg.poly.value_radial(g.r)
-        res = integral_residual(Profile(grid=g, values=1.05 * u,
-                                        symmetry="radial"),
+        res = integral_residual(Profile(grid=g, values=1.05 * u),
                                 5.0, _FlatPoly(1.05), n_samples=16, seed=0)
         assert res.max_rel > 1e-2  # 1.05 u is not a solution
 
@@ -121,7 +119,7 @@ class TestIntegralResidual:
         cfg, prof, report = flat_q5_run
         g = prof.grid
         u = prof.values + cfg.poly.value_radial(g.r)
-        res = integral_residual(Profile(grid=g, values=u, symmetry="radial"),
+        res = integral_residual(Profile(grid=g, values=u),
                                 5.0, _FlatPoly(1.0), n_samples=16, seed=0)
         assert res.max_rel < 1e-4
 
@@ -137,7 +135,7 @@ class TestPohozaev:
         from biharm.analysis import first_moment as moment1
         first_moment = moment1(g, u ** -5.0)
         assert cfg.poly.c - first_moment < 0.0
-        res = pohozaev_residual(Profile(grid=g, values=u, symmetry="radial"),
+        res = pohozaev_residual(Profile(grid=g, values=u),
                                 5.0, cfg.poly, gamma_offset=-first_moment)
         assert res.residual is not None
         assert res.residual < 1e-3
@@ -148,15 +146,14 @@ class TestPohozaev:
         u = prof.values + cfg.poly.value_radial(g.r)
         dens = u ** -5.0
         fm = 0.5 * float(np.sum(g.r**3 * g.line_w * dens))
-        res = pohozaev_residual(Profile(grid=g, values=1.3 * u,
-                                        symmetry="radial"),
+        res = pohozaev_residual(Profile(grid=g, values=1.3 * u),
                                 5.0, cfg.poly, gamma_offset=-fm)
         assert res.residual is None or res.residual > 1e-2
 
     def test_small_q_notes_inapplicability(self):
         g = RadialGrid.graded(200, 20.0)
         u = 1.0 + g.r**2
-        res = pohozaev_residual(Profile(grid=g, values=u, symmetry="radial"),
+        res = pohozaev_residual(Profile(grid=g, values=u),
                                 0.5, QuadraticPolynomial((1, 1, 1), (0, 0, 0),
                                                          1.0))
         assert res.residual is None
@@ -166,7 +163,7 @@ class TestPohozaev:
         # u ~ r gives u^(1-q) ~ r^-1 at q = 2: integral diverges
         g = RadialGrid.graded(400, 50.0)
         u = 1.0 + g.r
-        res = pohozaev_residual(Profile(grid=g, values=u, symmetry="radial"),
+        res = pohozaev_residual(Profile(grid=g, values=u),
                                 2.0, QuadraticPolynomial((0, 0, 0), (0, 0, 0),
                                                          1.0))
         assert res.residual is None
