@@ -195,8 +195,10 @@ def first_moment(grid, g0: np.ndarray) -> float:
     return 0.5 * float(np.sum(grid.r**3 * grid.line_w * g0)) + 0.5 * tail
 
 
-def decompose(u_profile: Profile, q: float, beta: Optional[float] = None,
-              b_tolerance: float = 0.02) -> dict:
+_B_TOLERANCE = 0.02  # slack of the |b| <= beta constraint check
+
+
+def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dict:
     """Split u into polynomial part plus kernel convolution of u^-q.
 
     Computes v = (1/8 pi) int (|x-y| - |y|) u(y)^-q dy on the grid, fits
@@ -204,7 +206,7 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None,
     (1 + r^2)^-2 under the R^3 measure, and reports the coefficients, the
     relative fit residual in the quadratic-weighted sup norm, and the
     constraint checks (nonnegative quadratic part, linear part bounded by the
-    slope beta, positive constant).  gamma_identity_gap is the fitted constant
+    slope beta up to _B_TOLERANCE, positive constant).  gamma_identity_gap is the fitted constant
     minus (1/8 pi) int |y| u^-q dy; it vanishes when u itself satisfies the
     unshifted integral identity.
     """
@@ -257,7 +259,7 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None,
     }
     if beta is not None:
         constraints["b_bounded_by_beta"] = bool(
-            max(abs(x) for x in b) <= beta + b_tolerance)
+            max(abs(x) for x in b) <= beta + _B_TOLERANCE)
     return {"a": a, "b": b, "c": c, "fit_residual": fit_residual,
             "gamma_identity_gap": None if moment1 is None else c - moment1,
             "first_moment": moment1, "constraints": constraints}
@@ -281,24 +283,28 @@ def hessian_decay_rate(q: float) -> tuple[str, float]:
     return f"r^{2.0 - 2.0 * q:g}", 2.0 - 2.0 * q
 
 
-def check_hessian_decay(v_profile: Profile, q: float,
-                        rays=(1.0, 0.5, 0.0), r_window=None) -> dict:
+_HESSIAN_RAYS = (1.0, 0.5, 0.0)  # polar cosines checked on axisymmetric grids
+
+
+def check_hessian_decay(v_profile: Profile, q: float) -> dict:
     """Check that second radial derivatives of v decay at the expected rate.
 
-    Along each ray the second derivative (a diagonal entry of the Hessian in
-    the radial direction) is compared to the decay law for the given q; the
-    envelope coefficient is the max ratio over the window and the trend is the
-    fitted power of the ratio, which should not grow.
+    Along each ray (the polar cosines _HESSIAN_RAYS; one ray on a radial
+    grid) the second derivative (a diagonal entry of the Hessian in the
+    radial direction) is compared to the decay law for the given q on radii
+    [2, r_max / 2]; the envelope coefficient is the max ratio over that
+    window and the trend is the fitted power of the ratio, which should not
+    grow.
     """
     g = v_profile.grid
-    if r_window is None:
-        r_window = (2.0, g.r_max / 2.0)
+    r_window = (2.0, g.r_max / 2.0)
     label, expo = hessian_decay_rate(q)
     if isinstance(g, RadialGrid):
         ray_list = [(None, v_profile.values)]
     else:
         coeffs = g.reduction.analyze(v_profile.values)
-        ray_list = [(t, g.reduction.synthesize_at(coeffs, t)) for t in rays]
+        ray_list = [(t, g.reduction.synthesize_at(coeffs, t))
+                    for t in _HESSIAN_RAYS]
 
     results = []
     for t, vals in ray_list:

@@ -57,26 +57,21 @@ def load_preset(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
+def _read_json(path, what: str):
+    """The JSON document at path; ConfigError names `what` when it is malformed."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _load_config_dict(args) -> dict:
     if getattr(args, "preset", None):
-        d = load_preset(args.preset)
-    elif getattr(args, "config", None):
-        with open(args.config) as f:
-            try:
-                d = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    else:
-        raise ConfigError("need --config PATH or --preset NAME")
-    return d
-
-
-def _final_stage_config(cfg: SolveConfig) -> SolveConfig:
-    """The config whose polynomial the stored profile actually solved."""
-    if cfg.continuation is None:
-        return cfg
-    eps = cfg.continuation.eps_sequence[-1]
-    return cfg.replace_poly(cfg.poly.with_eps(cfg.continuation.eps_param, eps))
+        return load_preset(args.preset)
+    if getattr(args, "config", None):
+        return _read_json(args.config, "config")
+    raise ConfigError("need --config PATH or --preset NAME")
 
 
 def _write_trace(path: Path, report) -> None:
@@ -89,11 +84,11 @@ def _write_trace(path: Path, report) -> None:
 
 
 def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
-    """Attach growth fits, beta, and the decomposition to a solve report.
+    """Attach growth fits, beta, and the decomposition to a converged report.
 
-    Fits run on u = v + P with P the continuation limit when one was used
-    (the object the limit statements are about) and the solved polynomial
-    otherwise.
+    cfg is the config (stage) the profile solved.  Fits run on u = v + P with
+    P the continuation limit when one was used (the object the limit
+    statements are about) and the solved polynomial otherwise.
     """
     fit_poly = limit_poly if limit_poly is not None else cfg.poly
     g = prof.grid
@@ -122,25 +117,26 @@ def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
         report.beta_note = f"growth fits skipped: {exc}"
     report.growth_fits = fits
 
-    if report.converged:
-        up = Profile(grid=g, values=u_solved)
-        try:
-            beta, note = analysis.compute_beta(up, cfg.q)
-        except (analysis.NotIntegrableError,
-                analysis.InsufficientTailError) as exc:
-            beta, note = None, str(exc)
-        report.beta = beta
-        # after the reason the growth fits were skipped, if they were
+    up = Profile(grid=g, values=u_solved)
+    try:
+        beta, note = analysis.compute_beta(up, cfg.q)
+    except (analysis.NotIntegrableError,
+            analysis.InsufficientTailError) as exc:
+        beta, note = None, str(exc)
+    report.beta = beta
+    # after the reason the growth fits were skipped, if they were, unless
+    # beta failed for that same reason
+    if note not in report.beta_note:
         report.beta_note = "; ".join(filter(None, (report.beta_note, note)))
-        # the decomposition basis is quadratic, so for continuation runs it
-        # applies to the limit object v + P_limit, not the quartic stage
-        up_fit = Profile(grid=g, values=u_fit)
-        try:
-            report.decomposition = analysis.decompose(up_fit, cfg.q,
-                                                      beta=report.beta)
-        except (analysis.NotIntegrableError, analysis.InsufficientTailError,
-                NonFiniteError) as exc:
-            report.decomposition = {"error": str(exc)}
+    # the decomposition basis is quadratic, so for continuation runs it
+    # applies to the limit object v + P_limit, not the quartic stage
+    up_fit = Profile(grid=g, values=u_fit)
+    try:
+        report.decomposition = analysis.decompose(up_fit, cfg.q,
+                                                  beta=report.beta)
+    except (analysis.NotIntegrableError, analysis.InsufficientTailError,
+            NonFiniteError) as exc:
+        report.decomposition = {"error": str(exc)}
     return report
 
 
@@ -159,28 +155,20 @@ def cmd_solve(args) -> int:
     if check.hard_errors:
         raise ConfigError("; ".join(check.hard_errors))
 
-    if cfg.continuation is not None and not check.gate_failures:
-        cont = continuation_eps_to_zero(cfg)
-        prof = cont.final_profile
-        report = cont.final_report
-        report = _enrich_report(report, prof, _final_stage_config(cfg),
-                                limit_poly=cont.limit_poly)
-        extra = {
-            "continuation": {
-                "eps_values": list(cont.eps_values),
-                "converged": [r.converged for r in cont.reports],
-                "iters": [r.iters for r in cont.reports],
-                "u_origin": [r.u_origin for r in cont.reports],
-                "cauchy_sup_r10": list(cont.cauchy),
-            }
+    cont = continuation_eps_to_zero(cfg)
+    prof, report = cont.final_profile, cont.final_report
+    stage_cfg = cfg.stages()[len(cont.reports) - 1]  # the last stage attempted
+    if report.converged:
+        report = _enrich_report(report, prof, stage_cfg, cont.limit_poly)
+    extra = {}
+    if cfg.continuation is not None:
+        extra["continuation"] = {
+            "eps_values": list(cont.eps_values),
+            "converged": [r.converged for r in cont.reports],
+            "iters": [r.iters for r in cont.reports],
+            "u_origin": [r.u_origin for r in cont.reports],
+            "cauchy_sup_r10": list(cont.cauchy),
         }
-        stage_cfg = _final_stage_config(cfg)
-    else:
-        prof, report, _ = solve_fixed_point(cfg)
-        if report.converged:
-            report = _enrich_report(report, prof, cfg)
-        extra = {}
-        stage_cfg = cfg
 
     u = prof.values + prof.grid.poly_values(stage_cfg.poly)
     save_profile_csv(Profile(grid=prof.grid, values=u), out / "profile.csv")
@@ -249,7 +237,7 @@ def cmd_verify(args) -> int:
     cfg = SolveConfig.from_dict(d)
     if args.profile is None:
         raise ConfigError("verify needs --profile PATH (a profile.csv from solve)")
-    stage_cfg = _final_stage_config(cfg)
+    stage_cfg = cfg.stages()[-1]
     grid = stage_cfg.build_grid()
     prof = load_profile_csv(args.profile, grid)  # ConfigError on mismatch
     u = prof.values
@@ -374,7 +362,7 @@ def _sweep_point(payload):
         cfg = SolveConfig.from_dict({**cfg.to_dict(), "q": q,
                                      "poly": poly.to_dict(),
                                      "continuation": None})
-        prof, report, _ = solve_fixed_point(cfg)
+        prof, report = solve_fixed_point(cfg)
         row["converged"] = report.converged
         row["iters"] = report.iters
         if report.converged:
@@ -409,11 +397,7 @@ SWEEP_COLUMNS = ["q", "kappa1", "kappa2", "eps", "converged", "iters",
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as f:
-        try:
-            sw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"sweep config is not valid JSON: {exc}") from exc
+    sw = _read_json(args.config, "sweep config")
     try:
         base = sw["base"]
         grid = sw["grid"]

@@ -13,10 +13,6 @@ symmetric grids the angular integrals collapse to closed forms:
   telescopes to |r - s| at cos gamma = 1 and to r + s at cos gamma = -1, which
   the tests check, and K_0 equals the spherical mean above.
 
-* azimuthal mean at fixed (x1, rho) coordinates, evaluated by fixed-order
-  Gauss-Legendre quadrature in the angle (smooth integrand away from node
-  coincidence; accuracy checks live in the tests).
-
 convolve() applies (1/8 pi) int kernel(x, y) density(y) dy on a grid: the
 grid's Legendre analysis, ModeConvolution, synthesis (a radial grid is the
 one-mode case).
@@ -60,30 +56,6 @@ def legendre_mode_kernel(l: int, r, s):
         xi = np.where(hi > 0, lo / np.where(hi > 0, hi, 1.0), 0.0)
     xil = xi**l
     out = hi * (xil * xi * xi / (2 * l + 3) - xil / (2 * l - 1))
-    return out if out.shape else float(out)
-
-
-def axisym_kernel(x1, rho_x, y1, rho_y, order: int = 32):
-    """Azimuthal mean of |x - y| between circles of constant (x1, rho).
-
-    (1/2pi) int_0^{2pi} sqrt((x1-y1)^2 + rho_x^2 + rho_y^2 - 2 rho_x rho_y cos phi) dphi
-    by Gauss-Legendre of fixed order on [0, pi] (the integrand is even in phi).
-    Inputs broadcast.  At node coincidence (x1 = y1, rho_x = rho_y) the
-    integrand has a root-type kink and fixed-order quadrature degrades; grids
-    used by the operator avoid coincidence by construction.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    rho_x = np.asarray(rho_x, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    rho_y = np.asarray(rho_y, dtype=float)
-    nodes, w = np.polynomial.legendre.leggauss(order)
-    phi = 0.5 * math.pi * (nodes + 1.0)
-    wphi = w * (0.5 * math.pi) / math.pi  # mean over [0, pi] equals mean over [0, 2pi]
-    base = (x1 - y1) ** 2 + rho_x**2 + rho_y**2
-    cross = 2.0 * rho_x * rho_y
-    vals = np.sqrt(np.maximum(
-        base[..., None] - cross[..., None] * np.cos(phi), 0.0))
-    out = vals @ wphi
     return out if out.shape else float(out)
 
 

@@ -592,20 +592,23 @@ class SolveConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
 
-    @classmethod
-    def from_json(cls, path) -> "SolveConfig":
-        with open(path) as f:
-            try:
-                d = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(d)
-
     def replace_poly(self, poly: QuadraticPolynomial) -> "SolveConfig":
         return SolveConfig(q=self.q, poly=poly, kernel_variant=self.kernel_variant,
                            grid=self.grid, damping=self.damping,
                            tol_fixed_point=self.tol_fixed_point, max_iters=self.max_iters,
                            seed=self.seed, continuation=None)
+
+    def stages(self) -> list:
+        """The configs solved in turn: one per continuation eps, else [self].
+
+        Each stage has its eps set on the continuation parameter and no
+        continuation of its own.
+        """
+        if self.continuation is None:
+            return [self]
+        cont = self.continuation
+        return [self.replace_poly(self.poly.with_eps(cont.eps_param, eps))
+                for eps in cont.eps_sequence]
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +686,7 @@ def validate_config(cfg: SolveConfig) -> ValidationResult:
     if not hard:
         # with continuation the gate applies to the stage polynomials (all of
         # which share the first stage's growth order), not the limit
-        gate_poly = p
-        if cfg.continuation is not None:
-            gate_poly = p.with_eps(cfg.continuation.eps_param,
-                                   cfg.continuation.eps_sequence[0])
-        m = gate_poly.growth_order()
+        m = cfg.stages()[0].poly.growth_order()
         if not (cfg.q > 1.0):
             gates.append(
                 f"integrability gate: q = {cfg.q:g} <= 1 is the nonexistence "
@@ -723,22 +722,25 @@ def validate_config(cfg: SolveConfig) -> ValidationResult:
 # reports
 
 
-def _round_floats(obj, sig: int = 12):
-    """Recursively round floats to `sig` significant digits for stable output."""
+_SIG_DIGITS = 12  # significant digits of every float in a report
+
+
+def _round_floats(obj):
+    """Recursively round floats to _SIG_DIGITS significant digits for stable output."""
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return None
-        return float(f"{obj:.{sig}g}")
+        return float(f"{obj:.{_SIG_DIGITS}g}")
     if isinstance(obj, (np.floating,)):
-        return _round_floats(float(obj), sig)
+        return _round_floats(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, dict):
-        return {k: _round_floats(v, sig) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, sig) for v in obj]
+        return [_round_floats(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_round_floats(v, sig) for v in obj.tolist()]
+        return [_round_floats(v) for v in obj.tolist()]
     return obj
 
 

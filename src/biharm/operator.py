@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +39,6 @@ from .model import SphericalReduction  # noqa: F401  (perfbench/tracing.py patch
 from .kernels import ModeConvolution, convolve
 from .kernels import mode_kernel_table  # noqa: F401  (perfbench/tracing.py patches this name)
 from .analysis import PowerTail
-
-
-@dataclass
-class IterationState:
-    """Mutable record of one fixed-point run."""
-
-    iters: int = 0
-    theta: float = 1.0
-    diff_history: list = field(default_factory=list)
-    alpha_history: list = field(default_factory=list)
-    bound_violation: float = 0.0  # worst excess of ||v||_X over the analytic bound
-    diverged_reason: str | None = None
 
 
 class OperatorContext:
@@ -138,7 +126,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
                       context: OperatorContext | None = None):
     """Damped Picard iteration from v = 0 (or a warm start).
 
-    Returns (profile, report, state).  Structural config problems raise
+    Returns (profile, report).  Structural config problems raise
     ConfigError; everything else (integrability gate, oscillation, blowup,
     non-finite arithmetic) lands in the report with converged = False and a
     reason string.
@@ -154,38 +142,38 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
                                 damping_final=cfg.damping, q=cfg.q,
                                 kernel_variant=cfg.kernel_variant,
                                 diverged_reason=check.gate_failures[0])
-        return prof, report, IterationState(diverged_reason=check.gate_failures[0])
+        return prof, report
 
     ctx = context if context is not None else OperatorContext(cfg)
     grid = ctx.grid
     v = np.zeros_like(ctx.p_values) if v0 is None else np.array(v0.values, dtype=float)
     r_col = grid.r_nodes
 
-    state = IterationState(theta=cfg.damping)
+    theta = cfg.damping
+    diff_history, alpha_history = [], []
     bound = ctx.iterate_bound()
     rising = 0
     converged = False
+    reason = None
     dens = None  # density of the current v, once computed
 
-    for k in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         try:
             tv = ctx.apply(v, dens)
         except NonFiniteError as exc:
-            state.diverged_reason = str(exc)
+            reason = str(exc)
             break
-        v_next = (1.0 - state.theta) * v + state.theta * tv
+        v_next = (1.0 - theta) * v + theta * tv
         diff = float(np.max(np.abs(v_next - v) / (1.0 + r_col)))
         vn_norm = float(np.max(np.abs(v_next) / (1.0 + r_col)))
-        state.iters = k + 1
-        state.diff_history.append(diff)
+        diff_history.append(diff)
         dens = ctx.density(v_next)
-        state.alpha_history.append(ctx.alpha_quadrature(dens))
-        state.bound_violation = max(state.bound_violation, vn_norm - bound)
+        alpha_history.append(ctx.alpha_quadrature(dens))
         v = v_next
 
         if vn_norm > _DIVERGENCE_FACTOR * max(bound, 1.0) or not math.isfinite(vn_norm):
-            state.diverged_reason = (
-                f"iterate norm {vn_norm:g} exceeded {_DIVERGENCE_FACTOR:g} x bound {bound:g}")
+            reason = (f"iterate norm {vn_norm:g} exceeded "
+                      f"{_DIVERGENCE_FACTOR:g} x bound {bound:g}")
             break
         if diff < cfg.tol_fixed_point * (1.0 + vn_norm):
             converged = True
@@ -193,43 +181,44 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
         # halve the damping when the step norm stalls or oscillates: three
         # steps without real improvement cover both monotone growth and the
         # flip-flop of a marginally unstable far-field slope
-        if len(state.diff_history) >= 2 and diff > 0.9 * state.diff_history[-2]:
+        if len(diff_history) >= 2 and diff > 0.9 * diff_history[-2]:
             rising += 1
             if rising >= 3:
-                state.theta = max(state.theta / 2.0, 0.125)
+                theta = max(theta / 2.0, 0.125)
                 rising = 0
         else:
             rising = 0
 
-    if not converged and state.diverged_reason is None:
-        state.diverged_reason = f"no convergence within max_iters = {cfg.max_iters}"
+    if not converged and reason is None:
+        reason = f"no convergence within max_iters = {cfg.max_iters}"
 
     prof = Profile(grid=grid, values=v)
     if dens is None:
         dens = ctx.density(v)
     report = SolutionReport(
         converged=converged,
-        iters=state.iters,
-        final_residual=state.diff_history[-1] if state.diff_history else math.nan,
-        damping_final=state.theta,
+        iters=len(diff_history),
+        final_residual=diff_history[-1] if diff_history else math.nan,
+        damping_final=theta,
         q=cfg.q,
         kernel_variant=cfg.kernel_variant,
-        diverged_reason=None if converged else state.diverged_reason,
+        diverged_reason=None if converged else reason,
         alpha=ctx.alpha_quadrature(dens),
         v_origin=ctx.origin_value(dens),
         u_origin=cfg.poly.c + ctx.origin_value(dens),
         x_norm_v=x_norm(prof),
         iterate_bound=bound,
         tail_bound=ctx.tail_bound_alpha(),
-        diff_history=list(state.diff_history),
-        alpha_history=list(state.alpha_history),
+        diff_history=diff_history,
+        alpha_history=alpha_history,
     )
-    return prof, report, state
+    return prof, report
 
 
 @dataclass
 class ContinuationResult:
-    """Stages of a decreasing-epsilon continuation with warm starts."""
+    """Stages of a decreasing-epsilon continuation with warm starts, up to
+    the first that did not converge (one stage without continuation)."""
 
     eps_values: list
     profiles: list
@@ -247,25 +236,24 @@ class ContinuationResult:
 
 
 def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
-    """Solve along cfg.continuation.eps_sequence, warm-starting each stage.
+    """Solve cfg.stages() in turn, warm-starting each stage, up to the first
+    that does not converge.
 
-    The grid, its Legendre reduction and the mode convolution are shared
-    across stages (only the polynomial changes: OperatorContext.with_poly).
-    Cauchy diagnostics record sup_{r <= 10} |v_i - v_{i-1}|; a decreasing
-    sequence is the empirical sign that the family converges.
+    A config without continuation is the one-stage case: the plain solve,
+    with limit_poly = cfg.poly and no eps values.  The grid, its Legendre
+    reduction and the mode convolution are shared across stages (only the
+    polynomial changes: OperatorContext.with_poly).  Cauchy diagnostics
+    record sup_{r <= 10} |v_i - v_{i-1}|; a decreasing sequence is the
+    empirical sign that the family converges.
     """
-    if cfg.continuation is None:
-        raise ConfigError("continuation_eps_to_zero requires cfg.continuation")
     cont = cfg.continuation
-    eps_values = list(cont.eps_sequence)
     profiles, reports, cauchy = [], [], []
     ctx = None
     warm = None
-    for eps in eps_values:
-        stage_cfg = cfg.replace_poly(cfg.poly.with_eps(cont.eps_param, eps))
+    for stage_cfg in cfg.stages():
         ctx = (OperatorContext(stage_cfg) if ctx is None
                else ctx.with_poly(stage_cfg.poly))
-        prof, rep, _ = solve_fixed_point(stage_cfg, v0=warm, context=ctx)
+        prof, rep = solve_fixed_point(stage_cfg, v0=warm, context=ctx)
         profiles.append(prof)
         reports.append(rep)
         if warm is not None:
@@ -274,6 +262,10 @@ def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
         warm = prof
         if not rep.converged:
             break
-    return ContinuationResult(eps_values=eps_values[:len(profiles)], profiles=profiles,
+    eps_values, limit_poly = [], cfg.poly
+    if cont is not None:
+        eps_values = list(cont.eps_sequence[:len(profiles)])
+        limit_poly = cfg.poly.with_eps(cont.eps_param, 0.0)
+    return ContinuationResult(eps_values=eps_values, profiles=profiles,
                               reports=reports, cauchy=cauchy,
-                              limit_poly=cfg.poly.with_eps(cont.eps_param, 0.0))
+                              limit_poly=limit_poly)

@@ -50,20 +50,18 @@ class Trajectory:
 
 _R_START = 1e-4
 _FLOOR_FRAC = 1e-3
+_RTOL = 1e-9  # DOP853 tolerances of every shot
+_ATOL = 1e-12
 
 
-def integrate_radial(q: float, u0: float, w0: float, r_end: float,
-                     rtol: float = 1e-9, atol: float = 1e-12,
-                     n_eval: int = 400, forcing: float = 0.0) -> Trajectory:
-    """Integrate the radial system from a series start near the origin.
+def _integrate(q: float, u0: float, w0: float, r_end: float,
+               forcing: float = 0.0, **sampling):
+    """solve_ivp result of one shot; `sampling` passes t_eval / dense_output.
 
-    The 2/r terms are regular once started at r0 = 1e-4 with the quadratic
-    Taylor expansions u = u0 + w0 r^2/6, w = w0 + (F - u0^(-q)) r^2/6.
-    Integration stops when u falls below a floor of 1e-3 u0 (outcome
-    "touched_zero"); otherwise it runs to r_end ("survived").  Sample radii
-    are geometric.  A constant `forcing` F adds to the w equation, matching
-    profiles solved against a quartic polynomial (its bilaplacian is the
-    constant 120 eps).
+    The 2/r terms are regular once started at r0 = _R_START with the
+    quadratic Taylor expansions u = u0 + w0 r^2/6, w = w0 + (F - u0^(-q)) r^2/6.
+    Integration (DOP853 at rtol _RTOL, atol _ATOL) stops when u falls below
+    the floor _FLOOR_FRAC u0; the result's t_events[0] holds that radius.
     """
     if u0 <= 0.0:
         raise ValueError(f"u0 must be positive, got {u0}")
@@ -90,11 +88,26 @@ def integrate_radial(q: float, u0: float, w0: float, r_end: float,
     hit_floor.terminal = True
     hit_floor.direction = -1.0
 
-    t_eval = np.geomspace(r0, r_end, n_eval)
-    res = solve_ivp(rhs, (r0, r_end), y0, method="DOP853", rtol=rtol, atol=atol,
-                    events=hit_floor, t_eval=t_eval, dense_output=True)
+    res = solve_ivp(rhs, (r0, r_end), y0, method="DOP853", rtol=_RTOL,
+                    atol=_ATOL, events=hit_floor, **sampling)
     if not res.success:
         raise RuntimeError(f"integrator failed: {res.message}")
+    return res
+
+
+def integrate_radial(q: float, u0: float, w0: float, r_end: float,
+                     n_eval: int = 400, forcing: float = 0.0) -> Trajectory:
+    """Integrate the radial system from a series start near the origin.
+
+    The shot (_integrate) stops when u falls below _FLOOR_FRAC u0 (outcome
+    "touched_zero"); otherwise it runs to r_end ("survived").  n_eval sample
+    radii are geometric, and the trajectory keeps the dense interpolant.  A
+    constant `forcing` F adds to the w equation, matching profiles solved
+    against a quartic polynomial (its bilaplacian is the constant 120 eps).
+    """
+    t_eval = np.geomspace(_R_START, r_end, n_eval)
+    res = _integrate(q, u0, w0, r_end, forcing, t_eval=t_eval,
+                     dense_output=True)
     touched = len(res.t_events[0]) > 0
     return Trajectory(
         q=q, u0=u0, w0=w0,
@@ -168,52 +181,53 @@ class BisectResult:
     bracket: tuple
     trajectory: Trajectory  # integrated at w_crit
     history: list  # (w0, outcome) pairs in evaluation order
-    n_bisect: int
 
 
-def bisect_growth_threshold(q: float, u0: float, r_end: float,
-                            n_bisect: int = 60, rtol: float = 1e-9,
-                            w_scan_start: float = 1.0,
-                            n_eval: int = 800) -> BisectResult:
+_N_BISECT = 60  # most halvings; the loop also stops at float resolution
+_W_SCAN_START = 1.0  # first upper w0 tried, doubled until a shot survives
+_BISECT_N_EVAL = 800  # sample radii of the returned trajectory
+
+
+def bisect_growth_threshold(q: float, u0: float, r_end: float) -> BisectResult:
     """Bisection on w0 between touching zero and surviving to r_end.
 
     w0 = 0 must touch zero (checked; its failure means the scan range or q is
     outside the regime where the threshold exists) and the upper end is found
-    by doubling w_scan_start.  If no survivor appears within 60 doublings,
-    BracketNotFoundError is raised.  The returned trajectory is integrated at
-    the final midpoint; with ~60 bisections it follows the borderline growth
-    over several decades before drifting to one side.
+    by doubling _W_SCAN_START.  If no survivor appears within 60 doublings,
+    BracketNotFoundError is raised.  The shots read only their outcome; the
+    returned trajectory, sampled at _BISECT_N_EVAL radii, is integrated at
+    the final midpoint.  With up to _N_BISECT halvings it follows the
+    borderline growth over several decades before drifting to one side.
     """
     history = []
 
-    def shoot(w0: float) -> Trajectory:
-        traj = integrate_radial(q, u0, w0, r_end, rtol=rtol, n_eval=n_eval)
-        history.append((w0, traj.outcome))
-        return traj
+    def survives(w0: float) -> bool:
+        touched = len(_integrate(q, u0, w0, r_end).t_events[0]) > 0
+        history.append((w0, "touched_zero" if touched else "survived"))
+        return not touched
 
-    base = shoot(0.0)
-    if base.outcome != "touched_zero":
+    if survives(0.0):
         raise BracketNotFoundError(
             f"w0 = 0 survived to r = {r_end:g}; no threshold bracket in this regime")
     lo = 0.0
-    hi = w_scan_start
+    hi = _W_SCAN_START
     for _ in range(60):
-        if shoot(hi).outcome == "survived":
+        if survives(hi):
             break
         lo, hi = hi, hi * 2.0
     else:
         raise BracketNotFoundError(
             f"no surviving trajectory for w0 up to {hi:g} (q = {q}, u0 = {u0})")
 
-    for _ in range(n_bisect):
+    for _ in range(_N_BISECT):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # float resolution reached
-        if shoot(mid).outcome == "survived":
+        if survives(mid):
             hi = mid
         else:
             lo = mid
     w_crit = 0.5 * (lo + hi)
-    final = integrate_radial(q, u0, w_crit, r_end, rtol=rtol, n_eval=n_eval)
+    final = integrate_radial(q, u0, w_crit, r_end, n_eval=_BISECT_N_EVAL)
     return BisectResult(w_crit=w_crit, bracket=(lo, hi), trajectory=final,
-                        history=history, n_bisect=n_bisect)
+                        history=history)

@@ -12,7 +12,7 @@ enough context to judge it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -45,19 +45,21 @@ def exact_q7_profile(grid: RadialGrid) -> Profile:
 # finite-difference radial Laplacian
 
 
+_STENCIL_WIDTH = 5  # nodes per Laplacian stencil (odd: centered rows)
+
+
 class RadialLaplacian:
     """f'' + (2/r) f' on a nonuniform radial grid by local polynomial stencils.
 
-    Weights come from degree width-1 interpolation through the width nearest
-    nodes.  Values extend evenly across r = 0 (valid for every even Legendre
-    mode), which keeps centered stencils available down to the first node; at
-    the outer boundary the window shifts inward, so the last few nodes carry
-    one-sided truncation error and callers should mask them.
+    Weights come from degree 4 interpolation through the _STENCIL_WIDTH = 5
+    nearest nodes.  Values extend evenly across r = 0 (valid for every even
+    Legendre mode), which keeps centered stencils available down to the first
+    node; at the outer boundary the window shifts inward, so the last p = 2
+    nodes carry one-sided truncation error and callers should mask them.
     """
 
-    def __init__(self, r: np.ndarray, width: int = 5):
-        if width % 2 != 1 or width < 3:
-            raise ValueError("stencil width must be odd and >= 3")
+    def __init__(self, r: np.ndarray):
+        width = _STENCIL_WIDTH
         r = np.asarray(r, dtype=float)
         n = r.size
         p = width // 2
@@ -88,8 +90,6 @@ class PDEResidualResult:
     max_rel: float
     normalization: float  # max of u^-q over the grid
     window: tuple
-    values: np.ndarray = field(repr=False, default=None)
-    radii: np.ndarray = field(repr=False, default=None)
 
 
 def _roundoff_cut(r: np.ndarray, u_local: np.ndarray, norm: float) -> float:
@@ -112,7 +112,7 @@ def _roundoff_cut(r: np.ndarray, u_local: np.ndarray, norm: float) -> float:
 
 
 def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
-                 width: int = 5, r_window=None) -> PDEResidualResult:
+                 r_window=None) -> PDEResidualResult:
     """max |Lap^2 u + u^-q - 120 eps| / max u^-q over an interior window.
 
     The bilaplacian is two applications of the discrete Laplacian on each
@@ -120,8 +120,10 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
     finite differences in radius.  The 120 eps constant is the exact
     bilaplacian of an eps |x|^4 term, so profiles computed with a quartic
     confinement can be checked against the equation they actually solve.
-    The default window drops the outer nodes reached by one-sided stencils
-    and the innermost nodes where roundoff amplified by h^-4 (and, for
+    The default window drops the outer nodes whose composed stencil reaches a
+    one-sided row (the last 2 p radii; grids with more than 2 _STENCIL_WIDTH
+    radii end the window at the 2 _STENCIL_WIDTH-th radius from the end) and
+    the innermost nodes where roundoff amplified by h^-4 (and, for
     l > 0, by the l(l+1)/r^2 terms) exceeds any attainable truncation error;
     the reported window records the cut.
     """
@@ -135,7 +137,7 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
 
     red = g.reduction
     coeffs = red.analyze(u)
-    lap = RadialLaplacian(g.r, width)
+    lap = RadialLaplacian(g.r)
     out = np.empty_like(coeffs)
     inv_r2 = 1.0 / (g.r * g.r)
     for j, l in enumerate(red.l_values):
@@ -158,13 +160,13 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
         ang_cut = float(g.r[np.argmax(ok)]) if np.any(ok) else float(g.r[0])
         ang_cut = min(ang_cut, float(g.r[g.r.size // 4]))
         u_ray = np.max(np.abs(u).reshape(g.r.size, -1), axis=1)
-        hi = g.r[-(2 * width)] if g.r.size > 2 * width else g.r[-1]
+        hi = (g.r[-2 * _STENCIL_WIDTH] if g.r.size > 2 * _STENCIL_WIDTH
+              else g.r[-(2 * lap.p + 1)])
         r_window = (max(_roundoff_cut(g.r, u_ray, norm), ang_cut), hi)
     sel = (g.r >= r_window[0]) & (g.r <= r_window[1])
     return PDEResidualResult(
         max_rel=float(np.max(np.abs(res[sel])) / norm),
-        normalization=norm, window=(float(r_window[0]), float(r_window[1])),
-        values=res, radii=g.r)
+        normalization=norm, window=(float(r_window[0]), float(r_window[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,7 @@ def _sample_indices(r: np.ndarray, r_lo: float, r_hi: float,
 
 
 def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
-                      seed: int = 0, tail: bool = True) -> IntegralResidualResult:
+                      seed: int = 0) -> IntegralResidualResult:
     """Re-evaluate u(x) = P(x) + gamma + (1/8 pi) int |x-y| u(y)^-q dy.
 
     Sample points are grid nodes chosen by a scrambled Halton sequence,
@@ -221,12 +223,11 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
     p_nodes = g.poly_values(poly).reshape(g.r.size, n_t)
 
     note = ""
-    power = None
-    if tail:
-        try:
-            power = PowerTail.fit(g.r, g.mode0(dens))
-        except (InsufficientTailError, NonFiniteError) as exc:
-            note = f"no tail correction ({exc})"
+    try:
+        power = PowerTail.fit(g.r, g.mode0(dens))
+    except (InsufficientTailError, NonFiniteError) as exc:
+        power = None
+        note = f"no tail correction ({exc})"
     # the s part of the far kernel needs faster decay than its r^2 / s part
     diverges = power is not None and math.isinf(power.moment(1, g.r_max))
     if diverges:

@@ -50,6 +50,6 @@ def flat_q5_run(timings):
     """Constant polynomial at q = 5, shifted kernel, radial grid."""
     cfg = _solve_config_from_preset("thmA-iii")
     t0 = time.perf_counter()
-    prof, report, state = solve_fixed_point(cfg)
+    prof, report = solve_fixed_point(cfg)
     timings["flat_q5"] = time.perf_counter() - t0
     return cfg, prof, report

@@ -5,10 +5,13 @@ import csv
 import filecmp
 import json
 
+import numpy as np
 import pytest
 
 from biharm import cli
-from biharm.model import Profile, RadialGrid, save_profile_csv
+from biharm.model import (Profile, RadialGrid, SolveConfig, load_profile_csv,
+                          save_profile_csv)
+from biharm.operator import solve_fixed_point
 
 
 def run(capsys, *argv):
@@ -100,7 +103,8 @@ class TestSolve:
         assert res["beta"] is None
         assert res["beta_note"].startswith(
             "growth fits skipped: fit window [4, 40] contains 28 nodes")
-        assert res["beta_note"].count("need 30") == 2  # and beta's own reason
+        # beta fails for the same reason, which the note gives once
+        assert res["beta_note"].count("need 30") == 1
 
     def test_nonexistence_regime_exits_two(self, tmp_path, capsys):
         cfg = quick_config(tmp_path, q=0.5)
@@ -108,6 +112,33 @@ class TestSolve:
                            "--out", str(tmp_path / "d"))
         assert code == 2
         assert "diverged" in err
+
+    def test_early_stopped_continuation_writes_the_stage_it_stopped_at(
+            self, tmp_path, capsys):
+        # three iterations cannot converge the first stage: the stored
+        # profile is v + P of that stage, and nothing is fitted to it
+        cont = {"eps_sequence": [0.3, 0.1, 0.03], "eps_param": "quartic"}
+        cfg_path = quick_config(tmp_path, q=3.0, max_iters=3,
+                                grid={"kind": "radial", "n_r": 300,
+                                      "r_max": 30.0, "grading": 2.0},
+                                continuation=cont)
+        out = tmp_path / "early"
+        code, _, err = run(capsys, "solve", "--config", str(cfg_path),
+                           "--out", str(out))
+        assert code == 2 and "diverged" in err
+        stage = SolveConfig.from_dict(
+            {**json.loads(cfg_path.read_text()), "continuation": None,
+             "poly": {"a": [1.0] * 3, "c": 1.0, "eps_quartic": 0.3}})
+        v, _ = solve_fixed_point(stage)
+        g = v.grid
+        written = load_profile_csv(out / "profile.csv", g)
+        np.testing.assert_array_equal(written.values,
+                                      v.values + g.poly_values(stage.poly))
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["result"]["growth_fits"] == []
+        assert doc["continuation"]["eps_values"] == [0.3]
+        assert doc["continuation"]["converged"] == [False]
+        assert doc["continuation"]["iters"] == [3]
 
     def test_bad_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -221,7 +252,9 @@ class TestVerify:
 
     def test_axisym_grid_with_few_radii_verifies(self, tmp_path, capsys):
         # configs allow n_r >= 8; the equation check's window must not index
-        # past the radii (it raised IndexError for n_r < 2 * stencil width)
+        # past the radii (it raised IndexError for n_r < 2 * stencil width),
+        # and it ends before the last 4 radii, whose composed stencil reaches
+        # a one-sided row
         cfg = quick_config(tmp_path, poly={"a": [1.0, 2.0, 2.0], "c": 1.0},
                            grid={"kind": "axisymmetric", "n_r": 9,
                                  "n_angle": 8, "r_max": 10.0,
@@ -234,7 +267,8 @@ class TestVerify:
         assert code in (0, 3)
         doc = json.loads((tmp_path / "v" / "verification.json").read_text())
         assert doc["checks"]["pde"]["status"] in ("pass", "fail")
-        assert doc["pde_window"][1] == pytest.approx(10.0)
+        r = RadialGrid.graded(9, 10.0).r
+        assert doc["pde_window"][1] == pytest.approx(r[4])
 
     def test_truncated_profile_is_structural_error(self, solved, tmp_path,
                                                    capsys):

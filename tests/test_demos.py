@@ -2,7 +2,9 @@
 
 Three demos run to completion as subprocesses in a scratch directory (a few
 seconds together); threshold_shooting bisects three thresholds and takes
-about ten, so it is only imported.
+about ten, so it is only imported.  The README's command-line round trip
+(cli_workflow.sh, about 15 s) runs against a `biharm` command on PATH that
+starts this checkout's CLI.
 """
 
 import ast
@@ -21,17 +23,39 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
 
 
-@pytest.mark.parametrize("name", ["anisotropic_growth", "degenerate_direction",
-                                  "exact_solution_battery"])
-def test_demo_runs(name, tmp_path):
+def _env_with_src() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("name", ["anisotropic_growth", "degenerate_direction",
+                                  "exact_solution_battery"])
+def test_demo_runs(name, tmp_path):
     proc = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")],
+                          cwd=tmp_path, env=_env_with_src(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout
+
+
+def test_cli_workflow_round_trip(tmp_path):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "biharm"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m biharm.cli "$@"\n')
+    shim.chmod(0o755)
+    env = _env_with_src()
+    env["PATH"] = os.pathsep.join((str(bin_dir), env.get("PATH", "")))
+    proc = subprocess.run(["bash", str(DEMOS / "cli_workflow.sh")],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout
+    codes = re.findall(r"^exit (\d+)", proc.stdout, re.M)
+    # solve, verify, verify of the corrupted profile, exact-q7, shoot
+    assert codes == ["0", "0", "3", "0", "0"], proc.stdout[-2000:]
+    assert "3 points, 3 converged" in proc.stdout
 
 
 def test_threshold_demo_imports():

@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from biharm.kernels import (ModeConvolution, axisym_kernel, kernel_row,
-                            legendre_mode_kernel, mc_kernel_oracle,
-                            mode_kernel_table, radial_kernel)
+from biharm.kernels import (ModeConvolution, kernel_row, legendre_mode_kernel,
+                            mc_kernel_oracle, mode_kernel_table, radial_kernel)
 from biharm.model import AxisymmetricGrid, RadialGrid
 
 
@@ -84,29 +81,6 @@ class TestLegendreModes:
         k2 = abs(legendre_mode_kernel(2, r, s))
         k8 = abs(legendre_mode_kernel(8, r, s))
         assert k8 < k2 * xi**5
-
-
-class TestAxisymKernel:
-    def test_coincident_circles_closed_form(self):
-        # both points on the unit circle in the same plane: mean chord 4/pi
-        assert axisym_kernel(0.0, 1.0, 0.0, 1.0, order=400) == pytest.approx(
-            4.0 / math.pi, rel=1e-5)
-
-    def test_degenerate_circle_is_point_distance(self):
-        # rho_y = 0 collapses the mean to a single distance
-        assert axisym_kernel(1.0, 2.0, -1.0, 0.0) == pytest.approx(
-            math.sqrt(4.0 + 4.0), rel=1e-13)
-
-    def test_matches_mc_oracle(self):
-        # average over the full source sphere assembled from circles
-        t, wt = np.polynomial.legendre.leggauss(64)
-        s = 1.4
-        x = np.array([0.9, 1.1, 0.0])
-        rho_x = math.hypot(x[1], x[2])
-        circ = axisym_kernel(x[0], rho_x, s * t, s * np.sqrt(1 - t * t))
-        sphere_mean = 0.5 * np.sum(wt * circ)
-        mc, se = mc_kernel_oracle(x, s, 200_000, seed=5)
-        assert abs(sphere_mean - mc) < 4.0 * se
 
 
 class TestMCOracle:

@@ -202,6 +202,23 @@ class TestXNorm:
         assert x_norm(prof) == pytest.approx(3.0)
 
 
+class TestStages:
+    def test_without_continuation_the_config_is_its_one_stage(self):
+        cfg = _cfg()
+        assert cfg.stages() == [cfg]
+
+    @pytest.mark.parametrize("param", ["quartic", "axis1", "isotropic"])
+    def test_one_stage_per_eps(self, param):
+        cfg = _cfg(continuation={"eps_sequence": [0.3, 0.1, 0.03],
+                                 "eps_param": param})
+        stages = cfg.stages()
+        assert [s.poly for s in stages] == [
+            cfg.poly.with_eps(param, e) for e in (0.3, 0.1, 0.03)]
+        assert all(s.continuation is None for s in stages)
+        assert all(s.replace_poly(cfg.poly) == cfg.replace_poly(cfg.poly)
+                   for s in stages)
+
+
 class TestValidation:
     def test_clean_config_passes(self):
         # q m > 4 with growth order 2 needs q > 2

@@ -70,7 +70,7 @@ class TestSphericalReduction:
         monkeypatch.setattr(SphericalReduction, "__init__",
                             lambda self, grid: built.append(grid) or init(self, grid))
         cfg = _axisym_cfg(q=5.0, a=(1.0, 2.0, 2.0), n_r=96, n_angle=32)
-        prof, report, _ = solve_fixed_point(cfg)
+        prof, report = solve_fixed_point(cfg)
         assert report.converged
         report = cli._enrich_report(report, prof, cfg)
         assert report.beta is not None and report.decomposition is not None
@@ -170,7 +170,7 @@ class TestOperatorPieces:
 class TestSolve:
     def test_radial_shifted_solve_properties(self):
         cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=800, r_max=100.0)
-        prof, report, state = solve_fixed_point(cfg)
+        prof, report = solve_fixed_point(cfg)
         assert report.converged
         v = prof.values
         r = prof.grid.r
@@ -183,7 +183,7 @@ class TestSolve:
 
     def test_fixed_point_is_a_fixed_point(self):
         cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=800, r_max=100.0)
-        prof, report, _ = solve_fixed_point(cfg)
+        prof, report = solve_fixed_point(cfg)
         again = OperatorContext(cfg).apply(prof.values)
         step = Profile(grid=prof.grid, values=again - prof.values)
         assert x_norm(step) < 10 * cfg.tol_fixed_point
@@ -195,13 +195,13 @@ class TestSolve:
 
     def test_axisym_solve_is_even_bit_exact(self):
         cfg = _axisym_cfg(q=5.0, a=(1.0, 2.0, 2.0), n_r=96, n_angle=32)
-        prof, report, _ = solve_fixed_point(cfg)
+        prof, report = solve_fixed_point(cfg)
         assert report.converged
         assert np.all(prof.values == prof.values[:, ::-1])
 
     def test_gate_failure_is_flagged_not_raised(self):
         cfg = _radial_cfg(q=0.5, a=1.0)
-        prof, report, state = solve_fixed_point(cfg)
+        prof, report = solve_fixed_point(cfg)
         assert not report.converged
         assert "nonexistence" in report.diverged_reason
         assert np.all(prof.values == 0.0)
@@ -209,7 +209,7 @@ class TestSolve:
     def test_max_iters_reported_honestly(self):
         cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=200, r_max=50.0,
                           max_iters=2, tol_fixed_point=1e-14)
-        prof, report, _ = solve_fixed_point(cfg)
+        prof, report = solve_fixed_point(cfg)
         assert not report.converged
         assert "max_iters" in report.diverged_reason
 
@@ -219,7 +219,7 @@ class TestSolve:
         calls = []
         density = ctx.density
         ctx.density = lambda v: calls.append(1) or density(v)
-        _, report, _ = solve_fixed_point(cfg, context=ctx)
+        _, report = solve_fixed_point(cfg, context=ctx)
         assert report.converged
         # iterate_bound's P^-q, the start value, then one per new iterate
         assert len(calls) == report.iters + 2
@@ -227,12 +227,12 @@ class TestSolve:
     def test_warm_start_context_reuse(self):
         cfg = _radial_cfg(q=5.0, a=1.0, eps=0.1, n=300, r_max=30.0)
         ctx = OperatorContext(cfg)
-        prof1, rep1, _ = solve_fixed_point(cfg, context=ctx)
+        prof1, rep1 = solve_fixed_point(cfg, context=ctx)
         cfg2 = cfg.replace_poly(cfg.poly.with_eps("quartic", 0.05))
         ctx2 = ctx.with_poly(cfg2.poly)
         assert ctx2.modes is ctx.modes and ctx2.cfg == cfg2
-        prof2a, rep2a, _ = solve_fixed_point(cfg2, v0=prof1, context=ctx2)
-        prof2b, rep2b, _ = solve_fixed_point(cfg2)
+        prof2a, rep2a = solve_fixed_point(cfg2, v0=prof1, context=ctx2)
+        prof2b, rep2b = solve_fixed_point(cfg2)
         assert rep2a.converged and rep2b.converged
         assert rep2a.iters < rep2b.iters  # warm start saves iterations
         np.testing.assert_allclose(prof2a.values, prof2b.values, atol=1e-8)
@@ -249,7 +249,11 @@ class TestContinuation:
         assert res.cauchy[1] < res.cauchy[0]
         assert res.limit_poly.eps_quartic == 0.0
 
-    def test_requires_continuation_spec(self):
-        from biharm.model import ConfigError
-        with pytest.raises(ConfigError):
-            continuation_eps_to_zero(_radial_cfg())
+    def test_config_without_continuation_is_one_stage(self):
+        cfg = _radial_cfg()
+        res = continuation_eps_to_zero(cfg)
+        prof, report = solve_fixed_point(cfg)
+        assert len(res.reports) == 1 and res.cauchy == [] and res.eps_values == []
+        assert res.limit_poly == cfg.poly
+        np.testing.assert_array_equal(res.final_profile.values, prof.values)
+        assert res.final_report == report

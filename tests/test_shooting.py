@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from biharm import shooting
 from biharm.shooting import (BracketNotFoundError, bisect_growth_threshold,
                              borderline_exponent, integrate_radial,
                              threshold_growth_diagnostics,
@@ -83,6 +84,21 @@ class TestBisect:
         high = integrate_radial(2.0, 1.0, 1.1 * res.w_crit, 3e3)
         assert low.outcome == "touched_zero"
         assert high.outcome == "survived"
+
+    def test_only_the_returned_trajectory_is_sampled(self, monkeypatch):
+        # the shots read only whether u touched zero; t_eval and the dense
+        # interpolant are paid for once, at w_crit
+        calls = []
+        solve_ivp = shooting.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append("t_eval" in kwargs or "dense_output" in kwargs)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "solve_ivp", counted)
+        res = bisect_growth_threshold(2.0, 1.0, 3e3)
+        assert len(calls) == len(res.history) + 1
+        assert sum(calls) == 1 and calls[-1]
 
     def test_missing_bracket_raises(self):
         # a large u0 makes the density negligible: w0 = 0 already survives,
