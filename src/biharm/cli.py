@@ -75,11 +75,13 @@ def _load_config_dict(args) -> dict:
 
 
 def _write_trace(path: Path, report) -> None:
+    """One row per iterate, the start value being iter 0: its residual
+    |T(v) - v|_X and the slope alpha of its density."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["iter", "diff_xnorm", "alpha_estimate"])
         for i, (d, a) in enumerate(zip(report.diff_history,
-                                       report.alpha_history), start=1):
+                                       report.alpha_history)):
             w.writerow([i, repr(float(d)), repr(float(a))])
 
 
@@ -225,6 +227,37 @@ def _run_exact_q7(d: dict, out: Path, seed: int) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+def _profile_stage(cfg: SolveConfig, profile_path) -> tuple:
+    """(stage config, stage record) of the stage a stored profile holds.
+
+    A continuation that stops early stores v + P of the stage it stopped at;
+    the report.json that solve wrote next to the profile says which one.
+    Without such a report (or with one for another config) the profile is
+    taken to be the last stage's.
+    """
+    stages = cfg.stages()
+    eps = list(cfg.continuation.eps_sequence) if cfg.continuation else [None]
+    path = Path(profile_path).with_name("report.json")
+    doc = _read_json(path, "report.json") if path.is_file() else None
+
+    def unseeded(d):
+        return {k: v for k, v in d.items() if k != "seed"}
+
+    if doc is None or unseeded(doc.get("config", {})) != unseeded(
+            json.loads(report_json(cfg.to_dict()))):
+        why = "no" if doc is None else "another config's"
+        return stages[-1], {
+            "eps": eps[-1], "converged": None,
+            "note": f"{why} report.json next to the profile: checked against "
+                    f"the last stage"}
+    k = len(doc["continuation"]["converged"]) - 1 if "continuation" in doc else 0
+    converged = bool(doc["result"]["converged"])
+    note = "" if converged else (
+        "this stage did not converge: the profile is its last iterate, "
+        "not a solution")
+    return stages[k], {"eps": eps[k], "converged": converged, "note": note}
+
+
 def cmd_verify(args) -> int:
     out = _out_dir(args)
     if args.exact_q7 and not (args.preset or args.config):
@@ -237,7 +270,7 @@ def cmd_verify(args) -> int:
     cfg = SolveConfig.from_dict(d)
     if args.profile is None:
         raise ConfigError("verify needs --profile PATH (a profile.csv from solve)")
-    stage_cfg = cfg.stages()[-1]
+    stage_cfg, stage = _profile_stage(cfg, args.profile)
     grid = stage_cfg.build_grid()
     prof = load_profile_csv(args.profile, grid)  # ConfigError on mismatch
     u = prof.values
@@ -274,7 +307,7 @@ def cmd_verify(args) -> int:
         "integral": _integral_check(integ, th["integral"]),
         "pohozaev": _check(po_value, th["pohozaev"], po_note),
     }
-    doc = {"config": cfg.to_dict(), "checks": checks,
+    doc = {"config": cfg.to_dict(), "checks": checks, "stage": stage,
            "gamma": integ.gamma, "pde_window": list(pde.window),
            "integral_note": integ.note}
     report_json(doc, out / "verification.json")

@@ -444,44 +444,46 @@ def x_norm(profile: Profile) -> float:
 def save_profile_csv(profile: Profile, path) -> None:
     """Radial profiles as `r,value`; axisymmetric as `x1,rho,value` (row-major)."""
     g = profile.grid
+    vals = profile.values.ravel().tolist()
     with open(path, "w") as f:
         if isinstance(g, RadialGrid):
             f.write("r,value\n")
-            for r, v in zip(g.r, profile.values):
-                f.write(f"{float(r)!r},{float(v)!r}\n")
+            f.writelines(f"{r!r},{v!r}\n" for r, v in zip(g.r.tolist(), vals))
         else:
             f.write("x1,rho,value\n")
-            x1, rho = g.x1, g.rho
-            vals = profile.values
-            for j in range(g.n_r):
-                for i in range(g.n_angle):
-                    f.write(f"{float(x1[j, i])!r},{float(rho[j, i])!r},"
-                            f"{float(vals[j, i])!r}\n")
+            f.writelines(f"{x!r},{y!r},{v!r}\n" for x, y, v in
+                         zip(g.x1.ravel().tolist(), g.rho.ravel().tolist(), vals))
 
 
 def load_profile_csv(path, grid: Grid) -> Profile:
     """Load a profile written by save_profile_csv onto a matching grid."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if isinstance(grid, RadialGrid):
-        if data.dtype.names != ("r", "value"):
-            raise ConfigError(f"expected header r,value, got {data.dtype.names}")
-        r = np.atleast_1d(data["r"])
-        v = np.atleast_1d(data["value"])
+    radial = isinstance(grid, RadialGrid)
+    expect = ("r", "value") if radial else ("x1", "rho", "value")
+    with open(path) as f:
+        names = tuple(f.readline().strip().split(","))
+        if names != expect:
+            raise ConfigError(f"expected header {','.join(expect)}, got {names}")
+        try:
+            cols = np.loadtxt(f, delimiter=",", ndmin=2,
+                              usecols=range(len(expect))).T
+        except ValueError as exc:
+            raise ConfigError(f"unreadable profile row: {exc}") from exc
+    if radial:
+        r, v = cols
         if r.size != grid.n or not np.allclose(r, grid.r, rtol=1e-9, atol=1e-12):
             raise ConfigError("profile radii do not match the configured grid")
         return Profile(grid=grid, values=v)
-    if data.dtype.names != ("x1", "rho", "value"):
-        raise ConfigError(f"expected header x1,rho,value, got {data.dtype.names}")
+    x1, rho, v = cols
     n = grid.n_r * grid.n_angle
-    if data["value"].size != n:
-        raise ConfigError(f"profile has {data['value'].size} rows, grid has {n} nodes")
-    x1 = data["x1"].reshape(grid.n_r, grid.n_angle)
-    rho = data["rho"].reshape(grid.n_r, grid.n_angle)
+    if v.size != n:
+        raise ConfigError(f"profile has {v.size} rows, grid has {n} nodes")
+    x1 = x1.reshape(grid.shape)
+    rho = rho.reshape(grid.shape)
     scale = 1.0 + grid.r[:, None]
     if (np.max(np.abs(x1 - grid.x1) / scale) > 1e-9
             or np.max(np.abs(rho - grid.rho) / scale) > 1e-9):
         raise ConfigError("profile coordinates do not match the configured grid")
-    return Profile(grid=grid, values=data["value"].reshape(grid.shape))
+    return Profile(grid=grid, values=v.reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,13 @@ O(n_modes * n_r log n_r) time and O(n_modes * n_r log n_r) memory, with no
 dense kernel tables.  The analytic bound on the mass beyond r_max is a
 moment of analysis.PowerTail.
 
-Iteration is damped Picard: v <- (1 - theta) v + theta T(v), with theta from
-the config and automatic halving when the step norm keeps rising.  Divergence
-is a flag on the report, never an exception.
+Iteration is Anderson mixing of depth 5 (Walker & Ni, SIAM J. Numer. Anal.
+49, 2011) with mixing weight theta = cfg.damping, safeguarded: an
+extrapolated iterate whose residual exceeds the last accepted one's is
+rejected, theta is halved and plain steps v + theta (T(v) - v) refill the
+history.  The stop test and the reported residual are the undamped
+|T(v) - v|_X of the returned iterate.  Divergence is a flag on the report,
+never an exception.
 """
 
 from __future__ import annotations
@@ -120,16 +124,80 @@ class OperatorContext:
 
 
 _DIVERGENCE_FACTOR = 1e6  # x-norm blowup threshold relative to the iterate bound
+_ANDERSON_DEPTH = 5  # residual differences the mixing keeps
+_MIN_DAMPING = 0.125  # floor of the mixing weight after rejected steps
+
+
+class _MixingHistory:
+    """The last _ANDERSON_DEPTH iterate differences dx and residual
+    differences df (f = T(v) - v), kept as df and dx + theta df in
+    preallocated ring buffers, with the Gram matrix of the df in the weighted
+    inner product sum w^2 a b, w = 1/(1 + r).  theta changes only when the
+    history is cleared.
+    """
+
+    def __init__(self, shape: tuple, scale: np.ndarray):
+        self.df = np.empty((_ANDERSON_DEPTH,) + shape)
+        self.dm = np.empty((_ANDERSON_DEPTH,) + shape)
+        self.gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
+        self._w2 = np.broadcast_to(scale ** -2.0, shape).ravel()
+        self.count = 0  # differences pushed since the last clear
+
+    @property
+    def m(self) -> int:
+        return min(self.count, _ANDERSON_DEPTH)
+
+    def clear(self) -> None:
+        self.count = 0
+
+    def _dots(self, a: np.ndarray) -> np.ndarray:
+        """Weighted inner products of a with the stored df."""
+        m = self.m
+        return self.df[:m].reshape(m, -1) @ (self._w2 * a.ravel())
+
+    def push(self, dx: np.ndarray, df: np.ndarray, theta: float) -> None:
+        slot = self.count % _ANDERSON_DEPTH
+        self.df[slot] = df
+        np.multiply(df, theta, out=self.dm[slot])
+        self.dm[slot] += dx
+        self.count += 1
+        row = self._dots(df)
+        self.gram[slot, :row.size] = row
+        self.gram[:row.size, slot] = row
+
+    def mix(self, v: np.ndarray, f: np.ndarray, theta: float) -> np.ndarray:
+        """Anderson step v + theta f - (dX + theta dF) gamma, with gamma
+        minimizing the weighted |f - dF gamma|_2.
+
+        The combination runs row by row, elementwise, so an iterate even in
+        the polar angle stays exactly even.
+        """
+        m = self.m
+        gamma = np.linalg.lstsq(self.gram[:m, :m], self._dots(f), rcond=None)[0]
+        out = v + theta * f
+        for i in range(m):
+            out -= gamma[i] * self.dm[i]
+        return out
 
 
 def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
                       context: OperatorContext | None = None):
-    """Damped Picard iteration from v = 0 (or a warm start).
+    """Anderson-accelerated fixed point of T from v = 0 (or a warm start).
 
-    Returns (profile, report).  Structural config problems raise
-    ConfigError; everything else (integrability gate, oscillation, blowup,
-    non-finite arithmetic) lands in the report with converged = False and a
-    reason string.
+    Every iterate v is applied once and its residual |T(v) - v|_X recorded;
+    the iteration stops when that residual is below tol (1 + |v|_X).  New
+    iterates mix the last _ANDERSON_DEPTH steps (Walker & Ni, SIAM J. Numer.
+    Anal. 49, 2011) with weight theta = cfg.damping.  An extrapolated iterate
+    whose residual exceeds the last accepted one's is rejected: the iteration
+    returns to the accepted iterate, clears the history, halves theta (down
+    to _MIN_DAMPING) and takes plain steps v + theta (T(v) - v) until the
+    history is full again.
+
+    Returns (profile, report); report.iters counts the iterates after the
+    start value, and final_residual is the residual of the returned profile.
+    Structural config problems raise ConfigError; everything else
+    (integrability gate, oscillation, blowup, non-finite arithmetic) lands in
+    the report with converged = False and a reason string.
     """
     check = validate_config(cfg)
     if check.hard_errors:
@@ -146,66 +214,68 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
 
     ctx = context if context is not None else OperatorContext(cfg)
     grid = ctx.grid
-    v = np.zeros_like(ctx.p_values) if v0 is None else np.array(v0.values, dtype=float)
-    r_col = grid.r_nodes
-
+    x = np.zeros_like(ctx.p_values) if v0 is None else np.array(v0.values, dtype=float)
     theta = cfg.damping
+    history = _MixingHistory(x.shape, 1.0 + grid.r_nodes)
     diff_history, alpha_history = [], []
     bound = ctx.iterate_bound()
-    rising = 0
+    # the accepted iterate: v, its residual f, density and |f|_X
+    v, f, dens, res = x, None, None, math.nan
+    extrapolated = refill = False
     converged = False
     reason = None
-    dens = None  # density of the current v, once computed
 
-    for _ in range(cfg.max_iters):
+    for k in range(cfg.max_iters + 1):
+        if k:
+            x = history.mix(v, f, theta) if extrapolated else v + theta * f
         try:
-            tv = ctx.apply(v, dens)
+            dens_x = ctx.density(x)
+            tx = ctx.apply(x, dens_x)
         except NonFiniteError as exc:
             reason = str(exc)
             break
-        v_next = (1.0 - theta) * v + theta * tv
-        diff = float(np.max(np.abs(v_next - v) / (1.0 + r_col)))
-        vn_norm = float(np.max(np.abs(v_next) / (1.0 + r_col)))
-        diff_history.append(diff)
-        dens = ctx.density(v_next)
-        alpha_history.append(ctx.alpha_quadrature(dens))
-        v = v_next
+        fx = tx - x
+        res_x, xn = x_norm(Profile(grid, fx)), x_norm(Profile(grid, x))
+        diff_history.append(res_x)
+        alpha_history.append(ctx.alpha_quadrature(dens_x))
 
-        if vn_norm > _DIVERGENCE_FACTOR * max(bound, 1.0) or not math.isfinite(vn_norm):
-            reason = (f"iterate norm {vn_norm:g} exceeded "
+        if xn > _DIVERGENCE_FACTOR * max(bound, 1.0) or not math.isfinite(xn):
+            v, dens, res = x, dens_x, res_x
+            reason = (f"iterate norm {xn:g} exceeded "
                       f"{_DIVERGENCE_FACTOR:g} x bound {bound:g}")
             break
-        if diff < cfg.tol_fixed_point * (1.0 + vn_norm):
+        if res_x < cfg.tol_fixed_point * (1.0 + xn):
+            v, dens, res = x, dens_x, res_x
             converged = True
             break
-        # halve the damping when the step norm stalls or oscillates: three
-        # steps without real improvement cover both monotone growth and the
-        # flip-flop of a marginally unstable far-field slope
-        if len(diff_history) >= 2 and diff > 0.9 * diff_history[-2]:
-            rising += 1
-            if rising >= 3:
-                theta = max(theta / 2.0, 0.125)
-                rising = 0
+        if extrapolated and res_x > res:
+            history.clear()
+            theta = max(theta / 2.0, _MIN_DAMPING)
+            refill = True
         else:
-            rising = 0
-
-    if not converged and reason is None:
+            if k:
+                history.push(x - v, fx - f, theta)
+            v, f, dens, res = x, fx, dens_x, res_x
+            refill = refill and history.count < _ANDERSON_DEPTH
+        extrapolated = history.count > 0 and not refill
+    else:
         reason = f"no convergence within max_iters = {cfg.max_iters}"
 
     prof = Profile(grid=grid, values=v)
-    if dens is None:
-        dens = ctx.density(v)
+    alpha = v_origin = math.nan
+    if dens is not None:
+        alpha, v_origin = ctx.alpha_quadrature(dens), ctx.origin_value(dens)
     report = SolutionReport(
         converged=converged,
-        iters=len(diff_history),
-        final_residual=diff_history[-1] if diff_history else math.nan,
+        iters=k,
+        final_residual=res,
         damping_final=theta,
         q=cfg.q,
         kernel_variant=cfg.kernel_variant,
         diverged_reason=None if converged else reason,
-        alpha=ctx.alpha_quadrature(dens),
-        v_origin=ctx.origin_value(dens),
-        u_origin=cfg.poly.c + ctx.origin_value(dens),
+        alpha=alpha,
+        v_origin=v_origin,
+        u_origin=cfg.poly.c + v_origin,
         x_norm_v=x_norm(prof),
         iterate_bound=bound,
         tail_bound=ctx.tail_bound_alpha(),
@@ -251,8 +321,10 @@ def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
     ctx = None
     warm = None
     for stage_cfg in cfg.stages():
-        ctx = (OperatorContext(stage_cfg) if ctx is None
-               else ctx.with_poly(stage_cfg.poly))
+        if ctx is not None:
+            ctx = ctx.with_poly(stage_cfg.poly)
+        elif validate_config(stage_cfg).ok:  # a refused stage needs no context
+            ctx = OperatorContext(stage_cfg)
         prof, rep = solve_fixed_point(stage_cfg, v0=warm, context=ctx)
         profiles.append(prof)
         reports.append(rep)

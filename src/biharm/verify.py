@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .model import (FOUR_PI, InsufficientTailError, NonFiniteError, Profile,
                     RadialGrid)
@@ -183,6 +182,8 @@ class IntegralResidualResult:
 
 
 def _halton(n: int, dim: int, seed: int) -> np.ndarray:
+    from scipy.stats import qmc  # imported here: scipy.stats is slow to load
+
     sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
     return sampler.random(n)
 

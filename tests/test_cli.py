@@ -4,11 +4,15 @@ outputs, determinism, and preset handling, all run in-process."""
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biharm import cli
+from biharm import cli, verify
 from biharm.model import (Profile, RadialGrid, SolveConfig, load_profile_csv,
                           save_profile_csv)
 from biharm.operator import solve_fixed_point
@@ -140,6 +144,25 @@ class TestSolve:
         assert doc["continuation"]["converged"] == [False]
         assert doc["continuation"]["iters"] == [3]
 
+    def test_trace_has_one_row_per_iterate(self, solved):
+        _, out = solved
+        rep = json.loads((out / "report.json").read_text())["result"]
+        with open(out / "trace.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [int(r["iter"]) for r in rows] == list(range(rep["iters"] + 1))
+        assert float(rows[-1]["diff_xnorm"]) == pytest.approx(
+            rep["final_residual"], rel=1e-11)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # solve never draws Halton samples, so it must not pay for scipy.stats
+        code = ("import sys, biharm.cli; "
+                "print('scipy.stats' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_bad_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -193,6 +216,49 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--config", str(cfg),
                          "--profile", str(p), "--out", str(tmp_path / "v3"))
         assert code == 3
+
+    def test_early_stopped_continuation_is_checked_at_its_stage(
+            self, tmp_path, capsys):
+        # the run stops unconverged at eps = 0.3; its profile is v + P(0.3),
+        # so the checks use the eps = 0.3 equation and say it did not converge
+        cont = {"eps_sequence": [0.3, 0.1, 0.03], "eps_param": "quartic"}
+        cfg = quick_config(tmp_path, q=3.0, max_iters=3,
+                           grid={"kind": "radial", "n_r": 300, "r_max": 30.0,
+                                 "grading": 2.0},
+                           continuation=cont)
+        out = tmp_path / "early"
+        assert run(capsys, "solve", "--config", str(cfg), "--out", str(out))[0] == 2
+        run(capsys, "verify", "--config", str(cfg), "--profile",
+            str(out / "profile.csv"), "--out", str(tmp_path / "chk"))
+        doc = json.loads((tmp_path / "chk" / "verification.json").read_text())
+        assert doc["stage"]["eps"] == 0.3
+        assert doc["stage"]["converged"] is False
+        assert "did not converge" in doc["stage"]["note"]
+        g = RadialGrid.graded(300, 30.0)
+        pde = verify.pde_residual(load_profile_csv(out / "profile.csv", g),
+                                  3.0, eps_quartic=0.3)
+        assert doc["checks"]["pde"]["value"] == pytest.approx(pde.max_rel,
+                                                              rel=1e-11)
+
+    @pytest.mark.parametrize("moved, why", [
+        (True, "no report.json"),               # the profile copied alone
+        (False, "another config's report.json"),  # solved with another tol
+    ])
+    def test_profile_without_its_report_is_checked_at_the_last_stage(
+            self, solved, tmp_path, capsys, moved, why):
+        cfg, out = solved
+        prof = out / "profile.csv"
+        if moved:
+            prof = tmp_path / "profile.csv"
+            prof.write_bytes((out / "profile.csv").read_bytes())
+        else:
+            cfg = quick_config(tmp_path, tol_fixed_point=1e-9)
+        code, _, _ = run(capsys, "verify", "--config", str(cfg), "--profile",
+                         str(prof), "--out", str(tmp_path / "chk"))
+        assert code == 0
+        doc = json.loads((tmp_path / "chk" / "verification.json").read_text())
+        assert doc["stage"]["converged"] is None
+        assert why in doc["stage"]["note"]
 
     def test_continuation_round_trip_passes(self, tmp_path, capsys):
         # solve with a vanishing-quartic continuation, then verify the stored

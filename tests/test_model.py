@@ -129,6 +129,28 @@ class TestProfileIO:
         with pytest.raises(ConfigError):
             load_profile_csv(tmp_path / "p.csv", other)
 
+    def test_rows_are_the_repr_of_each_float(self, tmp_path):
+        g = AxisymmetricGrid.build(8, 4, 5.0)
+        vals = np.cos(g.x1) / 3.0 + g.rho
+        save_profile_csv(Profile(grid=g, values=vals), tmp_path / "p.csv")
+        lines = (tmp_path / "p.csv").read_text().splitlines()
+        assert lines[0] == "x1,rho,value"
+        assert lines[1 + 2 * 4 + 3] == (f"{float(g.x1[2, 3])!r},"
+                                        f"{float(g.rho[2, 3])!r},"
+                                        f"{float(vals[2, 3])!r}")
+
+    def test_header_and_rows_are_checked(self, tmp_path):
+        g = RadialGrid.graded(8, 8.0)
+        path = tmp_path / "p.csv"
+        save_profile_csv(Profile(grid=g, values=np.ones(8)), path)
+        text = path.read_text()
+        path.write_text(text.replace("r,value", "r,u", 1))
+        with pytest.raises(ConfigError, match=r"expected header r,value, got \('r', 'u'\)"):
+            load_profile_csv(path, g)
+        path.write_text(text.replace(",1.0\n", ",one\n", 1))
+        with pytest.raises(ConfigError, match="unreadable profile row"):
+            load_profile_csv(path, g)
+
     def test_shape_mismatch_is_config_error(self):
         g = RadialGrid.graded(64, 8.0)
         with pytest.raises(ConfigError):

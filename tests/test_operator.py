@@ -189,9 +189,60 @@ class TestSolve:
         assert x_norm(step) < 10 * cfg.tol_fixed_point
 
     def test_damping_controller_engages_on_flat_polynomial(self, flat_q5_run):
+        # extrapolated steps overshoot the flip-flopping far-field slope at
+        # q = 5; each rejection halves the mixing weight, down to its floor
         cfg, prof, report = flat_q5_run
         assert report.converged
-        assert report.damping_final <= 0.5  # full steps flip-flop at q = 5
+        halvings = math.log2(cfg.damping / report.damping_final)
+        assert halvings >= 1 and halvings == int(halvings)
+        assert report.damping_final >= 0.125
+        # a rejected iterate's residual exceeds the accepted one before it
+        res = report.diff_history
+        assert any(b > a for a, b in zip(res, res[1:]))
+
+    @pytest.mark.parametrize("cfg", [
+        _radial_cfg(q=5.0, a=0.0, c=1.0, n=400, r_max=100.0),
+        # half steps: a stop on the damped step would end one iterate early
+        _radial_cfg(q=5.0, a=1.0, n=400, r_max=100.0, damping=0.5),
+        _axisym_cfg(q=8.0, a=(0.0, 1.0, 1.0), eps=0.05, n_r=64, n_angle=16,
+                    variant="unshifted"),
+    ], ids=["radial-flat", "radial-damped", "axisym-degenerate"])
+    def test_final_residual_is_the_returned_profiles(self, cfg):
+        # the stop rule measures the undamped |T(v) - v|_X of the profile
+        # it returns, not a damped step
+        prof, report = solve_fixed_point(cfg)
+        assert report.converged
+        step = Profile(grid=prof.grid,
+                       values=OperatorContext(cfg).apply(prof.values) - prof.values)
+        assert report.final_residual == x_norm(step)
+        assert report.final_residual <= cfg.tol_fixed_point * (1.0 + x_norm(prof))
+
+    def test_histories_have_one_entry_per_application(self, flat_q5_run):
+        # trace.csv zips the two; iterate k has residual and alpha entry k
+        _, _, report = flat_q5_run
+        assert len(report.diff_history) == len(report.alpha_history)
+        assert len(report.diff_history) == report.iters + 1
+        assert report.diff_history[-1] == report.final_residual
+        assert report.alpha_history[-1] == report.alpha
+
+    def test_matches_damped_picard(self):
+        cfg = _axisym_cfg(q=5.0, a=(1.0, 2.0, 2.0), n_r=48, n_angle=16,
+                          r_max=20.0, tol_fixed_point=1e-12)
+        prof, report = solve_fixed_point(cfg)
+        assert report.converged
+        # the reference: plain half steps v + (T(v) - v) / 2 to the same tol
+        ctx = OperatorContext(cfg)
+        scale = 1.0 + ctx.grid.r_nodes
+        v = np.zeros(ctx.grid.shape)
+        for _ in range(500):
+            step = ctx.apply(v) - v
+            if np.max(np.abs(step) / scale) < 1e-12 * (1.0 + np.max(np.abs(v) / scale)):
+                break
+            v = v + 0.5 * step
+        else:
+            pytest.fail("damped Picard did not converge")
+        assert report.iters < 50
+        assert np.max(np.abs(prof.values - v) / scale) < 1e-9
 
     def test_axisym_solve_is_even_bit_exact(self):
         cfg = _axisym_cfg(q=5.0, a=(1.0, 2.0, 2.0), n_r=96, n_angle=32)
@@ -248,6 +299,17 @@ class TestContinuation:
         assert len(res.cauchy) == 2
         assert res.cauchy[1] < res.cauchy[0]
         assert res.limit_poly.eps_quartic == 0.0
+
+    def test_gate_refusal_builds_no_context(self, monkeypatch):
+        built = []
+        init = OperatorContext.__init__
+        monkeypatch.setattr(OperatorContext, "__init__",
+                            lambda self, cfg: built.append(cfg) or init(self, cfg))
+        cfg = _radial_cfg(q=0.5, a=1.0)
+        res = continuation_eps_to_zero(cfg)
+        assert not res.final_report.converged
+        assert "nonexistence" in res.final_report.diverged_reason
+        assert built == []
 
     def test_config_without_continuation_is_one_stage(self):
         cfg = _radial_cfg()
