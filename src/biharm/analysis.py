@@ -166,7 +166,7 @@ def compute_beta(u_profile: Profile, q: float):
     if np.min(u) <= 0.0:
         raise NonFiniteError("beta needs a strictly positive profile")
     g0 = g.mode0(u ** (-q))
-    quad = 0.5 * float(np.sum(g.r**2 * g.line_w * g0))
+    quad = g.moment(0, g0)
     fit = PowerTail.fit(g.r, g0)
     tail = 0.5 * fit.moment(0, g.r_max)
     if math.isinf(tail):
@@ -192,7 +192,7 @@ def first_moment(grid, g0: np.ndarray) -> float:
         raise NotIntegrableError(
             f"first moment int |y| u^-q dy diverges: angular mean of u^-q "
             f"decays like r^-{fit.exponent:.3g} (need faster than r^-4)")
-    return 0.5 * float(np.sum(grid.r**3 * grid.line_w * g0)) + 0.5 * tail
+    return grid.moment(1, g0) + 0.5 * tail
 
 
 _B_TOLERANCE = 0.02  # slack of the |b| <= beta constraint check

@@ -268,6 +268,9 @@ def cmd_verify(args) -> int:
         return _run_exact_q7(d, out, args.seed or 0)
     d = {k: v for k, v in d.items() if k != "command"}
     cfg = SolveConfig.from_dict(d)
+    check = validate_config(cfg)  # e.g. a radial grid needs a radial P
+    if check.hard_errors:
+        raise ConfigError("; ".join(check.hard_errors))
     if args.profile is None:
         raise ConfigError("verify needs --profile PATH (a profile.csv from solve)")
     stage_cfg, stage = _profile_stage(cfg, args.profile)
@@ -374,8 +377,7 @@ def cmd_shoot(args) -> int:
         for row in zip(traj.r, traj.u, traj.du, traj.w, traj.dw):
             w.writerow([repr(float(x)) for x in row])
     report_json(summary, out / "summary.json")
-    print(json.dumps({k: v for k, v in summary.items()
-                      if k not in ("r_trace",)}, default=str)[:400])
+    print(json.dumps(summary, default=str)[:400])
     return EXIT_OK
 
 
@@ -396,15 +398,14 @@ def _sweep_point(payload):
                                      "poly": poly.to_dict(),
                                      "continuation": None})
         prof, report = solve_fixed_point(cfg)
+        g = prof.grid
+        up = Profile(grid=g, values=prof.values + g.poly_values(cfg.poly))
         row["converged"] = report.converged
         row["iters"] = report.iters
         if report.converged:
             report = _enrich_report(report, prof, cfg)
             row["alpha"] = report.alpha
             row["beta"] = "" if report.beta is None else report.beta
-            g = prof.grid
-            u = prof.values + g.poly_values(cfg.poly)
-            up = Profile(grid=g, values=u)
             rays = [("exponent_e1", 1.0)]
             if not isinstance(g, RadialGrid):
                 rays.append(("exponent_eperp", 0.0))
@@ -418,8 +419,7 @@ def _sweep_point(payload):
         pd.mkdir(parents=True, exist_ok=True)
         report_json({"config": cfg.to_dict(), "result": report.to_dict()},
                     pd / "report.json")
-        u = prof.values + prof.grid.poly_values(cfg.poly)
-        save_profile_csv(Profile(grid=prof.grid, values=u), pd / "profile.csv")
+        save_profile_csv(up, pd / "profile.csv")
     except Exception as exc:  # per-point isolation: record, never abort
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

@@ -1,20 +1,24 @@
 """Distance kernels for the integral operator.
 
 The operator inverts the bilaplacian through the kernel |x - y| / (8 pi).  On
-symmetric grids the angular integrals collapse to closed forms:
+symmetric grids the angular integrals collapse to closed forms, the Legendre
+modes of |x - y| = sum_l K_l(r, s) P_l(cos gamma):
 
-* spherical mean over a source sphere |y| = s (the l = 0 mode)
-      K(r, s) = ((r + s)^3 - |r - s|^3) / (6 r s),
-  with K(r, 0) = r, K(0, s) = s, max(r, s) <= K <= r + s;
-
-* general Legendre modes of |x - y| = sum_l K_l(r, s) P_l(cos gamma),
       K_l(r, s) = r_> (xi^(l+2) / (2l + 3) - xi^l / (2l - 1)),   xi = r_< / r_>,
-  derived from the generating function of the Legendre polynomials.  The sum
-  telescopes to |r - s| at cos gamma = 1 and to r + s at cos gamma = -1, which
-  the tests check, and K_0 equals the spherical mean above.
 
-convolve() applies (1/8 pi) int kernel(x, y) density(y) dy on a grid: the
-grid's Legendre analysis, ModeConvolution, synthesis (a radial grid is the
+derived from the generating function of the Legendre polynomials and written
+once, in legendre_mode_kernel.  The sum telescopes to |r - s| at
+cos gamma = 1 and to r + s at cos gamma = -1, which the tests check.  K_0 =
+r_> + r_<^2 / (3 r_>) is the spherical mean of |x - y| over |y| = s, with
+K_0(r, 0) = r, K_0(0, s) = s and max(r, s) <= K_0 <= r + s.
+
+kernel_row weights K_l with the grid's s^2 ds quadrature (K_0(r, s) - s for
+the shifted l = 0 mode); mode_kernel_table stacks its rows at the grid radii
+into dense per-mode matrices, the reference the tests hold ModeConvolution
+to.  ModeConvolution applies the same quadrature in O(n_r log n_r) per mode,
+and convolve() applies (1/8 pi) int kernel(x, y) density(y) dy on a grid:
+the grid's Legendre analysis, its ModeConvolution (grid.convolution, one
+per grid for both kernel variants), synthesis (a radial grid is the
 one-mode case).
 
 A Monte-Carlo sphere average with a counter-based generator (Philox) serves as
@@ -26,24 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .model import RadialGrid
-
-
-def radial_kernel(r, s):
-    """Spherical mean of |x - y| over |y| = s at |x| = r (l = 0 mode).
-
-    Accepts scalars or broadcastable arrays; the r = 0 and s = 0 limits are
-    taken analytically (K(r, 0) = r, K(0, s) = s).
-    """
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    hi = np.maximum(r, s)
-    lo = np.minimum(r, s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = np.where(hi > 0, lo / np.where(hi > 0, hi, 1.0), 0.0)
-    out = hi * (1.0 + xi * xi / 3.0)
-    return out if out.shape else float(out)
 
 
 def legendre_mode_kernel(l: int, r, s):
@@ -84,33 +70,17 @@ def mc_kernel_oracle(x, s: float, n_samples: int, seed: int):
     return mean, math.sqrt(var / n)
 
 
-def mode_kernel_table(grid: RadialGrid, l_values, shifted: bool) -> np.ndarray:
+def mode_kernel_table(grid, l_values, shifted: bool) -> np.ndarray:
     """Stacked per-mode operator matrices mapping density modes to field modes.
 
     T[i] applied to the mode-l_values[i] coefficients g_l at the grid radii
-    returns (1/8pi) * the mode coefficients of int |x-y| g(y) dy, i.e.
-    each row j is the quadrature of K_l(r_j, s) s^2 g_l(s) / (2 (2l+1)).
+    returns (1/8pi) * the mode coefficients of int |x-y| g(y) dy: row j is
+    kernel_row at r_j, the quadrature of K_l(r_j, s) s^2 g_l(s) / (2 (2l+1)).
     For the shifted variant the l = 0 matrix uses K_0(r, s) - s, which
     subtracts the constant (1/8pi) int |y| g(y) dy and pins the origin to 0.
     """
-    r = grid.r
-    hi = np.maximum(r[:, None], r[None, :])
-    lo = np.minimum(r[:, None], r[None, :])
-    xi = lo / hi
-    sw = grid.r**2 * grid.line_w  # s^2 ds measure
-    l_values = list(l_values)
-    out = np.empty((len(l_values), r.size, r.size))
-    xil = np.ones_like(xi)
-    cur = 0
-    for idx, l in enumerate(l_values):
-        while cur < l:
-            xil = xil * xi
-            cur += 1
-        kl = hi * (xil * xi * xi / (2 * l + 3) - xil / (2 * l - 1))
-        if l == 0 and shifted:
-            kl = kl - r[None, :]
-        out[idx] = kl * (sw / (2.0 * (2 * l + 1)))[None, :]
-    return out
+    return np.stack([kernel_row(grid.r[:, None], grid, l, shifted)
+                     for l in l_values])
 
 
 class ModeConvolution:
@@ -124,19 +94,20 @@ class ModeConvolution:
         inner  r_j (A P^(l+2)_j - B P^l_j),  P^k_j = (r_{j-1}/r_j)^k P^k_{j-1} + h_j
         outer  A Q^(l+2)_j - B Q^l_j,        Q^k_j = (r_j/r_{j+1})^k (Q^k_{j+1} + r_{j+1} h_{j+1})
 
-    The shifted l = 0 mode subtracts the scalar sum r h; there B = -1, so
-    the outer term -B Q^0_j minus that sum is exactly -sum_{i<=j} r_i h_i,
-    which is summed directly to keep the field accurate relative to its size
-    as r -> 0.
+    The shifted kernel's l = 0 mode subtracts the scalar sum r h; there
+    B = -1, so the outer term -B Q^0_j minus that sum is exactly
+    -sum_{i<=j} r_i h_i, which is summed directly to keep the field accurate
+    relative to its size as r -> 0.
 
     The four first-order recurrences per mode run as one log-depth doubling
     scan over (n_r, 4 n_modes); every multiplier is a radius ratio <= 1, so
     nothing overflows, and products below the smallest normal float are
-    flushed to 0.  The multipliers do not depend on the density, so the
-    scan's per-level coefficients are built once here.
+    flushed to 0.  The multipliers depend on neither the density nor the
+    kernel variant, so the scan's per-level coefficients are built once
+    here and serve both variants.
     """
 
-    def __init__(self, grid: RadialGrid, l_values, shifted: bool):
+    def __init__(self, grid, l_values):
         r = grid.r
         n = r.size
         l = np.asarray(list(l_values), dtype=float)
@@ -144,7 +115,7 @@ class ModeConvolution:
         self.b = 1.0 / (2.0 * l - 1.0)
         self.r = r
         self.hw = (r**2 * grid.line_w)[:, None] / (2.0 * (2.0 * l + 1.0))
-        self.shifted_cols = np.flatnonzero(l == 0.0) if shifted else []
+        self.l0_cols = np.flatnonzero(l == 0.0)
         self.n_modes = l.size
         # rho[j] = r_{j-1} / r_j; the prefix sums multiply by rho[j]^k, the
         # suffix sums (run in reversed order) by rho[j+1]^k
@@ -165,8 +136,9 @@ class ModeConvolution:
             c[c < np.finfo(float).tiny] = 0.0
             d *= 2
 
-    def __call__(self, g: np.ndarray) -> np.ndarray:
-        """Field modes (n_r, n_modes) from density modes g (n_r, n_modes)."""
+    def __call__(self, g: np.ndarray, shifted: bool) -> np.ndarray:
+        """Field modes (n_r, n_modes) from density modes g (n_r, n_modes),
+        for the shifted or the unshifted kernel."""
         m = self.n_modes
         h = g * self.hw
         rh = self.r[:, None] * h
@@ -179,25 +151,28 @@ class ModeConvolution:
         p_l, p_l2 = x[:, :m], x[:, m:2 * m]
         q_l, q_l2 = x[::-1, 2 * m:3 * m], x[::-1, 3 * m:]
         far = -self.b * q_l
-        far[:, self.shifted_cols] = -np.cumsum(rh[:, self.shifted_cols], axis=0)
+        if shifted:
+            far[:, self.l0_cols] = -np.cumsum(rh[:, self.l0_cols], axis=0)
         return self.r[:, None] * (self.a * p_l2 - self.b * p_l) + (self.a * q_l2 + far)
 
 
-def convolve(grid, density, shifted: bool, modes: ModeConvolution | None = None):
+def convolve(grid, density, shifted: bool):
     """(1/8 pi) int kernel(x, y) density(y) dy on the grid nodes.
 
     density is node values in the layout grid.shape; returns field values in
-    the same layout.  Pass the ModeConvolution built for this grid and kernel
-    variant to reuse it across calls.
+    the same layout.  The mode convolution is the grid's own
+    (grid.convolution), built once per grid for both kernel variants.
     """
-    if modes is None:
-        modes = ModeConvolution(grid, grid.l_values, shifted)
     red = grid.reduction
-    return red.synthesize(modes(red.analyze(density)))
+    return red.synthesize(grid.convolution(red.analyze(density), shifted))
 
 
-def kernel_row(r_target: float, grid: RadialGrid, l: int = 0, shifted: bool = False) -> np.ndarray:
-    """Quadrature row for one target radius (used for off-grid evaluation)."""
+def kernel_row(r_target, grid, l: int = 0, shifted: bool = False) -> np.ndarray:
+    """Quadrature row of mode l for a target radius (off-grid evaluation).
+
+    r_target is a float (one row) or an array of radii shaped (n, 1), which
+    gives one row per radius.
+    """
     kl = legendre_mode_kernel(l, r_target, grid.r)
     if l == 0 and shifted:
         kl = kl - grid.r

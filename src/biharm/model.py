@@ -2,11 +2,15 @@
 
 Everything here is plain numpy plus frozen dataclasses.  Both grid kinds
 share one node interface: values have the layout grid.shape, grid.r_nodes
-is r broadcast to it, and grid.reduction (built once per grid) maps node
-values to even Legendre modes (n_r, n_modes) and back; a radial grid is the
-one-mode case l = 0.  Grids also own their quadrature (grid.integrate) and
-what else depends only on the nodes: grid.l_values, the angular mean
-grid.mode0, and P and its Pohozaev weight (grid.poly_values, ...).
+and grid.t_nodes are the radius and polar cosine broadcast to it, and
+grid.reduction (built once per grid) maps node values to even Legendre modes
+(n_r, n_modes) and back; a radial grid is the one-mode case l = 0, with
+t = 1 standing for every ray.  Grids also own their quadrature
+(grid.integrate) and what else depends only on the nodes, each written once
+for both kinds: grid.l_values, the angular mean grid.mode0, the truncated
+moments (1/8 pi) int |y|^k g (grid.moment), the mode convolution of both
+kernel variants (grid.convolution, built once per grid), and P and its
+Pohozaev weight (grid.poly_values, grid.pohozaev_weight).
 Configuration objects round-trip through JSON with fixed field names, and
 report serialization is deterministic (floats rounded to 12 significant
 digits) so identical runs produce byte-identical files.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -94,20 +98,6 @@ class QuadraticPolynomial:
         r2 = r * r
         ang = self.a[0] * t * t + self.a[1] * (1.0 - t * t)
         return self.c + r2 * ang + self.eps_quartic * r2 * r2
-
-    def value_radial(self, r: np.ndarray) -> np.ndarray:
-        if not self.is_radial():
-            raise ConfigError("value_radial requires a1 == a2 == a3 and b == 0")
-        r = np.asarray(r, dtype=float)
-        return self.c + self.a[0] * r * r + self.eps_quartic * r**4
-
-    def pohozaev_weight_radial(self, r: np.ndarray) -> np.ndarray:
-        """2 (x . grad P) - P for a radial polynomial."""
-        if not self.is_radial():
-            raise ConfigError(
-                "pohozaev_weight_radial requires a1 == a2 == a3 and b == 0")
-        r = np.asarray(r, dtype=float)
-        return 3.0 * self.a[0] * r**2 + 7.0 * self.eps_quartic * r**4 - self.c
 
     def pohozaev_weight_rt(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """2 (x . grad P) - P, the dilation weight entering the integral identity."""
@@ -221,6 +211,27 @@ class _NodeGrid:
         """Angular mean of node values at each radius (the l = 0 Legendre mode)."""
         return self.reduction.analyze(values)[:, 0]
 
+    def moment(self, k: int, g0: np.ndarray) -> float:
+        """(1/8 pi) int_{|y| <= r_max} |y|^k g(y) dy, k = 0 or 1, from the
+        angular mean g0 of g."""
+        return float((0.5 * self.r ** (k + 2) * self.line_w) @ g0)
+
+    @cached_property
+    def convolution(self):
+        """The kernels.ModeConvolution of the grid's modes (it serves both
+        kernel variants), built on first use and kept."""
+        from .kernels import ModeConvolution  # kernels builds on this module
+
+        return ModeConvolution(self, self.l_values)
+
+    def poly_values(self, poly: QuadraticPolynomial) -> np.ndarray:
+        """P at the nodes."""
+        return poly.value_rt(self.r_nodes, self.t_nodes)
+
+    def pohozaev_weight(self, poly: QuadraticPolynomial) -> np.ndarray:
+        """2 (x . grad P) - P at the nodes."""
+        return poly.pohozaev_weight_rt(self.r_nodes, self.t_nodes)
+
 
 @dataclass(frozen=True)
 class RadialGrid(_NodeGrid):
@@ -254,6 +265,10 @@ class RadialGrid(_NodeGrid):
         """Radius of every node, in the node layout."""
         return self.r
 
+    # P on a radial grid is radial, so its value on the x1 axis (polar
+    # cosine 1, where the angular factor is exactly a[0]) holds on every ray
+    t_nodes = 1.0
+
     @property
     def weights(self) -> np.ndarray:
         """Quadrature weights for integration over R^3 of radial integrands."""
@@ -263,14 +278,6 @@ class RadialGrid(_NodeGrid):
     def reduction(self) -> "RadialReduction":
         """The one-mode (l = 0) transform, built on first use and kept."""
         return RadialReduction()
-
-    def poly_values(self, poly: QuadraticPolynomial) -> np.ndarray:
-        """P at the nodes."""
-        return poly.value_radial(self.r)
-
-    def pohozaev_weight(self, poly: QuadraticPolynomial) -> np.ndarray:
-        """2 (x . grad P) - P at the nodes."""
-        return poly.pohozaev_weight_radial(self.r)
 
 
 @dataclass(frozen=True)
@@ -324,6 +331,11 @@ class AxisymmetricGrid(_NodeGrid):
         return self.r[:, None]
 
     @property
+    def t_nodes(self) -> np.ndarray:
+        """Polar cosine of every node, broadcastable against the node layout."""
+        return self.t
+
+    @property
     def x1(self) -> np.ndarray:
         return np.outer(self.r, self.t)
 
@@ -339,14 +351,6 @@ class AxisymmetricGrid(_NodeGrid):
     def reduction(self) -> SphericalReduction:
         """The grid's Legendre transform pair, built on first use and kept."""
         return SphericalReduction(self)
-
-    def poly_values(self, poly: QuadraticPolynomial) -> np.ndarray:
-        """P at the nodes."""
-        return poly.value_rt(self.r[:, None], self.t[None, :])
-
-    def pohozaev_weight(self, poly: QuadraticPolynomial) -> np.ndarray:
-        """2 (x . grad P) - P at the nodes."""
-        return poly.pohozaev_weight_rt(self.r[:, None], self.t[None, :])
 
 
 class SphericalReduction:
@@ -595,10 +599,8 @@ class SolveConfig:
             raise ConfigError(f"malformed config: {exc}") from exc
 
     def replace_poly(self, poly: QuadraticPolynomial) -> "SolveConfig":
-        return SolveConfig(q=self.q, poly=poly, kernel_variant=self.kernel_variant,
-                           grid=self.grid, damping=self.damping,
-                           tol_fixed_point=self.tol_fixed_point, max_iters=self.max_iters,
-                           seed=self.seed, continuation=None)
+        """This config with another polynomial and no continuation."""
+        return replace(self, poly=poly, continuation=None)
 
     def stages(self) -> list:
         """The configs solved in turn: one per continuation eps, else [self].

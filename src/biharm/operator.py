@@ -15,9 +15,11 @@ closed-form spherical mean), each mode is convolved with its closed-form
 radial kernel, and the field is resynthesized; no pointwise kernel
 singularity is ever evaluated.  Each mode's radial kernel is semiseparable,
 so the convolution (kernels.convolve) runs as prefix and suffix recurrences
-over the radii (kernels.ModeConvolution): one application costs
-O(n_modes * n_r log n_r) time and O(n_modes * n_r log n_r) memory, with no
-dense kernel tables.  The analytic bound on the mass beyond r_max is a
+over the radii (kernels.ModeConvolution, one per grid for both kernel
+variants: grid.convolution): one application costs O(n_modes * n_r log n_r)
+time and O(n_modes * n_r log n_r) memory, with no dense kernel tables.  The slope
+alpha and the unshifted origin value are the grid's truncated moments of the
+density (grid.moment); the analytic bound on the mass beyond r_max is a
 moment of analysis.PowerTail.
 
 Iteration is Anderson mixing of depth 5 (Walker & Ni, SIAM J. Numer. Anal.
@@ -40,32 +42,33 @@ import numpy as np
 from .model import (ConfigError, NonFiniteError, Profile, SolutionReport,
                     SolveConfig, validate_config, x_norm)
 from .model import SphericalReduction  # noqa: F401  (perfbench/tracing.py patches this name)
-from .kernels import ModeConvolution, convolve
+from .kernels import convolve
 from .kernels import mode_kernel_table  # noqa: F401  (perfbench/tracing.py patches this name)
 from .analysis import PowerTail
 
 
 class OperatorContext:
-    """Grid, polynomial values and mode convolution for one config."""
+    """Grid (with its mode convolution), polynomial values and tail bound
+    for one config."""
 
     def __init__(self, cfg: SolveConfig):
         self.cfg = cfg
         self.shifted = cfg.kernel_variant == "shifted"
         self.grid = g = cfg.build_grid()
-        self.modes = ModeConvolution(g, g.l_values, self.shifted)
+        g.convolution  # built here, so setting up a context holds its cost
         self.p_values = g.poly_values(cfg.poly)
-        self._s2w = 0.5 * g.r**2 * g.line_w
-        self._s3w = 0.5 * g.r**3 * g.line_w
+        self.tail_bound = self.tail_bound_alpha()
 
     def with_poly(self, poly) -> "OperatorContext":
         """The context for this config with another polynomial.
 
-        The grid (with its Legendre transforms) and the mode convolution
-        depend only on the grid and the kernel variant, so they are shared.
+        The grid (with its Legendre transforms and mode convolutions)
+        depends only on the grid spec, so it is shared.
         """
         other = copy.copy(self)
         other.cfg = self.cfg.replace_poly(poly)
         other.p_values = self.grid.poly_values(poly)
+        other.tail_bound = other.tail_bound_alpha()
         return other
 
     # -- pieces ------------------------------------------------------------
@@ -86,13 +89,13 @@ class OperatorContext:
 
     def alpha_quadrature(self, dens: np.ndarray) -> float:
         """(1/8 pi) int density dy truncated at r_max (the far-field slope)."""
-        return float(self._s2w @ self.grid.mode0(dens))
+        return self.grid.moment(0, self.grid.mode0(dens))
 
     def origin_value(self, dens: np.ndarray) -> float:
         """Field value at the origin: 0 shifted, (1/2) int s^3 g_0 ds unshifted."""
         if self.shifted:
             return 0.0
-        return float(self._s3w @ self.grid.mode0(dens))
+        return self.grid.moment(1, self.grid.mode0(dens))
 
     def tail_bound_alpha(self) -> float:
         """Analytic bound on the slope mass beyond r_max, from P's leading power.
@@ -110,14 +113,14 @@ class OperatorContext:
     def iterate_bound(self) -> float:
         """Bound (1/8 pi) int P^-q dy on the weighted sup norm of every iterate."""
         dens0 = self.density(np.zeros_like(self.p_values))
-        tb = self.tail_bound_alpha()
+        tb = self.tail_bound
         return self.alpha_quadrature(dens0) + (tb if math.isfinite(tb) else 0.0)
 
     def apply(self, v: np.ndarray, dens: np.ndarray | None = None) -> np.ndarray:
         """T(v); pass dens = self.density(v) when the caller already has it."""
         if dens is None:
             dens = self.density(v)
-        out = convolve(self.grid, dens, self.shifted, self.modes)
+        out = convolve(self.grid, dens, self.shifted)
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("operator output not finite")
         return out
@@ -218,7 +221,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     theta = cfg.damping
     history = _MixingHistory(x.shape, 1.0 + grid.r_nodes)
     diff_history, alpha_history = [], []
-    bound = ctx.iterate_bound()
+    bound = math.nan
     # the accepted iterate: v, its residual f, density and |f|_X
     v, f, dens, res = x, None, None, math.nan
     extrapolated = refill = False
@@ -229,6 +232,8 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
         if k:
             x = history.mix(v, f, theta) if extrapolated else v + theta * f
         try:
+            if not k:  # P^-q may already overflow
+                bound = ctx.iterate_bound()
             dens_x = ctx.density(x)
             tx = ctx.apply(x, dens_x)
         except NonFiniteError as exc:
@@ -278,7 +283,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
         u_origin=cfg.poly.c + v_origin,
         x_norm_v=x_norm(prof),
         iterate_bound=bound,
-        tail_bound=ctx.tail_bound_alpha(),
+        tail_bound=ctx.tail_bound,
         diff_history=diff_history,
         alpha_history=alpha_history,
     )

@@ -102,7 +102,7 @@ def test_criterion_5_flat_polynomial_slope_equals_density_integral(
     cfg, prof, rep = flat_q5_run
     assert rep.converged
     g = prof.grid
-    u = prof.values + cfg.poly.value_radial(g.r)
+    u = prof.values + g.poly_values(cfg.poly)
     up = Profile(grid=g, values=u)
     beta, _ = analysis.compute_beta(up, cfg.q)
     fit = analysis.fit_growth(g.r, u, "linear")
@@ -123,7 +123,7 @@ def test_criterion_6a_ode_reproduces_grid_solve():
     prof, rep = solve_fixed_point(cfg)
     assert rep.converged
     g = prof.grid
-    u = prof.values + cfg.poly.value_radial(g.r)
+    u = prof.values + g.poly_values(cfg.poly)
     dens = u ** (-cfg.q)
     # shifted kernel pins v(0) = 0, so u(0) = P(0) and the origin Laplacian
     # splits into the polynomial part plus the density moment int s g(s) ds
@@ -204,7 +204,7 @@ def test_criterion_8_decomposition_recovers_polynomial(thm1_run):
 def test_criterion_9a_kernel_monte_carlo():
     """Spherical-mean kernel values match a Monte Carlo oracle within four
     standard errors on 100 random pairs."""
-    from biharm.kernels import mc_kernel_oracle, radial_kernel
+    from biharm.kernels import legendre_mode_kernel, mc_kernel_oracle
     rng = np.random.default_rng(123)
     worst = 0.0
     for i in range(100):
@@ -213,7 +213,7 @@ def test_criterion_9a_kernel_monte_carlo():
         x = rng.standard_normal(3)
         x *= r / np.linalg.norm(x)
         mc, se = mc_kernel_oracle(x, s, 40_000, seed=1000 + i)
-        worst = max(worst, abs(mc - radial_kernel(r, s)) / se)
+        worst = max(worst, abs(mc - legendre_mode_kernel(0, r, s)) / se)
     assert worst < 4.0
 
 

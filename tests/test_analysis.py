@@ -136,7 +136,7 @@ class TestDecompose:
 
     def test_flat_q5_solve_decomposes_to_its_polynomial(self, flat_q5_run):
         cfg, prof, report = flat_q5_run
-        u = prof.values + cfg.poly.value_radial(prof.grid.r)
+        u = prof.values + prof.grid.poly_values(cfg.poly)
         up = Profile(grid=prof.grid, values=u)
         dec = decompose(up, 5.0, beta=report.beta)
         assert max(abs(x) for x in dec["a"]) < 1e-6

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from biharm import cli, verify
+from biharm.kernels import ModeConvolution
 from biharm.model import (Profile, RadialGrid, SolveConfig, load_profile_csv,
                           save_profile_csv)
 from biharm.operator import solve_fixed_point
@@ -116,6 +117,38 @@ class TestSolve:
                            "--out", str(tmp_path / "d"))
         assert code == 2
         assert "diverged" in err
+
+    def test_overflowing_density_exits_two_with_a_reason(self, tmp_path,
+                                                         capsys):
+        # P = 1e-300 overflows P^-q before the first iterate is applied
+        cfg = quick_config(
+            tmp_path, poly={"a": [0.0, 0.0, 0.0], "c": 1e-300},
+            grid={"kind": "radial", "n_r": 32, "r_max": 5.0})
+        code, _, err = run(capsys, "solve", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "not finite" in err
+        res = json.loads((tmp_path / "o" / "report.json").read_text())["result"]
+        assert not res["converged"]
+        assert res["diverged_reason"].startswith(
+            "density (P + |v|)^-q not finite")
+
+    @pytest.mark.parametrize("variant", ["shifted", "unshifted"])
+    def test_solve_builds_one_convolution(self, tmp_path, capsys, monkeypatch,
+                                          variant):
+        # the decomposition convolves on the solve's grid, with the shifted
+        # kernel whatever the solve's variant, and reuses the solve's build
+        built = []
+        init = ModeConvolution.__init__
+        monkeypatch.setattr(ModeConvolution, "__init__", lambda self, *a:
+                            built.append(a) or init(self, *a))
+        cfg = quick_config(tmp_path, kernel_variant=variant,
+                           grid={"kind": "radial", "n_r": 100, "r_max": 20.0})
+        assert run(capsys, "solve", "--config", str(cfg),
+                   "--out", str(tmp_path / "o"))[0] == 0
+        res = json.loads((tmp_path / "o" / "report.json").read_text())["result"]
+        assert "error" not in res["decomposition"]
+        assert len(built) == 1
 
     def test_early_stopped_continuation_writes_the_stage_it_stopped_at(
             self, tmp_path, capsys):

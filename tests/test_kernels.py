@@ -2,28 +2,30 @@ import numpy as np
 import pytest
 
 from biharm.kernels import (ModeConvolution, kernel_row, legendre_mode_kernel,
-                            mc_kernel_oracle, mode_kernel_table, radial_kernel)
+                            mc_kernel_oracle, mode_kernel_table)
 from biharm.model import AxisymmetricGrid, RadialGrid
 
 
 class TestRadialKernel:
     def test_closed_form_values(self):
         # K(r, s) = r_> + r_<^2 / (3 r_>)
-        assert radial_kernel(1.0, 1.0) == pytest.approx(4.0 / 3.0)
-        assert radial_kernel(2.0, 1.0) == pytest.approx(13.0 / 6.0)
-        assert radial_kernel(5.0, 1.0) == pytest.approx(5.0 + 1.0 / 15.0)
+        assert legendre_mode_kernel(0, 1.0, 1.0) == pytest.approx(4.0 / 3.0)
+        assert legendre_mode_kernel(0, 2.0, 1.0) == pytest.approx(13.0 / 6.0)
+        assert legendre_mode_kernel(0, 5.0, 1.0) == pytest.approx(
+            5.0 + 1.0 / 15.0)
 
     def test_degenerate_radii(self):
-        assert radial_kernel(3.0, 0.0) == pytest.approx(3.0)
-        assert radial_kernel(0.0, 2.0) == pytest.approx(2.0)
-        assert radial_kernel(0.0, 0.0) == 0.0
+        assert legendre_mode_kernel(0, 3.0, 0.0) == pytest.approx(3.0)
+        assert legendre_mode_kernel(0, 0.0, 2.0) == pytest.approx(2.0)
+        assert legendre_mode_kernel(0, 0.0, 0.0) == 0.0
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(7)
         r = rng.uniform(0, 10, 200)
         s = rng.uniform(0, 10, 200)
-        k = radial_kernel(r, s)
-        np.testing.assert_allclose(k, radial_kernel(s, r), rtol=1e-15)
+        k = legendre_mode_kernel(0, r, s)
+        np.testing.assert_allclose(k, legendre_mode_kernel(0, s, r),
+                                   rtol=1e-15)
         assert np.all(k >= np.maximum(r, s) - 1e-12)
         assert np.all(k <= r + s + 1e-12)
 
@@ -32,16 +34,17 @@ class TestRadialKernel:
         t, wt = np.polynomial.legendre.leggauss(200)
         r, s = 1.3, 2.7
         vals = np.sqrt(r * r + s * s - 2 * r * s * t)
-        assert 0.5 * np.sum(wt * vals) == pytest.approx(radial_kernel(r, s),
-                                                        rel=1e-12)
+        assert 0.5 * np.sum(wt * vals) == pytest.approx(
+            legendre_mode_kernel(0, r, s), rel=1e-12)
 
 
 class TestLegendreModes:
     def test_mode_zero_matches_spherical_mean(self):
         r = np.linspace(0.1, 5, 40)
         s = 1.7
-        np.testing.assert_allclose(legendre_mode_kernel(0, r, s),
-                                   radial_kernel(r, s), rtol=1e-14)
+        mean = np.maximum(r, s) + np.minimum(r, s) ** 2 / (3 * np.maximum(r, s))
+        np.testing.assert_allclose(legendre_mode_kernel(0, r, s), mean,
+                                   rtol=1e-14)
 
     def test_telescoping_at_aligned_points(self):
         # sum_l K_l P_l(1) = |r - s|, alternating sum = r + s
@@ -93,7 +96,7 @@ class TestMCOracle:
             x = rng.standard_normal(3)
             x *= r / np.linalg.norm(x)
             mc, se = mc_kernel_oracle(x, s, 40_000, seed=1000 + i)
-            dev = abs(mc - radial_kernel(r, s)) / se
+            dev = abs(mc - legendre_mode_kernel(0, r, s)) / se
             worst = max(worst, dev)
         assert worst < 4.0
 
@@ -127,7 +130,7 @@ class TestModeTables:
         tables = mode_kernel_table(g, [0], shifted=False)
         v = tables[0] @ dens
         j = 123
-        direct = 0.5 * np.sum(radial_kernel(g.r[j], g.r) * g.r**2
+        direct = 0.5 * np.sum(legendre_mode_kernel(0, g.r[j], g.r) * g.r**2
                               * g.line_w * dens)
         assert v[j] == pytest.approx(direct, rel=1e-12)
 
@@ -154,7 +157,7 @@ class TestModeConvolution:
         r = grid.r
         assert r[-1] / r[0] >= 1e5
         g = np.random.default_rng(3).standard_normal((r.size, len(l_values)))
-        got = ModeConvolution(grid, l_values, shifted)(g)
+        got = ModeConvolution(grid, l_values)(g, shifted)
         assert np.all(np.isfinite(got))
         tables = mode_kernel_table(grid, checked, shifted)
         for table, l in zip(tables, checked):

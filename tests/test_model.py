@@ -36,7 +36,8 @@ class TestPolynomial:
     def test_radial_evaluation(self):
         p = QuadraticPolynomial((3.0, 3.0, 3.0), (0, 0, 0), 2.0, 0.1)
         r = np.array([0.0, 1.0, 2.0])
-        np.testing.assert_allclose(p.value_radial(r),
+        g = RadialGrid(r=r, line_w=np.ones(3), r_max=2.0, grading=1.0)
+        np.testing.assert_allclose(g.poly_values(p),
                                    2.0 + 3.0 * r**2 + 0.1 * r**4)
 
     def test_value_rt_rejects_non_axisymmetric(self):
@@ -206,7 +207,7 @@ class TestGridContract:
     def test_radial_density_convolves_to_the_l0_column(self, kind, shifted):
         g = _GRIDS[kind]()
         dens = np.zeros(g.shape) + (1.0 + g.r_nodes**2) ** -2.5
-        col = ModeConvolution(g, [0], shifted)(g.mode0(dens)[:, None])[:, 0]
+        col = ModeConvolution(g, [0])(g.mode0(dens)[:, None], shifted)[:, 0]
         expect = np.zeros(g.shape) + col.reshape(g.r_nodes.shape)
         field = convolve(g, dens, shifted)
         if kind == "radial":

@@ -9,14 +9,9 @@ from biharm.verify import (RadialLaplacian, exact_q7_laplacian,
                            pde_residual, pohozaev_residual)
 
 
-class _FlatPoly:
-    """Constant polynomial stub for integral checks against bare profiles."""
-
-    def __init__(self, c=0.0):
-        self.c = c
-
-    def value_radial(self, r):
-        return np.full_like(np.asarray(r, dtype=float), self.c)
+def _flat(c):
+    """Constant polynomial for integral checks against bare profiles."""
+    return QuadraticPolynomial((0.0, 0.0, 0.0), c=c)
 
 
 class TestRadialLaplacian:
@@ -66,7 +61,7 @@ class TestPDEResidual:
         # adding eps r^4 to a solution adds exactly 120 eps to Lap^2 u
         cfg, prof, report = flat_q5_run
         g = prof.grid
-        u = prof.values + cfg.poly.value_radial(g.r)
+        u = prof.values + g.poly_values(cfg.poly)
         base = Profile(grid=g, values=u)
         r0 = pde_residual(base, 5.0)
         eps = 1e-3
@@ -91,16 +86,16 @@ class TestPDEResidual:
 class TestIntegralResidual:
     def test_exact_q7_identity(self):
         g = RadialGrid.graded(2000, 100.0)
-        res = integral_residual(exact_q7_profile(g), 7.0, _FlatPoly(0.0),
+        res = integral_residual(exact_q7_profile(g), 7.0, _flat(0.0),
                                 n_samples=20, seed=0)
         assert res.max_rel < 1e-3
         assert abs(res.gamma) < 1e-2
 
     def test_seed_changes_samples_not_conclusion(self):
         g = RadialGrid.graded(2000, 100.0)
-        r1 = integral_residual(exact_q7_profile(g), 7.0, _FlatPoly(0.0),
+        r1 = integral_residual(exact_q7_profile(g), 7.0, _flat(0.0),
                                n_samples=16, seed=1)
-        r2 = integral_residual(exact_q7_profile(g), 7.0, _FlatPoly(0.0),
+        r2 = integral_residual(exact_q7_profile(g), 7.0, _flat(0.0),
                                n_samples=16, seed=2)
         s1 = [s["r"] for s in r1.samples]
         s2 = [s["r"] for s in r2.samples]
@@ -110,17 +105,17 @@ class TestIntegralResidual:
     def test_detects_scaling_corruption(self, flat_q5_run):
         cfg, prof, report = flat_q5_run
         g = prof.grid
-        u = prof.values + cfg.poly.value_radial(g.r)
+        u = prof.values + g.poly_values(cfg.poly)
         res = integral_residual(Profile(grid=g, values=1.05 * u),
-                                5.0, _FlatPoly(1.05), n_samples=16, seed=0)
+                                5.0, _flat(1.05), n_samples=16, seed=0)
         assert res.max_rel > 1e-2  # 1.05 u is not a solution
 
     def test_accepts_true_solution(self, flat_q5_run):
         cfg, prof, report = flat_q5_run
         g = prof.grid
-        u = prof.values + cfg.poly.value_radial(g.r)
+        u = prof.values + g.poly_values(cfg.poly)
         res = integral_residual(Profile(grid=g, values=u),
-                                5.0, _FlatPoly(1.0), n_samples=16, seed=0)
+                                5.0, _flat(1.0), n_samples=16, seed=0)
         assert res.max_rel < 1e-4
 
 
@@ -131,7 +126,7 @@ class TestPohozaev:
         # power-law tail extrapolation of the slowly decaying u^-4 integrand
         cfg, prof, report = flat_q5_run
         g = prof.grid
-        u = prof.values + cfg.poly.value_radial(g.r)
+        u = prof.values + g.poly_values(cfg.poly)
         from biharm.analysis import first_moment as moment1
         first_moment = moment1(g, u ** -5.0)
         assert cfg.poly.c - first_moment < 0.0
@@ -143,7 +138,7 @@ class TestPohozaev:
     def test_scaling_corruption_unbalances(self, flat_q5_run):
         cfg, prof, report = flat_q5_run
         g = prof.grid
-        u = prof.values + cfg.poly.value_radial(g.r)
+        u = prof.values + g.poly_values(cfg.poly)
         dens = u ** -5.0
         fm = 0.5 * float(np.sum(g.r**3 * g.line_w * dens))
         res = pohozaev_residual(Profile(grid=g, values=1.3 * u),
