@@ -198,6 +198,11 @@ def first_moment(grid, g0: np.ndarray) -> float:
 _B_TOLERANCE = 0.02  # slack of the |b| <= beta constraint check
 
 
+def _columns(*arrays) -> np.ndarray:
+    """The arrays, flattened, as the columns of one matrix."""
+    return np.stack([a.ravel() for a in arrays], axis=1)
+
+
 def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dict:
     """Split u into polynomial part plus kernel convolution of u^-q.
 
@@ -218,23 +223,24 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dic
     v_dec = convolve(g, dens, shifted=True)
     w = u - v_dec
 
-    # quadratics of the grid's symmetry class (constant first), and how
-    # their coefficients map to P's a and b
+    # quadratics of the grid's symmetry class (constant first) as the
+    # columns of A, and how their coefficients map to P's a and b; the basis
+    # arrays are freed once A holds them, before lstsq copies A twice more
     if isinstance(g, RadialGrid):
-        basis = [np.ones_like(g.r), g.r * g.r]
+        A = _columns(np.ones_like(g.r), g.r * g.r)
 
         def to_ab(a):
             return [a, a, a], [0.0, 0.0, 0.0]
     else:
         x1 = g.x1
-        basis = [np.ones_like(x1), x1, x1 * x1, g.rho**2]
+        A = _columns(np.ones_like(x1), x1, x1 * x1, g.rho**2)
+        del x1
 
         def to_ab(b1, a1, a23):
             return [a1, a23, a23], [b1, 0.0, 0.0]
     quad_scale = 1.0 + g.r_nodes**2
     wts = g.weights / quad_scale**2
 
-    A = np.stack([b.ravel() for b in basis], axis=1)
     sw = np.sqrt(wts.ravel())
     coef, *_ = np.linalg.lstsq(A * sw[:, None], w.ravel() * sw, rcond=None)
     fit_vals = (A @ coef).reshape(w.shape)

@@ -19,7 +19,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -449,6 +448,8 @@ def cmd_sweep(args) -> int:
     ]
     threads = args.threads or min(4, os.cpu_count() or 1)
     if threads > 1 and len(payloads) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~12 ms to import
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:

@@ -107,7 +107,11 @@ class OperatorContext:
         lead = p.tail_leading_coeff()
         if lead <= 0.0:  # no growth (m = 0): no decay to bound with
             return math.inf
-        tail = PowerTail(lead ** (-q), p.growth_order() * q)
+        try:
+            coeff = lead ** (-q)
+        except OverflowError:  # lead too small for a float coefficient
+            return math.inf
+        tail = PowerTail(coeff, p.growth_order() * q)
         return 0.5 * tail.moment(0, self.grid.r_max)
 
     def iterate_bound(self) -> float:

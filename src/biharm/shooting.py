@@ -14,6 +14,11 @@ growth.  The threshold value separates the two and the borderline trajectory
 grows like r^(4/(q+1)) for 1 < q < 3 (with a universal coefficient), like
 r (log r)^(1/4) at q = 3, and linearly for q > 3.  bisect_growth_threshold
 locates it.
+
+scipy is loaded only where it is used.  This module imports scipy.integrate
+at its first shot (`solve_ivp` below), so `biharm shoot` loads it.  `biharm
+verify` loads scipy.stats for its Halton draw (and scipy.stats imports
+scipy.integrate).  `biharm solve` and `biharm sweep` load neither.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 class BracketNotFoundError(RuntimeError):
@@ -46,6 +50,13 @@ class Trajectory:
 
     def interp_u(self, radii) -> np.ndarray:
         return self.sol(np.asarray(radii, dtype=float))[0]
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at the first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 _R_START = 1e-4

@@ -133,6 +133,19 @@ class TestSolve:
         assert res["diverged_reason"].startswith(
             "density (P + |v|)^-q not finite")
 
+    @pytest.mark.parametrize("a", [1e-300, 0.0])
+    def test_unbounded_tail_is_written_as_null(self, tmp_path, capsys, a):
+        # lead^-q overflows a float for a = 1e-300 (q = 5); the tail bound is
+        # then inf, as for a P with no growth, and report.json writes null
+        cfg = quick_config(tmp_path, poly={"a": [a, a, a], "c": 1.0},
+                           grid={"kind": "radial", "n_r": 32, "r_max": 5.0})
+        code, _, err = run(capsys, "solve", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+        assert code in (0, 2), err
+        res = json.loads((tmp_path / "o" / "report.json").read_text())["result"]
+        assert res["converged"] or res["diverged_reason"]
+        assert res["tail_bound"] is None
+
     @pytest.mark.parametrize("variant", ["shifted", "unshifted"])
     def test_solve_builds_one_convolution(self, tmp_path, capsys, monkeypatch,
                                           variant):
@@ -186,16 +199,6 @@ class TestSolve:
         assert float(rows[-1]["diff_xnorm"]) == pytest.approx(
             rep["final_residual"], rel=1e-11)
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # solve never draws Halton samples, so it must not pay for scipy.stats
-        code = ("import sys, biharm.cli; "
-                "print('scipy.stats' in sys.modules)")
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
     def test_bad_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -213,6 +216,51 @@ class TestSolve:
                            "--out", str(tmp_path / "g"))
         assert code == 1
         assert "verify" in err
+
+
+# Run in a fresh interpreter: prints the scipy modules loaded after the
+# import of biharm.cli, and the exit code and loaded scipy modules after each
+# (name, argv) step of the JSON list in sys.argv[1], run in order.
+_SCIPY_PROBE = """
+import json, sys
+from biharm import cli
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+seen = {"import": loaded()}
+for name, argv in json.loads(sys.argv[1]):
+    seen[name] = [cli.main(argv), loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_only_shoot_loads_scipy(tmp_path):
+    # solve and sweep never integrate an ODE or draw Halton samples, so they
+    # must not pay for scipy; a shot loads scipy.integrate on first use
+    small = {"kind": "radial", "n_r": 64, "r_max": 10.0, "grading": 2.0}
+    cfg = quick_config(tmp_path, grid=small)
+    sw = tmp_path / "sweep.json"
+    sw.write_text(json.dumps({"base": json.loads(cfg.read_text()),
+                              "grid": {"q": [5.0]}}))
+    steps = [
+        ("solve", ["solve", "--config", str(cfg),
+                   "--out", str(tmp_path / "solve")]),
+        ("sweep", ["sweep", "--config", str(sw), "--threads", "1",
+                   "--out", str(tmp_path / "sweep")]),
+        ("shoot", ["shoot", "--q", "3", "--w0", "1.4",
+                   "--out", str(tmp_path / "shoot")]),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                           json.dumps(steps)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["solve"] == [0, []]
+    assert seen["sweep"] == [0, []]
+    code, modules = seen["shoot"]
+    assert code == 0
+    assert "scipy.integrate" in modules
 
 
 class TestVerify:
