@@ -4,12 +4,12 @@ Subcommands: solve (fixed-point iteration, optionally with continuation),
 verify (residual battery on a stored profile), shoot (radial ODE integration
 and threshold bisection), sweep (cartesian parameter grid in a worker pool).
 
-Exit codes: 0 success / all checks pass; 1 structural error (bad config, I/O,
-shape mismatch); 2 solve finished Diverged; 3 verification check failed;
-4 shooting bracket not found.  Reports are JSON with floats fixed to 12
-significant digits and sorted keys, so identical config and seed give
-byte-identical output.  The default output directory is $BIHARM_OUT or
-./biharm_out.
+Exit codes: 0 success / all checks pass; 1 structural error (bad config or
+shooting input, I/O, shape mismatch); 2 solve finished Diverged, or a shot's
+integrator failed; 3 verification check failed; 4 shooting bracket not found.
+Reports are JSON with floats fixed to 12 significant digits and sorted keys,
+so identical config and seed give byte-identical output.  The default output
+directory is $BIHARM_OUT or ./biharm_out.
 """
 
 from __future__ import annotations
@@ -337,38 +337,41 @@ def cmd_shoot(args) -> int:
         bisect, w0, exact_start = args.bisect, args.w0, args.exact_start
 
     summary = {"q": q, "u0": u0, "r_end": r_end}
-    if exact_start:
-        u0 = 15.0 ** -0.25
-        w0 = 3.0 * 15.0 ** 0.25
-        traj = shooting.integrate_radial(7.0, u0, w0, min(r_end, 10.0))
-        dev = np.max(np.abs(traj.u - verify.exact_q7_value(traj.r))
-                     / verify.exact_q7_value(traj.r))
-        summary.update({"q": 7.0, "u0": u0, "w0": w0,
-                        "max_rel_deviation_from_closed_form": float(dev),
-                        "outcome": traj.outcome})
-    elif bisect:
-        if q is None or q <= 1.0:
-            raise ConfigError("bisect mode needs q > 1")
-        res = shooting.bisect_growth_threshold(q, u0, r_end)
-        traj = res.trajectory
-        diag = shooting.threshold_growth_diagnostics(traj, q)
-        summary.update({
-            "w0_critical": res.w_crit,
-            "bracket": list(res.bracket),
-            "outcome": traj.outcome,
-            "growth": {k: diag[k] for k in
-                       ("model", "target_exponent", "coeff", "exponent",
-                        "r_plateau")},
-            "n_shots": len(res.history),
-        })
-        if 1.0 < q < 3.0:
-            summary["growth"]["universal_coeff"] = shooting.universal_coefficient(q)
-    else:
-        if q is None or w0 is None:
-            raise ConfigError("single-shot mode needs --q and --w0")
-        traj = shooting.integrate_radial(q, u0, w0, r_end)
-        summary.update({"w0": w0, "outcome": traj.outcome,
-                        "r_stop": traj.r_stop})
+    try:
+        if exact_start:
+            u0 = 15.0 ** -0.25
+            w0 = 3.0 * 15.0 ** 0.25
+            traj = shooting.integrate_radial(7.0, u0, w0, min(r_end, 10.0))
+            dev = np.max(np.abs(traj.u - verify.exact_q7_value(traj.r))
+                         / verify.exact_q7_value(traj.r))
+            summary.update({"q": 7.0, "u0": u0, "w0": w0,
+                            "max_rel_deviation_from_closed_form": float(dev),
+                            "outcome": traj.outcome})
+        elif bisect:
+            if q is None or q <= 1.0:
+                raise ConfigError("bisect mode needs q > 1")
+            res = shooting.bisect_growth_threshold(q, u0, r_end)
+            traj = res.trajectory
+            diag = shooting.threshold_growth_diagnostics(traj, q)
+            summary.update({
+                "w0_critical": res.w_crit,
+                "bracket": list(res.bracket),
+                "outcome": traj.outcome,
+                "growth": {k: diag[k] for k in
+                           ("model", "target_exponent", "coeff", "exponent",
+                            "r_plateau")},
+                "n_shots": len(res.history),
+            })
+            if 1.0 < q < 3.0:
+                summary["growth"]["universal_coeff"] = shooting.universal_coefficient(q)
+        else:
+            if q is None or w0 is None:
+                raise ConfigError("single-shot mode needs --q and --w0")
+            traj = shooting.integrate_radial(q, u0, w0, r_end)
+            summary.update({"w0": w0, "outcome": traj.outcome,
+                            "r_stop": traj.r_stop})
+    except ValueError as exc:  # shooting's check of q, u0, w0, r_end
+        raise ConfigError(str(exc)) from exc
 
     with open(out / "trajectory.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -519,6 +522,9 @@ def main(argv=None) -> int:
     except shooting.BracketNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_BRACKET
+    except shooting.IntegrationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

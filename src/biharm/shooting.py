@@ -15,14 +15,24 @@ grows like r^(4/(q+1)) for 1 < q < 3 (with a universal coefficient), like
 r (log r)^(1/4) at q = 3, and linearly for q > 3.  bisect_growth_threshold
 locates it.
 
+Two integrators run the same shot (_shot: series start, floor, right-hand
+side).  scipy's solve_ivp (DOP853) integrates every trajectory that is
+returned: single shots, the exact start and the one at the threshold.  The
+bisection's outcome-only shots run on _touches_floor, a Python-float port
+of that DOP853 with scipy's tableau and step control, which skips
+solve_ivp's per-step overhead (Hairer, Norsett & Wanner, Solving ODEs I,
+II.4-II.5; Dormand & Prince 1980).
+
 scipy is loaded only where it is used.  This module imports scipy.integrate
-at its first shot (`solve_ivp` below), so `biharm shoot` loads it.  `biharm
-verify` loads scipy.stats for its Halton draw (and scipy.stats imports
-scipy.integrate).  `biharm solve` and `biharm sweep` load neither.
+at its first shot (`solve_ivp` and `_dop853_tableau` below), so `biharm
+shoot` loads it.  `biharm verify` loads scipy.stats for its Halton draw (and
+scipy.stats imports scipy.integrate).  `biharm solve` and `biharm sweep`
+load neither.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -59,39 +69,64 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
+class IntegrationError(RuntimeError):
+    """A shot's step size fell below the float spacing before r_end."""
+
+
 _R_START = 1e-4
 _FLOOR_FRAC = 1e-3
 _RTOL = 1e-9  # DOP853 tolerances of every shot
 _ATOL = 1e-12
 
 
+def _shot(q: float, u0: float, w0: float, r_end: float, forcing: float):
+    """(y0, floor, rhs) of one shot from r0 = _R_START.
+
+    The 2/r terms are regular once started at r0 with the quadratic Taylor
+    expansions u = u0 + w0 r^2/6, w = w0 + (F - u0^(-q)) r^2/6.  A shot
+    stops when u falls to floor = _FLOOR_FRAC u0.  rhs(r, y) takes
+    y = (u, u', w, w') as numpy or Python floats; below u = 0 it freezes the
+    density at floor^(-q), and where u^(-q) overflows a Python float it
+    gives inf, as numpy's float64 power does.
+    """
+    if not u0 > 0.0:
+        raise ValueError(f"u0 must be positive, got {u0}")
+    if not _R_START * 10 < r_end < math.inf:
+        raise ValueError(f"r_end must be finite and above {_R_START * 10:g}, "
+                         f"got {r_end}")
+
+    def density(u):
+        try:
+            return u ** (-q)
+        except OverflowError:
+            return math.inf
+
+    g0 = density(u0) - forcing
+    r0 = _R_START
+    y0 = (u0 + w0 * r0 * r0 / 6.0, w0 * r0 / 3.0,
+          w0 - g0 * r0 * r0 / 6.0, -g0 * r0 / 3.0)
+    if not all(map(math.isfinite, y0)):
+        raise ValueError(f"the series start is not finite (q = {q}, "
+                         f"u0 = {u0}, w0 = {w0})")
+    floor = _FLOOR_FRAC * u0
+    g_floor = density(floor)
+
+    def rhs(r, y):
+        u, du, w, dw = y
+        g = density(u) if u > 0 else g_floor
+        return (du, w - 2.0 * du / r, dw, forcing - g - 2.0 * dw / r)
+
+    return y0, floor, rhs
+
+
 def _integrate(q: float, u0: float, w0: float, r_end: float,
                forcing: float = 0.0, **sampling):
     """solve_ivp result of one shot; `sampling` passes t_eval / dense_output.
 
-    The 2/r terms are regular once started at r0 = _R_START with the
-    quadratic Taylor expansions u = u0 + w0 r^2/6, w = w0 + (F - u0^(-q)) r^2/6.
-    Integration (DOP853 at rtol _RTOL, atol _ATOL) stops when u falls below
-    the floor _FLOOR_FRAC u0; the result's t_events[0] holds that radius.
+    Integration of _shot's system (DOP853 at rtol _RTOL, atol _ATOL) stops
+    when u falls to the floor; the result's t_events[0] holds that radius.
     """
-    if u0 <= 0.0:
-        raise ValueError(f"u0 must be positive, got {u0}")
-    if r_end <= _R_START * 10:
-        raise ValueError(f"r_end too small: {r_end}")
-    g0 = u0 ** (-q) - forcing
-    r0 = _R_START
-    y0 = np.array([
-        u0 + w0 * r0 * r0 / 6.0,
-        w0 * r0 / 3.0,
-        w0 - g0 * r0 * r0 / 6.0,
-        -g0 * r0 / 3.0,
-    ])
-    floor = _FLOOR_FRAC * u0
-
-    def rhs(r, y):
-        u, du, w, dw = y
-        g = abs(u) ** (-q) if u > 0 else floor ** (-q)
-        return (du, w - 2.0 * du / r, dw, forcing - g - 2.0 * dw / r)
+    y0, floor, rhs = _shot(q, u0, w0, r_end, forcing)
 
     def hit_floor(r, y):
         return y[0] - floor
@@ -99,11 +134,130 @@ def _integrate(q: float, u0: float, w0: float, r_end: float,
     hit_floor.terminal = True
     hit_floor.direction = -1.0
 
-    res = solve_ivp(rhs, (r0, r_end), y0, method="DOP853", rtol=_RTOL,
-                    atol=_ATOL, events=hit_floor, **sampling)
+    res = solve_ivp(rhs, (_R_START, r_end), np.array(y0), method="DOP853",
+                    rtol=_RTOL, atol=_ATOL, events=hit_floor, **sampling)
     if not res.success:
-        raise RuntimeError(f"integrator failed: {res.message}")
+        raise IntegrationError(f"integrator failed: {res.message}")
     return res
+
+
+@functools.cache
+def _dop853_tableau():
+    """scipy's DOP853 coefficients as Python floats, loaded at the first shot.
+
+    (C, A, B, E3, E5): the 12 stage nodes, then for each stage row of A and
+    for B, E3 and E5 the (stage index, coefficient) pairs that are not zero.
+    """
+    from scipy.integrate._ivp import dop853_coefficients as dop
+
+    def terms(row):
+        return tuple((j, float(c)) for j, c in enumerate(row) if c != 0.0)
+
+    n = dop.N_STAGES
+    return (tuple(float(c) for c in dop.C[:n]),
+            tuple(terms(dop.A[s, :s]) for s in range(n)),
+            terms(dop.B), terms(dop.E3), terms(dop.E5))
+
+
+def _combine(K, terms):
+    """sum_j c_j K[j] over (j, c_j) in terms, per component, in stage order."""
+    su = sdu = sw = sdw = 0.0
+    for j, c in terms:
+        ku, kdu, kw, kdw = K[j]
+        su += ku * c
+        sdu += kdu * c
+        sw += kw * c
+        sdw += kdw * c
+    return su, sdu, sw, sdw
+
+
+def _rms(values) -> float:
+    return math.sqrt(sum(v * v for v in values)) / 2.0  # 4 components
+
+
+def _initial_step(rhs, r0: float, y0, f0, r_end: float) -> float:
+    """scipy's select_initial_step for DOP853 (error estimator order 7)."""
+    scale = [_ATOL + abs(v) * _RTOL for v in y0]
+    d0 = _rms(v / s for v, s in zip(y0, scale))
+    d1 = _rms(v / s for v, s in zip(f0, scale))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    span = abs(r_end - r0)
+    h0 = min(h0, span)
+    f1 = rhs(r0 + h0, tuple(v + h0 * dv for v, dv in zip(y0, f0)))
+    d2 = _rms((a - b) / s for a, b, s in zip(f1, f0, scale)) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, span)
+
+
+_SAFETY = 0.9  # DOP853 step-size controller, as in scipy's RungeKutta
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+
+
+def _touches_floor(q: float, u0: float, w0: float, r_end: float) -> bool:
+    """Whether the shot touches the floor before r_end, without solve_ivp.
+
+    The outcome len(_integrate(...).t_events[0]) > 0 at a fraction of its
+    cost: scipy's DOP853 as solve_ivp runs it, ported to Python floats.  It
+    has the same tableau, initial step, step-size controller, error norm,
+    clip of the last step to r_end and too-small-step failure, and the same
+    event rule: touched when u - floor goes from >= 0 to <= 0 between
+    accepted steps.  The stage sums skip zero coefficients and add in stage
+    order, so they can differ from scipy's BLAS dot products in the last bit.
+    """
+    C, A, B, E3, E5 = _dop853_tableau()
+    y, floor, rhs = _shot(q, u0, w0, r_end, 0.0)
+    r, r_end = _R_START, float(r_end)
+    f = rhs(r, y)
+    h_abs = _initial_step(rhs, r, y, f, r_end)
+    g = y[0] - floor
+    while True:
+        min_step = 10.0 * abs(math.nextafter(r, math.inf) - r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        u, du, w, dw = y
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError("integrator failed: Required step size"
+                                       " is less than spacing between numbers.")
+            r_new = min(r + h_abs, r_end)
+            h = r_new - r
+            K = [f]
+            for c, terms in zip(C[1:], A[1:]):
+                su, sdu, sw, sdw = _combine(K, terms)
+                K.append(rhs(r + c * h, (u + su * h, du + sdu * h,
+                                         w + sw * h, dw + sdw * h)))
+            y_new = tuple(v + h * s for v, s in zip(y, _combine(K, B)))
+            f_new = rhs(r + h, y_new)
+            K.append(f_new)
+            n5 = n3 = 0.0
+            for v, v_new, e5, e3 in zip(y, y_new, _combine(K, E5),
+                                        _combine(K, E3)):
+                scale = _ATOL + max(abs(v), abs(v_new)) * _RTOL
+                e5 /= scale
+                e3 /= scale
+                n5 += e5 * e5
+                n3 += e3 * e3
+            err = 0.0 if n5 == 0.0 and n3 == 0.0 else (
+                h * n5 / math.sqrt((n5 + 0.01 * n3) * 4))
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(
+                    _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+        r, y, f = r_new, y_new, f_new
+        g_new = y[0] - floor
+        if g >= 0.0 and g_new <= 0.0:
+            return True
+        if r >= r_end:
+            return False
+        g = g_new
 
 
 def integrate_radial(q: float, u0: float, w0: float, r_end: float,
@@ -205,15 +359,18 @@ def bisect_growth_threshold(q: float, u0: float, r_end: float) -> BisectResult:
     w0 = 0 must touch zero (checked; its failure means the scan range or q is
     outside the regime where the threshold exists) and the upper end is found
     by doubling _W_SCAN_START.  If no survivor appears within 60 doublings,
-    BracketNotFoundError is raised.  The shots read only their outcome; the
-    returned trajectory, sampled at _BISECT_N_EVAL radii, is integrated at
-    the final midpoint.  With up to _N_BISECT halvings it follows the
+    BracketNotFoundError is raised.  The shots (_touches_floor) read only
+    their outcome.  w_crit is the upper end of the final bracket, the least
+    w0 seen to survive: once the ends are adjacent floats, their midpoint
+    rounds to either end, and half the time to the one that touched zero.
+    The returned trajectory, sampled at _BISECT_N_EVAL radii, is integrated
+    at w_crit by solve_ivp.  With up to _N_BISECT halvings it follows the
     borderline growth over several decades before drifting to one side.
     """
     history = []
 
     def survives(w0: float) -> bool:
-        touched = len(_integrate(q, u0, w0, r_end).t_events[0]) > 0
+        touched = _touches_floor(q, u0, w0, r_end)
         history.append((w0, "touched_zero" if touched else "survived"))
         return not touched
 
@@ -238,7 +395,6 @@ def bisect_growth_threshold(q: float, u0: float, r_end: float) -> BisectResult:
             hi = mid
         else:
             lo = mid
-    w_crit = 0.5 * (lo + hi)
-    final = integrate_radial(q, u0, w_crit, r_end, n_eval=_BISECT_N_EVAL)
-    return BisectResult(w_crit=w_crit, bracket=(lo, hi), trajectory=final,
+    final = integrate_radial(q, u0, hi, r_end, n_eval=_BISECT_N_EVAL)
+    return BisectResult(w_crit=hi, bracket=(lo, hi), trajectory=final,
                         history=history)

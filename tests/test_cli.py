@@ -453,6 +453,27 @@ class TestShoot:
         assert code == 4
         assert "bracket" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--q", "3", "--u0", "-1", "--w0", "1"],
+        ["--q", "3", "--u0", "-1", "--bisect"],
+        ["--q", "3", "--w0", "1", "--r-end", "1e-5"],
+        ["--q", "3", "--w0", "nan"],
+        ["--q", "400", "--u0", "0.01", "--w0", "1", "--r-end", "10"],
+    ])
+    def test_bad_input_exits_one(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, "shoot", *argv,
+                           "--out", str(tmp_path / "bad"))
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_integrator_failure_exits_two(self, tmp_path, capsys):
+        # u dives to the floor where u^(-50) is huge: the step size falls
+        # below the float spacing
+        code, _, err = run(capsys, "shoot", "--q", "50", "--w0", "-5",
+                           "--r-end", "100", "--out", str(tmp_path / "fail"))
+        assert code == 2
+        assert err.startswith("error: integrator failed: ")
+
 
 class TestSweep:
     def test_empty_grid_gives_header_only(self, tmp_path, capsys):

@@ -41,10 +41,68 @@ class TestIntegrate:
         assert abs(with_f.w[5]) < abs(plain.w[5])
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            integrate_radial(5.0, -1.0, 0.0, 10.0)
-        with pytest.raises(ValueError):
-            integrate_radial(5.0, 1.0, 0.0, 1e-5)
+        for q, u0, w0, r_end in [
+            (5.0, -1.0, 0.0, 10.0),
+            (5.0, 1.0, 0.0, 1e-5),
+            (5.0, 1.0, 0.0, math.inf),
+            (5.0, 1.0, math.nan, 10.0),
+            (400.0, 0.01, 1.0, 10.0),  # u0^(-q) overflows a float
+        ]:
+            with pytest.raises(ValueError):
+                shooting._touches_floor(q, u0, w0, r_end)
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                integrate_radial(q, u0, w0, r_end)
+
+    def test_density_overflow_is_inf_for_both_float_types(self):
+        # a Python float power raises OverflowError where numpy's float64
+        # gives inf; both paths share this right-hand side
+        _, _, rhs = shooting._shot(50.0, 1.0, 0.0, 10.0, 0.0)
+        for y in ((1e-7, 0.0, 0.0, 0.0), np.array([1e-7, 0.0, 0.0, 0.0])):
+            with np.errstate(over="ignore"):
+                assert rhs(1.0, y)[3] == -math.inf
+
+
+class TestStepper:
+    """_touches_floor against the solve_ivp shot it replaces in bisection."""
+
+    # w_crit of bisect_growth_threshold(q, 1.0, 1e4) with solve_ivp shots
+    W_CRIT = {2.0: 2.003048244882855, 3.0: 1.3698214805472406,
+              5.0: 0.9529904827586941}
+
+    @pytest.mark.parametrize("q", sorted(W_CRIT))
+    @pytest.mark.parametrize("delta", [1e-6, 1e-10, 1e-12])
+    def test_outcome_matches_solve_ivp_near_the_threshold(self, q, delta):
+        for w0 in (self.W_CRIT[q] * (1.0 - delta),
+                   self.W_CRIT[q] * (1.0 + delta)):
+            touched = len(shooting._integrate(q, 1.0, w0, 1e4).t_events[0]) > 0
+            assert shooting._touches_floor(q, 1.0, w0, 1e4) == touched
+
+    def test_too_small_step_fails_like_solve_ivp(self, monkeypatch):
+        # u dives to the floor where u^(-50) is huge and the step size
+        # collapses; both paths stop there with the same error, after
+        # about as many right-hand-side calls
+        calls = []
+        shot = shooting._shot
+
+        def counted(*args):
+            y0, floor, rhs = shot(*args)
+
+            def rhs_counted(r, y):
+                calls.append(r)
+                return rhs(r, y)
+            return y0, floor, rhs_counted
+
+        monkeypatch.setattr(shooting, "_shot", counted)
+        outcomes = []
+        for shoot in (shooting._touches_floor, shooting._integrate):
+            calls.clear()
+            with pytest.raises(RuntimeError) as info:
+                shoot(50.0, 1.0, -5.0, 100.0)
+            outcomes.append((str(info.value), len(calls)))
+        (msg, n_stepper), (msg_scipy, n_scipy) = outcomes
+        assert msg == msg_scipy == ("integrator failed: Required step size is "
+                                    "less than spacing between numbers.")
+        assert n_stepper <= 1.1 * n_scipy
 
 
 class TestBorderline:
@@ -86,8 +144,9 @@ class TestBisect:
         assert high.outcome == "survived"
 
     def test_only_the_returned_trajectory_is_sampled(self, monkeypatch):
-        # the shots read only whether u touched zero; t_eval and the dense
-        # interpolant are paid for once, at w_crit
+        # the shots read only whether u touched zero and run on the
+        # in-module stepper; solve_ivp, with t_eval and the dense
+        # interpolant, runs once, at w_crit
         calls = []
         solve_ivp = shooting.solve_ivp
 
@@ -96,9 +155,15 @@ class TestBisect:
             return solve_ivp(*args, **kwargs)
 
         monkeypatch.setattr(shooting, "solve_ivp", counted)
-        res = bisect_growth_threshold(2.0, 1.0, 3e3)
-        assert len(calls) == len(res.history) + 1
-        assert sum(calls) == 1 and calls[-1]
+        bisect_growth_threshold(2.0, 1.0, 3e3)
+        assert calls == [True]
+
+    def test_thmA_iv_threshold_is_unchanged(self):
+        # w_crit of shoot --preset thmA-iv when every shot ran solve_ivp,
+        # within the benchmark's tolerance on it
+        res = bisect_growth_threshold(3.0, 1.0, 1e4)
+        assert res.w_crit == pytest.approx(1.3698214805472406, rel=1e-9)
+        assert len(res.history) == 55
 
     def test_missing_bracket_raises(self):
         # a large u0 makes the density negligible: w0 = 0 already survives,
