@@ -32,15 +32,25 @@ import math
 import numpy as np
 
 
-def legendre_mode_kernel(l: int, r, s):
-    """Mode-l radial kernel K_l(r, s) of the expansion of |x - y|."""
+def legendre_mode_kernel(l, r, s):
+    """Mode-l radial kernel K_l(r, s) of the expansion of |x - y|.
+
+    l is one mode, or a list of modes for one kernel per mode stacked along
+    a new first axis, each bitwise the single-mode kernel: xi^l is taken
+    mode by mode with an integer exponent, because numpy squares xi for
+    l = 2 and an array exponent would round that power differently.
+    """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     hi = np.maximum(r, s)
     lo = np.minimum(r, s)
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = np.where(hi > 0, lo / np.where(hi > 0, hi, 1.0), 0.0)
-    xil = xi**l
+    if np.ndim(l):
+        xil = np.stack([xi**int(k) for k in l])
+        l = np.reshape(l, (-1,) + (1,) * xi.ndim)
+    else:
+        xil = xi**l
     out = hi * (xil * xi * xi / (2 * l + 3) - xil / (2 * l - 1))
     return out if out.shape else float(out)
 
@@ -167,13 +177,19 @@ def convolve(grid, density, shifted: bool):
     return red.synthesize(grid.convolution(red.analyze(density), shifted))
 
 
-def kernel_row(r_target, grid, l: int = 0, shifted: bool = False) -> np.ndarray:
+def kernel_row(r_target, grid, l=0, shifted: bool = False) -> np.ndarray:
     """Quadrature row of mode l for a target radius (off-grid evaluation).
 
     r_target is a float (one row) or an array of radii shaped (n, 1), which
-    gives one row per radius.
+    gives one row per radius.  For a float r_target, l may be a list of
+    modes: the rows of all of them, (len(l), n_r), each bitwise the row of
+    its own call.
     """
     kl = legendre_mode_kernel(l, r_target, grid.r)
-    if l == 0 and shifted:
+    if np.ndim(l):  # one row per mode
+        l = np.reshape(l, (-1, 1))
+        if shifted:
+            kl[l[:, 0] == 0] -= grid.r
+    elif shifted and l == 0:
         kl = kl - grid.r
     return kl * grid.r**2 * grid.line_w / (2.0 * (2 * l + 1))

@@ -196,6 +196,34 @@ def _graded_nodes(n: int, r_max: float, grading: float):
     return r_all[1:], w[1:]
 
 
+def _grid_error(kind: str, n_r: int, r_max: float, grading: float,
+                n_angle: int = 0) -> Optional[str]:
+    """Why a grid of this kind cannot be built from these arguments, or None.
+
+    The one home of the grid argument checks: the grid constructors raise
+    the message, validate_config reports it without building the grid.
+    """
+    if kind == "radial":
+        if n_r < 8:
+            return "radial grid needs at least 8 nodes"
+    elif kind == "axisymmetric":
+        if n_r < 8:
+            return "axisymmetric grid needs at least 8 radii"
+        if n_angle < 4 or n_angle % 2 != 0:
+            return "axisymmetric grid needs an even n_angle >= 4"
+    else:
+        return f"unknown grid kind {kind!r}"
+    if r_max <= 0 or grading < 1.0:
+        return f"{kind} grid needs r_max > 0 and grading >= 1"
+    return None
+
+
+def _raise_grid_error(*args) -> None:
+    error = _grid_error(*args)
+    if error is not None:
+        raise ConfigError(error)
+
+
 class _NodeGrid:
     """What both grid kinds define through weights and reduction."""
 
@@ -244,10 +272,7 @@ class RadialGrid(_NodeGrid):
 
     @classmethod
     def graded(cls, n: int, r_max: float, grading: float = 2.0) -> "RadialGrid":
-        if n < 8:
-            raise ConfigError("radial grid needs at least 8 nodes")
-        if r_max <= 0 or grading < 1.0:
-            raise ConfigError("radial grid needs r_max > 0 and grading >= 1")
+        _raise_grid_error("radial", n, r_max, grading)
         r, w = _graded_nodes(n, float(r_max), float(grading))
         return cls(r=r, line_w=w, r_max=float(r_max), grading=float(grading))
 
@@ -299,12 +324,7 @@ class AxisymmetricGrid(_NodeGrid):
 
     @classmethod
     def build(cls, n_r: int, n_angle: int, r_max: float, grading: float = 2.0) -> "AxisymmetricGrid":
-        if n_r < 8:
-            raise ConfigError("axisymmetric grid needs at least 8 radii")
-        if n_angle < 4 or n_angle % 2 != 0:
-            raise ConfigError("axisymmetric grid needs an even n_angle >= 4")
-        if r_max <= 0 or grading < 1.0:
-            raise ConfigError("axisymmetric grid needs r_max > 0 and grading >= 1")
+        _raise_grid_error("axisymmetric", n_r, r_max, grading, n_angle)
         r, w = _graded_nodes(n_r, float(r_max), float(grading))
         t, wt = np.polynomial.legendre.leggauss(n_angle)
         # enforce bit-exact antisymmetry of the nodes about t = 0
@@ -359,7 +379,8 @@ class SphericalReduction:
     analyze() projects node values onto even Legendre modes of t = cos theta
     (exact for the grid's angular band); synthesize() evaluates the mode sum
     back at the nodes, computing the t > 0 half and mirroring it so evenness
-    in x1 holds bit-for-bit.  t holds the polar cosines of the node columns.
+    in x1 holds bit-for-bit.  t holds the polar cosines of the node columns
+    and pl the modes' Legendre values there, P_l(t) (n_angle, n_modes).
     Use grid.reduction, which builds it once per grid.
     """
 
@@ -396,11 +417,12 @@ class RadialReduction:
     """SphericalReduction's one-mode case: a radial field is its own l = 0 mode.
 
     P_0 = 1, so every ray (any t, or None) sees the same values; the single
-    node column has no polar cosine (t is None).
+    node column has no polar cosine (t is None) and the one-mode table pl.
     """
 
     l_values = [0]
     t = (None,)
+    pl = np.ones((1, 1))  # P_0 at the one node column
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         return values[:, None]
@@ -445,18 +467,46 @@ def x_norm(profile: Profile) -> float:
 # profile CSV serialization
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.int64)
+
+
 def save_profile_csv(profile: Profile, path) -> None:
-    """Radial profiles as `r,value`; axisymmetric as `x1,rho,value` (row-major)."""
+    """Radial profiles as `r,value`; axisymmetric as `x1,rho,value` (row-major).
+
+    Every row is the repr of its floats, f"{x1!r},{rho!r},{value!r}".  On an
+    axisymmetric grid node j mirrors node n_angle - 1 - j: the polar cosines
+    are built antisymmetric, so x1 is negated and rho kept bit for bit.  Each
+    radius therefore formats its t > 0 half, and writes a t < 0 row as "-"
+    plus its mirror's row when the two values are bit-identical (bits, not
+    ==, so 0.0 and -0.0 stay distinct) and so are its coordinates, with the
+    mirror's x1 positive; any other row is formatted itself.
+    """
     g = profile.grid
-    vals = profile.values.ravel().tolist()
+    v = profile.values
     with open(path, "w") as f:
         if isinstance(g, RadialGrid):
             f.write("r,value\n")
-            f.writelines(f"{r!r},{v!r}\n" for r, v in zip(g.r.tolist(), vals))
-        else:
-            f.write("x1,rho,value\n")
-            f.writelines(f"{x!r},{y!r},{v!r}\n" for x, y, v in
-                         zip(g.x1.ravel().tolist(), g.rho.ravel().tolist(), vals))
+            f.writelines(f"{r!r},{w!r}\n"
+                         for r, w in zip(g.r.tolist(), v.tolist()))
+            return
+        f.write("x1,rho,value\n")
+        x1, rho = g.x1, g.rho
+        half = g.n_angle // 2
+        lo = np.arange(half)  # node j < half mirrors node n_angle - 1 - j
+        hi = g.n_angle - 1 - lo
+        mirrored = ((_bits(v[:, lo]) == _bits(v[:, hi]))
+                    & (_bits(x1[:, lo]) == _bits(-x1[:, hi]))
+                    & (x1[:, hi] > 0.0)
+                    & (_bits(rho[:, lo]) == _bits(rho[:, hi])))
+        for i, same in enumerate(mirrored.tolist()):
+            xs, ys, ws = x1[i].tolist(), rho[i].tolist(), v[i].tolist()
+            rows = [f"{xs[j]!r},{ys[j]!r},{ws[j]!r}\n"
+                    for j in range(half, g.n_angle)]  # rows[-1 - j] mirrors j
+            f.writelines("-" + rows[-1 - j] if same[j]
+                         else f"{xs[j]!r},{ys[j]!r},{ws[j]!r}\n"
+                         for j in range(half))
+            f.writelines(rows)
 
 
 def load_profile_csv(path, grid: Grid) -> Profile:
@@ -502,12 +552,17 @@ class GridSpec:
     grading: float = 2.0
     n_angle: int = 64
 
+    def error(self) -> Optional[str]:
+        """The ConfigError message build() would raise, or None."""
+        return _grid_error(self.kind, self.n_r, self.r_max, self.grading,
+                          self.n_angle)
+
     def build(self) -> Grid:
         if self.kind == "radial":
             return RadialGrid.graded(self.n_r, self.r_max, self.grading)
         if self.kind == "axisymmetric":
             return AxisymmetricGrid.build(self.n_r, self.n_angle, self.r_max, self.grading)
-        raise ConfigError(f"unknown grid kind {self.kind!r}")
+        raise ConfigError(self.error())
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "n_r": self.n_r, "r_max": self.r_max, "grading": self.grading}
@@ -654,10 +709,9 @@ def validate_config(cfg: SolveConfig) -> ValidationResult:
     if cfg.max_iters < 1:
         hard.append(f"max_iters must be >= 1, got {cfg.max_iters}")
 
-    try:
-        cfg.build_grid()
-    except ConfigError as exc:
-        hard.append(str(exc))
+    grid_problem = cfg.grid.error()
+    if grid_problem is not None:
+        hard.append(grid_problem)
 
     p = cfg.poly
     if p.eps_quartic < 0.0:

@@ -14,13 +14,14 @@ the single l = 0 mode on radial ones, where the angular integral is the
 closed-form spherical mean), each mode is convolved with its closed-form
 radial kernel, and the field is resynthesized; no pointwise kernel
 singularity is ever evaluated.  Each mode's radial kernel is semiseparable,
-so the convolution (kernels.convolve) runs as prefix and suffix recurrences
-over the radii (kernels.ModeConvolution, one per grid for both kernel
-variants: grid.convolution): one application costs O(n_modes * n_r log n_r)
-time and O(n_modes * n_r log n_r) memory, with no dense kernel tables.  The slope
+so the convolution runs as prefix and suffix recurrences over the radii
+(kernels.ModeConvolution, one per grid for both kernel variants:
+grid.convolution): one application costs O(n_modes * n_r log n_r) time and
+O(n_modes * n_r log n_r) memory, with no dense kernel tables.  The slope
 alpha and the unshifted origin value are the grid's truncated moments of the
-density (grid.moment); the analytic bound on the mass beyond r_max is a
-moment of analysis.PowerTail.
+density's angular mean (grid.moment), read from the l = 0 column of the
+analysis the application already made; the analytic bound on the mass
+beyond r_max is a moment of analysis.PowerTail.
 
 Iteration is Anderson mixing of depth 5 (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) with mixing weight theta = cfg.damping, safeguarded: an
@@ -42,7 +43,6 @@ import numpy as np
 from .model import (ConfigError, NonFiniteError, Profile, SolutionReport,
                     SolveConfig, validate_config, x_norm)
 from .model import SphericalReduction  # noqa: F401  (perfbench/tracing.py patches this name)
-from .kernels import convolve
 from .kernels import mode_kernel_table  # noqa: F401  (perfbench/tracing.py patches this name)
 from .analysis import PowerTail
 
@@ -87,15 +87,17 @@ class OperatorContext:
             raise NonFiniteError("density (P + |v|)^-q not finite")
         return dens
 
-    def alpha_quadrature(self, dens: np.ndarray) -> float:
-        """(1/8 pi) int density dy truncated at r_max (the far-field slope)."""
-        return self.grid.moment(0, self.grid.mode0(dens))
+    def alpha_quadrature(self, g0: np.ndarray) -> float:
+        """(1/8 pi) int density dy truncated at r_max (the far-field slope),
+        from the density's angular mean g0 (its l = 0 mode, grid.mode0)."""
+        return self.grid.moment(0, g0)
 
-    def origin_value(self, dens: np.ndarray) -> float:
-        """Field value at the origin: 0 shifted, (1/2) int s^3 g_0 ds unshifted."""
+    def origin_value(self, g0: np.ndarray) -> float:
+        """Field value at the origin from the density's angular mean g0:
+        0 shifted, (1/2) int s^3 g0 ds unshifted."""
         if self.shifted:
             return 0.0
-        return self.grid.moment(1, self.grid.mode0(dens))
+        return self.grid.moment(1, g0)
 
     def tail_bound_alpha(self) -> float:
         """Analytic bound on the slope mass beyond r_max, from P's leading power.
@@ -118,16 +120,26 @@ class OperatorContext:
         """Bound (1/8 pi) int P^-q dy on the weighted sup norm of every iterate."""
         dens0 = self.density(np.zeros_like(self.p_values))
         tb = self.tail_bound
-        return self.alpha_quadrature(dens0) + (tb if math.isfinite(tb) else 0.0)
+        return (self.alpha_quadrature(self.grid.mode0(dens0))
+                + (tb if math.isfinite(tb) else 0.0))
 
-    def apply(self, v: np.ndarray, dens: np.ndarray | None = None) -> np.ndarray:
-        """T(v); pass dens = self.density(v) when the caller already has it."""
+    def apply(self, v: np.ndarray, dens: np.ndarray | None = None):
+        """(T(v), density modes); pass dens = self.density(v) when the caller
+        already has it.
+
+        T(v) is the grid's Legendre analysis of the density, its mode
+        convolution and the synthesis.  The density modes (n_r, n_modes) are
+        that analysis; their l = 0 column gives the slope and origin value
+        of the iterate without analyzing the density again.
+        """
         if dens is None:
             dens = self.density(v)
-        out = convolve(self.grid, dens, self.shifted)
+        red = self.grid.reduction
+        g = red.analyze(dens)
+        out = red.synthesize(self.grid.convolution(g, self.shifted))
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("operator output not finite")
-        return out
+        return out, g
 
 
 _DIVERGENCE_FACTOR = 1e6  # x-norm blowup threshold relative to the iterate bound
@@ -198,7 +210,10 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     whose residual exceeds the last accepted one's is rejected: the iteration
     returns to the accepted iterate, clears the history, halves theta (down
     to _MIN_DAMPING) and takes plain steps v + theta (T(v) - v) until the
-    history is full again.
+    history is full again.  The slope alpha of each iterate (alpha_history,
+    and report.alpha for the returned one) comes from the l = 0 column of the
+    density analysis its application made (OperatorContext.apply), so each
+    iterate's density is analyzed once.
 
     Returns (profile, report); report.iters counts the iterates after the
     start value, and final_residual is the residual of the returned profile.
@@ -226,8 +241,8 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     history = _MixingHistory(x.shape, 1.0 + grid.r_nodes)
     diff_history, alpha_history = [], []
     bound = math.nan
-    # the accepted iterate: v, its residual f, density and |f|_X
-    v, f, dens, res = x, None, None, math.nan
+    # the accepted iterate: v, its residual f, density's angular mean and |f|_X
+    v, f, g0, res = x, None, None, math.nan
     extrapolated = refill = False
     converged = False
     reason = None
@@ -238,23 +253,23 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
         try:
             if not k:  # P^-q may already overflow
                 bound = ctx.iterate_bound()
-            dens_x = ctx.density(x)
-            tx = ctx.apply(x, dens_x)
+            tx, modes = ctx.apply(x, ctx.density(x))
         except NonFiniteError as exc:
             reason = str(exc)
             break
         fx = tx - x
+        g0_x = modes[:, 0]  # the density's angular mean
         res_x, xn = x_norm(Profile(grid, fx)), x_norm(Profile(grid, x))
         diff_history.append(res_x)
-        alpha_history.append(ctx.alpha_quadrature(dens_x))
+        alpha_history.append(ctx.alpha_quadrature(g0_x))
 
         if xn > _DIVERGENCE_FACTOR * max(bound, 1.0) or not math.isfinite(xn):
-            v, dens, res = x, dens_x, res_x
+            v, g0, res = x, g0_x, res_x
             reason = (f"iterate norm {xn:g} exceeded "
                       f"{_DIVERGENCE_FACTOR:g} x bound {bound:g}")
             break
         if res_x < cfg.tol_fixed_point * (1.0 + xn):
-            v, dens, res = x, dens_x, res_x
+            v, g0, res = x, g0_x, res_x
             converged = True
             break
         if extrapolated and res_x > res:
@@ -264,7 +279,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
         else:
             if k:
                 history.push(x - v, fx - f, theta)
-            v, f, dens, res = x, fx, dens_x, res_x
+            v, f, g0, res = x, fx, g0_x, res_x
             refill = refill and history.count < _ANDERSON_DEPTH
         extrapolated = history.count > 0 and not refill
     else:
@@ -272,8 +287,8 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
 
     prof = Profile(grid=grid, values=v)
     alpha = v_origin = math.nan
-    if dens is not None:
-        alpha, v_origin = ctx.alpha_quadrature(dens), ctx.origin_value(dens)
+    if g0 is not None:
+        alpha, v_origin = ctx.alpha_quadrature(g0), ctx.origin_value(g0)
     report = SolutionReport(
         converged=converged,
         iters=k,

@@ -120,13 +120,17 @@ def _shot(q: float, u0: float, w0: float, r_end: float, forcing: float):
 
 
 def _integrate(q: float, u0: float, w0: float, r_end: float,
-               forcing: float = 0.0, **sampling):
-    """solve_ivp result of one shot; `sampling` passes t_eval / dense_output.
+               forcing: float = 0.0, n_eval: int | None = None):
+    """solve_ivp result of one shot, sampled at n_eval geometric radii and
+    with the dense interpolant when n_eval is given.
 
     Integration of _shot's system (DOP853 at rtol _RTOL, atol _ATOL) stops
     when u falls to the floor; the result's t_events[0] holds that radius.
+    The inputs are checked (_shot) before the sample radii are built.
     """
     y0, floor, rhs = _shot(q, u0, w0, r_end, forcing)
+    sampling = {} if n_eval is None else {
+        "t_eval": np.geomspace(_R_START, r_end, n_eval), "dense_output": True}
 
     def hit_floor(r, y):
         return y[0] - floor
@@ -270,9 +274,7 @@ def integrate_radial(q: float, u0: float, w0: float, r_end: float,
     constant `forcing` F adds to the w equation, matching profiles solved
     against a quartic polynomial (its bilaplacian is the constant 120 eps).
     """
-    t_eval = np.geomspace(_R_START, r_end, n_eval)
-    res = _integrate(q, u0, w0, r_end, forcing, t_eval=t_eval,
-                     dense_output=True)
+    res = _integrate(q, u0, w0, r_end, forcing, n_eval)
     touched = len(res.t_events[0]) > 0
     return Trajectory(
         q=q, u0=u0, w0=w0,

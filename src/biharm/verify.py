@@ -205,9 +205,13 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
     grows toward the boundary, so the outer half is excluded), in the node
     column nearest a second Halton coordinate.  The kernel is re-expanded at
     each sample from the closed-form mode kernels, off the solver's
-    precomputed path.  gamma is fitted as the mean offset; for the shifted
-    kernel variant it estimates -(1/8 pi) int |y| u^-q dy, for unshifted
-    solutions and entire solutions it should vanish.  The residual is
+    precomputed path: one kernel_row call gives the sample's rows of every
+    mode, the Legendre values P_l(t) come from the reduction's node table
+    (the sample sits on a node column), and I sums the modes' products
+    row @ g_l one by one in mode order.  gamma is fitted as the mean
+    offset; for the shifted kernel variant it estimates
+    -(1/8 pi) int |y| u^-q dy, for unshifted solutions and entire solutions
+    it should vanish.  The residual is
     max |u - P - I - gamma| / |u| over the samples.  A power-law tail fitted
     to the angular mean of u^-q supplies the kernel mass beyond r_max; if
     that mass diverges, tail_diverges is set and max_rel is of no use.
@@ -246,13 +250,14 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
         tj = int(np.clip(round(float(u01[pos % u01.shape[0], 1]) * (n_t - 1)),
                          0, n_t - 1))
         tval = red.t[tj]
-        # accumulated mode by mode: synthesize_at's dot product sums in
-        # another order, which moves the written residual's last digits
-        pl_row = red.legendre_row(tval)
+        # all modes' rows in one call; accumulated mode by mode, since
+        # synthesize_at's dot product sums in another order, which moves the
+        # written residual's last digits
+        rows = kernel_row(rk, g, red.l_values, shifted=False)
+        pl_row = red.pl[tj].tolist()  # P_l(t) at the sample's node column
         ival = 0.0
-        for j, l in enumerate(red.l_values):
-            row = kernel_row(rk, g, l, shifted=False)
-            ival += float(row @ ghat[:, j]) * float(pl_row[j])
+        for j, row in enumerate(rows):
+            ival += float(row @ ghat[:, j]) * pl_row[j]
         if power is not None:
             # spherical mean of |x - y| for |y| = s > r is s + r^2 / (3 s):
             # (1/2) int_{r_max}^inf (s + r^2 / (3 s)) C s^-p s^2 ds

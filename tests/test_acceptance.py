@@ -46,7 +46,7 @@ def test_criterion_2_first_iterate_slope():
         grid=GridSpec("radial", 4000, 4000.0),
         tol_fixed_point=1e-10, max_iters=5)
     ctx = OperatorContext(cfg)
-    first = ctx.apply(np.zeros(cfg.grid.n_r))
+    first, _ = ctx.apply(np.zeros(cfg.grid.n_r))
     fit = analysis.fit_growth(ctx.grid.r, first, "linear")
     slope = fit.params["slope"]
     assert slope == pytest.approx(math.pi / 8.0, rel=5e-3)

@@ -163,6 +163,23 @@ class TestSolve:
         assert "error" not in res["decomposition"]
         assert len(built) == 1
 
+    def test_one_grid_per_command(self, tmp_path, capsys, monkeypatch):
+        # validation checks the grid arguments without building a grid, the
+        # six continuation stages share the solve's grid, and verify builds
+        # the profile's; each build calls leggauss once
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or leggauss(n))
+        out = tmp_path / "thm2"
+        assert run(capsys, "solve", "--preset", "thm2",
+                   "--out", str(out))[0] == 0
+        assert calls == [128]
+        assert run(capsys, "verify", "--preset", "thm2", "--profile",
+                   str(out / "profile.csv"),
+                   "--out", str(tmp_path / "v"))[0] == 0
+        assert calls == [128, 128]
+
     def test_early_stopped_continuation_writes_the_stage_it_stopped_at(
             self, tmp_path, capsys):
         # three iterations cannot converge the first stage: the stored
@@ -465,6 +482,19 @@ class TestShoot:
                            "--out", str(tmp_path / "bad"))
         assert code == 1
         assert err.startswith("error: ")
+
+    def test_infinite_r_end_prints_only_the_error(self, tmp_path):
+        # r_end is checked before the sample radii are built, so numpy has
+        # no invalid value to warn about
+        env = {**os.environ, "PYTHONWARNINGS": "default",
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "biharm.cli", "shoot", "--q", "3", "--w0",
+             "1", "--r-end", "inf", "--out", str(tmp_path / "inf")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: r_end ")
 
     def test_integrator_failure_exits_two(self, tmp_path, capsys):
         # u dives to the floor where u^(-50) is huge: the step size falls

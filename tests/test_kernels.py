@@ -140,6 +140,21 @@ class TestModeTables:
         row = kernel_row(1e-9, g, l=0, shifted=True)
         assert np.max(np.abs(row)) < 1e-9
 
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_rows_of_all_modes_are_the_single_mode_rows_bitwise(self, shifted):
+        # one call for every mode (verify.integral_residual) must give the
+        # same bits as one call per mode; l = 2 is where numpy's square and
+        # a general power round differently
+        g = AxisymmetricGrid.build(64, 16, 10.0)
+        assert 2 in g.l_values
+        for rk in (float(g.r[0]), float(g.r[17]), 3.3, float(g.r[-1])):
+            rows = kernel_row(rk, g, g.l_values, shifted=shifted)
+            assert rows.shape == (len(g.l_values), g.n_r)
+            for j, l in enumerate(g.l_values):
+                one = kernel_row(rk, g, l, shifted=shifted)
+                np.testing.assert_array_equal(rows[j].view(np.int64),
+                                              one.view(np.int64))
+
 
 class TestModeConvolution:
     @pytest.mark.parametrize("shifted", [False, True])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,14 +132,28 @@ class TestProfileIO:
             load_profile_csv(tmp_path / "p.csv", other)
 
     def test_rows_are_the_repr_of_each_float(self, tmp_path):
-        g = AxisymmetricGrid.build(8, 4, 5.0)
-        vals = np.cos(g.x1) / 3.0 + g.rho
-        save_profile_csv(Profile(grid=g, values=vals), tmp_path / "p.csv")
-        lines = (tmp_path / "p.csv").read_text().splitlines()
-        assert lines[0] == "x1,rho,value"
-        assert lines[1 + 2 * 4 + 3] == (f"{float(g.x1[2, 3])!r},"
-                                        f"{float(g.rho[2, 3])!r},"
-                                        f"{float(vals[2, 3])!r}")
+        # the writer copies the mirror's row of a bit-identical value and
+        # formats every other row itself; either way a row is its reprs
+        g = AxisymmetricGrid.build(8, 6, 5.0)
+        even = np.cos(np.abs(g.x1)) / 3.0 + g.rho  # exactly even in x1
+        unmirrored = even.copy()  # one value a bit off its mirror (2, 4)
+        unmirrored[2, 1] = np.nextafter(even[2, 1], 1.0)
+        signed_zeros = even.copy()  # a mirror pair equal under ==, not in bits
+        signed_zeros[3, 0], signed_zeros[3, 5] = 0.0, -0.0
+        skewed = replace(g, t=g.t + 1e-3)  # t nodes not antisymmetric
+        radial = RadialGrid.graded(8, 5.0)
+        for grid, vals in [(g, even), (g, unmirrored), (g, signed_zeros),
+                           (skewed, even), (radial, np.cos(radial.r) / 3.0)]:
+            save_profile_csv(Profile(grid=grid, values=vals),
+                             tmp_path / "p.csv")
+            lines = (tmp_path / "p.csv").read_text().splitlines()
+            if grid is radial:
+                header, cols = "r,value", [grid.r, vals]
+            else:
+                header, cols = "x1,rho,value", [grid.x1, grid.rho, vals]
+            assert lines[0] == header
+            assert lines[1:] == [",".join(f"{x!r}" for x in row) for row in
+                                 zip(*(c.ravel().tolist() for c in cols))]
 
     def test_header_and_rows_are_checked(self, tmp_path):
         g = RadialGrid.graded(8, 8.0)
@@ -305,6 +320,32 @@ class TestValidation:
         res = validate_config(_cfg(poly={"a": [1.0, 2.0, 2.0],
                                          "b": [0.5, 0, 0], "c": 1.0}))
         assert res.hard_errors
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"kind": "radial", "n_r": 7, "r_max": 10.0},
+         "radial grid needs at least 8 nodes"),
+        ({"kind": "radial", "n_r": 32, "r_max": 0.0},
+         "radial grid needs r_max > 0 and grading >= 1"),
+        ({"kind": "radial", "n_r": 32, "r_max": 10.0, "grading": 0.5},
+         "radial grid needs r_max > 0 and grading >= 1"),
+        ({"kind": "axisymmetric", "n_r": 7, "r_max": 10.0},
+         "axisymmetric grid needs at least 8 radii"),
+        ({"kind": "axisymmetric", "n_r": 32, "n_angle": 7, "r_max": 10.0},
+         "axisymmetric grid needs an even n_angle >= 4"),
+        ({"kind": "axisymmetric", "n_r": 32, "n_angle": 2, "r_max": 10.0},
+         "axisymmetric grid needs an even n_angle >= 4"),
+        ({"kind": "axisymmetric", "n_r": 32, "r_max": -1.0},
+         "axisymmetric grid needs r_max > 0 and grading >= 1"),
+        ({"kind": "axisymmetric", "n_r": 32, "r_max": 10.0, "grading": 0.9},
+         "axisymmetric grid needs r_max > 0 and grading >= 1"),
+        ({"kind": "polar", "n_r": 32, "r_max": 10.0},
+         "unknown grid kind 'polar'"),
+    ])
+    def test_grid_errors_are_the_ones_build_raises(self, grid, message):
+        with pytest.raises(ConfigError) as exc:
+            GridSpec.from_dict(grid).build()
+        assert str(exc.value) == message
+        assert message in validate_config(_cfg(grid=grid)).hard_errors
 
     def test_increasing_eps_sequence_is_hard_error(self):
         res = validate_config(_cfg(continuation={"eps_sequence": [0.01, 0.1]}))

@@ -62,6 +62,16 @@ class TestSphericalReduction:
         np.testing.assert_allclose(vals, red.synthesize(coeffs)[:, j],
                                    rtol=1e-9, atol=1e-12)
 
+    def test_node_table_is_the_legendre_row_of_each_node(self):
+        # verify.integral_residual reads P_l(t) of a node column off pl
+        g = _axisym_cfg().build_grid()
+        red = g.reduction
+        for j, t in enumerate(g.t.tolist()):
+            np.testing.assert_array_equal(red.pl[j].view(np.int64),
+                                          red.legendre_row(t).view(np.int64))
+        radial = RadialGrid.graded(16, 4.0).reduction
+        np.testing.assert_array_equal(radial.pl[0], radial.legendre_row())
+
     def test_built_once_per_grid(self, monkeypatch):
         # the solve, the ray fits, beta and the decomposition all read the
         # transform of the one grid the solve built
@@ -82,11 +92,11 @@ class TestOperatorPieces:
     def test_shifted_field_vanishes_at_origin(self):
         cfg = _radial_cfg()
         ctx = OperatorContext(cfg)
-        v = ctx.apply(np.zeros(cfg.grid.n_r))
+        v, _ = ctx.apply(np.zeros(cfg.grid.n_r))
         # v(r) -> 0 as r -> 0; first node sits at r_max/n^2
         assert abs(v[0]) < 1e-5 * np.max(np.abs(v))
         dens = ctx.density(np.zeros(cfg.grid.n_r))
-        assert ctx.origin_value(dens) == 0.0
+        assert ctx.origin_value(ctx.grid.mode0(dens)) == 0.0
 
     def test_unshifted_origin_value_oracle(self):
         cfg = _radial_cfg(variant="unshifted")
@@ -94,8 +104,9 @@ class TestOperatorPieces:
         dens = ctx.density(np.zeros(cfg.grid.n_r))
         g = ctx.grid
         expect = 0.5 * np.sum(g.r**3 * g.line_w * dens)
-        assert ctx.origin_value(dens) == pytest.approx(expect, rel=1e-13)
-        v = ctx.apply(np.zeros(cfg.grid.n_r))
+        assert ctx.origin_value(g.mode0(dens)) == pytest.approx(expect,
+                                                                rel=1e-13)
+        v, _ = ctx.apply(np.zeros(cfg.grid.n_r))
         # K(r, s) -> s as r -> 0, so v(0) = (1/2) int s^3 g ds
         assert v[0] == pytest.approx(expect, rel=1e-4)
 
@@ -103,9 +114,8 @@ class TestOperatorPieces:
         # v1 = T(0) grows like alpha r with alpha = (1/8pi) int P^-q
         cfg = _radial_cfg(q=2.0, a=1.0, eps=0.05, n=2000, r_max=200.0)
         ctx = OperatorContext(cfg)
-        dens = ctx.density(np.zeros(cfg.grid.n_r))
-        alpha = ctx.alpha_quadrature(dens)
-        v = ctx.apply(np.zeros(cfg.grid.n_r))
+        v, modes = ctx.apply(np.zeros(cfg.grid.n_r))
+        alpha = ctx.alpha_quadrature(modes[:, 0])
         g = ctx.grid
         sel = g.r > 0.5 * g.r_max
         slope = np.polyfit(g.r[sel], v[sel], 1)[0]
@@ -116,8 +126,8 @@ class TestOperatorPieces:
         qr = _radial_cfg(a=1.0, n=200, r_max=20.0)
         ctx_a = OperatorContext(qa)
         ctx_r = OperatorContext(qr)
-        va = ctx_a.apply(np.zeros((200, 16)))
-        vr = ctx_r.apply(np.zeros(200))
+        va, _ = ctx_a.apply(np.zeros((200, 16)))
+        vr, _ = ctx_r.apply(np.zeros(200))
         np.testing.assert_allclose(va, np.tile(vr[:, None], (1, 16)),
                                    rtol=1e-9, atol=1e-12)
 
@@ -149,7 +159,7 @@ class TestOperatorPieces:
         tracemalloc.start()
         try:
             ctx = OperatorContext(cfg)
-            v = ctx.apply(np.zeros((2048, 256)))
+            v, _ = ctx.apply(np.zeros((2048, 256)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -163,7 +173,7 @@ class TestOperatorPieces:
         v = np.zeros(600)
         g = ctx.grid
         for _ in range(5):
-            v = ctx.apply(v)
+            v, _ = ctx.apply(v)
             assert np.max(np.abs(v) / (1.0 + g.r)) <= bound * (1 + 1e-12)
 
 
@@ -184,7 +194,7 @@ class TestSolve:
     def test_fixed_point_is_a_fixed_point(self):
         cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=800, r_max=100.0)
         prof, report = solve_fixed_point(cfg)
-        again = OperatorContext(cfg).apply(prof.values)
+        again, _ = OperatorContext(cfg).apply(prof.values)
         step = Profile(grid=prof.grid, values=again - prof.values)
         assert x_norm(step) < 10 * cfg.tol_fixed_point
 
@@ -212,8 +222,8 @@ class TestSolve:
         # it returns, not a damped step
         prof, report = solve_fixed_point(cfg)
         assert report.converged
-        step = Profile(grid=prof.grid,
-                       values=OperatorContext(cfg).apply(prof.values) - prof.values)
+        tv, _ = OperatorContext(cfg).apply(prof.values)
+        step = Profile(grid=prof.grid, values=tv - prof.values)
         assert report.final_residual == x_norm(step)
         assert report.final_residual <= cfg.tol_fixed_point * (1.0 + x_norm(prof))
 
@@ -235,7 +245,7 @@ class TestSolve:
         scale = 1.0 + ctx.grid.r_nodes
         v = np.zeros(ctx.grid.shape)
         for _ in range(500):
-            step = ctx.apply(v) - v
+            step = ctx.apply(v)[0] - v
             if np.max(np.abs(step) / scale) < 1e-12 * (1.0 + np.max(np.abs(v) / scale)):
                 break
             v = v + 0.5 * step
