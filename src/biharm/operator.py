@@ -116,9 +116,11 @@ class OperatorContext:
         tail = PowerTail(coeff, p.growth_order() * q)
         return 0.5 * tail.moment(0, self.grid.r_max)
 
-    def iterate_bound(self) -> float:
-        """Bound (1/8 pi) int P^-q dy on the weighted sup norm of every iterate."""
-        dens0 = self.density(np.zeros_like(self.p_values))
+    def iterate_bound(self, dens0: np.ndarray | None = None) -> float:
+        """Bound (1/8 pi) int P^-q dy on the weighted sup norm of every
+        iterate; pass dens0 = self.density(0) when the caller already has it."""
+        if dens0 is None:
+            dens0 = self.density(np.zeros_like(self.p_values))
         tb = self.tail_bound
         return (self.alpha_quadrature(self.grid.mode0(dens0))
                 + (tb if math.isfinite(tb) else 0.0))
@@ -213,7 +215,9 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     history is full again.  The slope alpha of each iterate (alpha_history,
     and report.alpha for the returned one) comes from the l = 0 column of the
     density analysis its application made (OperatorContext.apply), so each
-    iterate's density is analyzed once.
+    iterate's density is analyzed once.  Each iterate's density is computed
+    once too: a cold start's v = 0 has density P^-q, which also gives the
+    iterate bound.
 
     Returns (profile, report); report.iters counts the iterates after the
     start value, and final_residual is the residual of the returned profile.
@@ -251,9 +255,13 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
         if k:
             x = history.mix(v, f, theta) if extrapolated else v + theta * f
         try:
-            if not k:  # P^-q may already overflow
+            if not k and v0 is not None:  # P^-q may already overflow
                 bound = ctx.iterate_bound()
-            tx, modes = ctx.apply(x, ctx.density(x))
+            dens = ctx.density(x)
+            if not k and v0 is None:  # a cold start's v = 0 has density P^-q
+                bound = ctx.iterate_bound(dens)
+            tx, modes = ctx.apply(x, dens)
+            del dens  # not held while the next iterate is mixed
         except NonFiniteError as exc:
             reason = str(exc)
             break

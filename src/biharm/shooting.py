@@ -21,7 +21,10 @@ returned: single shots, the exact start and the one at the threshold.  The
 bisection's outcome-only shots run on _touches_floor, a Python-float port
 of that DOP853 with scipy's tableau and step control, which skips
 solve_ivp's per-step overhead (Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.5; Dormand & Prince 1980).
+II.4-II.5; Dormand & Prince 1980).  Its step is one straight-line function
+generated from the tableau at the first shot (_dop853_step): the stage sums
+are written out term by term, so a step costs its float arithmetic and its
+12 right-hand-side calls, not a loop over (stage, coefficient) pairs.
 
 scipy is loaded only where it is used.  This module imports scipy.integrate
 at its first shot (`solve_ivp` and `_dop853_tableau` below), so `biharm
@@ -163,16 +166,42 @@ def _dop853_tableau():
             terms(dop.B), terms(dop.E3), terms(dop.E5))
 
 
-def _combine(K, terms):
-    """sum_j c_j K[j] over (j, c_j) in terms, per component, in stage order."""
-    su = sdu = sw = sdw = 0.0
-    for j, c in terms:
-        ku, kdu, kw, kdw = K[j]
-        su += ku * c
-        sdu += kdu * c
-        sw += kw * c
-        sdw += kdw * c
-    return su, sdu, sw, sdw
+@functools.cache
+def _dop853_step():
+    """One DOP853 step as a straight-line function, generated at the first shot.
+
+    step(rhs, r, h, y, f) -> (y_new, f_new, err) for y = (u, u', w, w') and
+    f = rhs(r, y): the 11 stage calls of rhs, the order-8 update, rhs at
+    r + h, and the error norm.  Each sum reads (0.0 + k_j * c_j + ...) over
+    the tableau's nonzero terms in stage order, with the coefficients as
+    float literals (repr round-trips them), so every float operation is the
+    one a loop over _dop853_tableau() would do, in the same order.
+    """
+    C, A, B, E3, E5 = _dop853_tableau()
+    xs = ("u", "du", "w", "dw")
+
+    def total(terms, x):
+        return "(0.0" + "".join(f" + k{j}{x} * {c!r}" for j, c in terms) + ")"
+
+    def stage(s):
+        return ", ".join(f"k{s}{x}" for x in xs)
+
+    src = [f"def step(rhs, r, h, y, f):\n {', '.join(xs)} = y\n {stage(0)} = f"]
+    src += [f" {stage(s)} = rhs(r + {C[s]!r} * h, ("
+            + ", ".join(f"{x} + {total(A[s], x)} * h" for x in xs) + "))"
+            for s in range(1, len(C))]
+    src.append(" y_new = " + ", ".join(f"n{x}" for x in xs) + " = ("
+               + ", ".join(f"{x} + h * {total(B, x)}" for x in xs) + ")")
+    src.append(f" f_new = {stage(len(C))} = rhs(r + h, y_new)\n n5 = n3 = 0.0")
+    for x in xs:
+        src.append(f" s = {_ATOL!r} + max(abs({x}), abs(n{x})) * {_RTOL!r}\n"
+                   f" e5 = {total(E5, x)} / s\n e3 = {total(E3, x)} / s\n"
+                   " n5 += e5 * e5\n n3 += e3 * e3")
+    src.append(" return y_new, f_new, (0.0 if n5 == 0.0 and n3 == 0.0 else"
+               " h * n5 / sqrt((n5 + 0.01 * n3) * 4))")
+    namespace = {"sqrt": math.sqrt}
+    exec("\n".join(src), namespace)
+    return namespace["step"]
 
 
 def _rms(values) -> float:
@@ -212,8 +241,11 @@ def _touches_floor(q: float, u0: float, w0: float, r_end: float) -> bool:
     event rule: touched when u - floor goes from >= 0 to <= 0 between
     accepted steps.  The stage sums skip zero coefficients and add in stage
     order, so they can differ from scipy's BLAS dot products in the last bit.
+    Each step is one call of the generated _dop853_step, whose sums start
+    from 0.0 and add k_j * c_j in stage order, the float operations of a
+    loop over the tableau; the outcomes are those of that loop, bit for bit.
     """
-    C, A, B, E3, E5 = _dop853_tableau()
+    step = _dop853_step()
     y, floor, rhs = _shot(q, u0, w0, r_end, 0.0)
     r, r_end = _R_START, float(r_end)
     f = rhs(r, y)
@@ -223,31 +255,13 @@ def _touches_floor(q: float, u0: float, w0: float, r_end: float) -> bool:
         min_step = 10.0 * abs(math.nextafter(r, math.inf) - r)
         h_abs = max(h_abs, min_step)
         rejected = False
-        u, du, w, dw = y
         while True:
             if h_abs < min_step:
                 raise IntegrationError("integrator failed: Required step size"
                                        " is less than spacing between numbers.")
             r_new = min(r + h_abs, r_end)
             h = r_new - r
-            K = [f]
-            for c, terms in zip(C[1:], A[1:]):
-                su, sdu, sw, sdw = _combine(K, terms)
-                K.append(rhs(r + c * h, (u + su * h, du + sdu * h,
-                                         w + sw * h, dw + sdw * h)))
-            y_new = tuple(v + h * s for v, s in zip(y, _combine(K, B)))
-            f_new = rhs(r + h, y_new)
-            K.append(f_new)
-            n5 = n3 = 0.0
-            for v, v_new, e5, e3 in zip(y, y_new, _combine(K, E5),
-                                        _combine(K, E3)):
-                scale = _ATOL + max(abs(v), abs(v_new)) * _RTOL
-                e5 /= scale
-                e3 /= scale
-                n5 += e5 * e5
-                n3 += e3 * e3
-            err = 0.0 if n5 == 0.0 and n3 == 0.0 else (
-                h * n5 / math.sqrt((n5 + 0.01 * n3) * 4))
+            y_new, f_new, err = step(rhs, r, h, y, f)
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)

@@ -55,6 +55,9 @@ class RadialLaplacian:
     Legendre mode), which keeps centered stencils available down to the first
     node; at the outer boundary the window shifts inward, so the last p = 2
     nodes carry one-sided truncation error and callers should mask them.
+    All n windows are built as one (n, 5) index array and their transposed
+    Vandermonde systems solved in one batched np.linalg.solve; each system
+    is the one a per-radius solve would see, so the weights are the same.
     """
 
     def __init__(self, r: np.ndarray):
@@ -64,20 +67,16 @@ class RadialLaplacian:
         p = width // 2
         self.p = p
         re = np.concatenate([-r[p - 1::-1], r])
-        idx = np.empty((n, width), dtype=int)
-        wts = np.empty((n, width))
-        for k in range(n):
-            lo = min(k, re.size - width)
-            window = re[lo:lo + width] - r[k]
-            vmat = np.vander(window, width, increasing=True).T
-            rhs = np.zeros((width, 2))
-            rhs[1, 0] = 1.0
-            rhs[2, 1] = 2.0
-            d = np.linalg.solve(vmat, rhs)
-            idx[k] = np.arange(lo, lo + width)
-            wts[k] = d[:, 1] + (2.0 / r[k]) * d[:, 0]
+        idx = np.minimum(np.arange(n), re.size - width)[:, None] + np.arange(width)
+        window = re[idx] - r[:, None]
+        vmat = np.vander(window.ravel(), width, increasing=True).reshape(
+            n, width, width).transpose(0, 2, 1)
+        rhs = np.zeros((n, width, 2))
+        rhs[:, 1, 0] = 1.0
+        rhs[:, 2, 1] = 2.0
+        d = np.linalg.solve(vmat, rhs)
         self.idx = idx
-        self.wts = wts
+        self.wts = d[..., 1] + (2.0 / r)[:, None] * d[..., 0]
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
         ext = np.concatenate([vals[self.p - 1::-1], vals])

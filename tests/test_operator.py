@@ -280,9 +280,16 @@ class TestSolve:
         calls = []
         density = ctx.density
         ctx.density = lambda v: calls.append(1) or density(v)
-        _, report = solve_fixed_point(cfg, context=ctx)
+        cold, report = solve_fixed_point(cfg, context=ctx)
         assert report.converged
-        # iterate_bound's P^-q, the start value, then one per new iterate
+        # iterate_bound's P^-q, which is also the cold start's density,
+        # then one per new iterate
+        assert len(calls) == report.iters + 1
+        calls.clear()
+        warm = Profile(grid=cold.grid, values=0.5 * cold.values)
+        _, report = solve_fixed_point(cfg, v0=warm, context=ctx)
+        assert report.converged and report.iters > 0
+        # P^-q, the warm start value, then one per new iterate
         assert len(calls) == report.iters + 2
 
     def test_warm_start_context_reuse(self):

@@ -62,8 +62,76 @@ class TestIntegrate:
                 assert rhs(1.0, y)[3] == -math.inf
 
 
+def _combine(K, terms):
+    """sum_j c_j K[j] over (j, c_j) in terms, per component, in stage order."""
+    su = sdu = sw = sdw = 0.0
+    for j, c in terms:
+        ku, kdu, kw, kdw = K[j]
+        su += ku * c
+        sdu += kdu * c
+        sw += kw * c
+        sdw += kdw * c
+    return su, sdu, sw, sdw
+
+
+def _loop_step(rhs, r, h, y, f):
+    """One DOP853 step as a loop over the tableau: the reference for the
+    straight-line step that _dop853_step generates."""
+    C, A, B, E3, E5 = shooting._dop853_tableau()
+    u, du, w, dw = y
+    K = [f]
+    for c, terms in zip(C[1:], A[1:]):
+        su, sdu, sw, sdw = _combine(K, terms)
+        K.append(rhs(r + c * h, (u + su * h, du + sdu * h,
+                                 w + sw * h, dw + sdw * h)))
+    y_new = tuple(v + h * s for v, s in zip(y, _combine(K, B)))
+    f_new = rhs(r + h, y_new)
+    K.append(f_new)
+    n5 = n3 = 0.0
+    for v, v_new, e5, e3 in zip(y, y_new, _combine(K, E5), _combine(K, E3)):
+        scale = shooting._ATOL + max(abs(v), abs(v_new)) * shooting._RTOL
+        e5 /= scale
+        e3 /= scale
+        n5 += e5 * e5
+        n3 += e3 * e3
+    err = 0.0 if n5 == 0.0 and n3 == 0.0 else (
+        h * n5 / math.sqrt((n5 + 0.01 * n3) * 4))
+    return y_new, f_new, err
+
+
+def _bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
 class TestStepper:
     """_touches_floor against the solve_ivp shot it replaces in bisection."""
+
+    def test_generated_step_equals_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        step = shooting._dop853_step()
+        for _ in range(300):
+            q = float(rng.choice([2.0, 3.0, 5.0, 7.0]))
+            _, _, rhs = shooting._shot(q, float(rng.uniform(0.1, 2.0)),
+                                       float(rng.normal()), 1e4, 0.0)
+            r = float(10.0 ** rng.uniform(-4.0, 3.0))
+            h = float(r * 10.0 ** rng.uniform(-6.0, 0.0))
+            y = tuple(float(v) for v in rng.normal(size=4) * 10.0 ** rng.uniform(
+                -3.0, 3.0, size=4))
+            if rng.random() < 0.2:  # exact zeros, as at a series start
+                y = (y[0], 0.0, 0.0, 0.0)
+            f = rhs(r, y)
+            got, want = step(rhs, r, h, y, f), _loop_step(rhs, r, h, y, f)
+            assert _bits(got[0]) == _bits(want[0])
+            assert _bits(got[1]) == _bits(want[1])
+            assert _bits([got[2]]) == _bits([want[2]])
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, 5.0])
+    def test_bisection_outcomes_equal_the_loop_steps(self, q, monkeypatch):
+        history = bisect_growth_threshold(q, 1.0, 1e4).history
+        monkeypatch.setattr(shooting, "_dop853_step", lambda: _loop_step)
+        for w0, outcome in history:
+            touched = shooting._touches_floor(q, 1.0, w0, 1e4)
+            assert ("touched_zero" if touched else "survived") == outcome
 
     # w_crit of bisect_growth_threshold(q, 1.0, 1e4) with solve_ivp shots
     W_CRIT = {2.0: 2.003048244882855, 3.0: 1.3698214805472406,
@@ -159,10 +227,11 @@ class TestBisect:
         assert calls == [True]
 
     def test_thmA_iv_threshold_is_unchanged(self):
-        # w_crit of shoot --preset thmA-iv when every shot ran solve_ivp,
-        # within the benchmark's tolerance on it
+        # w_crit of shoot --preset thmA-iv on the in-module stepper, to the
+        # bit (solve_ivp shots gave 1.3698214805472406, one ulp below): a
+        # stepper whose arithmetic drifts by one ulp moves it
         res = bisect_growth_threshold(3.0, 1.0, 1e4)
-        assert res.w_crit == pytest.approx(1.3698214805472406, rel=1e-9)
+        assert res.w_crit == float.fromhex("0x1.5eac9edc4f06fp+0")
         assert len(res.history) == 55
 
     def test_missing_bracket_raises(self):

@@ -14,7 +14,36 @@ def _flat(c):
     return QuadraticPolynomial((0.0, 0.0, 0.0), c=c)
 
 
+def _loop_laplacian_weights(r):
+    """RadialLaplacian's (idx, wts) built one radius at a time."""
+    width = 5
+    p = width // 2
+    re = np.concatenate([-r[p - 1::-1], r])
+    idx = np.empty((r.size, width), dtype=int)
+    wts = np.empty((r.size, width))
+    for k in range(r.size):
+        lo = min(k, re.size - width)
+        window = re[lo:lo + width] - r[k]
+        vmat = np.vander(window, width, increasing=True).T
+        rhs = np.zeros((width, 2))
+        rhs[1, 0] = 1.0
+        rhs[2, 1] = 2.0
+        d = np.linalg.solve(vmat, rhs)
+        idx[k] = np.arange(lo, lo + width)
+        wts[k] = d[:, 1] + (2.0 / r[k]) * d[:, 0]
+    return idx, wts
+
+
 class TestRadialLaplacian:
+    @pytest.mark.parametrize("n, r_max, grading", [
+        (256, 40.0, 2.0), (2000, 100.0, 2.0), (300, 30.0, 1.0), (8, 5.0, 3.0)])
+    def test_batched_weights_equal_the_per_radius_loop(self, n, r_max, grading):
+        r = RadialGrid.graded(n, r_max, grading).r
+        lap = RadialLaplacian(r)
+        idx, wts = _loop_laplacian_weights(r)
+        np.testing.assert_array_equal(lap.idx, idx)
+        np.testing.assert_array_equal(lap.wts, wts)
+
     def test_exact_on_low_degree_polynomials(self):
         g = RadialGrid.graded(200, 10.0)
         lap = RadialLaplacian(g.r)
