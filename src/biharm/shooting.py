@@ -15,28 +15,29 @@ grows like r^(4/(q+1)) for 1 < q < 3 (with a universal coefficient), like
 r (log r)^(1/4) at q = 3, and linearly for q > 3.  bisect_growth_threshold
 locates it.
 
-Two integrators run the same shot (_shot: series start, floor, right-hand
-side).  scipy's solve_ivp (DOP853) integrates every trajectory that is
-returned: single shots, the exact start and the one at the threshold.  The
-bisection's outcome-only shots run on _touches_floor, a Python-float port
-of that DOP853 with scipy's tableau and step control, which skips
-solve_ivp's per-step overhead (Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.5; Dormand & Prince 1980).  Its step is one straight-line function
-generated from the tableau at the first shot (_dop853_step): the stage sums
-are written out term by term, so a step costs its float arithmetic and its
-12 right-hand-side calls, not a loop over (stage, coefficient) pairs.
+One integrator runs every shot (_shot: series start, floor, right-hand
+side): _march, a Python-float port of scipy's DOP853 as solve_ivp runs it,
+with its tableau, step control and floor event (Hairer, Norsett & Wanner,
+Solving ODEs I, II.4-II.6; Dormand & Prince 1980).  Its step is one
+straight-line function generated from the tableau at the first shot
+(_dop853_step): the stage sums are written out term by term, so a step
+costs its float arithmetic and its 12 right-hand-side calls, not a loop
+over (stage, coefficient) pairs.  The bisection's shots read only their
+outcome; the trajectories that are returned (single shots, the exact start,
+the one at the threshold) also keep DOP853's order-7 dense output of each
+step and are sampled on it.
 
-scipy is loaded only where it is used.  This module imports scipy.integrate
-at its first shot (`solve_ivp` and `_dop853_tableau` below), so `biharm
-shoot` loads it.  `biharm verify` loads scipy.stats for its Halton draw (and
-scipy.stats imports scipy.integrate).  `biharm solve` and `biharm sweep`
-load neither.
+No command imports scipy: the coefficients are read from scipy's
+dop853_coefficients.py by file path at the first shot (_dop853_coefficients),
+which needs only numpy.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,12 +60,13 @@ class Trajectory:
     dw: np.ndarray = field(repr=False)
     outcome: str  # "survived" | "touched_zero"
     r_stop: Optional[float]  # crossing radius when touched_zero
-    sol: object = field(repr=False, default=None)  # dense interpolant
+    sol: object = field(repr=False, default=None)  # dense output, r -> y
 
     def interp_u(self, radii) -> np.ndarray:
         return self.sol(np.asarray(radii, dtype=float))[0]
 
 
+# no command calls this; perfbench/tracing.py patches this name
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported at the first call."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
@@ -122,40 +124,37 @@ def _shot(q: float, u0: float, w0: float, r_end: float, forcing: float):
     return y0, floor, rhs
 
 
-def _integrate(q: float, u0: float, w0: float, r_end: float,
-               forcing: float = 0.0, n_eval: int | None = None):
-    """solve_ivp result of one shot, sampled at n_eval geometric radii and
-    with the dense interpolant when n_eval is given.
+@functools.cache
+def _dop853_coefficients():
+    """scipy's DOP853 coefficient file, executed from its path at the first
+    shot.
 
-    Integration of _shot's system (DOP853 at rtol _RTOL, atol _ATOL) stops
-    when u falls to the floor; the result's t_events[0] holds that radius.
-    The inputs are checked (_shot) before the sample radii are built.
+    The file (scipy/integrate/_ivp/dop853_coefficients.py) needs only numpy.
+    find_spec locates the scipy package without importing it; importing the
+    file as a scipy module would first run scipy/integrate/__init__, which
+    loads all of scipy.integrate.
     """
-    y0, floor, rhs = _shot(q, u0, w0, r_end, forcing)
-    sampling = {} if n_eval is None else {
-        "t_eval": np.geomspace(_R_START, r_end, n_eval), "dense_output": True}
-
-    def hit_floor(r, y):
-        return y[0] - floor
-
-    hit_floor.terminal = True
-    hit_floor.direction = -1.0
-
-    res = solve_ivp(rhs, (_R_START, r_end), np.array(y0), method="DOP853",
-                    rtol=_RTOL, atol=_ATOL, events=hit_floor, **sampling)
-    if not res.success:
-        raise IntegrationError(f"integrator failed: {res.message}")
-    return res
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed; the shooting oracle reads "
+                          "its DOP853 coefficients")
+    path = os.path.join(spec.submodule_search_locations[0], "integrate", "_ivp",
+                        "dop853_coefficients.py")
+    file_spec = importlib.util.spec_from_file_location(
+        "biharm._dop853_coefficients", path)
+    module = importlib.util.module_from_spec(file_spec)
+    file_spec.loader.exec_module(module)
+    return module
 
 
 @functools.cache
 def _dop853_tableau():
-    """scipy's DOP853 coefficients as Python floats, loaded at the first shot.
+    """DOP853's step coefficients as Python floats.
 
     (C, A, B, E3, E5): the 12 stage nodes, then for each stage row of A and
     for B, E3 and E5 the (stage index, coefficient) pairs that are not zero.
     """
-    from scipy.integrate._ivp import dop853_coefficients as dop
+    dop = _dop853_coefficients()
 
     def terms(row):
         return tuple((j, float(c)) for j, c in enumerate(row) if c != 0.0)
@@ -170,12 +169,13 @@ def _dop853_tableau():
 def _dop853_step():
     """One DOP853 step as a straight-line function, generated at the first shot.
 
-    step(rhs, r, h, y, f) -> (y_new, f_new, err) for y = (u, u', w, w') and
-    f = rhs(r, y): the 11 stage calls of rhs, the order-8 update, rhs at
-    r + h, and the error norm.  Each sum reads (0.0 + k_j * c_j + ...) over
-    the tableau's nonzero terms in stage order, with the coefficients as
-    float literals (repr round-trips them), so every float operation is the
-    one a loop over _dop853_tableau() would do, in the same order.
+    step(rhs, r, h, y, f) -> (y_new, f_new, err, stages) for y = (u, u', w, w')
+    and f = rhs(r, y): the 11 stage calls of rhs, the order-8 update, rhs at
+    r + h, the error norm, and the 13 stage values (f first, f_new last) that
+    the dense output reuses.  Each sum reads (0.0 + k_j * c_j + ...) over the
+    tableau's nonzero terms in stage order, with the coefficients as float
+    literals (repr round-trips them), so every float operation is the one a
+    loop over _dop853_tableau() would do, in the same order.
     """
     C, A, B, E3, E5 = _dop853_tableau()
     xs = ("u", "du", "w", "dw")
@@ -184,21 +184,24 @@ def _dop853_step():
         return "(0.0" + "".join(f" + k{j}{x} * {c!r}" for j, c in terms) + ")"
 
     def stage(s):
-        return ", ".join(f"k{s}{x}" for x in xs)
+        return ", ".join(f"k{s}{x}" for x in xs) + f" = k{s}"
 
-    src = [f"def step(rhs, r, h, y, f):\n {', '.join(xs)} = y\n {stage(0)} = f"]
-    src += [f" {stage(s)} = rhs(r + {C[s]!r} * h, ("
-            + ", ".join(f"{x} + {total(A[s], x)} * h" for x in xs) + "))"
-            for s in range(1, len(C))]
+    src = [f"def step(rhs, r, h, y, f):\n {', '.join(xs)} = y\n k0 = f\n"
+           f" {stage(0)}"]
+    src += [f" k{s} = rhs(r + {C[s]!r} * h, ("
+            + ", ".join(f"{x} + {total(A[s], x)} * h" for x in xs) + "))\n"
+            f" {stage(s)}" for s in range(1, len(C))]
     src.append(" y_new = " + ", ".join(f"n{x}" for x in xs) + " = ("
                + ", ".join(f"{x} + h * {total(B, x)}" for x in xs) + ")")
-    src.append(f" f_new = {stage(len(C))} = rhs(r + h, y_new)\n n5 = n3 = 0.0")
+    src.append(f" k{len(C)} = rhs(r + h, y_new)\n {stage(len(C))}\n"
+               " n5 = n3 = 0.0")
     for x in xs:
         src.append(f" s = {_ATOL!r} + max(abs({x}), abs(n{x})) * {_RTOL!r}\n"
                    f" e5 = {total(E5, x)} / s\n e3 = {total(E3, x)} / s\n"
                    " n5 += e5 * e5\n n3 += e3 * e3")
-    src.append(" return y_new, f_new, (0.0 if n5 == 0.0 and n3 == 0.0 else"
-               " h * n5 / sqrt((n5 + 0.01 * n3) * 4))")
+    src.append(f" return y_new, k{len(C)}, (0.0 if n5 == 0.0 and n3 == 0.0"
+               " else h * n5 / sqrt((n5 + 0.01 * n3) * 4)), ("
+               + ", ".join(f"k{s}" for s in range(len(C) + 1)) + ")")
     namespace = {"sqrt": math.sqrt}
     exec("\n".join(src), namespace)
     return namespace["step"]
@@ -231,22 +234,22 @@ _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 
 
-def _touches_floor(q: float, u0: float, w0: float, r_end: float) -> bool:
-    """Whether the shot touches the floor before r_end, without solve_ivp.
+def _march(q: float, u0: float, w0: float, r_end: float, forcing: float,
+           on_step=None):
+    """Run one shot (_shot) on DOP853 until u touches the floor or r = r_end.
 
-    The outcome len(_integrate(...).t_events[0]) > 0 at a fraction of its
-    cost: scipy's DOP853 as solve_ivp runs it, ported to Python floats.  It
-    has the same tableau, initial step, step-size controller, error norm,
-    clip of the last step to r_end and too-small-step failure, and the same
-    event rule: touched when u - floor goes from >= 0 to <= 0 between
-    accepted steps.  The stage sums skip zero coefficients and add in stage
-    order, so they can differ from scipy's BLAS dot products in the last bit.
-    Each step is one call of the generated _dop853_step, whose sums start
-    from 0.0 and add k_j * c_j in stage order, the float operations of a
-    loop over the tableau; the outcomes are those of that loop, bit for bit.
+    scipy's DOP853 as solve_ivp runs it, ported to Python floats: the same
+    tableau, initial step, step-size controller, error norm, clip of the last
+    step to r_end, and too-small-step failure (IntegrationError).  Touched
+    means u - floor goes from >= 0 to <= 0 between accepted steps, solve_ivp's
+    rule for a terminal event of direction -1.  Each step is one call of the
+    generated _dop853_step, whose stage sums skip zero coefficients and add
+    in stage order, so they can differ from scipy's BLAS dot products in the
+    last bit.  on_step(rhs, r, r_new, y, y_new, stages) sees every accepted
+    step.  Returns (floor, touched).
     """
     step = _dop853_step()
-    y, floor, rhs = _shot(q, u0, w0, r_end, 0.0)
+    y, floor, rhs = _shot(q, u0, w0, r_end, forcing)
     r, r_end = _R_START, float(r_end)
     f = rhs(r, y)
     h_abs = _initial_step(rhs, r, y, f, r_end)
@@ -261,7 +264,7 @@ def _touches_floor(q: float, u0: float, w0: float, r_end: float) -> bool:
                                        " is less than spacing between numbers.")
             r_new = min(r + h_abs, r_end)
             h = r_new - r
-            y_new, f_new, err = step(rhs, r, h, y, f)
+            y_new, f_new, err, stages = step(rhs, r, h, y, f)
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
@@ -269,33 +272,109 @@ def _touches_floor(q: float, u0: float, w0: float, r_end: float) -> bool:
                 break
             h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
+        if on_step is not None:
+            on_step(rhs, r, r_new, y, y_new, stages)
         r, y, f = r_new, y_new, f_new
         g_new = y[0] - floor
         if g >= 0.0 and g_new <= 0.0:
-            return True
+            return floor, True
         if r >= r_end:
-            return False
+            return floor, False
         g = g_new
+
+
+def _touches_floor(q: float, u0: float, w0: float, r_end: float) -> bool:
+    """Whether the shot touches the floor before r_end; nothing is sampled."""
+    return _march(q, u0, w0, r_end, 0.0)[1]
+
+
+def _dense_rows(rhs, r: float, h: float, y, y_new, stages) -> np.ndarray:
+    """The 7 x 4 rows F of DOP853's order-7 interpolant on one step.
+
+    As scipy's DOP853._dense_output_impl: the 3 extra stages and the D rows
+    of the coefficient file, built on the step's own 13 stage values, with
+    y(r + x h) = y + x (F0 + (1 - x) (F1 + x (F2 + ...))) (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.6).
+    """
+    dop = _dop853_coefficients()
+    K = np.empty((dop.N_STAGES_EXTENDED, 4))
+    K[:dop.N_STAGES + 1] = stages
+    y_old = np.array(y)
+    for s in range(dop.N_STAGES + 1, dop.N_STAGES_EXTENDED):
+        dy = np.dot(K[:s].T, dop.A[s, :s]) * h
+        K[s] = rhs(r + dop.C[s] * h, tuple((y_old + dy).tolist()))
+    delta = np.array(y_new) - y_old
+    return np.vstack([delta, h * K[0] - delta,
+                      2 * delta - h * (K[dop.N_STAGES] + K[0]),
+                      h * np.dot(dop.D, K)])
+
+
+def _interpolant(ends, starts, y_olds, rows):
+    """sol(radii) -> y (4 rows) on the accepted steps' interpolants.
+
+    A radius in (start, end] of a step is read on that step's rows, the step
+    choice of solve_ivp's OdeSolution; radii outside the steps extrapolate
+    the first or last step.  The Horner sum is scipy's Dop853DenseOutput's.
+    """
+    def sol(radii):
+        t = np.asarray(radii, dtype=float)
+        k = np.minimum(np.searchsorted(ends, t.ravel()), ends.size - 1)
+        x = ((t.ravel() - starts[k]) / (ends[k] - starts[k]))[:, None]
+        y = np.zeros((k.size, 4))
+        for i, f in enumerate(rows[k][:, ::-1].transpose(1, 0, 2)):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        y += y_olds[k]
+        return y[0] if t.ndim == 0 else y.T
+
+    return sol
+
+
+def _floor_root(u_of, lo: float, hi: float, floor: float) -> float:
+    """Radius in [lo, hi] where u_of(r) - floor changes sign, by bisection
+    down to adjacent floats; the first radius seen at or below the floor."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if u_of(mid) > floor:
+            lo = mid
+        else:
+            hi = mid
 
 
 def integrate_radial(q: float, u0: float, w0: float, r_end: float,
                      n_eval: int = 400, forcing: float = 0.0) -> Trajectory:
     """Integrate the radial system from a series start near the origin.
 
-    The shot (_integrate) stops when u falls below _FLOOR_FRAC u0 (outcome
-    "touched_zero"); otherwise it runs to r_end ("survived").  n_eval sample
-    radii are geometric, and the trajectory keeps the dense interpolant.  A
-    constant `forcing` F adds to the w equation, matching profiles solved
+    The shot runs on the DOP853 stepper (_march), the bisection's, and
+    stops when u falls to _FLOOR_FRAC u0 (outcome "touched_zero", r_stop the
+    root of u - floor on that step's interpolant); otherwise it runs to
+    r_end ("survived").  Every accepted step keeps DOP853's order-7 dense
+    output (_dense_rows); the n_eval geometric sample radii up to r_stop or
+    r_end are read from it, and the trajectory keeps it as its interpolant.
+    A constant `forcing` F adds to the w equation, matching profiles solved
     against a quartic polynomial (its bilaplacian is the constant 120 eps).
     """
-    res = _integrate(q, u0, w0, r_end, forcing, n_eval)
-    touched = len(res.t_events[0]) > 0
-    return Trajectory(
-        q=q, u0=u0, w0=w0,
-        r=res.t, u=res.y[0], du=res.y[1], w=res.y[2], dw=res.y[3],
-        outcome="touched_zero" if touched else "survived",
-        r_stop=float(res.t_events[0][0]) if touched else None,
-        sol=res.sol)
+    steps = []
+
+    def keep(rhs, r, r_new, y, y_new, stages):
+        steps.append((r_new, r, y,
+                      _dense_rows(rhs, r, r_new - r, y, y_new, stages)))
+
+    floor, touched = _march(q, u0, w0, r_end, forcing, keep)
+    sol = _interpolant(*map(np.array, zip(*steps)))
+    r_stop = None
+    if touched:
+        r_stop = _floor_root(lambda r: float(sol(r)[0]), steps[-1][1],
+                             steps[-1][0], floor)
+    radii = np.geomspace(_R_START, r_end, n_eval)
+    if touched:
+        radii = radii[radii <= r_stop]
+    u, du, w, dw = sol(radii)
+    return Trajectory(q=q, u0=u0, w0=w0, r=radii, u=u, du=du, w=w, dw=dw,
+                      outcome="touched_zero" if touched else "survived",
+                      r_stop=r_stop, sol=sol)
 
 
 def borderline_exponent(q: float) -> tuple[str, float]:
@@ -380,8 +459,10 @@ def bisect_growth_threshold(q: float, u0: float, r_end: float) -> BisectResult:
     w0 seen to survive: once the ends are adjacent floats, their midpoint
     rounds to either end, and half the time to the one that touched zero.
     The returned trajectory, sampled at _BISECT_N_EVAL radii, is integrated
-    at w_crit by solve_ivp.  With up to _N_BISECT halvings it follows the
-    borderline growth over several decades before drifting to one side.
+    at w_crit (integrate_radial) on the same steps as the shot that saw it
+    survive, so its outcome is "survived".  With up to _N_BISECT halvings it
+    follows the borderline growth over several decades before drifting to
+    one side.
     """
     history = []
 

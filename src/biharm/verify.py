@@ -180,11 +180,30 @@ class IntegralResidualResult:
     tail_diverges: bool = False  # kernel mass beyond r_max is infinite
 
 
-def _halton(n: int, dim: int, seed: int) -> np.ndarray:
-    from scipy.stats import qmc  # imported here: scipy.stats is slow to load
+def _halton(n: int, seed: int) -> np.ndarray:
+    """n points of the scrambled 2-D Halton sequence, as an (n, 2) array.
 
-    sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
-    return sampler.random(n)
+    The scheme pinned is scipy's qmc.Halton(d=2, scramble=True, seed=seed)
+    (Owen, "A randomized Halton algorithm in R", arXiv:1706.02808), point for
+    point: the generator is np.random.default_rng(seed); base 2, then base 3,
+    gets ceil(54 / log2(b)) - 1 shuffled permutations of its digits, and
+    each coordinate sums perm_j[digit_j] b^-(j+1) digit by digit.
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(n)
+    points = np.zeros((n, 2))
+    for col, base in enumerate((2, 3)):
+        perms = np.repeat(np.arange(base)[None],
+                          math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        k, b2r = index.copy(), 1.0 / base
+        for perm in perms:
+            points[:, col] += perm[k % base] * b2r
+            b2r /= base
+            k //= base
+    return points
+
 
 def _sample_indices(r: np.ndarray, r_lo: float, r_hi: float,
                     u01: np.ndarray) -> np.ndarray:
@@ -239,7 +258,7 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
                 f"r^-{power.exponent:.3g}; the residual measures the "
                 f"truncated integral")
         power = None
-    u01 = _halton(max(n_samples, 4), 2, seed)
+    u01 = _halton(max(n_samples, 4), seed)
     r_lo, r_hi = g.r_max / 500.0, g.r_max / 2.0
     idx = _sample_indices(g.r, max(r_lo, g.r[0]), r_hi, u01[:, 0])
 

@@ -11,6 +11,29 @@ from biharm.shooting import (BracketNotFoundError, bisect_growth_threshold,
 from biharm.verify import exact_q7_value
 
 
+def _scipy_shot(q, u0, w0, r_end, forcing=0.0, n_eval=None):
+    """scipy's solve_ivp (DOP853) on shooting._shot's system: the oracle for
+    the in-module stepper.  Same tolerances and terminal floor event; with
+    n_eval, sampled at the same geometric radii as integrate_radial."""
+    from scipy.integrate import solve_ivp
+
+    y0, floor, rhs = shooting._shot(q, u0, w0, r_end, forcing)
+
+    def hit_floor(r, y):
+        return y[0] - floor
+
+    hit_floor.terminal = True
+    hit_floor.direction = -1.0
+    sampling = {} if n_eval is None else {
+        "t_eval": np.geomspace(shooting._R_START, r_end, n_eval)}
+    res = solve_ivp(rhs, (shooting._R_START, r_end), np.array(y0),
+                    method="DOP853", rtol=shooting._RTOL, atol=shooting._ATOL,
+                    events=hit_floor, **sampling)
+    if not res.success:
+        raise shooting.IntegrationError(f"integrator failed: {res.message}")
+    return res
+
+
 class TestIntegrate:
     def test_exact_start_tracks_closed_form(self):
         u0 = 15.0 ** -0.25
@@ -76,7 +99,7 @@ def _combine(K, terms):
 
 def _loop_step(rhs, r, h, y, f):
     """One DOP853 step as a loop over the tableau: the reference for the
-    straight-line step that _dop853_step generates."""
+    straight-line step that _dop853_step generates (stages: K, f_new last)."""
     C, A, B, E3, E5 = shooting._dop853_tableau()
     u, du, w, dw = y
     K = [f]
@@ -96,7 +119,7 @@ def _loop_step(rhs, r, h, y, f):
         n3 += e3 * e3
     err = 0.0 if n5 == 0.0 and n3 == 0.0 else (
         h * n5 / math.sqrt((n5 + 0.01 * n3) * 4))
-    return y_new, f_new, err
+    return y_new, f_new, err, tuple(K)
 
 
 def _bits(values):
@@ -104,7 +127,14 @@ def _bits(values):
 
 
 class TestStepper:
-    """_touches_floor against the solve_ivp shot it replaces in bisection."""
+    """The in-module DOP853 stepper against scipy's solve_ivp."""
+
+    def test_tableau_is_scipys_bit_for_bit(self):
+        from scipy.integrate._ivp import dop853_coefficients as want
+
+        got = shooting._dop853_coefficients()
+        for name in ("A", "B", "C", "D", "E3", "E5"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_generated_step_equals_the_loop_bit_for_bit(self):
         rng = np.random.default_rng(7)
@@ -124,6 +154,7 @@ class TestStepper:
             assert _bits(got[0]) == _bits(want[0])
             assert _bits(got[1]) == _bits(want[1])
             assert _bits([got[2]]) == _bits([want[2]])
+            assert [_bits(k) for k in got[3]] == [_bits(k) for k in want[3]]
 
     @pytest.mark.parametrize("q", [2.0, 3.0, 5.0])
     def test_bisection_outcomes_equal_the_loop_steps(self, q, monkeypatch):
@@ -142,8 +173,35 @@ class TestStepper:
     def test_outcome_matches_solve_ivp_near_the_threshold(self, q, delta):
         for w0 in (self.W_CRIT[q] * (1.0 - delta),
                    self.W_CRIT[q] * (1.0 + delta)):
-            touched = len(shooting._integrate(q, 1.0, w0, 1e4).t_events[0]) > 0
+            touched = len(_scipy_shot(q, 1.0, w0, 1e4).t_events[0]) > 0
             assert shooting._touches_floor(q, 1.0, w0, 1e4) == touched
+            assert integrate_radial(q, 1.0, w0, 1e4).outcome == (
+                "touched_zero" if touched else "survived")
+
+    def test_touched_radius_matches_solve_ivp(self):
+        # the floor event's root on the step's interpolant, as solve_ivp's
+        # brentq finds it on its own
+        traj = integrate_radial(3.0, 1.0, 1.3, 1e4)
+        want = float(_scipy_shot(3.0, 1.0, 1.3, 1e4).t_events[0][0])
+        assert traj.outcome == "touched_zero"
+        assert traj.r_stop == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert traj.r[-1] <= traj.r_stop
+
+    @pytest.mark.parametrize("q, u0, w0, r_end", [
+        (3.0, 1.0, 1.3, 1e4),  # touches the floor near r = 50
+        (7.0, 15.0 ** -0.25, 3.0 * 15.0 ** 0.25, 10.0),  # the exact start
+        (2.0, 1.0, 2.5, 1e4),  # survives with quadratic growth
+    ])
+    def test_samples_match_solve_ivp(self, q, u0, w0, r_end):
+        # dense output of the same steps up to last-bit differences in the
+        # stage sums, which the trajectory carries forward
+        traj = integrate_radial(q, u0, w0, r_end)
+        want = _scipy_shot(q, u0, w0, r_end, n_eval=400)
+        np.testing.assert_array_equal(traj.r, want.t)
+        inner = traj.r <= r_end / 2
+        for got, ref in zip((traj.u, traj.du, traj.w, traj.dw), want.y):
+            np.testing.assert_allclose(got[inner], ref[inner], rtol=1e-10,
+                                       atol=0.0)
 
     def test_too_small_step_fails_like_solve_ivp(self, monkeypatch):
         # u dives to the floor where u^(-50) is huge and the step size
@@ -162,7 +220,7 @@ class TestStepper:
 
         monkeypatch.setattr(shooting, "_shot", counted)
         outcomes = []
-        for shoot in (shooting._touches_floor, shooting._integrate):
+        for shoot in (shooting._touches_floor, _scipy_shot):
             calls.clear()
             with pytest.raises(RuntimeError) as info:
                 shoot(50.0, 1.0, -5.0, 100.0)
@@ -212,19 +270,35 @@ class TestBisect:
         assert high.outcome == "survived"
 
     def test_only_the_returned_trajectory_is_sampled(self, monkeypatch):
-        # the shots read only whether u touched zero and run on the
-        # in-module stepper; solve_ivp, with t_eval and the dense
-        # interpolant, runs once, at w_crit
-        calls = []
-        solve_ivp = shooting.solve_ivp
+        # the shots read only whether u touched zero; the dense output runs
+        # on the steps of one shot, at w_crit, and solve_ivp never runs
+        calls, dense = [], []
+        solve_ivp, dense_rows = shooting.solve_ivp, shooting._dense_rows
 
         def counted(*args, **kwargs):
-            calls.append("t_eval" in kwargs or "dense_output" in kwargs)
+            calls.append(args)
             return solve_ivp(*args, **kwargs)
 
+        def counted_rows(rhs, r, *args):
+            dense.append(r)
+            return dense_rows(rhs, r, *args)
+
         monkeypatch.setattr(shooting, "solve_ivp", counted)
-        bisect_growth_threshold(2.0, 1.0, 3e3)
-        assert calls == [True]
+        monkeypatch.setattr(shooting, "_dense_rows", counted_rows)
+        res = bisect_growth_threshold(2.0, 1.0, 3e3)
+        assert calls == []
+        assert dense == sorted(set(dense)) and dense[0] == shooting._R_START
+        assert res.trajectory.r[-1] == 3e3
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, 5.0])
+    def test_threshold_trajectory_survives(self, q):
+        # the trajectory at w_crit runs on the steps of the shot that saw
+        # w_crit survive, so it cannot touch the floor where that shot did not
+        res = bisect_growth_threshold(q, 1.0, 1e4)
+        traj = res.trajectory
+        assert traj.outcome == "survived" and traj.r_stop is None
+        assert traj.r[-1] == 1e4
+        assert np.all(traj.u > shooting._FLOOR_FRAC * 1.0)
 
     def test_thmA_iv_threshold_is_unchanged(self):
         # w_crit of shoot --preset thmA-iv on the in-module stepper, to the

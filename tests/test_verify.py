@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from biharm import verify
 from biharm.model import Profile, QuadraticPolynomial, RadialGrid
 from biharm.verify import (RadialLaplacian, exact_q7_laplacian,
                            exact_q7_profile, exact_q7_value, integral_residual,
@@ -113,6 +114,14 @@ class TestPDEResidual:
 
 
 class TestIntegralResidual:
+    @pytest.mark.parametrize("n", [4, 20, 37])
+    def test_halton_draw_is_scipys_bit_for_bit(self, n):
+        from scipy.stats import qmc
+
+        for seed in range(100):
+            want = qmc.Halton(d=2, scramble=True, seed=seed).random(n)
+            assert verify._halton(n, seed).tobytes() == want.tobytes()
+
     def test_exact_q7_identity(self):
         g = RadialGrid.graded(2000, 100.0)
         res = integral_residual(exact_q7_profile(g), 7.0, _flat(0.0),
