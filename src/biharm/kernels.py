@@ -15,11 +15,11 @@ K_0(r, 0) = r, K_0(0, s) = s and max(r, s) <= K_0 <= r + s.
 kernel_row weights K_l with the grid's s^2 ds quadrature (K_0(r, s) - s for
 the shifted l = 0 mode); mode_kernel_table stacks its rows at the grid radii
 into dense per-mode matrices, the reference the tests hold ModeConvolution
-to.  ModeConvolution applies the same quadrature in O(n_r log n_r) per mode,
-and convolve() applies (1/8 pi) int kernel(x, y) density(y) dy on a grid:
-the grid's Legendre analysis, its ModeConvolution (grid.convolution, one
-per grid for both kernel variants), synthesis (a radial grid is the
-one-mode case).
+to.  ModeConvolution applies the same quadrature in O(n_r log n_r) per mode
+(two doubling scans sharing one table per level), and convolve() applies
+(1/8 pi) int kernel(x, y) density(y) dy on a grid: the grid's Legendre
+analysis, its ModeConvolution (grid.convolution, one per grid for both
+kernel variants), synthesis (a radial grid is the one-mode case).
 
 A Monte-Carlo sphere average with a counter-based generator (Philox) serves as
 the model-independent oracle for all of the above.
@@ -109,12 +109,14 @@ class ModeConvolution:
     -sum_{i<=j} r_i h_i, which is summed directly to keep the field accurate
     relative to its size as r -> 0.
 
-    The four first-order recurrences per mode run as one log-depth doubling
-    scan over (n_r, 4 n_modes); every multiplier is a radius ratio <= 1, so
-    nothing overflows, and products below the smallest normal float are
-    flushed to 0.  The multipliers depend on neither the density nor the
-    kernel variant, so the scan's per-level coefficients are built once
-    here and serve both variants.
+    The P and Q recurrences run as two log-depth doubling scans (Hillis &
+    Steele, CACM 1986) over (n_r, 2 n_modes), forward and backward, sharing
+    one table per level: at span d its row j, the product of (r_{i-1}/r_i)^k
+    over i = j-d+1..j, carries x_{j-d} into x_j forward and x_j into x_{j-d}
+    backward.  Every multiplier is a radius ratio <= 1, so nothing
+    overflows, and products below the smallest normal float are flushed to
+    0.  The tables depend on neither the density nor the kernel variant, so
+    they are built once here and serve both variants.
     """
 
     def __init__(self, grid, l_values):
@@ -128,15 +130,11 @@ class ModeConvolution:
         self.l0_cols = np.flatnonzero(l == 0.0)
         self.n_modes = l.size
         # rho[j] = r_{j-1} / r_j; the prefix sums multiply by rho[j]^k, the
-        # suffix sums (run in reversed order) by rho[j+1]^k
+        # suffix sums by rho[j+1]^k, so one table per level serves both
         rho = np.zeros(n)
         rho[1:] = r[:-1] / r[1:]
-        kk = np.concatenate([l, l + 2.0])
-        pre = rho[:, None] ** kk
-        suf = np.zeros_like(pre)
-        suf[:-1] = pre[1:]
-        self.suf_rev = suf[::-1]
-        c = np.concatenate([pre, self.suf_rev], axis=1)
+        c = rho[:, None] ** np.concatenate([l, l + 2.0])
+        base = c[1:].copy()  # unflushed, it weights the suffix sources
         c[c < np.finfo(float).tiny] = 0.0
         self.levels = []
         d = 1
@@ -145,25 +143,25 @@ class ModeConvolution:
             c[d:] *= c[:-d]
             c[c < np.finfo(float).tiny] = 0.0
             d *= 2
+        first = self.levels[0][1]  # the base, unless the flush changed it
+        self.rho_k = first if np.array_equal(first, base) else base
 
     def __call__(self, g: np.ndarray, shifted: bool) -> np.ndarray:
         """Field modes (n_r, n_modes) from density modes g (n_r, n_modes),
         for the shifted or the unshifted kernel."""
         m = self.n_modes
         h = g * self.hw
-        rh = self.r[:, None] * h
-        src = np.zeros_like(rh)  # outer sources r_{j+1} h_{j+1}, reversed
-        src[1:] = rh[:0:-1]
-        x = np.concatenate([h, h, src, src], axis=1)
-        x[:, 2 * m:] *= self.suf_rev
+        p = np.concatenate([h, h], axis=1)
+        q = np.zeros_like(p)  # outer sources r_{j+1} h_{j+1} rho[j+1]^k
+        np.multiply(p[1:], self.r[1:, None], out=q[:-1])
+        q[:-1] *= self.rho_k
         for d, c in self.levels:
-            x[d:] += c * x[:-d]
-        p_l, p_l2 = x[:, :m], x[:, m:2 * m]
-        q_l, q_l2 = x[::-1, 2 * m:3 * m], x[::-1, 3 * m:]
-        far = -self.b * q_l
+            p[d:] += c * p[:-d]
+            q[:-d] += c * q[d:]
+        far = -self.b * q[:, :m]
         if shifted:
-            far[:, self.l0_cols] = -np.cumsum(rh[:, self.l0_cols], axis=0)
-        return self.r[:, None] * (self.a * p_l2 - self.b * p_l) + (self.a * q_l2 + far)
+            far[:, self.l0_cols] = -np.cumsum(self.r[:, None] * h[:, self.l0_cols], axis=0)
+        return self.r[:, None] * (self.a * p[:, m:] - self.b * p[:, :m]) + (self.a * q[:, m:] + far)
 
 
 def convolve(grid, density, shifted: bool):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Optional
@@ -518,19 +519,21 @@ def load_profile_csv(path, grid: Grid) -> Profile:
         if names != expect:
             raise ConfigError(f"expected header {','.join(expect)}, got {names}")
         try:
-            cols = np.loadtxt(f, delimiter=",", ndmin=2,
-                              usecols=range(len(expect))).T
+            with warnings.catch_warnings():  # no rows: reported below
+                warnings.simplefilter("ignore", UserWarning)
+                cols = np.loadtxt(f, delimiter=",", ndmin=2,
+                                  usecols=range(len(expect))).T
         except ValueError as exc:
             raise ConfigError(f"unreadable profile row: {exc}") from exc
+    n = math.prod(grid.shape)
+    if cols.shape[1] != n:
+        raise ConfigError(f"profile has {cols.shape[1]} rows, grid has {n} nodes")
     if radial:
         r, v = cols
-        if r.size != grid.n or not np.allclose(r, grid.r, rtol=1e-9, atol=1e-12):
+        if not np.allclose(r, grid.r, rtol=1e-9, atol=1e-12):
             raise ConfigError("profile radii do not match the configured grid")
         return Profile(grid=grid, values=v)
     x1, rho, v = cols
-    n = grid.n_r * grid.n_angle
-    if v.size != n:
-        raise ConfigError(f"profile has {v.size} rows, grid has {n} nodes")
     x1 = x1.reshape(grid.shape)
     rho = rho.reshape(grid.shape)
     scale = 1.0 + grid.r[:, None]

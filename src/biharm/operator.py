@@ -16,12 +16,13 @@ radial kernel, and the field is resynthesized; no pointwise kernel
 singularity is ever evaluated.  Each mode's radial kernel is semiseparable,
 so the convolution runs as prefix and suffix recurrences over the radii
 (kernels.ModeConvolution, one per grid for both kernel variants:
-grid.convolution): one application costs O(n_modes * n_r log n_r) time and
-O(n_modes * n_r log n_r) memory, with no dense kernel tables.  The slope
-alpha and the unshifted origin value are the grid's truncated moments of the
-density's angular mean (grid.moment), read from the l = 0 column of the
-analysis the application already made; the analytic bound on the mass
-beyond r_max is a moment of analysis.PowerTail.
+grid.convolution): one application costs O(n_modes * n_r log n_r) time, and
+the grid keeps 2 n_modes * n_r log2(n_r) scan coefficients (one table per
+doubling level, shared by the prefix and the suffix sums), not dense tables.
+The slope alpha and the unshifted origin value are the grid's truncated
+moments of the density's angular mean (grid.moment), read from the l = 0
+column of the analysis the application already made; the analytic bound on
+the mass beyond r_max is a moment of analysis.PowerTail.
 
 Iteration is Anderson mixing of depth 5 (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) with mixing weight theta = cfg.damping, safeguarded: an
@@ -161,7 +162,7 @@ class _MixingHistory:
         self.df = np.empty((_ANDERSON_DEPTH,) + shape)
         self.dm = np.empty((_ANDERSON_DEPTH,) + shape)
         self.gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
-        self._w2 = np.broadcast_to(scale ** -2.0, shape).ravel()
+        self._w2 = scale ** -2.0  # broadcasts against shape
         self.count = 0  # differences pushed since the last clear
 
     @property
@@ -174,7 +175,7 @@ class _MixingHistory:
     def _dots(self, a: np.ndarray) -> np.ndarray:
         """Weighted inner products of a with the stored df."""
         m = self.m
-        return self.df[:m].reshape(m, -1) @ (self._w2 * a.ravel())
+        return self.df[:m].reshape(m, -1) @ (a * self._w2).ravel()
 
     def push(self, dx: np.ndarray, df: np.ndarray, theta: float) -> None:
         slot = self.count % _ANDERSON_DEPTH
@@ -265,7 +266,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
         except NonFiniteError as exc:
             reason = str(exc)
             break
-        fx = tx - x
+        fx = np.subtract(tx, x, out=tx)
         g0_x = modes[:, 0]  # the density's angular mean
         res_x, xn = x_norm(Profile(grid, fx)), x_norm(Profile(grid, x))
         diff_history.append(res_x)
@@ -320,17 +321,14 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
 @dataclass
 class ContinuationResult:
     """Stages of a decreasing-epsilon continuation with warm starts, up to
-    the first that did not converge (one stage without continuation)."""
+    the first that did not converge (one stage without continuation), with
+    the profile of the last stage only."""
 
     eps_values: list
-    profiles: list
+    final_profile: Profile
     reports: list
     cauchy: list  # sup over r <= 10 of |v_i - v_{i-1}| between consecutive stages
     limit_poly: object
-
-    @property
-    def final_profile(self) -> Profile:
-        return self.profiles[-1]
 
     @property
     def final_report(self) -> SolutionReport:
@@ -349,27 +347,26 @@ def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
     empirical sign that the family converges.
     """
     cont = cfg.continuation
-    profiles, reports, cauchy = [], [], []
+    reports, cauchy = [], []
     ctx = None
-    warm = None
+    warm = None  # the previous stage's profile: its start and Cauchy reference
     for stage_cfg in cfg.stages():
         if ctx is not None:
             ctx = ctx.with_poly(stage_cfg.poly)
         elif validate_config(stage_cfg).ok:  # a refused stage needs no context
             ctx = OperatorContext(stage_cfg)
         prof, rep = solve_fixed_point(stage_cfg, v0=warm, context=ctx)
-        profiles.append(prof)
         reports.append(rep)
         if warm is not None:
-            delta = np.abs(prof.values - profiles[-2].values)
-            cauchy.append(float(np.max(delta[prof.grid.r <= 10.0])))
+            delta = np.abs(prof.values - warm.values)[prof.grid.r <= 10.0]
+            cauchy.append(float(np.max(delta)))
         warm = prof
         if not rep.converged:
             break
     eps_values, limit_poly = [], cfg.poly
     if cont is not None:
-        eps_values = list(cont.eps_sequence[:len(profiles)])
+        eps_values = list(cont.eps_sequence[:len(reports)])
         limit_poly = cfg.poly.with_eps(cont.eps_param, 0.0)
-    return ContinuationResult(eps_values=eps_values, profiles=profiles,
+    return ContinuationResult(eps_values=eps_values, final_profile=warm,
                               reports=reports, cauchy=cauchy,
                               limit_poly=limit_poly)

@@ -349,6 +349,16 @@ class TestVerify:
         assert doc["checks"]["pde"]["value"] == pytest.approx(pde.max_rel,
                                                               rel=1e-11)
 
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_profile_exits_one(self, solved, tmp_path, capsys):
+        cfg, _ = solved
+        p = tmp_path / "profile.csv"
+        p.write_text("r,value\n")
+        code, _, err = run(capsys, "verify", "--config", str(cfg),
+                           "--profile", str(p), "--out", str(tmp_path / "v"))
+        assert code == 1
+        assert err == "error: profile has 0 rows, grid has 400 nodes\n"
+
     @pytest.mark.parametrize("moved, why", [
         (True, "no report.json"),               # the profile copied alone
         (False, "another config's report.json"),  # solved with another tol

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,53 @@ class TestModeTables:
                                               one.view(np.int64))
 
 
+class _TwoTableScan:
+    """Reference for ModeConvolution: the scan with a second, reversed table
+    per level for the suffix sums, run as one forward scan over
+    (n_r, 4 n_modes) with the suffix half read backward."""
+
+    def __init__(self, grid, l_values):
+        r = grid.r
+        l = np.asarray(list(l_values), dtype=float)
+        self.a, self.b = 1.0 / (2.0 * l + 3.0), 1.0 / (2.0 * l - 1.0)
+        self.r = r
+        self.hw = (r**2 * grid.line_w)[:, None] / (2.0 * (2.0 * l + 1.0))
+        self.l0_cols = np.flatnonzero(l == 0.0)
+        self.n_modes = l.size
+        rho = np.zeros(r.size)
+        rho[1:] = r[:-1] / r[1:]
+        pre = rho[:, None] ** np.concatenate([l, l + 2.0])
+        suf = np.zeros_like(pre)
+        suf[:-1] = pre[1:]
+        self.suf_rev = suf[::-1]
+        c = np.concatenate([pre, self.suf_rev], axis=1)
+        c[c < np.finfo(float).tiny] = 0.0
+        self.levels = []
+        d = 1
+        while d < r.size:
+            self.levels.append((d, c[d:].copy()))
+            c[d:] *= c[:-d]
+            c[c < np.finfo(float).tiny] = 0.0
+            d *= 2
+
+    def __call__(self, g, shifted):
+        m = self.n_modes
+        h = g * self.hw
+        rh = self.r[:, None] * h
+        src = np.zeros_like(rh)
+        src[1:] = rh[:0:-1]
+        x = np.concatenate([h, h, src, src], axis=1)
+        x[:, 2 * m:] *= self.suf_rev
+        for d, c in self.levels:
+            x[d:] += c * x[:-d]
+        p_l, p_l2 = x[:, :m], x[:, m:2 * m]
+        q_l, q_l2 = x[::-1, 2 * m:3 * m], x[::-1, 3 * m:]
+        far = -self.b * q_l
+        if shifted:
+            far[:, self.l0_cols] = -np.cumsum(rh[:, self.l0_cols], axis=0)
+        return self.r[:, None] * (self.a * p_l2 - self.b * p_l) + (self.a * q_l2 + far)
+
+
 class TestModeConvolution:
     @pytest.mark.parametrize("shifted", [False, True])
     @pytest.mark.parametrize("kind", ["radial", "axisymmetric"])
@@ -183,3 +232,31 @@ class TestModeConvolution:
                 k = k + r[None, :]
             err = np.abs(got[:, col] - table @ g[:, col])
             assert np.all(err <= 1e-12 * (k @ h)), (l, np.max(err / (k @ h)))
+
+    @pytest.mark.parametrize("grid", [
+        RadialGrid.graded(400, 40.0),
+        RadialGrid.graded(2000, 400.0),
+        AxisymmetricGrid.build(256, 128, 80.0),
+        AxisymmetricGrid.build(256, 256, 60.0),
+        AxisymmetricGrid.build(400, 256, 40.0),  # flushes 25,604 table entries
+        # radii doubling from node to node: 2^-1024 and 2^-1028 are subnormal
+        # powers rho^k, which weight the suffix sources unflushed
+        SimpleNamespace(r=2.0 ** np.arange(-30.0, 34.0), line_w=np.ones(64),
+                        l_values=[0, 2, 1022, 1026]),
+    ], ids=["radial400", "radial2000", "axisym256x128", "axisym256x256",
+            "axisym400x256", "subnormal"])
+    def test_one_table_scan_is_the_two_table_scan_bit_for_bit(self, grid):
+        # the backward scan reads the prefix table, which holds bit for bit the
+        # reversed suffix table: the same factors multiplied in the same tree
+        l_values = getattr(grid, "l_values", [0])
+        conv, ref = ModeConvolution(grid, l_values), _TwoTableScan(grid, l_values)
+        np.testing.assert_array_equal(conv.rho_k, ref.suf_rev[:0:-1])
+        assert [d for d, _ in conv.levels] == [d for d, _ in ref.levels]
+        for (d, c), (_, c_ref) in zip(conv.levels, ref.levels):
+            assert c.shape == (grid.r.size - d, 2 * len(l_values))
+            np.testing.assert_array_equal(c[::-1].view(np.int64),
+                                          c_ref[:, c.shape[1]:].view(np.int64))
+        g = np.random.default_rng(11).standard_normal((grid.r.size, len(l_values)))
+        for shifted in (False, True):
+            np.testing.assert_array_equal(conv(g, shifted).view(np.int64),
+                                          ref(g, shifted).view(np.int64))

@@ -167,6 +167,20 @@ class TestProfileIO:
         with pytest.raises(ConfigError, match="unreadable profile row"):
             load_profile_csv(path, g)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid, header", [
+        (RadialGrid.graded(8, 8.0), "r,value"),
+        (AxisymmetricGrid.build(8, 6, 5.0), "x1,rho,value"),
+    ], ids=["radial", "axisymmetric"])
+    def test_header_only_profile_has_zero_rows(self, tmp_path, grid, header):
+        # the row count is the reason, for both grid kinds, and numpy's
+        # "input contained no data" warning is not passed on
+        path = tmp_path / "p.csv"
+        path.write_text(header + "\n")
+        n = grid.r.size * len(grid.reduction.t)
+        with pytest.raises(ConfigError, match=f"^profile has 0 rows, grid has {n} nodes$"):
+            load_profile_csv(path, grid)
+
     def test_shape_mismatch_is_config_error(self):
         g = RadialGrid.graded(64, 8.0)
         with pytest.raises(ConfigError):
