@@ -18,6 +18,7 @@ digits) so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -510,21 +511,89 @@ def save_profile_csv(profile: Profile, path) -> None:
             f.writelines(rows)
 
 
+def _read_rows(lines, n_cols: int) -> np.ndarray:
+    """The (rows, n_cols) array of the CSV lines (a file or an iterable of
+    lines), as np.loadtxt reads them; no rows give shape (0, n_cols)."""
+    with warnings.catch_warnings():  # no rows: the caller reports the count
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=",", ndmin=2,
+                          usecols=range(n_cols))
+
+
+def _read_mirrored_rows(f, grid: AxisymmetricGrid) -> Optional[np.ndarray]:
+    """The rows of an axisymmetric profile, its mirrored rows parsed once.
+
+    The file is read one radius (n_angle lines) at a time.  A radius whose
+    t > 0 lines all start with a digit and whose t < 0 lines are "-" plus
+    their mirror's line (save_profile_csv's rule, one string compare) passes
+    only its t > 0 lines to the parser; a t < 0 row is then its mirror's
+    row with x1 negated, which is what parsing "-" + X gives for X starting
+    with a digit.  Any other radius is parsed whole, in the same np.loadtxt
+    call.  None when that call fails, when it skipped a line (a comment or
+    a blank line), or when the row count does not match the grid: the
+    caller then parses the whole file once, as if this path did not exist.
+    """
+    n_angle, half = grid.n_angle, grid.n_angle // 2
+    sizes, widths = [], []  # lines read and lines parsed, per radius
+
+    def parsed_blocks():
+        while block := list(itertools.islice(f, n_angle)):
+            upper = block[half:]
+            # every t > 0 line starts with a digit when the least and the
+            # greatest of them do
+            mirrored = (len(block) == n_angle
+                        and "0" <= min(upper) and max(upper) < ":"
+                        and "".join(block[:half]) == "-" + "-".join(upper[::-1]))
+            sizes.append(len(block))
+            widths.append(half if mirrored else len(block))
+            yield upper if mirrored else block
+
+    try:
+        rows = _read_rows(itertools.chain.from_iterable(parsed_blocks()), 3)
+    except ValueError:
+        return None
+    k = rows.shape[0]
+    if (k != sum(widths) or len(sizes) != grid.n_r
+            or sum(sizes) != n_angle * grid.n_r):
+        return None
+    # spread the parsed rows over the grown array in place, last radius
+    # first: a radius's parsed rows never lie after its own nodes.  The
+    # array is loadtxt's own, referenced nowhere else.
+    rows.resize((grid.n_r * n_angle, 3), refcheck=False)
+    for block, width in zip(rows.reshape(grid.n_r, n_angle, 3)[::-1],
+                            widths[::-1]):
+        k -= width
+        block[n_angle - width:] = rows[k:k + width]
+        if width == half:  # mirrored: t < 0 rows from the parsed t > 0 rows
+            block[:half] = block[:half - 1:-1]
+            np.negative(block[:half, 0], out=block[:half, 0])
+    return rows
+
+
 def load_profile_csv(path, grid: Grid) -> Profile:
-    """Load a profile written by save_profile_csv onto a matching grid."""
+    """Load a profile written by save_profile_csv onto a matching grid.
+
+    The rows are what one np.loadtxt pass over the file reads, in every
+    case.  On an axisymmetric grid the mirrored rows are parsed once
+    (_read_mirrored_rows); a file that path cannot read (a comment, a
+    malformed number, a wrong row count) is parsed whole, so its error
+    message is the one of that single pass.
+    """
     radial = isinstance(grid, RadialGrid)
     expect = ("r", "value") if radial else ("x1", "rho", "value")
     with open(path) as f:
         names = tuple(f.readline().strip().split(","))
         if names != expect:
             raise ConfigError(f"expected header {','.join(expect)}, got {names}")
-        try:
-            with warnings.catch_warnings():  # no rows: reported below
-                warnings.simplefilter("ignore", UserWarning)
-                cols = np.loadtxt(f, delimiter=",", ndmin=2,
-                                  usecols=range(len(expect))).T
-        except ValueError as exc:
-            raise ConfigError(f"unreadable profile row: {exc}") from exc
+        body = f.tell()
+        rows = None if radial else _read_mirrored_rows(f, grid)
+        if rows is None:
+            f.seek(body)
+            try:
+                rows = _read_rows(f, len(expect))
+            except ValueError as exc:
+                raise ConfigError(f"unreadable profile row: {exc}") from exc
+    cols = rows.T
     n = math.prod(grid.shape)
     if cols.shape[1] != n:
         raise ConfigError(f"profile has {cols.shape[1]} rows, grid has {n} nodes")
@@ -534,11 +603,16 @@ def load_profile_csv(path, grid: Grid) -> Profile:
             raise ConfigError("profile radii do not match the configured grid")
         return Profile(grid=grid, values=v)
     x1, rho, v = cols
-    x1 = x1.reshape(grid.shape)
-    rho = rho.reshape(grid.shape)
     scale = 1.0 + grid.r[:, None]
-    if (np.max(np.abs(x1 - grid.x1) / scale) > 1e-9
-            or np.max(np.abs(rho - grid.rho) / scale) > 1e-9):
+
+    def off(read, want):  # max |want - read| / (1 + r), in place on want
+        want -= read.reshape(grid.shape)
+        np.abs(want, out=want)
+        want /= scale
+        return np.max(want)
+
+    # grid.x1 and grid.rho are new arrays on every access
+    if off(x1, grid.x1) > 1e-9 or off(rho, grid.rho) > 1e-9:
         raise ConfigError("profile coordinates do not match the configured grid")
     return Profile(grid=grid, values=v.reshape(grid.shape))
 

@@ -15,17 +15,18 @@ grows like r^(4/(q+1)) for 1 < q < 3 (with a universal coefficient), like
 r (log r)^(1/4) at q = 3, and linearly for q > 3.  bisect_growth_threshold
 locates it.
 
-One integrator runs every shot (_shot: series start, floor, right-hand
-side): _march, a Python-float port of scipy's DOP853 as solve_ivp runs it,
-with its tableau, step control and floor event (Hairer, Norsett & Wanner,
-Solving ODEs I, II.4-II.6; Dormand & Prince 1980).  Its step is one
-straight-line function generated from the tableau at the first shot
-(_dop853_step): the stage sums are written out term by term, so a step
-costs its float arithmetic and its 12 right-hand-side calls, not a loop
-over (stage, coefficient) pairs.  The bisection's shots read only their
-outcome; the trajectories that are returned (single shots, the exact start,
-the one at the threshold) also keep DOP853's order-7 dense output of each
-step and are sampled on it.
+One integrator runs every shot (_start: series start and floor; _RHS: the
+right-hand side): _march, a Python-float port of scipy's DOP853 as
+solve_ivp runs it, with its tableau, step control and floor event (Hairer,
+Norsett & Wanner, Solving ODEs I, II.4-II.6; Dormand & Prince 1980).  A
+whole shot is one call of a straight-line loop generated from the tableau
+at the first shot (_shot_code): the stage sums are written out term by
+term and every stage expands the right-hand side in place, so a step costs
+its float arithmetic, not a loop over (stage, coefficient) pairs or 12
+function calls.  The bisection's shots read only their outcome; the
+trajectories that are returned (single shots, the exact start, the one at
+the threshold) also keep DOP853's order-7 dense output of each step and are
+sampled on it.
 
 No command imports scipy: the coefficients are read from scipy's
 dop853_coefficients.py by file path at the first shot (_dop853_coefficients),
@@ -38,6 +39,7 @@ import functools
 import importlib.util
 import math
 import os
+import textwrap
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,15 +86,26 @@ _RTOL = 1e-9  # DOP853 tolerances of every shot
 _ATOL = 1e-12
 
 
-def _shot(q: float, u0: float, w0: float, r_end: float, forcing: float):
-    """(y0, floor, rhs) of one shot from r0 = _R_START.
+# The right-hand side at radius {r} and state ({u}, {k}u, {w}, {k}w), where
+# {k}u = u' and {k}w = w' are their own derivatives: it sets {k}du = u'' and
+# {k}dw = w''.  This is the one definition of the ODE; the rhs(r, y) of a
+# shot (_RHS_OF) and every stage of the generated march expand it.
+# mq = -q; below u = 0 the density freezes at g_floor, and where u^(-q)
+# overflows a Python float it is inf, as numpy's float64 power gives.
+_RHS = """\
+try: g = {u} ** mq if {u} > 0 else g_floor
+except OverflowError: g = inf
+{k}du = {w} - 2.0 * {k}u / {r}
+{k}dw = forcing - g - 2.0 * {k}w / {r}"""
+
+
+def _start(q: float, u0: float, w0: float, r_end: float, forcing: float):
+    """(y0, floor, g_floor) of one shot from r0 = _R_START.
 
     The 2/r terms are regular once started at r0 with the quadratic Taylor
     expansions u = u0 + w0 r^2/6, w = w0 + (F - u0^(-q)) r^2/6.  A shot
-    stops when u falls to floor = _FLOOR_FRAC u0.  rhs(r, y) takes
-    y = (u, u', w, w') as numpy or Python floats; below u = 0 it freezes the
-    density at floor^(-q), and where u^(-q) overflows a Python float it
-    gives inf, as numpy's float64 power does.
+    stops when u falls to floor = _FLOOR_FRAC u0; below u = 0 the density
+    freezes at g_floor = floor^(-q).
     """
     if not u0 > 0.0:
         raise ValueError(f"u0 must be positive, got {u0}")
@@ -114,14 +127,7 @@ def _shot(q: float, u0: float, w0: float, r_end: float, forcing: float):
         raise ValueError(f"the series start is not finite (q = {q}, "
                          f"u0 = {u0}, w0 = {w0})")
     floor = _FLOOR_FRAC * u0
-    g_floor = density(floor)
-
-    def rhs(r, y):
-        u, du, w, dw = y
-        g = density(u) if u > 0 else g_floor
-        return (du, w - 2.0 * du / r, dw, forcing - g - 2.0 * dw / r)
-
-    return y0, floor, rhs
+    return y0, floor, density(floor)
 
 
 @functools.cache
@@ -165,46 +171,130 @@ def _dop853_tableau():
             terms(dop.B), terms(dop.E3), terms(dop.E5))
 
 
-@functools.cache
-def _dop853_step():
-    """One DOP853 step as a straight-line function, generated at the first shot.
+_SAFETY = 0.9  # DOP853 step-size controller, as in scipy's RungeKutta
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
 
-    step(rhs, r, h, y, f) -> (y_new, f_new, err, stages) for y = (u, u', w, w')
-    and f = rhs(r, y): the 11 stage calls of rhs, the order-8 update, rhs at
-    r + h, the error norm, and the 13 stage values (f first, f_new last) that
-    the dense output reuses.  Each sum reads (0.0 + k_j * c_j + ...) over the
-    tableau's nonzero terms in stage order, with the coefficients as float
-    literals (repr round-trips them), so every float operation is the one a
-    loop over _dop853_tableau() would do, in the same order.
+# rhs_of(mq, forcing, g_floor) -> rhs(r, y): the derivative tuple at
+# y = (u, u', w, w'), numpy or Python floats, for _initial_step, on_step
+# (_dense_rows) and the tests' solve_ivp oracle.
+_RHS_OF = """\
+def rhs_of(mq, forcing, g_floor):
+    def rhs(r, y):
+        u, ku, w, kw = y
+{rhs}
+        return ku, kdu, kw, kdw
+    return rhs
+"""
+
+# One whole shot; {step} computes the stages k0..k12 (k0 = f at (r, y),
+# k12 = f_new at (r + h, y_new)), y_new = (nu, ndu, nw, ndw) and err.  A
+# stage's k{s}u and k{s}w are its u' and w'.
+_MARCH = """\
+def march(mq, forcing, g_floor, floor, r, r_end, u, du, w, dw,
+          k0u, k0du, k0w, k0dw, h_abs, on_step, rhs):
+    event = u - floor
+    while True:
+        min_step = 10.0 * abs(nextafter(r, inf) - r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError("integrator failed: Required step size"
+                                       " is less than spacing between numbers.")
+            r_new = min(r + h_abs, r_end)
+            h = r_new - r
+{step}
+            if err < 1.0:
+                factor = ({max_factor!r} if err == 0.0 else
+                          min({max_factor!r}, {safety!r} * err ** {exponent!r}))
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max({min_factor!r}, {safety!r} * err ** {exponent!r})
+            rejected = True
+        if on_step is not None:
+            on_step(rhs, r, r_new, (u, du, w, dw), (nu, ndu, nw, ndw),
+                    ({stages}))
+        r, u, du, w, dw = r_new, nu, ndu, nw, ndw
+        k0u, k0du, k0w, k0dw = {f_new}
+        event_new = u - floor
+        if event >= 0.0 and event_new <= 0.0:
+            return True
+        if r >= r_end:
+            return False
+        event = event_new
+"""
+
+
+def _march_source(C, A, B, E3, E5):
+    """(source, coefficients) of _RHS_OF and _MARCH for this tableau.
+
+    The source names the tableau's nonzero coefficients c{s}, a{s}_{j},
+    b{j}, e3_{j} and e5_{j}; the returned dict maps those names to their
+    values, which the source is executed with.
     """
-    C, A, B, E3, E5 = _dop853_tableau()
+    coeffs = {f"c{s}": C[s] for s in range(1, len(C))}
+    coeffs.update((f"a{s}_{j}", c) for s in range(len(A)) for j, c in A[s])
+    for name, terms in (("b", B), ("e3_", E3), ("e5_", E5)):
+        coeffs.update((f"{name}{j}", c) for j, c in terms)
     xs = ("u", "du", "w", "dw")
 
-    def total(terms, x):
-        return "(0.0" + "".join(f" + k{j}{x} * {c!r}" for j, c in terms) + ")"
+    def total(name, terms, x):
+        return "(0.0" + "".join(f" + k{j}{x} * {name}{j}" for j, _ in terms) + ")"
+
+    def rhs(k, r, u, w):
+        return _RHS.format(k=k, r=r, u=u, w=w)
 
     def stage(s):
-        return ", ".join(f"k{s}{x}" for x in xs) + f" = k{s}"
+        return ", ".join(f"k{s}{x}" for x in xs)
 
-    src = [f"def step(rhs, r, h, y, f):\n {', '.join(xs)} = y\n k0 = f\n"
-           f" {stage(0)}"]
-    src += [f" k{s} = rhs(r + {C[s]!r} * h, ("
-            + ", ".join(f"{x} + {total(A[s], x)} * h" for x in xs) + "))\n"
-            f" {stage(s)}" for s in range(1, len(C))]
-    src.append(" y_new = " + ", ".join(f"n{x}" for x in xs) + " = ("
-               + ", ".join(f"{x} + h * {total(B, x)}" for x in xs) + ")")
-    src.append(f" k{len(C)} = rhs(r + h, y_new)\n {stage(len(C))}\n"
-               " n5 = n3 = 0.0")
+    step = []
+    for s in range(1, len(C)):
+        step.append(f"rs = r + c{s} * h")
+        step += [f"{y} = {x} + {total(f'a{s}_', A[s], x)} * h" for x, y in
+                 zip(xs, ("su", f"k{s}u", "sw", f"k{s}w"))]
+        step.append(rhs(f"k{s}", "rs", "su", "sw"))
+    n = len(C)
+    step += [f"n{x} = {x} + h * {total('b', B, x)}" for x in xs]
+    step += [f"rs = r + h\nk{n}u = ndu\nk{n}w = ndw",
+             rhs(f"k{n}", "rs", "nu", "nw"), "n5 = n3 = 0.0"]
     for x in xs:
-        src.append(f" s = {_ATOL!r} + max(abs({x}), abs(n{x})) * {_RTOL!r}\n"
-                   f" e5 = {total(E5, x)} / s\n e3 = {total(E3, x)} / s\n"
-                   " n5 += e5 * e5\n n3 += e3 * e3")
-    src.append(f" return y_new, k{len(C)}, (0.0 if n5 == 0.0 and n3 == 0.0"
-               " else h * n5 / sqrt((n5 + 0.01 * n3) * 4)), ("
-               + ", ".join(f"k{s}" for s in range(len(C) + 1)) + ")")
-    namespace = {"sqrt": math.sqrt}
-    exec("\n".join(src), namespace)
-    return namespace["step"]
+        step += [f"s = {_ATOL!r} + max(abs({x}), abs(n{x})) * {_RTOL!r}",
+                 f"e5 = {total('e5_', E5, x)} / s",
+                 f"e3 = {total('e3_', E3, x)} / s",
+                 "n5 += e5 * e5\nn3 += e3 * e3"]
+    step.append("err = (0.0 if n5 == 0.0 and n3 == 0.0"
+                " else h * n5 / sqrt((n5 + 0.01 * n3) * 4))")
+    march = _MARCH.format(
+        step=textwrap.indent("\n".join(step), " " * 12),
+        stages=", ".join(f"({stage(s)})" for s in range(n + 1)),
+        f_new=stage(n), safety=_SAFETY, min_factor=_MIN_FACTOR,
+        max_factor=_MAX_FACTOR, exponent=_ERROR_EXPONENT)
+    rhs_of = _RHS_OF.format(rhs=textwrap.indent(rhs("k", "r", "u", "w"), " " * 8))
+    return rhs_of + "\n\n" + march, coeffs
+
+
+@functools.cache
+def _shot_code():
+    """(march, rhs_of), generated from the tableau at the first shot.
+
+    march(mq, forcing, g_floor, floor, r, r_end, *y, *f, h_abs, on_step,
+    rhs) runs one shot from state y with f = rhs(r, y) and first step
+    h_abs, and returns whether u touched the floor.  Each step is written
+    out in full: the 12 stages with _RHS expanded, the order-8 update, the
+    error norm and scipy's step-size controller.  Each stage sum reads
+    (0.0 + k_j * c_j + ...) over the tableau's nonzero terms in stage order,
+    so every float operation is the one a loop over _dop853_tableau() does,
+    in the same order.  The 13 stage tuples (f first, f_new last) are built
+    only for on_step.
+    """
+    src, coeffs = _march_source(*_dop853_tableau())
+    namespace = {"sqrt": math.sqrt, "nextafter": math.nextafter,
+                 "inf": math.inf, "IntegrationError": IntegrationError,
+                 **coeffs}
+    exec(src, namespace)
+    return namespace["march"], namespace["rhs_of"]
 
 
 def _rms(values) -> float:
@@ -228,59 +318,29 @@ def _initial_step(rhs, r0: float, y0, f0, r_end: float) -> float:
     return min(100 * h0, h1, span)
 
 
-_SAFETY = 0.9  # DOP853 step-size controller, as in scipy's RungeKutta
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1.0 / 8.0
-
-
 def _march(q: float, u0: float, w0: float, r_end: float, forcing: float,
            on_step=None):
-    """Run one shot (_shot) on DOP853 until u touches the floor or r = r_end.
+    """Run one shot (_start) on DOP853 until u touches the floor or r = r_end.
 
     scipy's DOP853 as solve_ivp runs it, ported to Python floats: the same
     tableau, initial step, step-size controller, error norm, clip of the last
     step to r_end, and too-small-step failure (IntegrationError).  Touched
     means u - floor goes from >= 0 to <= 0 between accepted steps, solve_ivp's
-    rule for a terminal event of direction -1.  Each step is one call of the
-    generated _dop853_step, whose stage sums skip zero coefficients and add
-    in stage order, so they can differ from scipy's BLAS dot products in the
-    last bit.  on_step(rhs, r, r_new, y, y_new, stages) sees every accepted
-    step.  Returns (floor, touched).
+    rule for a terminal event of direction -1.  After the series start and
+    the initial step, the whole shot is one call of the generated march
+    (_shot_code), whose stage sums skip zero coefficients and add in stage
+    order, so they can differ from scipy's BLAS dot products in the last
+    bit.  on_step(rhs, r, r_new, y, y_new, stages) sees every accepted step.
+    Returns (floor, touched).
     """
-    step = _dop853_step()
-    y, floor, rhs = _shot(q, u0, w0, r_end, forcing)
+    march, rhs_of = _shot_code()
+    y, floor, g_floor = _start(q, u0, w0, r_end, forcing)
+    rhs = rhs_of(-q, forcing, g_floor)
     r, r_end = _R_START, float(r_end)
     f = rhs(r, y)
     h_abs = _initial_step(rhs, r, y, f, r_end)
-    g = y[0] - floor
-    while True:
-        min_step = 10.0 * abs(math.nextafter(r, math.inf) - r)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegrationError("integrator failed: Required step size"
-                                       " is less than spacing between numbers.")
-            r_new = min(r + h_abs, r_end)
-            h = r_new - r
-            y_new, f_new, err, stages = step(rhs, r, h, y, f)
-            if err < 1.0:
-                factor = _MAX_FACTOR if err == 0.0 else min(
-                    _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-                h_abs = h * (min(1.0, factor) if rejected else factor)
-                break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-            rejected = True
-        if on_step is not None:
-            on_step(rhs, r, r_new, y, y_new, stages)
-        r, y, f = r_new, y_new, f_new
-        g_new = y[0] - floor
-        if g >= 0.0 and g_new <= 0.0:
-            return floor, True
-        if r >= r_end:
-            return floor, False
-        g = g_new
+    return floor, march(-q, forcing, g_floor, floor, r, r_end, *y, *f, h_abs,
+                        on_step, rhs)
 
 
 def _touches_floor(q: float, u0: float, w0: float, r_end: float) -> bool:

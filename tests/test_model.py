@@ -1,10 +1,13 @@
+import gc
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from biharm import model
 from biharm.kernels import ModeConvolution, convolve
 from biharm.model import (AxisymmetricGrid, ConfigError, GridSpec, Profile,
                           QuadraticPolynomial, RadialGrid, SolveConfig,
@@ -186,6 +189,147 @@ class TestProfileIO:
         with pytest.raises(ConfigError):
             Profile(grid=g, values=np.ones(65))
 
+
+
+def _loadtxt_rows(path):
+    """The rows of one np.loadtxt pass over the whole file: what the reader
+    must return, bit for bit."""
+    with open(path) as f:
+        f.readline()
+        return np.loadtxt(f, delimiter=",", ndmin=2, usecols=range(3))
+
+
+def _whole_file_load(path, grid):
+    """load_profile_csv as one np.loadtxt pass: the error texts and the
+    traced memory the mirrored reader must not exceed."""
+    try:
+        rows = _loadtxt_rows(path)
+    except ValueError as exc:
+        raise ConfigError(f"unreadable profile row: {exc}") from exc
+    n = math.prod(grid.shape)
+    if rows.shape[0] != n:
+        raise ConfigError(f"profile has {rows.shape[0]} rows, grid has {n} nodes")
+    x1, rho, v = rows.T
+    scale = 1.0 + grid.r[:, None]
+    if (np.max(np.abs(x1.reshape(grid.shape) - grid.x1) / scale) > 1e-9
+            or np.max(np.abs(rho.reshape(grid.shape) - grid.rho) / scale) > 1e-9):
+        raise ConfigError("profile coordinates do not match the configured grid")
+    return Profile(grid=grid, values=v.reshape(grid.shape))
+
+
+class TestMirroredProfileReader:
+    """model._read_mirrored_rows parses each mirrored row once and must read
+    exactly what one np.loadtxt pass reads."""
+
+    GRID = AxisymmetricGrid.build(8, 6, 5.0)
+
+    def _lines(self, tmp_path, vals=None):
+        g = self.GRID
+        if vals is None:
+            vals = np.cos(np.abs(g.x1)) / 3.0 + g.rho  # exactly even in x1
+        save_profile_csv(Profile(grid=g, values=vals), tmp_path / "p.csv")
+        return (tmp_path / "p.csv").read_text().splitlines(keepends=True)
+
+    def _check(self, path, grid, mirrored_path=True):
+        want = _loadtxt_rows(path)
+        with open(path) as f:
+            f.readline()
+            rows = model._read_mirrored_rows(f, grid)
+        assert (rows is not None) == mirrored_path
+        if rows is not None:
+            assert rows.shape == want.shape
+            assert rows.tobytes() == want.tobytes()
+        got = load_profile_csv(path, grid).values
+        assert got.tobytes() == want[:, 2].reshape(grid.shape).tobytes()
+
+    def test_a_thm1_profile_reads_like_loadtxt(self, thm1_run, tmp_path):
+        _, cont = thm1_run
+        prof = cont.final_profile
+        path = tmp_path / "profile.csv"
+        save_profile_csv(prof, path)
+        self._check(path, prof.grid)
+        # traced peak at or below the one-pass load's
+        peaks = []
+        for load in (_whole_file_load, load_profile_csv):
+            gc.collect()
+            tracemalloc.start()
+            load(path, prof.grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
+    def test_unmirrored_radii_are_parsed_whole(self, tmp_path):
+        g = self.GRID
+        vals = np.cos(np.abs(g.x1)) / 3.0 + g.rho
+        vals[2, 1] = np.nextafter(vals[2, 1], 1.0)  # radius 2 off its mirror
+        vals[5, :3] += 1.0  # radius 5: the whole t < 0 half
+        self._lines(tmp_path, vals)
+        self._check(tmp_path / "p.csv", g)
+
+    def test_hand_edited_lower_row(self, tmp_path):
+        lines = self._lines(tmp_path)
+        row = 1 + 3 * 6 + 1  # radius 3, node 1 (t < 0)
+        x1, rho, _ = lines[row].split(",")
+        lines[row] = f"{x1},{rho},0.25\n"
+        (tmp_path / "p.csv").write_text("".join(lines))
+        self._check(tmp_path / "p.csv", self.GRID)
+
+    @pytest.mark.parametrize("lead", ["-", " "])
+    def test_upper_row_without_a_leading_digit(self, tmp_path, lead):
+        # "-" + "-X" or "- X" is no number: the whole file is parsed, and
+        # its error is the one of a single pass
+        lines = self._lines(tmp_path)
+        row = 1 + 4 * 6 + 4  # radius 4, node 4 (t > 0), mirror of node 1
+        lines[row] = lead + lines[row]
+        lines[row - 3] = "-" + lines[row]
+        path = tmp_path / "p.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError) as want:
+            _whole_file_load(path, self.GRID)
+        with pytest.raises(ConfigError) as got:
+            load_profile_csv(path, self.GRID)
+        assert str(got.value) == str(want.value)
+
+    def test_upper_row_with_a_leading_space_parses(self, tmp_path):
+        # " X" is a number, and its mirror row written out as itself keeps
+        # the radius off the mirrored path
+        lines = self._lines(tmp_path)
+        row = 1 + 4 * 6 + 4
+        lines[row] = " " + lines[row]
+        (tmp_path / "p.csv").write_text("".join(lines))
+        self._check(tmp_path / "p.csv", self.GRID)
+
+    @pytest.mark.parametrize("extra", ["# a comment\n", "\n"])
+    def test_comment_or_blank_line_falls_back(self, tmp_path, extra):
+        lines = self._lines(tmp_path)
+        lines.insert(1 + 2 * 6 + 3, extra)
+        (tmp_path / "p.csv").write_text("".join(lines))
+        self._check(tmp_path / "p.csv", self.GRID, mirrored_path=False)
+
+    def test_crlf_line_ends(self, tmp_path):
+        lines = self._lines(tmp_path)
+        path = tmp_path / "p.csv"
+        path.write_bytes("".join(lines).replace("\n", "\r\n").encode())
+        self._check(path, self.GRID)
+
+    @pytest.mark.parametrize("edit", ["malformed", "short", "long"])
+    def test_errors_are_those_of_one_pass(self, tmp_path, edit):
+        lines = self._lines(tmp_path)
+        if edit == "malformed":
+            lines[1 + 5 * 6 + 4] = lines[1 + 5 * 6 + 4].replace(",", ",x", 1)
+        elif edit == "short":
+            lines = lines[:-7]
+        else:
+            lines += lines[-6:]
+        path = tmp_path / "p.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError) as want:
+            _whole_file_load(path, self.GRID)
+        with pytest.raises(ConfigError) as got:
+            load_profile_csv(path, self.GRID)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(
+            "unreadable profile row" if edit == "malformed" else "profile has")
 
 _GRIDS = {
     "radial": lambda: RadialGrid.graded(48, 12.0),

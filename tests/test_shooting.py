@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +15,29 @@ from biharm.shooting import (BracketNotFoundError, bisect_growth_threshold,
 from biharm.verify import exact_q7_value
 
 
-def _scipy_shot(q, u0, w0, r_end, forcing=0.0, n_eval=None):
-    """scipy's solve_ivp (DOP853) on shooting._shot's system: the oracle for
+_TOO_SMALL = ("integrator failed: Required step size is less than spacing "
+              "between numbers.")
+
+
+def _shot(q, u0, w0, r_end, forcing):
+    """(y0, floor, rhs) of one shot: its start and its generated rhs."""
+    y0, floor, g_floor = shooting._start(q, u0, w0, r_end, forcing)
+    return y0, floor, shooting._shot_code()[1](-q, forcing, g_floor)
+
+
+def _scipy_shot(q, u0, w0, r_end, forcing=0.0, n_eval=None, calls=None):
+    """scipy's solve_ivp (DOP853) on the system of _shot: the oracle for
     the in-module stepper.  Same tolerances and terminal floor event; with
-    n_eval, sampled at the same geometric radii as integrate_radial."""
+    n_eval, sampled at the same geometric radii as integrate_radial.  calls,
+    if given, collects the radius of every right-hand-side call."""
     from scipy.integrate import solve_ivp
 
-    y0, floor, rhs = shooting._shot(q, u0, w0, r_end, forcing)
+    y0, floor, shot_rhs = _shot(q, u0, w0, r_end, forcing)
+
+    def rhs(r, y):
+        if calls is not None:
+            calls.append(r)
+        return shot_rhs(r, y)
 
     def hit_floor(r, y):
         return y[0] - floor
@@ -79,7 +99,7 @@ class TestIntegrate:
     def test_density_overflow_is_inf_for_both_float_types(self):
         # a Python float power raises OverflowError where numpy's float64
         # gives inf; both paths share this right-hand side
-        _, _, rhs = shooting._shot(50.0, 1.0, 0.0, 10.0, 0.0)
+        _, _, rhs = _shot(50.0, 1.0, 0.0, 10.0, 0.0)
         for y in ((1e-7, 0.0, 0.0, 0.0), np.array([1e-7, 0.0, 0.0, 0.0])):
             with np.errstate(over="ignore"):
                 assert rhs(1.0, y)[3] == -math.inf
@@ -98,8 +118,7 @@ def _combine(K, terms):
 
 
 def _loop_step(rhs, r, h, y, f):
-    """One DOP853 step as a loop over the tableau: the reference for the
-    straight-line step that _dop853_step generates (stages: K, f_new last)."""
+    """One DOP853 step as a loop over the tableau (stages: K, f_new last)."""
     C, A, B, E3, E5 = shooting._dop853_tableau()
     u, du, w, dw = y
     K = [f]
@@ -122,8 +141,79 @@ def _loop_step(rhs, r, h, y, f):
     return y_new, f_new, err, tuple(K)
 
 
-def _bits(values):
-    return tuple(float(v).hex() for v in values)
+def _loop_rhs(q, forcing, g_floor, calls=None):
+    """The radial system's right-hand side as a plain closure."""
+    def rhs(r, y):
+        if calls is not None:
+            calls.append(r)
+        u, du, w, dw = y
+        if u > 0:
+            try:
+                g = u ** (-q)
+            except OverflowError:
+                g = math.inf
+        else:
+            g = g_floor
+        return (du, w - 2.0 * du / r, dw, forcing - g - 2.0 * dw / r)
+
+    return rhs
+
+
+def _loop_march(q, u0, w0, r_end, forcing, on_step=None, calls=None):
+    """One shot as a Python loop of _loop_step calls on _loop_rhs: the
+    reference for the generated march, float operation for float operation.
+    calls, if given, collects the radius of every right-hand-side call."""
+    y, floor, g_floor = shooting._start(q, u0, w0, r_end, forcing)
+    rhs = _loop_rhs(q, forcing, g_floor, calls)
+    r, r_end = shooting._R_START, float(r_end)
+    f = rhs(r, y)
+    h_abs = shooting._initial_step(rhs, r, y, f, r_end)
+    g = y[0] - floor
+    exponent, safety = shooting._ERROR_EXPONENT, shooting._SAFETY
+    while True:
+        min_step = 10.0 * abs(math.nextafter(r, math.inf) - r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise shooting.IntegrationError(_TOO_SMALL)
+            r_new = min(r + h_abs, r_end)
+            h = r_new - r
+            y_new, f_new, err, stages = _loop_step(rhs, r, h, y, f)
+            if err < 1.0:
+                factor = shooting._MAX_FACTOR if err == 0.0 else min(
+                    shooting._MAX_FACTOR, safety * err ** exponent)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(shooting._MIN_FACTOR, safety * err ** exponent)
+            rejected = True
+        if on_step is not None:
+            on_step(rhs, r, r_new, y, y_new, stages)
+        r, y, f = r_new, y_new, f_new
+        g_new = y[0] - floor
+        if g >= 0.0 and g_new <= 0.0:
+            return floor, True
+        if r >= r_end:
+            return floor, False
+        g = g_new
+
+
+def _recorded_shot(march, *args):
+    """(outcome or error message, step count, the bytes of every float that
+    on_step saw: radii, states and stages) of one shot."""
+    values = []
+
+    def record(rhs, r, r_new, y, y_new, stages):
+        values.extend((r, r_new, *y, *y_new))
+        for k in stages:
+            values.extend(k)
+
+    try:
+        floor, touched = march(*args, on_step=record)
+        outcome = (floor.hex(), touched)
+    except shooting.IntegrationError as exc:
+        outcome = str(exc)
+    return outcome, len(values) // 62, np.array(values).tobytes()
 
 
 class TestStepper:
@@ -137,32 +227,47 @@ class TestStepper:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_generated_step_equals_the_loop_bit_for_bit(self):
+        # whole shots: outcome, step count, every accepted step's radii,
+        # states and 13 stages, and the too-small-step failure
         rng = np.random.default_rng(7)
-        step = shooting._dop853_step()
+        shots = [(50.0, 1.0, -5.0, 100.0, 0.0),  # the step size collapses
+                 (400.0, 1.0, -1.0, 10.0, 0.0)]  # u^(-q) overflows in stages
         for _ in range(300):
-            q = float(rng.choice([2.0, 3.0, 5.0, 7.0]))
-            _, _, rhs = shooting._shot(q, float(rng.uniform(0.1, 2.0)),
-                                       float(rng.normal()), 1e4, 0.0)
-            r = float(10.0 ** rng.uniform(-4.0, 3.0))
-            h = float(r * 10.0 ** rng.uniform(-6.0, 0.0))
-            y = tuple(float(v) for v in rng.normal(size=4) * 10.0 ** rng.uniform(
-                -3.0, 3.0, size=4))
-            if rng.random() < 0.2:  # exact zeros, as at a series start
-                y = (y[0], 0.0, 0.0, 0.0)
-            f = rhs(r, y)
-            got, want = step(rhs, r, h, y, f), _loop_step(rhs, r, h, y, f)
-            assert _bits(got[0]) == _bits(want[0])
-            assert _bits(got[1]) == _bits(want[1])
-            assert _bits([got[2]]) == _bits([want[2]])
-            assert [_bits(k) for k in got[3]] == [_bits(k) for k in want[3]]
+            q = float(rng.choice([2.0, 3.0, 5.0, 7.0, 50.0]))
+            shots.append((q, float(rng.uniform(0.5, 2.0)),
+                          float(rng.uniform(-1.0, 3.0)),
+                          float(10.0 ** rng.uniform(0.0, 1.5)),
+                          float(rng.choice([0.0, 0.3]))))
+        outcomes = set()
+        for shot in shots:
+            got = _recorded_shot(shooting._march, *shot)
+            want = _recorded_shot(_loop_march, *shot)
+            assert got == want, shot
+            outcomes.add(got[0] if isinstance(got[0], str) else got[0][1])
+        assert outcomes == {True, False, _TOO_SMALL}
 
     @pytest.mark.parametrize("q", [2.0, 3.0, 5.0])
-    def test_bisection_outcomes_equal_the_loop_steps(self, q, monkeypatch):
+    def test_bisection_outcomes_equal_the_loop_steps(self, q):
         history = bisect_growth_threshold(q, 1.0, 1e4).history
-        monkeypatch.setattr(shooting, "_dop853_step", lambda: _loop_step)
         for w0, outcome in history:
-            touched = shooting._touches_floor(q, 1.0, w0, 1e4)
+            touched = _loop_march(q, 1.0, w0, 1e4, 0.0)[1]
             assert ("touched_zero" if touched else "survived") == outcome
+
+    def test_generated_once_per_process_and_not_at_import(self):
+        # a fresh `import biharm.cli` generates nothing; the first shot
+        # generates the one march that every later shot reuses
+        probe = ("import biharm.cli\n"
+                 "from biharm import shooting as s\n"
+                 "print(s._shot_code.cache_info().currsize)\n"
+                 "s._touches_floor(3.0, 1.0, 1.3, 100.0)\n"
+                 "s.integrate_radial(5.0, 1.0, -0.1, 100.0)\n"
+                 "print(s._shot_code.cache_info().misses)\n")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(shooting.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
 
     # w_crit of bisect_growth_threshold(q, 1.0, 1e4) with solve_ivp shots
     W_CRIT = {2.0: 2.003048244882855, 3.0: 1.3698214805472406,
@@ -203,32 +308,20 @@ class TestStepper:
             np.testing.assert_allclose(got[inner], ref[inner], rtol=1e-10,
                                        atol=0.0)
 
-    def test_too_small_step_fails_like_solve_ivp(self, monkeypatch):
+    def test_too_small_step_fails_like_solve_ivp(self):
         # u dives to the floor where u^(-50) is huge and the step size
-        # collapses; both paths stop there with the same error, after
-        # about as many right-hand-side calls
-        calls = []
-        shot = shooting._shot
-
-        def counted(*args):
-            y0, floor, rhs = shot(*args)
-
-            def rhs_counted(r, y):
-                calls.append(r)
-                return rhs(r, y)
-            return y0, floor, rhs_counted
-
-        monkeypatch.setattr(shooting, "_shot", counted)
-        outcomes = []
-        for shoot in (shooting._touches_floor, _scipy_shot):
-            calls.clear()
-            with pytest.raises(RuntimeError) as info:
-                shoot(50.0, 1.0, -5.0, 100.0)
-            outcomes.append((str(info.value), len(calls)))
-        (msg, n_stepper), (msg_scipy, n_scipy) = outcomes
-        assert msg == msg_scipy == ("integrator failed: Required step size is "
-                                    "less than spacing between numbers.")
-        assert n_stepper <= 1.1 * n_scipy
+        # collapses; the stepper stops there with solve_ivp's error, and its
+        # loop reference (bit for bit the same steps) after about as many
+        # right-hand-side calls
+        with pytest.raises(shooting.IntegrationError) as info:
+            shooting._touches_floor(50.0, 1.0, -5.0, 100.0)
+        calls, calls_scipy = [], []
+        with pytest.raises(shooting.IntegrationError):
+            _loop_march(50.0, 1.0, -5.0, 100.0, 0.0, calls=calls)
+        with pytest.raises(shooting.IntegrationError) as info_scipy:
+            _scipy_shot(50.0, 1.0, -5.0, 100.0, calls=calls_scipy)
+        assert str(info.value) == str(info_scipy.value) == _TOO_SMALL
+        assert len(calls) <= 1.1 * len(calls_scipy)
 
 
 class TestBorderline:
