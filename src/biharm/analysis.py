@@ -207,7 +207,8 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dic
     """Split u into polynomial part plus kernel convolution of u^-q.
 
     Computes v = (1/8 pi) int (|x-y| - |y|) u(y)^-q dy on the grid, fits
-    w = u - v by a quadratic in the grid's symmetry class with weights
+    w = u - v by an even quadratic of the grid's symmetry class (b = 0: every
+    field on a grid is even in x1, so it has no linear part) with weights
     (1 + r^2)^-2 under the R^3 measure, and reports the coefficients, the
     relative fit residual in the quadratic-weighted sup norm, and the
     constraint checks (nonnegative quadratic part, linear part bounded by the
@@ -233,11 +234,11 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dic
             return [a, a, a], [0.0, 0.0, 0.0]
     else:
         x1 = g.x1
-        A = _columns(np.ones_like(x1), x1, x1 * x1, g.rho**2)
+        A = _columns(np.ones_like(x1), x1 * x1, g.rho**2)
         del x1
 
-        def to_ab(b1, a1, a23):
-            return [a1, a23, a23], [b1, 0.0, 0.0]
+        def to_ab(a1, a23):
+            return [a1, a23, a23], [0.0, 0.0, 0.0]
     quad_scale = 1.0 + g.r_nodes**2
     wts = g.weights / quad_scale**2
 

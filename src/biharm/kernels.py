@@ -150,8 +150,11 @@ class ModeConvolution:
         """Field modes (n_r, n_modes) from density modes g (n_r, n_modes),
         for the shifted or the unshifted kernel."""
         m = self.n_modes
-        h = g * self.hw
-        p = np.concatenate([h, h], axis=1)
+        p = np.empty((g.shape[0], 2 * m))  # the sources h in both halves
+        h = np.multiply(g, self.hw, out=p[:, :m])  # a view the scan overwrites
+        p[:, m:] = h
+        if shifted:
+            inner_l0 = -np.cumsum(self.r[:, None] * h[:, self.l0_cols], axis=0)
         q = np.zeros_like(p)  # outer sources r_{j+1} h_{j+1} rho[j+1]^k
         np.multiply(p[1:], self.r[1:, None], out=q[:-1])
         q[:-1] *= self.rho_k
@@ -160,7 +163,7 @@ class ModeConvolution:
             q[:-d] += c * q[d:]
         far = -self.b * q[:, :m]
         if shifted:
-            far[:, self.l0_cols] = -np.cumsum(self.r[:, None] * h[:, self.l0_cols], axis=0)
+            far[:, self.l0_cols] = inner_l0
         return self.r[:, None] * (self.a * p[:, m:] - self.b * p[:, :m]) + (self.a * q[:, m:] + far)
 
 

@@ -5,7 +5,10 @@ share one node interface: values have the layout grid.shape, grid.r_nodes
 and grid.t_nodes are the radius and polar cosine broadcast to it, and
 grid.reduction (built once per grid) maps node values to even Legendre modes
 (n_r, n_modes) and back; a radial grid is the one-mode case l = 0, with
-t = 1 standing for every ray.  Grids also own their quadrature
+t = 1 standing for every ray.  Every field is even in x1 (P is, and the
+operator keeps it so), so an axisymmetric grid stores only its t > 0 polar
+nodes, with doubled weights; the t < 0 half, their mirror, exists only in
+the profile CSV.  Grids also own their quadrature
 (grid.integrate) and what else depends only on the nodes, each written once
 for both kinds: grid.l_values, the angular mean grid.mode0, the truncated
 moments (1/8 pi) int |y|^k g (grid.moment), the mode convolution of both
@@ -309,11 +312,13 @@ class RadialGrid(_NodeGrid):
 
 @dataclass(frozen=True)
 class AxisymmetricGrid(_NodeGrid):
-    """Product grid: graded radii x Gauss-Legendre polar cosines.
+    """Product grid: graded radii x the t > 0 half of Gauss-Legendre polar cosines.
 
-    Nodes are (x1, rho) = (r t, r sqrt(1 - t^2)); the t nodes are symmetric
-    about 0 so mirror symmetry in x1 is represented exactly (node i mirrors to
-    node n_angle - 1 - i).  Weights reproduce
+    The n_angle Gauss-Legendre nodes are made symmetric about t = 0 bit for
+    bit, and only the n_angle // 2 nodes t > 0 are stored, each with twice
+    its weight: every field on the grid is even in x1, so the node -t holds
+    the value of the node t.  Nodes are (x1, rho) = (r t, r sqrt(1 - t^2)),
+    x1 > 0; weights reproduce, for f even in x1,
     int_{R^3} f = 2 pi int int f(x1, rho) rho drho dx1 = 2 pi int int f r^2 dr dt.
     """
 
@@ -329,10 +334,13 @@ class AxisymmetricGrid(_NodeGrid):
         _raise_grid_error("axisymmetric", n_r, r_max, grading, n_angle)
         r, w = _graded_nodes(n_r, float(r_max), float(grading))
         t, wt = np.polynomial.legendre.leggauss(n_angle)
-        # enforce bit-exact antisymmetry of the nodes about t = 0
+        # enforce bit-exact antisymmetry of the nodes about t = 0, then keep
+        # the t > 0 half with the weight of both mirror nodes
+        h = n_angle // 2
         t = 0.5 * (t - t[::-1])
         wt = 0.5 * (wt + wt[::-1])
-        return cls(r=r, line_w=w, t=t, wt=wt, r_max=float(r_max), grading=float(grading))
+        return cls(r=r, line_w=w, t=t[h:], wt=2.0 * wt[h:], r_max=float(r_max),
+                   grading=float(grading))
 
     @property
     def n_r(self) -> int:
@@ -340,11 +348,12 @@ class AxisymmetricGrid(_NodeGrid):
 
     @property
     def n_angle(self) -> int:
-        return self.t.size
+        """Polar nodes over the whole circle, both mirror halves."""
+        return 2 * self.t.size
 
     @property
     def shape(self) -> tuple:
-        """Layout of node values: radii by polar cosines."""
+        """Layout of node values: radii by the t > 0 polar cosines."""
         return (self.r.size, self.t.size)
 
     @property
@@ -378,30 +387,29 @@ class AxisymmetricGrid(_NodeGrid):
 class SphericalReduction:
     """Even-mode Legendre transform pair for an axisymmetric grid.
 
-    analyze() projects node values onto even Legendre modes of t = cos theta
-    (exact for the grid's angular band); synthesize() evaluates the mode sum
-    back at the nodes, computing the t > 0 half and mirroring it so evenness
-    in x1 holds bit-for-bit.  t holds the polar cosines of the node columns
-    and pl the modes' Legendre values there, P_l(t) (n_angle, n_modes).
-    Use grid.reduction, which builds it once per grid.
+    analyze() projects node values onto the even Legendre modes of
+    t = cos theta, l = 0, 2, ..., n_angle - 2 (exact for the grid's angular
+    band: the stored half-nodes with doubled weights are the full
+    Gauss-Legendre rule on even integrands); synthesize() evaluates the mode
+    sum back at the nodes, which is the field on both mirror halves.  t holds
+    the polar cosines of the node columns and pl the modes' Legendre values
+    there, P_l(t) (n_angle // 2, n_modes), a square table.  Use
+    grid.reduction, which builds it once per grid.
     """
 
     def __init__(self, grid: AxisymmetricGrid):
-        L = grid.n_angle
-        self.half = L // 2  # no reference to the grid, which holds this object
-        self.t = grid.t
-        self.l_values = list(range(0, L, 2))
-        vander = np.polynomial.legendre.legvander(grid.t, L - 1)
-        self.pl = vander[:, self.l_values]  # (L, n_modes)
+        self.t = grid.t  # no reference to the grid, which holds this object
+        self.l_values = list(range(0, grid.n_angle, 2))
+        vander = np.polynomial.legendre.legvander(grid.t, self.l_values[-1])
+        self.pl = vander[:, self.l_values]  # (n_angle // 2, n_modes)
         scale = np.array([(2 * l + 1) / 2.0 for l in self.l_values])
-        self.forward = (self.pl * grid.wt[:, None]).T * scale[:, None]  # (n_modes, L)
+        self.forward = (self.pl * grid.wt[:, None]).T * scale[:, None]  # (n_modes, n_angle // 2)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         return values @ self.forward.T  # (n_r, n_modes)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        upper = coeffs @ self.pl[self.half:, :].T  # t > 0 half
-        return np.concatenate([upper[:, ::-1], upper], axis=1)
+        return coeffs @ self.pl.T
 
     def legendre_row(self, t: float) -> np.ndarray:
         """P_l(t) for the grid's modes l (any t in [-1, 1])."""
@@ -469,20 +477,14 @@ def x_norm(profile: Profile) -> float:
 # profile CSV serialization
 
 
-def _bits(a: np.ndarray) -> np.ndarray:
-    return a.view(np.int64)
-
-
 def save_profile_csv(profile: Profile, path) -> None:
     """Radial profiles as `r,value`; axisymmetric as `x1,rho,value` (row-major).
 
-    Every row is the repr of its floats, f"{x1!r},{rho!r},{value!r}".  On an
-    axisymmetric grid node j mirrors node n_angle - 1 - j: the polar cosines
-    are built antisymmetric, so x1 is negated and rho kept bit for bit.  Each
-    radius therefore formats its t > 0 half, and writes a t < 0 row as "-"
-    plus its mirror's row when the two values are bit-identical (bits, not
-    ==, so 0.0 and -0.0 stay distinct) and so are its coordinates, with the
-    mirror's x1 positive; any other row is formatted itself.
+    Every row is the repr of its floats, f"{x1!r},{rho!r},{value!r}".  An
+    axisymmetric profile is written on all n_angle polar nodes, t < 0 first:
+    each radius formats its stored t > 0 rows and writes the t < 0 rows as
+    "-" plus their mirror's row in reverse order, which is the repr of the
+    mirror node (-x1, rho) holding the same value (x1 > 0 is never -0.0).
     """
     g = profile.grid
     v = profile.values
@@ -493,21 +495,9 @@ def save_profile_csv(profile: Profile, path) -> None:
                          for r, w in zip(g.r.tolist(), v.tolist()))
             return
         f.write("x1,rho,value\n")
-        x1, rho = g.x1, g.rho
-        half = g.n_angle // 2
-        lo = np.arange(half)  # node j < half mirrors node n_angle - 1 - j
-        hi = g.n_angle - 1 - lo
-        mirrored = ((_bits(v[:, lo]) == _bits(v[:, hi]))
-                    & (_bits(x1[:, lo]) == _bits(-x1[:, hi]))
-                    & (x1[:, hi] > 0.0)
-                    & (_bits(rho[:, lo]) == _bits(rho[:, hi])))
-        for i, same in enumerate(mirrored.tolist()):
-            xs, ys, ws = x1[i].tolist(), rho[i].tolist(), v[i].tolist()
-            rows = [f"{xs[j]!r},{ys[j]!r},{ws[j]!r}\n"
-                    for j in range(half, g.n_angle)]  # rows[-1 - j] mirrors j
-            f.writelines("-" + rows[-1 - j] if same[j]
-                         else f"{xs[j]!r},{ys[j]!r},{ws[j]!r}\n"
-                         for j in range(half))
+        for xs, ys, ws in zip(g.x1.tolist(), g.rho.tolist(), v.tolist()):
+            rows = [f"{x!r},{y!r},{w!r}\n" for x, y, w in zip(xs, ys, ws)]
+            f.writelines("-" + row for row in reversed(rows))
             f.writelines(rows)
 
 
@@ -520,101 +510,99 @@ def _read_rows(lines, n_cols: int) -> np.ndarray:
                           usecols=range(n_cols))
 
 
-def _read_mirrored_rows(f, grid: AxisymmetricGrid) -> Optional[np.ndarray]:
-    """The rows of an axisymmetric profile, its mirrored rows parsed once.
+def _read_upper_rows(f, grid: AxisymmetricGrid) -> Optional[np.ndarray]:
+    """The t > 0 rows of an axisymmetric profile written by
+    save_profile_csv, parsed once; None for a file in any other form.
 
-    The file is read one radius (n_angle lines) at a time.  A radius whose
-    t > 0 lines all start with a digit and whose t < 0 lines are "-" plus
-    their mirror's line (save_profile_csv's rule, one string compare) passes
-    only its t > 0 lines to the parser; a t < 0 row is then its mirror's
-    row with x1 negated, which is what parsing "-" + X gives for X starting
-    with a digit.  Any other radius is parsed whole, in the same np.loadtxt
-    call.  None when that call fails, when it skipped a line (a comment or
-    a blank line), or when the row count does not match the grid: the
-    caller then parses the whole file once, as if this path did not exist.
+    The file is read one radius (n_angle lines) at a time.  In the writer's
+    form every t > 0 line starts with a digit and the t < 0 lines are "-"
+    plus their mirror's line (one string compare per radius), so each t < 0
+    row is its mirror's row with x1 negated, and only the t > 0 lines reach
+    the parser.  A radius in another form (a comment, a blank line, a
+    reformatted number), a malformed number or a wrong line count gives
+    None: the caller then parses the whole file.
     """
     n_angle, half = grid.n_angle, grid.n_angle // 2
-    sizes, widths = [], []  # lines read and lines parsed, per radius
+    radii = 0
 
-    def parsed_blocks():
+    def upper_lines():
+        nonlocal radii
         while block := list(itertools.islice(f, n_angle)):
             upper = block[half:]
             # every t > 0 line starts with a digit when the least and the
             # greatest of them do
-            mirrored = (len(block) == n_angle
-                        and "0" <= min(upper) and max(upper) < ":"
-                        and "".join(block[:half]) == "-" + "-".join(upper[::-1]))
-            sizes.append(len(block))
-            widths.append(half if mirrored else len(block))
-            yield upper if mirrored else block
+            if not (len(block) == n_angle
+                    and "0" <= min(upper) and max(upper) < ":"
+                    and "".join(block[:half]) == "-" + "-".join(upper[::-1])):
+                raise ValueError("not in the writer's form")
+            radii += 1
+            yield from upper
 
     try:
-        rows = _read_rows(itertools.chain.from_iterable(parsed_blocks()), 3)
+        rows = _read_rows(upper_lines(), 3)
     except ValueError:
         return None
-    k = rows.shape[0]
-    if (k != sum(widths) or len(sizes) != grid.n_r
-            or sum(sizes) != n_angle * grid.n_r):
-        return None
-    # spread the parsed rows over the grown array in place, last radius
-    # first: a radius's parsed rows never lie after its own nodes.  The
-    # array is loadtxt's own, referenced nowhere else.
-    rows.resize((grid.n_r * n_angle, 3), refcheck=False)
-    for block, width in zip(rows.reshape(grid.n_r, n_angle, 3)[::-1],
-                            widths[::-1]):
-        k -= width
-        block[n_angle - width:] = rows[k:k + width]
-        if width == half:  # mirrored: t < 0 rows from the parsed t > 0 rows
-            block[:half] = block[:half - 1:-1]
-            np.negative(block[:half, 0], out=block[:half, 0])
-    return rows
+    return rows if radii == grid.n_r else None
 
 
 def load_profile_csv(path, grid: Grid) -> Profile:
     """Load a profile written by save_profile_csv onto a matching grid.
 
-    The rows are what one np.loadtxt pass over the file reads, in every
-    case.  On an axisymmetric grid the mirrored rows are parsed once
-    (_read_mirrored_rows); a file that path cannot read (a comment, a
-    malformed number, a wrong row count) is parsed whole, so its error
-    message is the one of that single pass.
+    An axisymmetric file holds all n_angle polar nodes; the profile keeps
+    the t > 0 half, so the file must be even in x1.  A file in the writer's
+    form parses its t > 0 lines only (_read_upper_rows); any other file is
+    parsed whole in one np.loadtxt pass, whose error message a malformed
+    number or a wrong row count gives, and each t < 0 value must then be
+    its mirror's value bit for bit (hand-reformatted numbers still load).
+    A radius where it is not raises ConfigError naming the radius.
     """
     radial = isinstance(grid, RadialGrid)
     expect = ("r", "value") if radial else ("x1", "rho", "value")
+    n = grid.r.size * (1 if radial else grid.n_angle)  # rows of the file
     with open(path) as f:
         names = tuple(f.readline().strip().split(","))
         if names != expect:
             raise ConfigError(f"expected header {','.join(expect)}, got {names}")
         body = f.tell()
-        rows = None if radial else _read_mirrored_rows(f, grid)
-        if rows is None:
+        rows = None if radial else _read_upper_rows(f, grid)
+        whole = rows is None
+        if whole:
             f.seek(body)
             try:
                 rows = _read_rows(f, len(expect))
             except ValueError as exc:
                 raise ConfigError(f"unreadable profile row: {exc}") from exc
-    cols = rows.T
-    n = math.prod(grid.shape)
-    if cols.shape[1] != n:
-        raise ConfigError(f"profile has {cols.shape[1]} rows, grid has {n} nodes")
+            if rows.shape[0] != n:
+                raise ConfigError(f"profile has {rows.shape[0]} rows, grid has {n} nodes")
     if radial:
-        r, v = cols
+        r, v = rows.T
         if not np.allclose(r, grid.r, rtol=1e-9, atol=1e-12):
             raise ConfigError("profile radii do not match the configured grid")
         return Profile(grid=grid, values=v)
-    x1, rho, v = cols
+    h = grid.t.size
+    blocks = rows.reshape(grid.n_r, -1, 3)
+    upper = blocks[:, -h:]
+    # the t < 0 rows mirrored onto their t > 0 nodes; a file in the writer's
+    # form passed the string compare, so there they are the t > 0 rows
+    lower = blocks[:, h - 1::-1] * [-1.0, 1.0, 1.0] if whole else upper
     scale = 1.0 + grid.r[:, None]
 
     def off(read, want):  # max |want - read| / (1 + r), in place on want
-        want -= read.reshape(grid.shape)
+        want -= read
         np.abs(want, out=want)
         want /= scale
         return np.max(want)
 
     # grid.x1 and grid.rho are new arrays on every access
-    if off(x1, grid.x1) > 1e-9 or off(rho, grid.rho) > 1e-9:
-        raise ConfigError("profile coordinates do not match the configured grid")
-    return Profile(grid=grid, values=v.reshape(grid.shape))
+    for half in (upper, lower) if whole else (upper,):
+        if off(half[..., 0], grid.x1) > 1e-9 or off(half[..., 1], grid.rho) > 1e-9:
+            raise ConfigError("profile coordinates do not match the configured grid")
+    odd = np.any(lower[..., 2].view(np.int64) != upper[..., 2].view(np.int64), axis=1)
+    if odd.any():
+        i = int(np.argmax(odd))
+        raise ConfigError(f"profile is not even in x1: at radius {i} (r = {grid.r[i]:.6g}) "
+                          f"the t < 0 values are not the mirror of the t > 0 values")
+    return Profile(grid=grid, values=upper[..., 2])
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ConfigError, NonFiniteError, Profile, SolutionReport,
-                    SolveConfig, validate_config, x_norm)
+                    SolveConfig, validate_config)
 from .model import SphericalReduction  # noqa: F401  (perfbench/tracing.py patches this name)
 from .kernels import mode_kernel_table  # noqa: F401  (perfbench/tracing.py patches this name)
 from .analysis import PowerTail
@@ -189,11 +189,7 @@ class _MixingHistory:
 
     def mix(self, v: np.ndarray, f: np.ndarray, theta: float) -> np.ndarray:
         """Anderson step v + theta f - (dX + theta dF) gamma, with gamma
-        minimizing the weighted |f - dF gamma|_2.
-
-        The combination runs row by row, elementwise, so an iterate even in
-        the polar angle stays exactly even.
-        """
+        minimizing the weighted |f - dF gamma|_2."""
         m = self.m
         gamma = np.linalg.lstsq(self.gram[:m, :m], self._dots(f), rcond=None)[0]
         out = v + theta * f
@@ -243,7 +239,12 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     grid = ctx.grid
     x = np.zeros_like(ctx.p_values) if v0 is None else np.array(v0.values, dtype=float)
     theta = cfg.damping
-    history = _MixingHistory(x.shape, 1.0 + grid.r_nodes)
+    scale = 1.0 + grid.r_nodes  # |a|_X = sup |a| / scale (model.x_norm)
+
+    def x_norm(a: np.ndarray) -> float:
+        return float(np.max(np.abs(a) / scale))
+
+    history = _MixingHistory(x.shape, scale)
     diff_history, alpha_history = [], []
     bound = math.nan
     # the accepted iterate: v, its residual f, density's angular mean and |f|_X
@@ -268,7 +269,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
             break
         fx = np.subtract(tx, x, out=tx)
         g0_x = modes[:, 0]  # the density's angular mean
-        res_x, xn = x_norm(Profile(grid, fx)), x_norm(Profile(grid, x))
+        res_x, xn = x_norm(fx), x_norm(x)
         diff_history.append(res_x)
         alpha_history.append(ctx.alpha_quadrature(g0_x))
 
@@ -309,7 +310,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
         alpha=alpha,
         v_origin=v_origin,
         u_origin=cfg.poly.c + v_origin,
-        x_norm_v=x_norm(prof),
+        x_norm_v=x_norm(v),
         iterate_bound=bound,
         tail_bound=ctx.tail_bound,
         diff_history=diff_history,

@@ -220,8 +220,9 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
 
     Sample points are grid nodes chosen by a scrambled Halton sequence,
     log-spread over radii [r_max/500, r_max/2] (truncation of the integral
-    grows toward the boundary, so the outer half is excluded), in the node
-    column nearest a second Halton coordinate.  The kernel is re-expanded at
+    grows toward the boundary, so the outer half is excluded), at the polar
+    node of all n_angle nearest a second Halton coordinate, read at its
+    stored mirror when t < 0.  The kernel is re-expanded at
     each sample from the closed-form mode kernels, off the solver's
     precomputed path: one kernel_row call gives the sample's rows of every
     mode, the Legendre values P_l(t) come from the reduction's node table
@@ -241,9 +242,9 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
     dens = u ** (-q)
     red = g.reduction
     ghat = red.analyze(dens)
-    n_t = len(red.t)
-    u_nodes = u.reshape(g.r.size, n_t)
-    p_nodes = g.poly_values(poly).reshape(g.r.size, n_t)
+    u_nodes = u.reshape(g.r.size, -1)
+    p_nodes = g.poly_values(poly).reshape(g.r.size, -1)
+    n_polar = 1 if isinstance(g, RadialGrid) else g.n_angle
 
     note = ""
     try:
@@ -265,8 +266,9 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
     samples = []
     for pos, k in enumerate(idx):
         rk = float(g.r[k])
-        tj = int(np.clip(round(float(u01[pos % u01.shape[0], 1]) * (n_t - 1)),
-                         0, n_t - 1))
+        j = int(np.clip(round(float(u01[pos % u01.shape[0], 1]) * (n_polar - 1)),
+                        0, n_polar - 1))
+        tj = abs(2 * j - (n_polar - 1)) // 2  # the stored node j or its mirror
         tval = red.t[tj]
         # all modes' rows in one call; accumulated mode by mode, since
         # synthesize_at's dot product sums in another order, which moves the

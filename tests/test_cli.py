@@ -465,6 +465,26 @@ class TestVerify:
                            "--profile", str(p), "--out", str(tmp_path / "v4"))
         assert code == 1
 
+    def test_profile_not_even_in_x1_exits_one(self, tmp_path, capsys):
+        # a hand-edited t < 0 value: the profile is no longer even in x1,
+        # and verify names the radius in its error line, without a traceback
+        cfg = quick_config(tmp_path, poly={"a": [1.0, 2.0, 2.0], "c": 1.0},
+                           grid={"kind": "axisymmetric", "n_r": 16,
+                                 "n_angle": 8, "r_max": 10.0})
+        g = SolveConfig.from_dict(json.loads(cfg.read_text())).build_grid()
+        p = tmp_path / "profile.csv"
+        save_profile_csv(Profile(grid=g, values=2.0 + g.x1**2 + g.rho), p)
+        lines = p.read_text().splitlines(keepends=True)
+        row = 1 + 5 * 8 + 2  # radius 5, node 2 (t < 0)
+        x1, rho, _ = lines[row].split(",")
+        lines[row] = f"{x1},{rho},3.5\n"
+        p.write_text("".join(lines))
+        code, _, err = run(capsys, "verify", "--config", str(cfg),
+                           "--profile", str(p), "--out", str(tmp_path / "v"))
+        assert code == 1
+        assert err.startswith("error: profile is not even in x1: at radius 5 ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
 
 class TestShoot:
     def test_exact_start_summary(self, tmp_path, capsys):

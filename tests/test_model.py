@@ -93,9 +93,15 @@ class TestGrids:
         assert g.integrate(f) == pytest.approx(math.pi**1.5, rel=1e-6)
 
     def test_angular_nodes_mirror_bit_exactly(self):
+        # the stored nodes are the t > 0 half of Gauss-Legendre nodes made
+        # antisymmetric bit for bit, each with the weight of both mirrors
         g = AxisymmetricGrid.build(16, 64, 5.0)
-        assert np.all(g.t == -g.t[::-1])
-        assert np.all(g.wt == g.wt[::-1])
+        t, wt = np.polynomial.legendre.leggauss(64)
+        t, wt = 0.5 * (t - t[::-1]), 0.5 * (wt + wt[::-1])
+        assert g.n_angle == 64 and g.shape == (16, 32)
+        assert np.all(t[32:] > 0.0) and np.all(t[:32] == -t[32:][::-1])
+        np.testing.assert_array_equal(g.t, t[32:])
+        np.testing.assert_array_equal(g.wt, wt[32:] + wt[:32][::-1])
 
     def test_grading_clusters_nodes_at_origin(self):
         g = RadialGrid.graded(100, 10.0, 2.0)
@@ -135,25 +141,30 @@ class TestProfileIO:
             load_profile_csv(tmp_path / "p.csv", other)
 
     def test_rows_are_the_repr_of_each_float(self, tmp_path):
-        # the writer copies the mirror's row of a bit-identical value and
-        # formats every other row itself; either way a row is its reprs
+        # an axisymmetric profile is written on all n_angle polar nodes: the
+        # t < 0 rows are "-" plus their mirror's row, which is the repr of
+        # the mirror node (-x1, rho) with the same value
         g = AxisymmetricGrid.build(8, 6, 5.0)
-        even = np.cos(np.abs(g.x1)) / 3.0 + g.rho  # exactly even in x1
-        unmirrored = even.copy()  # one value a bit off its mirror (2, 4)
-        unmirrored[2, 1] = np.nextafter(even[2, 1], 1.0)
-        signed_zeros = even.copy()  # a mirror pair equal under ==, not in bits
-        signed_zeros[3, 0], signed_zeros[3, 5] = 0.0, -0.0
-        skewed = replace(g, t=g.t + 1e-3)  # t nodes not antisymmetric
+        smooth = np.cos(g.x1) / 3.0 + g.rho
+        signed_zeros = smooth.copy()  # "-0.0" in a row and in its mirror's
+        signed_zeros[3, 0], signed_zeros[3, 2] = 0.0, -0.0
+        skewed = replace(g, t=g.t + 1e-3)  # other t > 0 nodes
         radial = RadialGrid.graded(8, 5.0)
-        for grid, vals in [(g, even), (g, unmirrored), (g, signed_zeros),
-                           (skewed, even), (radial, np.cos(radial.r) / 3.0)]:
+
+        def mirrored(a, sign=1.0):  # full polar layout, t < 0 first
+            return np.concatenate([sign * a[:, ::-1], a], axis=1)
+
+        for grid, vals in [(g, smooth), (g, signed_zeros), (skewed, smooth),
+                           (radial, np.cos(radial.r) / 3.0)]:
             save_profile_csv(Profile(grid=grid, values=vals),
                              tmp_path / "p.csv")
             lines = (tmp_path / "p.csv").read_text().splitlines()
             if grid is radial:
                 header, cols = "r,value", [grid.r, vals]
             else:
-                header, cols = "x1,rho,value", [grid.x1, grid.rho, vals]
+                header = "x1,rho,value"
+                cols = [mirrored(grid.x1, -1.0), mirrored(grid.rho),
+                        mirrored(vals)]
             assert lines[0] == header
             assert lines[1:] == [",".join(f"{x!r}" for x in row) for row in
                                  zip(*(c.ravel().tolist() for c in cols))]
@@ -171,16 +182,16 @@ class TestProfileIO:
             load_profile_csv(path, g)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("grid, header", [
-        (RadialGrid.graded(8, 8.0), "r,value"),
-        (AxisymmetricGrid.build(8, 6, 5.0), "x1,rho,value"),
+    @pytest.mark.parametrize("grid, header, n", [
+        (RadialGrid.graded(8, 8.0), "r,value", 8),
+        (AxisymmetricGrid.build(8, 6, 5.0), "x1,rho,value", 8 * 6),
     ], ids=["radial", "axisymmetric"])
-    def test_header_only_profile_has_zero_rows(self, tmp_path, grid, header):
+    def test_header_only_profile_has_zero_rows(self, tmp_path, grid, header, n):
         # the row count is the reason, for both grid kinds, and numpy's
-        # "input contained no data" warning is not passed on
+        # "input contained no data" warning is not passed on; an
+        # axisymmetric file has a row for each of the n_angle polar nodes
         path = tmp_path / "p.csv"
         path.write_text(header + "\n")
-        n = grid.r.size * len(grid.reduction.t)
         with pytest.raises(ConfigError, match=f"^profile has 0 rows, grid has {n} nodes$"):
             load_profile_csv(path, grid)
 
@@ -192,55 +203,73 @@ class TestProfileIO:
 
 
 def _loadtxt_rows(path):
-    """The rows of one np.loadtxt pass over the whole file: what the reader
-    must return, bit for bit."""
+    """The rows of one np.loadtxt pass over the whole file."""
     with open(path) as f:
         f.readline()
         return np.loadtxt(f, delimiter=",", ndmin=2, usecols=range(3))
 
 
 def _whole_file_load(path, grid):
-    """load_profile_csv as one np.loadtxt pass: the error texts and the
-    traced memory the mirrored reader must not exceed."""
+    """load_profile_csv as one np.loadtxt pass over the whole file, with the
+    coordinates of both mirror halves checked: the error texts and the
+    traced memory the reader must not exceed."""
     try:
         rows = _loadtxt_rows(path)
     except ValueError as exc:
         raise ConfigError(f"unreadable profile row: {exc}") from exc
-    n = math.prod(grid.shape)
+    n = grid.r.size * grid.n_angle
     if rows.shape[0] != n:
         raise ConfigError(f"profile has {rows.shape[0]} rows, grid has {n} nodes")
-    x1, rho, v = rows.T
+    blocks = rows.reshape(grid.n_r, grid.n_angle, 3)
+    h = grid.n_angle // 2
+    upper, lower = blocks[:, h:], blocks[:, h - 1::-1]
     scale = 1.0 + grid.r[:, None]
-    if (np.max(np.abs(x1.reshape(grid.shape) - grid.x1) / scale) > 1e-9
-            or np.max(np.abs(rho.reshape(grid.shape) - grid.rho) / scale) > 1e-9):
-        raise ConfigError("profile coordinates do not match the configured grid")
-    return Profile(grid=grid, values=v.reshape(grid.shape))
+    for x1, rho in ((upper[..., 0], upper[..., 1]),
+                    (-lower[..., 0], lower[..., 1])):
+        if (np.max(np.abs(x1 - grid.x1) / scale) > 1e-9
+                or np.max(np.abs(rho - grid.rho) / scale) > 1e-9):
+            raise ConfigError("profile coordinates do not match the configured grid")
+    return Profile(grid=grid, values=upper[..., 2])
 
 
 class TestMirroredProfileReader:
-    """model._read_mirrored_rows parses each mirrored row once and must read
-    exactly what one np.loadtxt pass reads."""
+    """load_profile_csv keeps the t > 0 half of a file that holds all
+    n_angle polar nodes.  A file in save_profile_csv's form has only its
+    t > 0 rows parsed (model._read_upper_rows), and they must be what one
+    np.loadtxt pass over the whole file reads there; any other file is
+    parsed whole and loads only when it is even in x1."""
 
     GRID = AxisymmetricGrid.build(8, 6, 5.0)
 
-    def _lines(self, tmp_path, vals=None):
+    def _lines(self, tmp_path):
         g = self.GRID
-        if vals is None:
-            vals = np.cos(np.abs(g.x1)) / 3.0 + g.rho  # exactly even in x1
-        save_profile_csv(Profile(grid=g, values=vals), tmp_path / "p.csv")
+        save_profile_csv(Profile(grid=g, values=np.cos(g.x1) / 3.0 + g.rho),
+                         tmp_path / "p.csv")
         return (tmp_path / "p.csv").read_text().splitlines(keepends=True)
 
-    def _check(self, path, grid, mirrored_path=True):
-        want = _loadtxt_rows(path)
+    @staticmethod
+    def _set_value(line, value):
+        x1, rho, _ = line.split(",")
+        return f"{x1},{rho},{value}\n"
+
+    def _check(self, path, grid, writer_form=True):
+        h = grid.n_angle // 2
+        want = _loadtxt_rows(path).reshape(grid.n_r, grid.n_angle, 3)[:, h:]
         with open(path) as f:
             f.readline()
-            rows = model._read_mirrored_rows(f, grid)
-        assert (rows is not None) == mirrored_path
+            rows = model._read_upper_rows(f, grid)
+        assert (rows is not None) == writer_form
         if rows is not None:
-            assert rows.shape == want.shape
-            assert rows.tobytes() == want.tobytes()
+            assert rows.tobytes() == np.ascontiguousarray(want).reshape(-1, 3).tobytes()
         got = load_profile_csv(path, grid).values
-        assert got.tobytes() == want[:, 2].reshape(grid.shape).tobytes()
+        assert got.tobytes() == np.ascontiguousarray(want[..., 2]).tobytes()
+
+    def _rejected(self, path, radius):
+        _whole_file_load(path, self.GRID)  # it reads, and its coordinates match
+        with pytest.raises(ConfigError, match=(
+                f"^profile is not even in x1: at radius {radius} "
+                r"\(r = .*\) the t < 0 values are not the mirror")):
+            load_profile_csv(path, self.GRID)
 
     def test_a_thm1_profile_reads_like_loadtxt(self, thm1_run, tmp_path):
         _, cont = thm1_run
@@ -248,6 +277,7 @@ class TestMirroredProfileReader:
         path = tmp_path / "profile.csv"
         save_profile_csv(prof, path)
         self._check(path, prof.grid)
+        assert load_profile_csv(path, prof.grid).values.tobytes() == prof.values.tobytes()
         # traced peak at or below the one-pass load's
         peaks = []
         for load in (_whole_file_load, load_profile_csv):
@@ -259,20 +289,37 @@ class TestMirroredProfileReader:
         assert peaks[1] <= peaks[0]
 
     def test_unmirrored_radii_are_parsed_whole(self, tmp_path):
-        g = self.GRID
-        vals = np.cos(np.abs(g.x1)) / 3.0 + g.rho
-        vals[2, 1] = np.nextafter(vals[2, 1], 1.0)  # radius 2 off its mirror
-        vals[5, :3] += 1.0  # radius 5: the whole t < 0 half
-        self._lines(tmp_path, vals)
-        self._check(tmp_path / "p.csv", g)
+        # a t < 0 value one bit off its mirror at radius 2, the whole t < 0
+        # half of radius 5 off: the file is parsed whole, and the first of
+        # the two radii is named
+        lines = self._lines(tmp_path)
+        row = 1 + 2 * 6 + 1  # radius 2, node 1 (t < 0)
+        value = float(lines[row].split(",")[2])
+        lines[row] = self._set_value(lines[row], repr(float(np.nextafter(value, 1.0))))
+        for row in range(1 + 5 * 6, 1 + 5 * 6 + 3):
+            lines[row] = self._set_value(lines[row], "1.5")
+        path = tmp_path / "p.csv"
+        path.write_text("".join(lines))
+        with open(path) as f:
+            f.readline()
+            assert model._read_upper_rows(f, self.GRID) is None
+        self._rejected(path, 2)
 
     def test_hand_edited_lower_row(self, tmp_path):
         lines = self._lines(tmp_path)
         row = 1 + 3 * 6 + 1  # radius 3, node 1 (t < 0)
-        x1, rho, _ = lines[row].split(",")
-        lines[row] = f"{x1},{rho},0.25\n"
+        lines[row] = self._set_value(lines[row], "0.25")
         (tmp_path / "p.csv").write_text("".join(lines))
-        self._check(tmp_path / "p.csv", self.GRID)
+        self._rejected(tmp_path / "p.csv", 3)
+
+    def test_reformatted_numbers_load(self, tmp_path):
+        # a t < 0 value written in another form of the same float
+        lines = self._lines(tmp_path)
+        row = 1 + 3 * 6 + 1
+        value = float(lines[row].split(",")[2])
+        lines[row] = self._set_value(lines[row], f"{value:.17e}")
+        (tmp_path / "p.csv").write_text("".join(lines))
+        self._check(tmp_path / "p.csv", self.GRID, writer_form=False)
 
     @pytest.mark.parametrize("lead", ["-", " "])
     def test_upper_row_without_a_leading_digit(self, tmp_path, lead):
@@ -291,20 +338,20 @@ class TestMirroredProfileReader:
         assert str(got.value) == str(want.value)
 
     def test_upper_row_with_a_leading_space_parses(self, tmp_path):
-        # " X" is a number, and its mirror row written out as itself keeps
-        # the radius off the mirrored path
+        # " X" is the number X, and its mirror row written as "-X" keeps
+        # the file out of the writer's form: it is parsed whole and loads
         lines = self._lines(tmp_path)
         row = 1 + 4 * 6 + 4
         lines[row] = " " + lines[row]
         (tmp_path / "p.csv").write_text("".join(lines))
-        self._check(tmp_path / "p.csv", self.GRID)
+        self._check(tmp_path / "p.csv", self.GRID, writer_form=False)
 
     @pytest.mark.parametrize("extra", ["# a comment\n", "\n"])
     def test_comment_or_blank_line_falls_back(self, tmp_path, extra):
         lines = self._lines(tmp_path)
         lines.insert(1 + 2 * 6 + 3, extra)
         (tmp_path / "p.csv").write_text("".join(lines))
-        self._check(tmp_path / "p.csv", self.GRID, mirrored_path=False)
+        self._check(tmp_path / "p.csv", self.GRID, writer_form=False)
 
     def test_crlf_line_ends(self, tmp_path):
         lines = self._lines(tmp_path)
@@ -358,18 +405,24 @@ class TestGridContract:
         assert x_norm(prof) == pytest.approx(2.0)
 
     def test_round_trip_gives_an_even_field(self, kind):
+        # the nodes hold one value per mirror pair, as many as there are
+        # even modes: any node field is an even field, and the round trip
+        # gives it back; a ray and its mirror synthesize the same values
         g = _GRIDS[kind]()
         red = g.reduction
         rng = np.random.default_rng(3)
         v = rng.standard_normal(g.shape)
-        back = red.synthesize(red.analyze(v))
+        coeffs = red.analyze(v)
+        back = red.synthesize(coeffs)
         assert back.shape == g.shape
+        np.testing.assert_allclose(back, v, rtol=0, atol=1e-12)
         cols = back.reshape(g.r.size, -1)
-        np.testing.assert_array_equal(cols, cols[:, ::-1])  # even in x1
-        even = 0.5 * (v + v.reshape(g.r.size, -1)[:, ::-1].reshape(g.shape))
-        np.testing.assert_allclose(red.synthesize(red.analyze(even)), even,
-                                   rtol=0, atol=1e-12)
+        for j, t in enumerate(red.t):
+            if t is not None:
+                np.testing.assert_allclose(red.synthesize_at(coeffs, -t), cols[:, j],
+                                           rtol=0, atol=1e-12)
         assert g.l_values == red.l_values and g.l_values[0] == 0
+        assert len(g.l_values) == cols.shape[1]
 
     def test_mode0_is_the_first_analyzed_mode(self, kind):
         g = _GRIDS[kind]()

@@ -47,7 +47,6 @@ class TestSphericalReduction:
         g = cfg.build_grid()
         red = g.reduction
         f = np.cos(g.x1) * np.exp(-g.rho**2 / 9.0)
-        f = 0.5 * (f + f[:, ::-1])
         back = red.synthesize(red.analyze(f))
         np.testing.assert_allclose(back, f, atol=1e-10)
 
@@ -57,7 +56,7 @@ class TestSphericalReduction:
         red = g.reduction
         f = np.exp(-(g.x1**2 + 0.5 * g.rho**2))
         coeffs = red.analyze(f)
-        j = g.n_angle // 2 + 3
+        j = 3
         vals = red.synthesize_at(coeffs, float(g.t[j]))
         np.testing.assert_allclose(vals, red.synthesize(coeffs)[:, j],
                                    rtol=1e-9, atol=1e-12)
@@ -86,6 +85,62 @@ class TestSphericalReduction:
         assert report.beta is not None and report.decomposition is not None
         assert len(report.growth_fits) == 2
         assert len(built) == 1 and built[0] is prof.grid
+
+
+class _FullLayout:
+    """The axisymmetric node layout on all n_angle polar nodes: the
+    symmetrized Gauss-Legendre rule, its even-mode transform pair, and a
+    synthesis that computes the t > 0 half and mirrors it.  A field stored
+    on the t > 0 half is mirror(field) here."""
+
+    def __init__(self, grid):
+        n = grid.n_angle
+        t, wt = np.polynomial.legendre.leggauss(n)
+        t, wt = 0.5 * (t - t[::-1]), 0.5 * (wt + wt[::-1])
+        self.half = n // 2
+        l_values = list(range(0, n, 2))
+        self.pl = np.polynomial.legendre.legvander(t, n - 1)[:, l_values]
+        scale = np.array([(2 * l + 1) / 2.0 for l in l_values])
+        self.forward = (self.pl * wt[:, None]).T * scale[:, None]
+        self.weights = 2.0 * math.pi * np.outer(grid.r**2 * grid.line_w, wt)
+
+    @staticmethod
+    def mirror(values):
+        return np.concatenate([values[:, ::-1], values], axis=1)
+
+    def analyze(self, values):
+        return values @ self.forward.T
+
+    def synthesize(self, coeffs):
+        return self.mirror(coeffs @ self.pl[self.half:].T)
+
+
+class TestFullLayoutReference:
+    def test_half_layout_matches_the_full_one_on_thm2s_grid(self, thm2_run):
+        # the half layout's operator, angular mean, quadrature and X-norm
+        # against the full layout's, on thm2's solution and grid
+        cfg, cont = thm2_run
+        ctx = OperatorContext(cfg.stages()[-1])
+        g = ctx.grid
+        full = _FullLayout(g)
+        v = cont.final_profile.values
+        assert v.shape == (g.n_r, full.half)
+
+        def rel(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+        dens = ctx.density(v)
+        out, modes = ctx.apply(v, dens)
+        modes_ref = full.analyze(full.mirror(dens))
+        out_ref = full.synthesize(g.convolution(modes_ref, ctx.shifted))
+        assert rel(modes, modes_ref) < 1e-14
+        assert rel(full.mirror(out), out_ref) < 1e-14
+        assert rel(g.mode0(v), full.analyze(full.mirror(v))[:, 0]) < 1e-14
+        for f in (dens, v):
+            assert g.integrate(f) == pytest.approx(
+                float(np.sum(full.weights * full.mirror(f))), rel=1e-14, abs=0)
+        assert x_norm(Profile(grid=g, values=v)) == float(
+            np.max(np.abs(full.mirror(v)) / (1.0 + g.r[:, None])))
 
 
 class TestOperatorPieces:
@@ -126,9 +181,9 @@ class TestOperatorPieces:
         qr = _radial_cfg(a=1.0, n=200, r_max=20.0)
         ctx_a = OperatorContext(qa)
         ctx_r = OperatorContext(qr)
-        va, _ = ctx_a.apply(np.zeros((200, 16)))
+        va, _ = ctx_a.apply(np.zeros((200, 8)))
         vr, _ = ctx_r.apply(np.zeros(200))
-        np.testing.assert_allclose(va, np.tile(vr[:, None], (1, 16)),
+        np.testing.assert_allclose(va, np.tile(vr[:, None], (1, 8)),
                                    rtol=1e-9, atol=1e-12)
 
     def test_density_overflow_raises_nonfinite(self):
@@ -160,7 +215,7 @@ class TestOperatorPieces:
         tracemalloc.start()
         try:
             ctx = OperatorContext(cfg)
-            v, _ = ctx.apply(np.zeros((2048, 256)))
+            v, _ = ctx.apply(np.zeros((2048, 128)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -255,11 +310,12 @@ class TestSolve:
         assert report.iters < 50
         assert np.max(np.abs(prof.values - v) / scale) < 1e-9
 
-    def test_axisym_solve_is_even_bit_exact(self):
+    def test_axisym_solve_is_even_bit_exact(self, written_even):
         cfg = _axisym_cfg(q=5.0, a=(1.0, 2.0, 2.0), n_r=96, n_angle=32)
         prof, report = solve_fixed_point(cfg)
         assert report.converged
-        assert np.all(prof.values == prof.values[:, ::-1])
+        assert prof.values.shape == (96, 16)  # one node per mirror pair
+        written_even(prof)
 
     def test_gate_failure_is_flagged_not_raised(self):
         cfg = _radial_cfg(q=0.5, a=1.0)
@@ -321,8 +377,9 @@ class TestContinuation:
 
     def test_working_set_of_the_thm1_continuation(self):
         # the solve holds the grid's scan tables (3.7 MB), the mixing history
-        # (5.2 MB) and a few node arrays of 0.5 MB; earlier stages' profiles
-        # are dropped, except the one the next stage starts from
+        # (2.6 MB) and a few node arrays of 0.26 MB, on the t > 0 half of
+        # the 256 polar nodes; earlier stages' profiles are dropped, except
+        # the one the next stage starts from
         cfg = SolveConfig.from_dict(
             {k: v for k, v in cli.load_preset("thm1").items() if k != "command"})
         tracemalloc.start()
@@ -331,7 +388,7 @@ class TestContinuation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 18e6
+        assert peak < 12e6
         assert isinstance(res.final_profile, Profile) and not hasattr(res, "profiles")
         # the Cauchy gaps of keeping every stage's profile
         ctx, profiles = None, []

@@ -156,6 +156,38 @@ class TestIntegralResidual:
                                 5.0, _flat(1.0), n_samples=16, seed=0)
         assert res.max_rel < 1e-4
 
+    # (radius index, polar node index of all n_angle = 256 nodes) of each
+    # sample on thm1's grid, as drawn before the grid stored only its
+    # t > 0 half, for seeds 0 and 11
+    THM1_SAMPLES = {
+        0: [(12, 14), (13, 184), (15, 99), (17, 42), (21, 212), (25, 127),
+            (27, 70), (30, 240), (35, 155), (42, 4), (50, 174), (54, 89),
+            (59, 33), (71, 203), (84, 118), (100, 61), (109, 231), (119, 146),
+            (141, 23), (168, 193)],
+        11: [(13, 76), (14, 161), (15, 246), (18, 48), (22, 133), (26, 218),
+             (28, 20), (31, 105), (37, 190), (44, 57), (52, 142), (57, 227),
+             (62, 29), (74, 114), (88, 199), (104, 1), (114, 86), (124, 171),
+             (147, 67), (175, 152)],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(THM1_SAMPLES))
+    def test_thm1_samples_keep_their_nodes(self, thm1_run, seed):
+        # the Halton draw spans all polar nodes; a t < 0 node is read at
+        # its stored mirror, so each sample keeps its radius and |t|
+        cfg, cont = thm1_run
+        prof = cont.final_profile
+        g = prof.grid
+        u = Profile(grid=g, values=prof.values + g.poly_values(cfg.stages()[-1].poly))
+        t, _ = np.polynomial.legendre.leggauss(g.n_angle)
+        t = 0.5 * (t - t[::-1])
+        res = integral_residual(u, cfg.q, cfg.stages()[-1].poly, n_samples=20,
+                                seed=seed)
+        got = [(s["r"], s["t"]) for s in res.samples]
+        assert got == [(g.r[k], abs(t[j])) for k, j in self.THM1_SAMPLES[seed]]
+        j = [int(np.flatnonzero(g.t == s["t"])[0]) for s in res.samples]
+        k = [k for k, _ in self.THM1_SAMPLES[seed]]
+        assert [s["u"] for s in res.samples] == u.values[k, j].tolist()
+
 
 class TestPohozaev:
     def test_flat_q5_solution_balances(self, flat_q5_run):
