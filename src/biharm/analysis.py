@@ -4,9 +4,9 @@ Everything here reads node values only: growth-law fits along rays, the
 power-law tail beyond r_max (PowerTail: fitted to the last decade, with
 closed-form moments that return inf when they diverge), the far-field slope
 beta = (1/8 pi) int u^-q dy and the first moment (1/8 pi) int |y| u^-q dy
-with that tail, the split of a solution into polynomial part plus kernel
-convolution, and decay-rate checks for second derivatives of the correction
-term.
+(each the grid's truncated moment plus that tail, _tail_moment), the split
+of a solution into polynomial part plus kernel convolution (kernels.convolve),
+and decay-rate checks for second derivatives of the correction term.
 """
 
 from __future__ import annotations
@@ -78,17 +78,11 @@ def fit_growth(r: np.ndarray, values: np.ndarray, model: str,
     if scale == 0.0:
         scale = 1.0
 
-    if model == "linear":
-        A = np.stack([np.ones_like(rw), rw], axis=1)
+    if model in ("linear", "quadratic"):
+        A = np.vander(rw, 2 if model == "linear" else 3, increasing=True)
         coef, *_ = np.linalg.lstsq(A, vw, rcond=None)
         fitted = A @ coef
-        params = {"intercept": float(coef[0]), "slope": float(coef[1])}
-    elif model == "quadratic":
-        A = np.stack([np.ones_like(rw), rw, rw * rw], axis=1)
-        coef, *_ = np.linalg.lstsq(A, vw, rcond=None)
-        fitted = A @ coef
-        params = {"intercept": float(coef[0]), "slope": float(coef[1]),
-                  "curvature": float(coef[2])}
+        params = dict(zip(("intercept", "slope", "curvature"), map(float, coef)))
     elif model == "power":
         if np.any(vw <= 0.0):
             raise NonFiniteError("power-law fit needs positive values on the window")
@@ -153,8 +147,22 @@ def ray_values(profile: Profile, t: Optional[float] = None):
     return g.r, red.synthesize_at(red.analyze(profile.values), t)
 
 
+def _tail_moment(grid, g0: np.ndarray, k: int, integral: str):
+    """(grid part, tail part, fitted tail) of (1/8 pi) int |y|^k g dy, k = 0
+    or 1, from the angular mean g0 of g: the grid's truncated moment and the
+    moment beyond r_max of a power law fitted to the last decade of g0.
+    NotIntegrableError names `integral` when that tail diverges."""
+    fit = PowerTail.fit(grid.r, g0)
+    tail = 0.5 * fit.moment(k, grid.r_max)
+    if math.isinf(tail):
+        raise NotIntegrableError(
+            f"{integral} diverges: angular mean of u^-q decays like "
+            f"r^-{fit.exponent:.3g} (need faster than r^-{k + 3})")
+    return grid.moment(k, g0), tail, fit
+
+
 def compute_beta(u_profile: Profile, q: float):
-    """Far-field slope beta = (1/8 pi) int u^-q dy with analytic tail.
+    """Far-field slope beta = (1/8 pi) int u^-q dy with a fitted power-law tail.
 
     The grid integral covers r <= r_max; the remainder is integrated in closed
     form from a power law fitted to the angular mean of u^-q over the last
@@ -165,14 +173,7 @@ def compute_beta(u_profile: Profile, q: float):
     u = u_profile.values
     if np.min(u) <= 0.0:
         raise NonFiniteError("beta needs a strictly positive profile")
-    g0 = g.mode0(u ** (-q))
-    quad = g.moment(0, g0)
-    fit = PowerTail.fit(g.r, g0)
-    tail = 0.5 * fit.moment(0, g.r_max)
-    if math.isinf(tail):
-        raise NotIntegrableError(
-            f"int u^-q diverges: angular mean of u^-q decays like "
-            f"r^-{fit.exponent:.3g} (need faster than r^-3)")
+    quad, tail, fit = _tail_moment(g, g.mode0(u ** (-q)), 0, "int u^-q")
     note = (f"grid part {quad:.6g}, tail beyond r_max adds {tail:.3g} "
             f"(fitted decay r^-{fit.exponent:.3g})")
     return quad + tail, note
@@ -186,13 +187,8 @@ def first_moment(grid, g0: np.ndarray) -> float:
     (fitted decay r^-4 or slower) and InsufficientTailError when the grid
     has no usable last decade.
     """
-    fit = PowerTail.fit(grid.r, g0)
-    tail = fit.moment(1, grid.r_max)
-    if math.isinf(tail):
-        raise NotIntegrableError(
-            f"first moment int |y| u^-q dy diverges: angular mean of u^-q "
-            f"decays like r^-{fit.exponent:.3g} (need faster than r^-4)")
-    return grid.moment(1, g0) + 0.5 * tail
+    quad, tail, _ = _tail_moment(grid, g0, 1, "first moment int |y| u^-q dy")
+    return quad + tail
 
 
 _B_TOLERANCE = 0.02  # slack of the |b| <= beta constraint check
@@ -220,8 +216,7 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dic
     u = u_profile.values
     if np.min(u) <= 0.0:
         raise NonFiniteError("decomposition needs a strictly positive profile")
-    dens = u ** (-q)
-    v_dec = convolve(g, dens, shifted=True)
+    v_dec, modes = convolve(g, u ** (-q), shifted=True)
     w = u - v_dec
 
     # quadratics of the grid's symmetry class (constant first) as the
@@ -255,7 +250,7 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dic
     # > 4, and fittable only with a last decade of enough nodes); optional,
     # so either failure leaves the rest of the decomposition standing
     try:
-        moment1 = first_moment(g, g.mode0(dens))
+        moment1 = first_moment(g, modes[:, 0])
     except (NotIntegrableError, InsufficientTailError):
         moment1 = None
 

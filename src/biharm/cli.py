@@ -56,13 +56,17 @@ def load_preset(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
-def _read_json(path, what: str):
-    """The JSON document at path; ConfigError names `what` when it is malformed."""
+def _read_json(path, what: str) -> dict:
+    """The JSON object at path; ConfigError names `what` when it is malformed
+    or its top level is not an object."""
     with open(path) as f:
         try:
-            return json.load(f)
-        except json.JSONDecodeError as exc:
+            doc = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    return doc
 
 
 def _load_config_dict(args) -> dict:
@@ -102,8 +106,7 @@ def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
         # iterate's own linear growth
         if fit_poly.eps_quartic > 0.0:
             return "power"
-        at = fit_poly.a[0] * t * t + fit_poly.a[1] * (1.0 - t * t)
-        return "quadratic" if at > 0.0 else "linear"
+        return "quadratic" if fit_poly.angular_factor(t) > 0.0 else "linear"
 
     fits = []
     try:
@@ -202,7 +205,7 @@ def _integral_check(integ, threshold):
 
 
 def _run_exact_q7(d: dict, out: Path, seed: int) -> int:
-    gspec = GridSpec.from_dict(d["grid"])
+    gspec = GridSpec.from_dict(d.get("grid", {}))
     g = gspec.build()
     th = d.get("thresholds", {})
     prof = verify.exact_q7_profile(g)
@@ -431,18 +434,27 @@ SWEEP_COLUMNS = ["q", "kappa1", "kappa2", "eps", "converged", "iters",
                  "beta", "alpha", "exponent_e1", "exponent_eperp", "error"]
 
 
+def _sweep_values(grid: dict, key: str, default: list) -> list:
+    """The values a sweep grid lists for one parameter, as floats."""
+    values = grid.get(key, default)
+    try:
+        if isinstance(values, list):
+            return [float(x) for x in values]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"sweep grid {key!r} is not a list of numbers")
+
+
 def cmd_sweep(args) -> int:
     sw = _read_json(args.config, "sweep config")
-    try:
-        base = sw["base"]
-        grid = sw["grid"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"sweep config needs 'base' and 'grid': {exc}") from exc
+    base, grid = sw.get("base"), sw.get("grid")
+    if not (isinstance(base, dict) and isinstance(grid, dict)):
+        raise ConfigError("sweep config needs objects 'base' and 'grid'")
+    qs = _sweep_values(grid, "q", [base.get("q", 2.0)])
+    k1s = _sweep_values(grid, "kappa1", [1.0])
+    k2s = _sweep_values(grid, "kappa2", [1.0])
+    epss = _sweep_values(grid, "eps", [0.0])
     out = _out_dir(args)
-    qs = [float(x) for x in grid.get("q", [base.get("q", 2.0)])]
-    k1s = [float(x) for x in grid.get("kappa1", [1.0])]
-    k2s = [float(x) for x in grid.get("kappa2", [1.0])]
-    epss = [float(x) for x in grid.get("eps", [0.0])]
     points = sorted((q, k1, k2, e) for q in qs for k1 in k1s
                     for k2 in k2s for e in epss)
     payloads = [

@@ -19,7 +19,9 @@ to.  ModeConvolution applies the same quadrature in O(n_r log n_r) per mode
 (two doubling scans sharing one table per level), and convolve() applies
 (1/8 pi) int kernel(x, y) density(y) dy on a grid: the grid's Legendre
 analysis, its ModeConvolution (grid.convolution, one per grid for both
-kernel variants), synthesis (a radial grid is the one-mode case).
+kernel variants), synthesis (a radial grid is the one-mode case).  The
+solver and the decomposition both call it; it returns the density's modes
+with the field, so callers take the density's moments from them.
 
 A Monte-Carlo sphere average with a counter-based generator (Philox) serves as
 the model-independent oracle for all of the above.
@@ -168,14 +170,17 @@ class ModeConvolution:
 
 
 def convolve(grid, density, shifted: bool):
-    """(1/8 pi) int kernel(x, y) density(y) dy on the grid nodes.
+    """(field, density modes): (1/8 pi) int kernel(x, y) density(y) dy on
+    the grid nodes, and the Legendre analysis of the density it convolved.
 
-    density is node values in the layout grid.shape; returns field values in
-    the same layout.  The mode convolution is the grid's own
+    density is node values in the layout grid.shape; the field has the same
+    layout and the modes are (n_r, n_modes), their l = 0 column the
+    density's angular mean.  The mode convolution is the grid's own
     (grid.convolution), built once per grid for both kernel variants.
     """
     red = grid.reduction
-    return red.synthesize(grid.convolution(red.analyze(density), shifted))
+    modes = red.analyze(density)
+    return red.synthesize(grid.convolution(modes, shifted)), modes
 
 
 def kernel_row(r_target, grid, l=0, shifted: bool = False) -> np.ndarray:

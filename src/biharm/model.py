@@ -91,27 +91,25 @@ class QuadraticPolynomial:
             + self.eps_quartic * r2 * r2
         )
 
-    def value_rt(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Evaluate on spheres: radius r, polar cosine t against the x1 axis.
-
-        Valid only for axially symmetric even data (a2 == a3, b == 0).
-        """
+    def angular_factor(self, t) -> np.ndarray:
+        """a1 t^2 + a2 (1 - t^2), P's quadratic part over r^2 on the ray with
+        polar cosine t (axially symmetric even P only: a2 == a3, b == 0)."""
         if not self.is_axisymmetric():
-            raise ConfigError("value_rt requires a2 == a3 and b == 0")
-        r = np.asarray(r, dtype=float)
+            raise ConfigError("P on spheres (r, t) requires a2 == a3 and b == 0")
         t = np.asarray(t, dtype=float)
-        r2 = r * r
-        ang = self.a[0] * t * t + self.a[1] * (1.0 - t * t)
+        return self.a[0] * t * t + self.a[1] * (1.0 - t * t)
+
+    def value_rt(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Evaluate on spheres: radius r, polar cosine t against the x1 axis
+        (axisymmetric even P only, as angular_factor)."""
+        ang = self.angular_factor(t)
+        r2 = np.square(r, dtype=float)
         return self.c + r2 * ang + self.eps_quartic * r2 * r2
 
     def pohozaev_weight_rt(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """2 (x . grad P) - P, the dilation weight entering the integral identity."""
-        if not self.is_axisymmetric():
-            raise ConfigError("pohozaev_weight_rt requires a2 == a3 and b == 0")
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        r2 = r * r
-        ang = self.a[0] * t * t + self.a[1] * (1.0 - t * t)
+        ang = self.angular_factor(t)
+        r2 = np.square(r, dtype=float)
         return 3.0 * r2 * ang + 7.0 * self.eps_quartic * r2 * r2 - self.c
 
     def laplacian_origin(self) -> float:

@@ -12,17 +12,18 @@ The density is expanded in even Legendre modes of cos theta (the grid's
 transform pair, grid.reduction: exact Gauss-Legendre on axisymmetric grids,
 the single l = 0 mode on radial ones, where the angular integral is the
 closed-form spherical mean), each mode is convolved with its closed-form
-radial kernel, and the field is resynthesized; no pointwise kernel
-singularity is ever evaluated.  Each mode's radial kernel is semiseparable,
-so the convolution runs as prefix and suffix recurrences over the radii
-(kernels.ModeConvolution, one per grid for both kernel variants:
-grid.convolution): one application costs O(n_modes * n_r log n_r) time, and
-the grid keeps 2 n_modes * n_r log2(n_r) scan coefficients (one table per
-doubling level, shared by the prefix and the suffix sums), not dense tables.
-The slope alpha and the unshifted origin value are the grid's truncated
-moments of the density's angular mean (grid.moment), read from the l = 0
-column of the analysis the application already made; the analytic bound on
-the mass beyond r_max is a moment of analysis.PowerTail.
+radial kernel, and the field is resynthesized: kernels.convolve, which
+OperatorContext.apply calls and which also returns the density's modes.  No
+pointwise kernel singularity is ever evaluated.  Each mode's radial kernel
+is semiseparable, so the convolution runs as prefix and suffix recurrences
+over the radii (kernels.ModeConvolution, one per grid for both kernel
+variants: grid.convolution): one application costs O(n_modes * n_r log n_r)
+time, and the grid keeps 2 n_modes * n_r log2(n_r) scan coefficients (one
+table per doubling level, shared by the prefix and the suffix sums), not
+dense tables.  The slope alpha and the unshifted origin value are the grid's
+truncated moments of the density's angular mean (grid.moment), read from the
+l = 0 column of the analysis the application already made; the analytic
+bound on the mass beyond r_max is a moment of analysis.PowerTail.
 
 Iteration is Anderson mixing of depth 5 (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) with mixing weight theta = cfg.damping, safeguarded: an
@@ -45,6 +46,7 @@ from .model import (ConfigError, NonFiniteError, Profile, SolutionReport,
                     SolveConfig, validate_config)
 from .model import SphericalReduction  # noqa: F401  (perfbench/tracing.py patches this name)
 from .kernels import mode_kernel_table  # noqa: F401  (perfbench/tracing.py patches this name)
+from .kernels import convolve
 from .analysis import PowerTail
 
 
@@ -88,11 +90,6 @@ class OperatorContext:
             raise NonFiniteError("density (P + |v|)^-q not finite")
         return dens
 
-    def alpha_quadrature(self, g0: np.ndarray) -> float:
-        """(1/8 pi) int density dy truncated at r_max (the far-field slope),
-        from the density's angular mean g0 (its l = 0 mode, grid.mode0)."""
-        return self.grid.moment(0, g0)
-
     def origin_value(self, g0: np.ndarray) -> float:
         """Field value at the origin from the density's angular mean g0:
         0 shifted, (1/2) int s^3 g0 ds unshifted."""
@@ -123,23 +120,21 @@ class OperatorContext:
         if dens0 is None:
             dens0 = self.density(np.zeros_like(self.p_values))
         tb = self.tail_bound
-        return (self.alpha_quadrature(self.grid.mode0(dens0))
+        return (self.grid.moment(0, self.grid.mode0(dens0))
                 + (tb if math.isfinite(tb) else 0.0))
 
     def apply(self, v: np.ndarray, dens: np.ndarray | None = None):
         """(T(v), density modes); pass dens = self.density(v) when the caller
         already has it.
 
-        T(v) is the grid's Legendre analysis of the density, its mode
-        convolution and the synthesis.  The density modes (n_r, n_modes) are
-        that analysis; their l = 0 column gives the slope and origin value
-        of the iterate without analyzing the density again.
+        T(v) is kernels.convolve of the density with the context's kernel
+        variant.  The density modes (n_r, n_modes) are its analysis; their
+        l = 0 column gives the slope and origin value of the iterate without
+        analyzing the density again.
         """
         if dens is None:
             dens = self.density(v)
-        red = self.grid.reduction
-        g = red.analyze(dens)
-        out = red.synthesize(self.grid.convolution(g, self.shifted))
+        out, g = convolve(self.grid, dens, self.shifted)
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("operator output not finite")
         return out, g
@@ -271,7 +266,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
         g0_x = modes[:, 0]  # the density's angular mean
         res_x, xn = x_norm(fx), x_norm(x)
         diff_history.append(res_x)
-        alpha_history.append(ctx.alpha_quadrature(g0_x))
+        alpha_history.append(grid.moment(0, g0_x))
 
         if xn > _DIVERGENCE_FACTOR * max(bound, 1.0) or not math.isfinite(xn):
             v, g0, res = x, g0_x, res_x
@@ -298,7 +293,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
     prof = Profile(grid=grid, values=v)
     alpha = v_origin = math.nan
     if g0 is not None:
-        alpha, v_origin = ctx.alpha_quadrature(g0), ctx.origin_value(g0)
+        alpha, v_origin = grid.moment(0, g0), ctx.origin_value(g0)
     report = SolutionReport(
         converged=converged,
         iters=k,

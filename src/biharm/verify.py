@@ -31,11 +31,6 @@ def exact_q7_value(r):
     return np.sqrt(A_Q7 + r * r)
 
 
-def exact_q7_laplacian(r):
-    r = np.asarray(r, dtype=float)
-    return (3.0 * A_Q7 + 2.0 * r * r) * (A_Q7 + r * r) ** -1.5
-
-
 def exact_q7_profile(grid: RadialGrid) -> Profile:
     return Profile(grid=grid, values=exact_q7_value(grid.r))
 
@@ -90,23 +85,12 @@ class PDEResidualResult:
     window: tuple
 
 
-def _roundoff_cut(r: np.ndarray, u_local: np.ndarray, norm: float) -> float:
-    """Smallest radius where composed-stencil roundoff stays below 1e-4 norm.
-
-    Two stencil applications amplify value-level roundoff by about
-    36 eps |u| / h^4 with h the local spacing; on strongly graded grids this
-    floor dwarfs any truncation error at the innermost nodes, so residuals
-    there measure floating point noise, not the solution.
-    """
-    h = np.empty_like(r)
-    h[0] = r[1] - r[0]
-    h[1:] = np.diff(r)
-    floor = 36.0 * np.finfo(float).eps * u_local / h**4
+def _noise_cut(r: np.ndarray, floor: np.ndarray, norm: float) -> float:
+    """Smallest radius whose noise floor is at most 1e-4 norm, and never one
+    past the first quarter of the radii (the innermost radius if none is)."""
     ok = floor <= 1e-4 * norm
-    if not np.any(ok):
-        return float(r[0])
-    cut = float(r[np.argmax(ok)])
-    return min(cut, float(r[r.size // 4]))  # never mask more than the first quarter
+    cut = float(r[np.argmax(ok)]) if np.any(ok) else float(r[0])
+    return min(cut, float(r[r.size // 4]))
 
 
 def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
@@ -145,22 +129,25 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
     bilap = red.synthesize(out)
     res = bilap + dens - forcing
     if r_window is None:
+        # two stencil applications amplify value-level roundoff by about
+        # 36 eps |u| / h^4 with h the local spacing; on strongly graded grids
+        # this floor dwarfs any truncation error at the innermost nodes
+        h = np.diff(g.r)
+        h = np.concatenate((h[:1], h))
+        u_ray = np.max(np.abs(u).reshape(g.r.size, -1), axis=1)
+        roundoff_floor = 36.0 * np.finfo(float).eps * u_ray / h**4
         # two angular derivative pairs amplify the high-mode noise floor of
         # the data by (l_max (l_max + 1) / r^2)^2; the floor is measured from
-        # the top modes (where true coefficients have decayed under it) and
-        # the cut placed where the amplified noise drops below 1e-4 norm
+        # the top modes (where true coefficients have decayed under it)
         l_max = red.l_values[-1]
         amp = (l_max * (l_max + 1.0)) ** 2
         n_tail = min(3, coeffs.shape[1])
         sigma = np.max(np.abs(coeffs[:, -n_tail:]), axis=1)
         ang_floor = sigma * amp / g.r**4
-        ok = ang_floor <= 1e-4 * norm
-        ang_cut = float(g.r[np.argmax(ok)]) if np.any(ok) else float(g.r[0])
-        ang_cut = min(ang_cut, float(g.r[g.r.size // 4]))
-        u_ray = np.max(np.abs(u).reshape(g.r.size, -1), axis=1)
         hi = (g.r[-2 * _STENCIL_WIDTH] if g.r.size > 2 * _STENCIL_WIDTH
               else g.r[-(2 * lap.p + 1)])
-        r_window = (max(_roundoff_cut(g.r, u_ray, norm), ang_cut), hi)
+        r_window = (max(_noise_cut(g.r, roundoff_floor, norm),
+                        _noise_cut(g.r, ang_floor, norm)), hi)
     sel = (g.r >= r_window[0]) & (g.r <= r_window[1])
     return PDEResidualResult(
         max_rel=float(np.max(np.abs(res[sel])) / norm),

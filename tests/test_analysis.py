@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from biharm.analysis import (InsufficientTailError, NotIntegrableError,
                              PowerTail, check_hessian_decay, compute_beta,
-                             decompose, fit_growth, hessian_decay_rate,
-                             ray_values)
+                             decompose, first_moment, fit_growth,
+                             hessian_decay_rate, ray_values)
 from biharm.model import Profile, RadialGrid
 from biharm.operator import solve_fixed_point
 from biharm.verify import exact_q7_profile
@@ -107,9 +107,14 @@ class TestBeta:
         g = _grid(500, 100.0)
         u = (1.0 + g.r**2) ** (1.0 / 3.0)
         prof = Profile(grid=g, values=u)
-        # u^-4 ~ r^(-8/3) decays too slowly for a finite slope integral
-        with pytest.raises(NotIntegrableError):
+        # u^-4 ~ r^(-8/3) decays too slowly for a finite slope integral,
+        # and so for a finite first moment
+        with pytest.raises(NotIntegrableError,
+                           match=r"need faster than r\^-3\)"):
             compute_beta(prof, 4.0)
+        with pytest.raises(NotIntegrableError,
+                           match=r"need faster than r\^-4\)"):
+            first_moment(g, g.mode0(u ** -4.0))
 
 
 class TestDecompose:

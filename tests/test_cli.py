@@ -235,6 +235,39 @@ class TestSolve:
         assert "verify" in err
 
 
+@pytest.mark.parametrize("cmd, doc", [
+    ("solve", "[1, 2]"),
+    ("verify", "[1, 2]"),
+    ("verify", '{"command": "verify"}'),
+    ("solve", '"abc"'),
+    ("solve", b"\xff\xfe"),
+    ("sweep", "[1, 2]"),
+    ("sweep", '{"base": [], "grid": {}}'),
+    ("sweep", '{"base": {}, "grid": [1]}'),
+    ("sweep", '{"base": {}, "grid": {"q": ["abc"]}}'),
+    ("sweep", '{"base": {}, "grid": {"kappa1": [null]}}'),
+    ("sweep", '{"base": {}, "grid": {"eps": 0.5}}'),
+    ("sweep", '{"base": {}, "grid": {"q": [1%s]}}' % ("0" * 400)),
+], ids=["solve-array", "verify-array", "verify-exact-q7-no-grid",
+        "solve-string", "solve-not-utf8", "sweep-array", "sweep-base-array",
+        "sweep-grid-array", "sweep-q-string", "sweep-kappa1-null",
+        "sweep-eps-scalar", "sweep-q-int-past-float"])
+def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys,
+                                                        cmd, doc):
+    path = tmp_path / "cfg.json"
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc)
+    argv = [cmd, "--config", str(path), "--out", str(tmp_path / "out")]
+    if cmd == "verify":
+        argv += ["--profile", str(tmp_path / "profile.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # Run in a fresh interpreter: prints the scipy modules loaded after the
 # import of biharm.cli, and the exit code and loaded scipy modules after each
 # (name, argv) step of the JSON list in sys.argv[1], run in order.

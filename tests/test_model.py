@@ -48,6 +48,8 @@ class TestPolynomial:
         p = QuadraticPolynomial((1.0, 2.0, 3.0), (0, 0, 0), 1.0)
         with pytest.raises(ConfigError):
             p.value_rt(np.ones(3), np.zeros(3))
+        with pytest.raises(ConfigError):
+            p.pohozaev_weight_rt(np.ones(3), np.zeros(3))
 
     def test_growth_order(self):
         flat = QuadraticPolynomial((0, 0, 0), (0, 0, 0), 1.0)
@@ -435,7 +437,8 @@ class TestGridContract:
         dens = np.zeros(g.shape) + (1.0 + g.r_nodes**2) ** -2.5
         col = ModeConvolution(g, [0])(g.mode0(dens)[:, None], shifted)[:, 0]
         expect = np.zeros(g.shape) + col.reshape(g.r_nodes.shape)
-        field = convolve(g, dens, shifted)
+        field, modes = convolve(g, dens, shifted)
+        np.testing.assert_array_equal(modes, g.reduction.analyze(dens))
         if kind == "radial":
             np.testing.assert_array_equal(field, expect)
         else:  # the other modes of a radial density vanish up to rounding

@@ -170,7 +170,7 @@ class TestOperatorPieces:
         cfg = _radial_cfg(q=2.0, a=1.0, eps=0.05, n=2000, r_max=200.0)
         ctx = OperatorContext(cfg)
         v, modes = ctx.apply(np.zeros(cfg.grid.n_r))
-        alpha = ctx.alpha_quadrature(modes[:, 0])
+        alpha = ctx.grid.moment(0, modes[:, 0])
         g = ctx.grid
         sel = g.r > 0.5 * g.r_max
         slope = np.polyfit(g.r[sel], v[sel], 1)[0]
