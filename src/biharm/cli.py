@@ -19,6 +19,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -40,6 +41,10 @@ EXIT_NO_BRACKET = 4
 PRESETS = ("thm1", "thm2", "thmA-iii", "thmA-iv", "exact-q7")
 
 DEFAULT_THRESHOLDS = {"pde": 1e-2, "integral": 1e-2, "pohozaev": 1e-2}
+
+# the shoot flags' defaults, which a shoot preset fills in
+SHOOT_DEFAULTS = {"q": None, "u0": 1.0, "w0": None, "r_end": 1e4,
+                  "bisect": False, "exact_start": False}
 
 
 def _out_dir(args) -> Path:
@@ -144,20 +149,25 @@ def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
     return report
 
 
-def cmd_solve(args) -> int:
-    d = _load_config_dict(args)
+def _solve_config(d: dict, command: str):
+    """(config, validation) of the solve config dict d, read by `command`;
+    ConfigError when d drives another subcommand, is malformed, or fails
+    validation with hard errors (e.g. a radial grid needs a radial P)."""
     if d.get("command", "solve") != "solve":
-        raise ConfigError(
-            f"this preset drives the {d.get('command')!r} subcommand, not solve")
-    d = {k: v for k, v in d.items() if k != "command"}
-    cfg = SolveConfig.from_dict(d)
-    if args.seed is not None:
-        cfg = SolveConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
-    out = _out_dir(args)
-
+        raise ConfigError(f"this preset drives the {d.get('command')!r} "
+                          f"subcommand, not {command}")
+    cfg = SolveConfig.from_dict({k: v for k, v in d.items() if k != "command"})
     check = validate_config(cfg)
     if check.hard_errors:
         raise ConfigError("; ".join(check.hard_errors))
+    return cfg, check
+
+
+def cmd_solve(args) -> int:
+    cfg, check = _solve_config(_load_config_dict(args), "solve")
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    out = _out_dir(args)
 
     cont = continuation_eps_to_zero(cfg)
     prof, report = cont.final_profile, cont.final_report
@@ -197,36 +207,43 @@ def _check(value, threshold, note=""):
             "note": note}
 
 
-def _integral_check(integ, threshold):
-    """The integral identity's check; a truncated, divergent tail grades nothing."""
-    if integ.tail_diverges:
-        return _check(None, threshold, f"NotApplicable: {integ.note}")
-    return _check(integ.max_rel, threshold)
+def _residual_checks(prof: Profile, q: float, poly, seed: int, th: dict):
+    """The pde and integral checks of a profile of u, its integral residual,
+    and the verification.json keys both verify modes write from them."""
+    pde = verify.pde_residual(prof, q, eps_quartic=poly.eps_quartic)
+    integ = verify.integral_residual(prof, q, poly, n_samples=20, seed=seed)
+    integral = _check(integ.max_rel, th["integral"])
+    if integ.tail_diverges:  # a truncated, divergent tail grades nothing
+        integral = _check(None, th["integral"], f"NotApplicable: {integ.note}")
+    checks = {"pde": _check(pde.max_rel, th["pde"]), "integral": integral}
+    return checks, integ, {"gamma": integ.gamma, "pde_window": list(pde.window)}
+
+
+def _write_verification(doc: dict, out: Path) -> int:
+    """Write doc to verification.json, print its checks and grade them."""
+    report_json(doc, out / "verification.json")
+    checks = doc["checks"]
+    for k, v in checks.items():
+        print(f"{k}: {v['status']}" + (f" ({v['value']:.3g})"
+                                       if "value" in v else ""))
+    failed = any(v["status"] == "fail" for v in checks.values())
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _run_exact_q7(d: dict, out: Path, seed: int) -> int:
-    gspec = GridSpec.from_dict(d.get("grid", {}))
-    g = gspec.build()
     th = d.get("thresholds", {})
-    prof = verify.exact_q7_profile(g)
-    pde = verify.pde_residual(prof, 7.0)
-
-    integ = verify.integral_residual(prof, 7.0,
-                                     QuadraticPolynomial((0, 0, 0), c=0.0),
-                                     n_samples=20, seed=seed)
-    checks = {
-        "pde": _check(pde.max_rel, th.get("pde", 1e-3)),
-        "integral": _integral_check(integ, th.get("integral", 1e-3)),
-        "gamma": _check(abs(integ.gamma), th.get("gamma", 1e-2)),
-    }
-    doc = {"mode": "exact-q7", "q": 7.0, "grid": gspec.to_dict(),
-           "checks": checks, "gamma": integ.gamma,
-           "pde_window": list(pde.window)}
-    report_json(doc, out / "verification.json")
-    failed = [k for k, v in checks.items() if v["status"] == "fail"]
-    for k, v in checks.items():
-        print(f"{k}: {v['status']} ({v.get('value', 'n/a')})")
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    if not (isinstance(th, dict)
+            and all(isinstance(v, (int, float)) for v in th.values())):
+        raise ConfigError("exact-q7 thresholds must be an object of numbers")
+    th = {"pde": 1e-3, "integral": 1e-3, "gamma": 1e-2, **th}
+    gspec = GridSpec.from_dict(d.get("grid", {}))
+    prof = verify.exact_q7_profile(gspec.build())
+    checks, integ, keys = _residual_checks(
+        prof, 7.0, QuadraticPolynomial((0, 0, 0), c=0.0), seed, th)
+    checks["gamma"] = _check(abs(integ.gamma), th["gamma"])
+    return _write_verification({"mode": "exact-q7", "q": 7.0,
+                                "grid": gspec.to_dict(), "checks": checks,
+                                **keys}, out)
 
 
 def _profile_stage(cfg: SolveConfig, profile_path) -> tuple:
@@ -241,52 +258,53 @@ def _profile_stage(cfg: SolveConfig, profile_path) -> tuple:
     eps = list(cfg.continuation.eps_sequence) if cfg.continuation else [None]
     path = Path(profile_path).with_name("report.json")
     doc = _read_json(path, "report.json") if path.is_file() else None
+    written = None if doc is None else doc.get("config")
 
     def unseeded(d):
         return {k: v for k, v in d.items() if k != "seed"}
 
-    if doc is None or unseeded(doc.get("config", {})) != unseeded(
+    if not isinstance(written, dict) or unseeded(written) != unseeded(
             json.loads(report_json(cfg.to_dict()))):
         why = "no" if doc is None else "another config's"
         return stages[-1], {
             "eps": eps[-1], "converged": None,
             "note": f"{why} report.json next to the profile: checked against "
                     f"the last stage"}
-    k = len(doc["continuation"]["converged"]) - 1 if "continuation" in doc else 0
-    converged = bool(doc["result"]["converged"])
+    try:
+        converged = bool(doc["result"]["converged"])
+        k = len(doc["continuation"]["converged"]) - 1 if cfg.continuation else 0
+        stage_cfg = stages[k]
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ConfigError(
+            "report.json next to the profile matches the config but lacks "
+            "result.converged or continuation.converged") from exc
     note = "" if converged else (
         "this stage did not converge: the profile is its last iterate, "
         "not a solution")
-    return stages[k], {"eps": eps[k], "converged": converged, "note": note}
+    return stage_cfg, {"eps": eps[k], "converged": converged, "note": note}
 
 
 def cmd_verify(args) -> int:
     out = _out_dir(args)
     if args.exact_q7 and not (args.preset or args.config):
         d = load_preset("exact-q7")
-        return _run_exact_q7(d, out, args.seed or 0)
-    d = _load_config_dict(args)
+    else:
+        d = _load_config_dict(args)
     if d.get("command", "solve") == "verify":
         return _run_exact_q7(d, out, args.seed or 0)
-    d = {k: v for k, v in d.items() if k != "command"}
-    cfg = SolveConfig.from_dict(d)
-    check = validate_config(cfg)  # e.g. a radial grid needs a radial P
-    if check.hard_errors:
-        raise ConfigError("; ".join(check.hard_errors))
+    cfg, _ = _solve_config(d, "verify")
     if args.profile is None:
         raise ConfigError("verify needs --profile PATH (a profile.csv from solve)")
     stage_cfg, stage = _profile_stage(cfg, args.profile)
-    grid = stage_cfg.build_grid()
+    grid = stage_cfg.grid.build()
     prof = load_profile_csv(args.profile, grid)  # ConfigError on mismatch
     u = prof.values
     if np.min(u) <= 0.0:
         raise ConfigError("stored profile is not strictly positive")
     seed = args.seed if args.seed is not None else cfg.seed
-    th = dict(DEFAULT_THRESHOLDS)
-
     poly = stage_cfg.poly
-    pde = verify.pde_residual(prof, cfg.q, eps_quartic=poly.eps_quartic)
-    integ = verify.integral_residual(prof, cfg.q, poly, n_samples=20, seed=seed)
+    residual_checks, integ, keys = _residual_checks(prof, cfg.q, poly, seed,
+                                                    DEFAULT_THRESHOLDS)
 
     po_value, po_note = None, ""
     if cfg.q <= 4.0:
@@ -308,40 +326,28 @@ def cmd_verify(args) -> int:
 
     checks = {
         "positivity": {"status": "pass", "note": "u > 0 on all nodes"},
-        "pde": _check(pde.max_rel, th["pde"]),
-        "integral": _integral_check(integ, th["integral"]),
-        "pohozaev": _check(po_value, th["pohozaev"], po_note),
+        **residual_checks,
+        "pohozaev": _check(po_value, DEFAULT_THRESHOLDS["pohozaev"], po_note),
     }
-    doc = {"config": cfg.to_dict(), "checks": checks, "stage": stage,
-           "gamma": integ.gamma, "pde_window": list(pde.window),
-           "integral_note": integ.note}
-    report_json(doc, out / "verification.json")
-    failed = [k for k, v in checks.items() if v["status"] == "fail"]
-    for k, v in checks.items():
-        print(f"{k}: {v['status']}" + (f" ({v['value']:.3g})"
-                                       if "value" in v else ""))
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return _write_verification({"config": cfg.to_dict(), "checks": checks,
+                                "stage": stage, "integral_note": integ.note,
+                                **keys}, out)
 
 
 def cmd_shoot(args) -> int:
     out = _out_dir(args)
-    if args.preset:
+    if args.preset:  # the preset alone: flags given with it are ignored
         d = load_preset(args.preset)
         if d.get("command") != "shoot":
             raise ConfigError(f"preset {args.preset!r} does not drive shoot")
-        q = d["q"]
-        u0 = d.get("u0", 1.0)
-        r_end = d.get("r_end", 1e4)
-        bisect = d.get("bisect", False)
-        w0 = d.get("w0")
-        exact_start = d.get("exact_start", False)
+        d = {**SHOOT_DEFAULTS, **d}
     else:
-        q, u0, r_end = args.q, args.u0, args.r_end
-        bisect, w0, exact_start = args.bisect, args.w0, args.exact_start
+        d = vars(args)
+    q, u0, w0, r_end = d["q"], d["u0"], d["w0"], d["r_end"]
 
     summary = {"q": q, "u0": u0, "r_end": r_end}
     try:
-        if exact_start:
+        if d["exact_start"]:
             u0 = 15.0 ** -0.25
             w0 = 3.0 * 15.0 ** 0.25
             traj = shooting.integrate_radial(7.0, u0, w0, min(r_end, 10.0))
@@ -350,7 +356,7 @@ def cmd_shoot(args) -> int:
             summary.update({"q": 7.0, "u0": u0, "w0": w0,
                             "max_rel_deviation_from_closed_form": float(dev),
                             "outcome": traj.outcome})
-        elif bisect:
+        elif d["bisect"]:
             if q is None or q <= 1.0:
                 raise ConfigError("bisect mode needs q > 1")
             res = shooting.bisect_growth_threshold(q, u0, r_end)
@@ -397,11 +403,8 @@ def _sweep_point(payload):
            "exponent_e1": "", "exponent_eperp": "", "error": ""}
     try:
         cfg = SolveConfig.from_dict(base)
-        poly = cfg.poly
-        poly = QuadraticPolynomial((k1, k2, k2), poly.b, poly.c, eps)
-        cfg = SolveConfig.from_dict({**cfg.to_dict(), "q": q,
-                                     "poly": poly.to_dict(),
-                                     "continuation": None})
+        poly = QuadraticPolynomial((k1, k2, k2), cfg.poly.b, cfg.poly.c, eps)
+        cfg = replace(cfg.replace_poly(poly), q=q)
         prof, report = solve_fixed_point(cfg)
         g = prof.grid
         up = Profile(grid=g, values=prof.values + g.poly_values(cfg.poly))
@@ -524,22 +527,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the exit code of each error a subcommand may raise, first match wins
+ERROR_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    shooting.BracketNotFoundError: EXIT_NO_BRACKET,
+    shooting.IntegrationError: EXIT_DIVERGED,
+    OSError: EXIT_CONFIG,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(ERROR_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except shooting.BracketNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_BRACKET
-    except shooting.IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for kind, code in ERROR_EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -673,9 +673,6 @@ class SolveConfig:
     seed: int = 0
     continuation: Optional[ContinuationSpec] = None
 
-    def build_grid(self) -> Grid:
-        return self.grid.build()
-
     def to_dict(self) -> dict:
         d = {
             "q": self.q,

@@ -23,7 +23,10 @@ table per doubling level, shared by the prefix and the suffix sums), not
 dense tables.  The slope alpha and the unshifted origin value are the grid's
 truncated moments of the density's angular mean (grid.moment), read from the
 l = 0 column of the analysis the application already made; the analytic
-bound on the mass beyond r_max is a moment of analysis.PowerTail.
+bound on the mass beyond r_max is a moment of analysis.PowerTail.  A warm
+start carries its grid: a solve started from a profile sets up its context
+on that profile's grid, so the stages of a continuation share one reduction
+and one mode convolution.
 
 Iteration is Anderson mixing of depth 5 (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) with mixing weight theta = cfg.damping, safeguarded: an
@@ -36,7 +39,6 @@ never an exception.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -52,27 +54,16 @@ from .analysis import PowerTail
 
 class OperatorContext:
     """Grid (with its mode convolution), polynomial values and tail bound
-    for one config."""
+    for one config; grid, when given, is one built from cfg.grid to share
+    (a warm start's), else cfg.grid is built."""
 
-    def __init__(self, cfg: SolveConfig):
+    def __init__(self, cfg: SolveConfig, grid=None):
         self.cfg = cfg
         self.shifted = cfg.kernel_variant == "shifted"
-        self.grid = g = cfg.build_grid()
+        self.grid = g = cfg.grid.build() if grid is None else grid
         g.convolution  # built here, so setting up a context holds its cost
         self.p_values = g.poly_values(cfg.poly)
         self.tail_bound = self.tail_bound_alpha()
-
-    def with_poly(self, poly) -> "OperatorContext":
-        """The context for this config with another polynomial.
-
-        The grid (with its Legendre transforms and mode convolutions)
-        depends only on the grid spec, so it is shared.
-        """
-        other = copy.copy(self)
-        other.cfg = self.cfg.replace_poly(poly)
-        other.p_values = self.grid.poly_values(poly)
-        other.tail_bound = other.tail_bound_alpha()
-        return other
 
     # -- pieces ------------------------------------------------------------
 
@@ -193,9 +184,9 @@ class _MixingHistory:
         return out
 
 
-def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
-                      context: OperatorContext | None = None):
-    """Anderson-accelerated fixed point of T from v = 0 (or a warm start).
+def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
+    """Anderson-accelerated fixed point of T from v = 0 (or a warm start v0
+    on a grid built from cfg.grid, which the solve then shares).
 
     Every iterate v is applied once and its residual |T(v) - v|_X recorded;
     the iteration stops when that residual is below tol (1 + |v|_X).  New
@@ -222,7 +213,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
         raise ConfigError("; ".join(check.hard_errors))
 
     if check.gate_failures:
-        grid = cfg.build_grid()
+        grid = cfg.grid.build()
         prof = Profile(grid=grid, values=np.zeros(grid.shape))
         report = SolutionReport(converged=False, iters=0, final_residual=math.nan,
                                 damping_final=cfg.damping, q=cfg.q,
@@ -230,7 +221,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None,
                                 diverged_reason=check.gate_failures[0])
         return prof, report
 
-    ctx = context if context is not None else OperatorContext(cfg)
+    ctx = OperatorContext(cfg, None if v0 is None else v0.grid)
     grid = ctx.grid
     x = np.zeros_like(ctx.p_values) if v0 is None else np.array(v0.values, dtype=float)
     theta = cfg.damping
@@ -336,22 +327,17 @@ def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
     that does not converge.
 
     A config without continuation is the one-stage case: the plain solve,
-    with limit_poly = cfg.poly and no eps values.  The grid, its Legendre
-    reduction and the mode convolution are shared across stages (only the
-    polynomial changes: OperatorContext.with_poly).  Cauchy diagnostics
+    with limit_poly = cfg.poly and no eps values.  Each stage starts from
+    the previous stage's profile and so shares its grid, with the Legendre
+    reduction and the mode convolution.  Cauchy diagnostics
     record sup_{r <= 10} |v_i - v_{i-1}|; a decreasing sequence is the
     empirical sign that the family converges.
     """
     cont = cfg.continuation
     reports, cauchy = [], []
-    ctx = None
     warm = None  # the previous stage's profile: its start and Cauchy reference
     for stage_cfg in cfg.stages():
-        if ctx is not None:
-            ctx = ctx.with_poly(stage_cfg.poly)
-        elif validate_config(stage_cfg).ok:  # a refused stage needs no context
-            ctx = OperatorContext(stage_cfg)
-        prof, rep = solve_fixed_point(stage_cfg, v0=warm, context=ctx)
+        prof, rep = solve_fixed_point(stage_cfg, v0=warm)
         reports.append(rep)
         if warm is not None:
             delta = np.abs(prof.values - warm.values)[prof.grid.r <= 10.0]

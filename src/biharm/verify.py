@@ -235,7 +235,7 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
 
     note = ""
     try:
-        power = PowerTail.fit(g.r, g.mode0(dens))
+        power = PowerTail.fit(g.r, ghat[:, 0])
     except (InsufficientTailError, NonFiniteError) as exc:
         power = None
         note = f"no tail correction ({exc})"

@@ -7,15 +7,16 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biharm import cli, verify
+from biharm import cli, shooting, verify
 from biharm.kernels import ModeConvolution
-from biharm.model import (Profile, RadialGrid, SolveConfig, load_profile_csv,
-                          save_profile_csv)
+from biharm.model import (GridSpec, Profile, RadialGrid, SolveConfig,
+                          load_profile_csv, save_profile_csv)
 from biharm.operator import solve_fixed_point
 
 
@@ -229,16 +230,21 @@ class TestSolve:
         assert code == 1
 
     def test_preset_for_wrong_subcommand(self, tmp_path, capsys):
-        code, _, err = run(capsys, "solve", "--preset", "exact-q7",
-                           "--out", str(tmp_path / "g"))
-        assert code == 1
-        assert "verify" in err
+        for cmd, preset, drives in (("solve", "exact-q7", "verify"),
+                                    ("verify", "thmA-iv", "shoot")):
+            code, _, err = run(capsys, cmd, "--preset", preset,
+                               "--out", str(tmp_path / "g"))
+            assert code == 1
+            assert err == (f"error: this preset drives the {drives!r} "
+                           f"subcommand, not {cmd}\n")
 
 
 @pytest.mark.parametrize("cmd, doc", [
     ("solve", "[1, 2]"),
     ("verify", "[1, 2]"),
     ("verify", '{"command": "verify"}'),
+    ("verify", '{"command": "verify", "thresholds": [1], "grid": '
+               '{"kind": "radial", "n_r": 64, "r_max": 10.0}}'),
     ("solve", '"abc"'),
     ("solve", b"\xff\xfe"),
     ("sweep", "[1, 2]"),
@@ -249,6 +255,7 @@ class TestSolve:
     ("sweep", '{"base": {}, "grid": {"eps": 0.5}}'),
     ("sweep", '{"base": {}, "grid": {"q": [1%s]}}' % ("0" * 400)),
 ], ids=["solve-array", "verify-array", "verify-exact-q7-no-grid",
+        "verify-exact-q7-thresholds-array",
         "solve-string", "solve-not-utf8", "sweep-array", "sweep-base-array",
         "sweep-grid-array", "sweep-q-string", "sweep-kappa1-null",
         "sweep-eps-scalar", "sweep-q-int-past-float"])
@@ -266,6 +273,33 @@ def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys,
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_schema_bounds_match_the_code():
+    # jsonschema is not a dependency, so the schema's numbers are read from
+    # the file and held against the checks the code makes
+    schema = json.loads(resources.files("biharm").joinpath(
+        "schemas/config.schema.json").read_text())
+    defs = schema["definitions"]
+    grid = defs["grid"]["properties"]
+    n_r, n_angle = grid["n_r"]["minimum"], grid["n_angle"]["minimum"]
+    step = grid["n_angle"]["multipleOf"]
+
+    def error(kind="axisymmetric", **over):
+        spec = {"n_r": n_r, "r_max": 10.0, "n_angle": n_angle, **over}
+        return GridSpec(kind=kind, **spec).error()
+
+    assert (n_r, n_angle, step) == (8, 4, 2)
+    assert error() is None and error("radial") is None
+    assert error(n_angle=n_angle + step) is None
+    for over in ({"n_r": n_r - 1}, {"n_angle": n_angle - step},
+                 {"n_angle": n_angle + 1}):
+        assert error(**over) is not None, over
+    assert error("radial", n_r=n_r - 1) is not None
+    r_end = defs["shootPreset"]["properties"]["r_end"]["exclusiveMinimum"]
+    with pytest.raises(ValueError, match="r_end"):
+        shooting.integrate_radial(3.0, 1.0, 1.4, r_end)
+    assert shooting.integrate_radial(3.0, 1.0, 1.4, 2.0 * r_end).outcome
 
 
 # Run in a fresh interpreter: prints the scipy modules loaded after the
@@ -412,6 +446,28 @@ class TestVerify:
         assert doc["stage"]["converged"] is None
         assert why in doc["stage"]["note"]
 
+    @pytest.mark.parametrize("key, value", [("result", {}), ("config", 7)])
+    def test_malformed_report_next_to_the_profile(self, solved, tmp_path,
+                                                  capsys, key, value):
+        # a matching report without result.converged cannot say which stage
+        # the profile holds; a report whose config is not an object is
+        # another config's
+        cfg, out = solved
+        (tmp_path / "profile.csv").write_bytes((out / "profile.csv").read_bytes())
+        doc = json.loads((out / "report.json").read_text())
+        (tmp_path / "report.json").write_text(json.dumps({**doc, key: value}))
+        code, _, err = run(capsys, "verify", "--config", str(cfg), "--profile",
+                           str(tmp_path / "profile.csv"),
+                           "--out", str(tmp_path / "chk"))
+        if key == "result":
+            assert code == 1
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: report.json")
+        else:
+            assert code == 0
+            doc = json.loads((tmp_path / "chk" / "verification.json").read_text())
+            assert "another config's report.json" in doc["stage"]["note"]
+
     def test_continuation_round_trip_passes(self, tmp_path, capsys):
         # solve with a vanishing-quartic continuation, then verify the stored
         # stage profile; the equation check must window out the noise that
@@ -504,7 +560,7 @@ class TestVerify:
         cfg = quick_config(tmp_path, poly={"a": [1.0, 2.0, 2.0], "c": 1.0},
                            grid={"kind": "axisymmetric", "n_r": 16,
                                  "n_angle": 8, "r_max": 10.0})
-        g = SolveConfig.from_dict(json.loads(cfg.read_text())).build_grid()
+        g = SolveConfig.from_dict(json.loads(cfg.read_text())).grid.build()
         p = tmp_path / "profile.csv"
         save_profile_csv(Profile(grid=g, values=2.0 + g.x1**2 + g.rho), p)
         lines = p.read_text().splitlines(keepends=True)

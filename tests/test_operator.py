@@ -44,7 +44,7 @@ def _axisym_cfg(q=5.0, a=(1.0, 2.0, 2.0), c=1.0, eps=0.0, n_r=96, n_angle=32,
 class TestSphericalReduction:
     def test_roundtrip_even_field(self):
         cfg = _axisym_cfg()
-        g = cfg.build_grid()
+        g = cfg.grid.build()
         red = g.reduction
         f = np.cos(g.x1) * np.exp(-g.rho**2 / 9.0)
         back = red.synthesize(red.analyze(f))
@@ -52,7 +52,7 @@ class TestSphericalReduction:
 
     def test_synthesize_at_matches_grid_nodes(self):
         cfg = _axisym_cfg(r_max=6.0)
-        g = cfg.build_grid()
+        g = cfg.grid.build()
         red = g.reduction
         f = np.exp(-(g.x1**2 + 0.5 * g.rho**2))
         coeffs = red.analyze(f)
@@ -63,7 +63,7 @@ class TestSphericalReduction:
 
     def test_node_table_is_the_legendre_row_of_each_node(self):
         # verify.integral_residual reads P_l(t) of a node column off pl
-        g = _axisym_cfg().build_grid()
+        g = _axisym_cfg().grid.build()
         red = g.reduction
         for j, t in enumerate(g.t.tolist()):
             np.testing.assert_array_equal(red.pl[j].view(np.int64),
@@ -331,33 +331,31 @@ class TestSolve:
         assert not report.converged
         assert "max_iters" in report.diverged_reason
 
-    def test_density_is_evaluated_once_per_iterate(self):
+    def test_density_is_evaluated_once_per_iterate(self, monkeypatch):
         cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=200, r_max=50.0)
-        ctx = OperatorContext(cfg)
         calls = []
-        density = ctx.density
-        ctx.density = lambda v: calls.append(1) or density(v)
-        cold, report = solve_fixed_point(cfg, context=ctx)
+        density = OperatorContext.density
+        monkeypatch.setattr(OperatorContext, "density",
+                            lambda self, v: calls.append(1) or density(self, v))
+        cold, report = solve_fixed_point(cfg)
         assert report.converged
         # iterate_bound's P^-q, which is also the cold start's density,
         # then one per new iterate
         assert len(calls) == report.iters + 1
         calls.clear()
         warm = Profile(grid=cold.grid, values=0.5 * cold.values)
-        _, report = solve_fixed_point(cfg, v0=warm, context=ctx)
+        _, report = solve_fixed_point(cfg, v0=warm)
         assert report.converged and report.iters > 0
         # P^-q, the warm start value, then one per new iterate
         assert len(calls) == report.iters + 2
 
     def test_warm_start_context_reuse(self):
         cfg = _radial_cfg(q=5.0, a=1.0, eps=0.1, n=300, r_max=30.0)
-        ctx = OperatorContext(cfg)
-        prof1, rep1 = solve_fixed_point(cfg, context=ctx)
+        prof1, rep1 = solve_fixed_point(cfg)
         cfg2 = cfg.replace_poly(cfg.poly.with_eps("quartic", 0.05))
-        ctx2 = ctx.with_poly(cfg2.poly)
-        assert ctx2.grid.convolution is ctx.grid.convolution
-        assert ctx2.cfg == cfg2
-        prof2a, rep2a = solve_fixed_point(cfg2, v0=prof1, context=ctx2)
+        prof2a, rep2a = solve_fixed_point(cfg2, v0=prof1)
+        # the warm start carries its grid, with the grid's mode convolution
+        assert prof2a.grid.convolution is prof1.grid.convolution
         prof2b, rep2b = solve_fixed_point(cfg2)
         assert rep2a.converged and rep2b.converged
         assert rep2a.iters < rep2b.iters  # warm start saves iterations
@@ -391,11 +389,10 @@ class TestContinuation:
         assert peak < 12e6
         assert isinstance(res.final_profile, Profile) and not hasattr(res, "profiles")
         # the Cauchy gaps of keeping every stage's profile
-        ctx, profiles = None, []
+        profiles = []
         for stage_cfg in cfg.stages():
-            ctx = ctx.with_poly(stage_cfg.poly) if ctx else OperatorContext(stage_cfg)
             prev = profiles[-1] if profiles else None
-            profiles.append(solve_fixed_point(stage_cfg, v0=prev, context=ctx)[0])
+            profiles.append(solve_fixed_point(stage_cfg, v0=prev)[0])
         near = profiles[0].grid.r <= 10.0
         assert res.cauchy == [float(np.max(np.abs(b.values - a.values)[near]))
                               for a, b in zip(profiles, profiles[1:])]
@@ -405,7 +402,8 @@ class TestContinuation:
         built = []
         init = OperatorContext.__init__
         monkeypatch.setattr(OperatorContext, "__init__",
-                            lambda self, cfg: built.append(cfg) or init(self, cfg))
+                            lambda self, cfg, grid=None:
+                            built.append(cfg) or init(self, cfg, grid))
         cfg = _radial_cfg(q=0.5, a=1.0)
         res = continuation_eps_to_zero(cfg)
         assert not res.final_report.converged
