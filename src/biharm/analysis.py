@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (InsufficientTailError, NonFiniteError, NotIntegrableError,
-                    Profile, RadialGrid)
+                    Profile)
 from .kernels import convolve
 
 _LOG_DRIFT_MODEL = "linear_times_log_quarter"
@@ -220,20 +220,11 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dic
     w = u - v_dec
 
     # quadratics of the grid's symmetry class (constant first) as the
-    # columns of A, and how their coefficients map to P's a and b; the basis
-    # arrays are freed once A holds them, before lstsq copies A twice more
-    if isinstance(g, RadialGrid):
-        A = _columns(np.ones_like(g.r), g.r * g.r)
-
-        def to_ab(a):
-            return [a, a, a], [0.0, 0.0, 0.0]
-    else:
-        x1 = g.x1
-        A = _columns(np.ones_like(x1), x1 * x1, g.rho**2)
-        del x1
-
-        def to_ab(a1, a23):
-            return [a1, a23, a23], [0.0, 0.0, 0.0]
+    # columns of A, and the one of them setting each axis of P's a; the
+    # basis arrays are freed once A holds them, before lstsq copies A twice
+    basis, axes = g.even_quadratics()
+    A = _columns(np.ones(g.shape), *basis)
+    del basis
     quad_scale = 1.0 + g.r_nodes**2
     wts = g.weights / quad_scale**2
 
@@ -244,7 +235,7 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dic
     fit_residual = float(np.max(np.abs(w - fit_vals) / quad_scale)) / max(denom, 1e-300)
 
     c, *rest = (float(x) for x in coef)
-    a, b = to_ab(*rest)
+    a, b = [rest[i] for i in axes], [0.0, 0.0, 0.0]
 
     # first moment of the density, for the identity gap (finite iff decay
     # > 4, and fittable only with a last decade of enough nodes); optional,
@@ -301,15 +292,11 @@ def check_hessian_decay(v_profile: Profile, q: float) -> dict:
     g = v_profile.grid
     r_window = (2.0, g.r_max / 2.0)
     label, expo = hessian_decay_rate(q)
-    if isinstance(g, RadialGrid):
-        ray_list = [(None, v_profile.values)]
-    else:
-        coeffs = g.reduction.analyze(v_profile.values)
-        ray_list = [(t, g.reduction.synthesize_at(coeffs, t))
-                    for t in _HESSIAN_RAYS]
+    coeffs = g.reduction.analyze(v_profile.values)
 
     results = []
-    for t, vals in ray_list:
+    for t, direction in g.rays(_HESSIAN_RAYS):
+        vals = g.reduction.synthesize_at(coeffs, t)
         rm, d2 = _second_derivative_nonuniform(g.r, vals)
         sel = (rm >= r_window[0]) & (rm <= r_window[1])
         if np.count_nonzero(sel) < 30:
@@ -325,7 +312,7 @@ def check_hessian_decay(v_profile: Profile, q: float) -> dict:
         trend = fit_growth(rr, np.maximum(ratio, floor), "power",
                            r_window=(rr[0], rr[-1]), min_nodes=10)
         results.append({
-            "direction": t,
+            "direction": direction,
             "envelope_coeff": float(np.max(ratio)),
             "trend_exponent": trend.params["exponent"],
             "bounded": bool(trend.params["exponent"] <= 0.25),

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import (ConfigError, GridSpec, NonFiniteError, Profile,
-                    QuadraticPolynomial, RadialGrid, SolveConfig,
+                    QuadraticPolynomial, SolveConfig,
                     load_profile_csv, report_json, save_profile_csv,
                     validate_config)
 from .operator import continuation_eps_to_zero, solve_fixed_point
@@ -115,13 +115,10 @@ def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
 
     fits = []
     try:
-        if isinstance(g, RadialGrid):
-            fits.append(analysis.fit_growth(g.r, u_fit, ray_model(1.0)).to_dict())
-        else:
-            for t in (1.0, 0.0):
-                r, vals = analysis.ray_values(Profile(grid=g, values=u_fit), t)
-                fits.append(analysis.fit_growth(r, vals, ray_model(t),
-                                                direction=t).to_dict())
+        for t, direction in g.rays((1.0, 0.0)):
+            r, vals = analysis.ray_values(Profile(grid=g, values=u_fit), t)
+            fits.append(analysis.fit_growth(r, vals, ray_model(t),
+                                            direction=direction).to_dict())
     except analysis.InsufficientTailError as exc:
         report.beta_note = f"growth fits skipped: {exc}"
     report.growth_fits = fits
@@ -299,8 +296,8 @@ def cmd_verify(args) -> int:
     grid = stage_cfg.grid.build()
     prof = load_profile_csv(args.profile, grid)  # ConfigError on mismatch
     u = prof.values
-    if np.min(u) <= 0.0:
-        raise ConfigError("stored profile is not strictly positive")
+    if not np.all((u > 0.0) & (u < np.inf)):  # NaN fails both
+        raise ConfigError("stored profile is not finite and strictly positive")
     seed = args.seed if args.seed is not None else cfg.seed
     poly = stage_cfg.poly
     residual_checks, integ, keys = _residual_checks(prof, cfg.q, poly, seed,
@@ -414,10 +411,9 @@ def _sweep_point(payload):
             report = _enrich_report(report, prof, cfg)
             row["alpha"] = report.alpha
             row["beta"] = "" if report.beta is None else report.beta
-            rays = [("exponent_e1", 1.0)]
-            if not isinstance(g, RadialGrid):
-                rays.append(("exponent_eperp", 0.0))
-            for key, t in rays:
+            # a radial grid has one ray, so no exponent_eperp
+            for key, (t, _) in zip(("exponent_e1", "exponent_eperp"),
+                                   g.rays((1.0, 0.0))):
                 r, vals = analysis.ray_values(up, t)
                 fit = analysis.fit_growth(r, vals, "power")
                 row[key] = fit.params["exponent"]

@@ -3,17 +3,21 @@
 Everything here is plain numpy plus frozen dataclasses.  Both grid kinds
 share one node interface: values have the layout grid.shape, grid.r_nodes
 and grid.t_nodes are the radius and polar cosine broadcast to it, and
-grid.reduction (built once per grid) maps node values to even Legendre modes
-(n_r, n_modes) and back; a radial grid is the one-mode case l = 0, with
-t = 1 standing for every ray.  Every field is even in x1 (P is, and the
-operator keeps it so), so an axisymmetric grid stores only its t > 0 polar
-nodes, with doubled weights; the t < 0 half, their mirror, exists only in
-the profile CSV.  Grids also own their quadrature
-(grid.integrate) and what else depends only on the nodes, each written once
-for both kinds: grid.l_values, the angular mean grid.mode0, the truncated
-moments (1/8 pi) int |y|^k g (grid.moment), the mode convolution of both
-kernel variants (grid.convolution, built once per grid), and P and its
-Pohozaev weight (grid.poly_values, grid.pohozaev_weight).
+grid.reduction (one SphericalReduction per grid, built once) maps node values
+to even Legendre modes (n_r, n_modes) and back.  A radial grid is the
+one-column case: its node column t = 1 with Gauss weight 2 carries the one
+mode l = 0, which holds on every ray.  Every field is even in x1 (P is, and
+the operator keeps it so), so an axisymmetric grid stores only its t > 0
+polar nodes, with doubled weights; the t < 0 half, their mirror, exists only
+in the profile CSV.  Grids also own their quadrature (grid.integrate) and
+what else depends only on the nodes, each written once for both kinds:
+grid.l_values, the angular mean grid.mode0, the truncated moments
+(1/8 pi) int |y|^k g (grid.moment), the mode convolution of both kernel
+variants (grid.convolution, built once per grid), and P and its Pohozaev
+weight (grid.poly_values, grid.pohozaev_weight).  What differs by kind, the
+grid answers: the rays a fit reads (grid.rays) and the even quadratics of
+its symmetry class (grid.even_quadratics).  Only the profile CSV reader and
+writer, which own the file format, ask for the kind itself.
 Configuration objects round-trip through JSON with fixed field names, and
 report serialization is deterministic (floats rounded to 12 significant
 digits) so identical runs produce byte-identical files.
@@ -263,6 +267,16 @@ class _NodeGrid:
         """2 (x . grad P) - P at the nodes."""
         return poly.pohozaev_weight_rt(self.r_nodes, self.t_nodes)
 
+    @property
+    def t_nodes(self) -> np.ndarray:
+        """Polar cosine of every node column, broadcastable against the node layout."""
+        return self.t
+
+    @cached_property
+    def reduction(self) -> "SphericalReduction":
+        """The grid's Legendre transform pair, built on first use and kept."""
+        return SphericalReduction(self)
+
 
 @dataclass(frozen=True)
 class RadialGrid(_NodeGrid):
@@ -293,19 +307,26 @@ class RadialGrid(_NodeGrid):
         """Radius of every node, in the node layout."""
         return self.r
 
-    # P on a radial grid is radial, so its value on the x1 axis (polar
-    # cosine 1, where the angular factor is exactly a[0]) holds on every ray
-    t_nodes = 1.0
+    # one node column, the x1 axis t = 1 with the one-node Gauss weight 2:
+    # its one mode is l = 0, and P on a radial grid is radial, so its value
+    # there (where the angular factor is exactly a[0]) holds on every ray
+    t = np.ones(1)
+    wt = np.full(1, 2.0)
 
     @property
     def weights(self) -> np.ndarray:
         """Quadrature weights for integration over R^3 of radial integrands."""
         return FOUR_PI * self.r * self.r * self.line_w
 
-    @cached_property
-    def reduction(self) -> "RadialReduction":
-        """The one-mode (l = 0) transform, built on first use and kept."""
-        return RadialReduction()
+    def rays(self, ts) -> list:
+        """(polar cosine, direction) of each ray to read: whatever the
+        cosines ts, the one ray of a radial field, which has no direction."""
+        return [(1.0, None)]
+
+    def even_quadratics(self):
+        """The even quadratics of the radial class beyond the constant, [r^2],
+        and for each axis of P's a the index of the one that sets it."""
+        return [self.r * self.r], (0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -360,11 +381,6 @@ class AxisymmetricGrid(_NodeGrid):
         return self.r[:, None]
 
     @property
-    def t_nodes(self) -> np.ndarray:
-        """Polar cosine of every node, broadcastable against the node layout."""
-        return self.t
-
-    @property
     def x1(self) -> np.ndarray:
         return np.outer(self.r, self.t)
 
@@ -376,72 +392,63 @@ class AxisymmetricGrid(_NodeGrid):
     def weights(self) -> np.ndarray:
         return TWO_PI * np.outer(self.r * self.r * self.line_w, self.wt)
 
-    @cached_property
-    def reduction(self) -> SphericalReduction:
-        """The grid's Legendre transform pair, built on first use and kept."""
-        return SphericalReduction(self)
+    def rays(self, ts) -> list:
+        """(polar cosine, direction) of each ray to read: the rays with the
+        polar cosines ts, each its own direction."""
+        return [(t, t) for t in ts]
+
+    def even_quadratics(self):
+        """The even quadratics of the axisymmetric class beyond the constant,
+        [x1^2, rho^2], and for each axis of P's a the index of the one that
+        sets it."""
+        x1 = self.x1
+        return [x1 * x1, self.rho**2], (0, 1, 1)
 
 
 class SphericalReduction:
-    """Even-mode Legendre transform pair for an axisymmetric grid.
+    """Even-mode Legendre transform pair of a grid's node columns.
 
     analyze() projects node values onto the even Legendre modes of
-    t = cos theta, l = 0, 2, ..., n_angle - 2 (exact for the grid's angular
-    band: the stored half-nodes with doubled weights are the full
-    Gauss-Legendre rule on even integrands); synthesize() evaluates the mode
-    sum back at the nodes, which is the field on both mirror halves.  t holds
-    the polar cosines of the node columns and pl the modes' Legendre values
-    there, P_l(t) (n_angle // 2, n_modes), a square table.  Use
-    grid.reduction, which builds it once per grid.
+    t = cos theta, l = 0, 2, ..., 2 n_t - 2 for the grid's n_t node columns
+    (exact for the grid's angular band: the stored t > 0 half-nodes with
+    doubled weights are the full Gauss-Legendre rule on even integrands);
+    synthesize() evaluates the mode sum back at the nodes, which is the
+    field on both mirror halves.  t holds the polar cosines of the node
+    columns and pl the modes' Legendre values there, P_l(t) (n_t, n_modes),
+    a square table.  A radial grid's one column, t = 1 with weight 2, gives
+    the one mode l = 0 and the tables [[1.0]], through which every value
+    keeps its bits (a -0.0 comes back as 0.0).  Use grid.reduction, which
+    builds it once per grid.
     """
 
-    def __init__(self, grid: AxisymmetricGrid):
+    def __init__(self, grid):
         self.t = grid.t  # no reference to the grid, which holds this object
-        self.l_values = list(range(0, grid.n_angle, 2))
+        self.shape = grid.shape
+        self.l_values = list(range(0, 2 * grid.t.size, 2))
         vander = np.polynomial.legendre.legvander(grid.t, self.l_values[-1])
-        self.pl = vander[:, self.l_values]  # (n_angle // 2, n_modes)
+        self.pl = vander[:, self.l_values]  # (n_t, n_modes)
         scale = np.array([(2 * l + 1) / 2.0 for l in self.l_values])
-        self.forward = (self.pl * grid.wt[:, None]).T * scale[:, None]  # (n_modes, n_angle // 2)
+        self.forward = (self.pl * grid.wt[:, None]).T * scale[:, None]  # (n_modes, n_t)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        return values @ self.forward.T  # (n_r, n_modes)
+        return values.reshape(self.shape[0], -1) @ self.forward.T  # (n_r, n_modes)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self.pl.T
+        return (coeffs @ self.pl.T).reshape(self.shape)
 
-    def legendre_row(self, t: float) -> np.ndarray:
-        """P_l(t) for the grid's modes l (any t in [-1, 1])."""
+    def legendre_row(self, t: Optional[float] = None) -> np.ndarray:
+        """P_l(t) for the grid's modes l (any t in [-1, 1]; None only with
+        the one mode l = 0, which is 1 on every ray)."""
         if t is None:
-            raise ValueError("axisymmetric profiles need a ray direction t")
+            if len(self.l_values) > 1:
+                raise ValueError("axisymmetric profiles need a ray direction t")
+            t = 1.0
         l_max = self.l_values[-1]
         return np.polynomial.legendre.legvander(np.array([t]), l_max)[0, self.l_values]
 
-    def synthesize_at(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+    def synthesize_at(self, coeffs: np.ndarray, t: Optional[float]) -> np.ndarray:
         """Mode sum along the ray with polar cosine t (any t in [-1, 1])."""
         return coeffs @ self.legendre_row(t)
-
-
-class RadialReduction:
-    """SphericalReduction's one-mode case: a radial field is its own l = 0 mode.
-
-    P_0 = 1, so every ray (any t, or None) sees the same values; the single
-    node column has no polar cosine (t is None) and the one-mode table pl.
-    """
-
-    l_values = [0]
-    t = (None,)
-    pl = np.ones((1, 1))  # P_0 at the one node column
-
-    def analyze(self, values: np.ndarray) -> np.ndarray:
-        return values[:, None]
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs[:, 0]
-
-    def legendre_row(self, t=None) -> np.ndarray:
-        return np.ones(1)
-
-    synthesize_at = SphericalReduction.synthesize_at
 
 
 Grid = RadialGrid | AxisymmetricGrid
@@ -638,7 +645,7 @@ class GridSpec:
         try:
             return cls(kind=d["kind"], n_r=int(d["n_r"]), r_max=float(d["r_max"]),
                        grading=float(d.get("grading", 2.0)), n_angle=int(d.get("n_angle", 64)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed grid spec: {exc}") from exc
 
 
@@ -710,7 +717,7 @@ class SolveConfig:
                 seed=int(d.get("seed", 0)),
                 continuation=ContinuationSpec.from_dict(cont) if cont else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
 
     def replace_poly(self, poly: QuadraticPolynomial) -> "SolveConfig":

@@ -17,8 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (FOUR_PI, InsufficientTailError, NonFiniteError, Profile,
-                    RadialGrid)
+from .model import FOUR_PI, InsufficientTailError, NonFiniteError, Profile
 from .kernels import kernel_row
 from .analysis import PowerTail
 
@@ -31,7 +30,7 @@ def exact_q7_value(r):
     return np.sqrt(A_Q7 + r * r)
 
 
-def exact_q7_profile(grid: RadialGrid) -> Profile:
+def exact_q7_profile(grid) -> Profile:
     return Profile(grid=grid, values=exact_q7_value(grid.r))
 
 
@@ -231,7 +230,7 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
     ghat = red.analyze(dens)
     u_nodes = u.reshape(g.r.size, -1)
     p_nodes = g.poly_values(poly).reshape(g.r.size, -1)
-    n_polar = 1 if isinstance(g, RadialGrid) else g.n_angle
+    n_polar = 2 * red.t.size
 
     note = ""
     try:

@@ -9,7 +9,7 @@ from biharm.analysis import (InsufficientTailError, NotIntegrableError,
                              PowerTail, check_hessian_decay, compute_beta,
                              decompose, first_moment, fit_growth,
                              hessian_decay_rate, ray_values)
-from biharm.model import Profile, RadialGrid
+from biharm.model import AxisymmetricGrid, Profile, RadialGrid
 from biharm.operator import solve_fixed_point
 from biharm.verify import exact_q7_profile
 
@@ -156,6 +156,17 @@ class TestHessianDecay:
         label, expo = hessian_decay_rate(1.2)
         assert expo == pytest.approx(-0.4)
 
+    def test_rays_come_from_the_grid(self):
+        # one ray with no direction on a radial grid, three polar cosines on
+        # an axisymmetric one
+        for g, directions in ((_grid(400, 100.0), [None]),
+                              (AxisymmetricGrid.build(400, 8, 100.0),
+                               [1.0, 0.5, 0.0])):
+            v = (1.0 + g.t_nodes**2) * np.sqrt(1.0 + g.r_nodes**2)
+            res = check_hessian_decay(Profile(grid=g, values=v), 5.0)
+            assert [ray["direction"] for ray in res["rays"]] == directions
+            assert res["bounded"]
+
     def test_flat_q5_second_derivative_bounded(self, flat_q5_run):
         cfg, prof, report = flat_q5_run
         res = check_hessian_decay(prof, 5.0)
@@ -172,7 +183,7 @@ class TestRayValues:
         np.testing.assert_array_equal(vals, prof.values)
 
     def test_axisym_ray_interpolates_polynomial_exactly(self):
-        from biharm.model import AxisymmetricGrid, QuadraticPolynomial
+        from biharm.model import QuadraticPolynomial
         g = AxisymmetricGrid.build(64, 32, 20.0)
         p = QuadraticPolynomial((1.0, 2.0, 2.0), (0, 0, 0), 1.0)
         vals = p.value_rt(g.r[:, None], g.t[None, :])

@@ -254,11 +254,17 @@ class TestSolve:
     ("sweep", '{"base": {}, "grid": {"kappa1": [null]}}'),
     ("sweep", '{"base": {}, "grid": {"eps": 0.5}}'),
     ("sweep", '{"base": {}, "grid": {"q": [1%s]}}' % ("0" * 400)),
+    ("verify", '{"command": "verify", "grid": '
+               '{"kind": "radial", "n_r": 1e999, "r_max": 10.0}}'),
+    ("solve", '{"q": 5.0, "poly": {"a": [1.0, 1.0, 1.0]}, "kernel_variant": '
+              '"shifted", "grid": {"kind": "radial", "n_r": 64, "r_max": 10.0}, '
+              '"max_iters": 1e999}'),
 ], ids=["solve-array", "verify-array", "verify-exact-q7-no-grid",
         "verify-exact-q7-thresholds-array",
         "solve-string", "solve-not-utf8", "sweep-array", "sweep-base-array",
         "sweep-grid-array", "sweep-q-string", "sweep-kappa1-null",
-        "sweep-eps-scalar", "sweep-q-int-past-float"])
+        "sweep-eps-scalar", "sweep-q-int-past-float",
+        "verify-exact-q7-n_r-inf", "solve-max-iters-inf"])
 def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys,
                                                         cmd, doc):
     path = tmp_path / "cfg.json"
@@ -392,6 +398,23 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--config", str(cfg),
                          "--profile", str(p), "--out", str(tmp_path / "v3"))
         assert code == 3
+
+    @pytest.mark.parametrize("value", ["0.0", "-1.0", "nan", "inf"])
+    def test_nonpositive_or_nonfinite_profile_exits_one(self, solved, tmp_path,
+                                                        capsys, value):
+        # one bad value refuses the profile before any check runs (a NaN
+        # passed the positivity check, an inf also two residual checks)
+        cfg, out = solved
+        lines = (out / "profile.csv").read_text().splitlines(keepends=True)
+        r, _ = lines[100].split(",")
+        lines[100] = f"{r},{value}\n"
+        p = tmp_path / "profile.csv"
+        p.write_text("".join(lines))
+        code, _, err = run(capsys, "verify", "--config", str(cfg),
+                           "--profile", str(p), "--out", str(tmp_path / "v"))
+        assert code == 1
+        assert err == "error: stored profile is not finite and strictly positive\n"
+        assert not (tmp_path / "v" / "verification.json").exists()
 
     def test_early_stopped_continuation_is_checked_at_its_stage(
             self, tmp_path, capsys):
@@ -657,6 +680,30 @@ class TestSweep:
         assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines == [",".join(cli.SWEEP_COLUMNS)]
+
+    @pytest.mark.parametrize("grid, kappa2", [
+        ({"kind": "radial", "n_r": 200, "r_max": 30.0}, 1.0),
+        ({"kind": "axisymmetric", "n_r": 96, "n_angle": 8, "r_max": 30.0}, 2.0),
+    ], ids=["radial", "axisymmetric"])
+    def test_eperp_exponent_only_on_axisymmetric_grids(self, tmp_path, capsys,
+                                                       grid, kappa2):
+        # the sweep fits a power law on each ray of the grid: e1 on both
+        # kinds, and the perpendicular ray only where there is one
+        base = json.loads(quick_config(tmp_path, grid=grid).read_text())
+        sw = tmp_path / "sweep.json"
+        sw.write_text(json.dumps({"base": base,
+                                  "grid": {"q": [5.0], "kappa2": [kappa2]}}))
+        out = tmp_path / "sw"
+        assert run(capsys, "sweep", "--config", str(sw), "--out", str(out),
+                   "--threads", "1")[0] == 0
+        with open(out / "sweep.csv") as f:
+            (row,) = csv.DictReader(f)
+        assert row["converged"] == "True" and not row["error"]
+        assert float(row["exponent_e1"]) == pytest.approx(2.0, rel=0.05)
+        if grid["kind"] == "radial":
+            assert row["exponent_eperp"] == ""
+        else:
+            assert float(row["exponent_eperp"]) == pytest.approx(2.0, rel=0.05)
 
     def test_failing_point_is_isolated(self, tmp_path, capsys):
         base = json.loads(quick_config(tmp_path).read_text())

@@ -1,8 +1,10 @@
 import gc
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,9 +422,8 @@ class TestGridContract:
         np.testing.assert_allclose(back, v, rtol=0, atol=1e-12)
         cols = back.reshape(g.r.size, -1)
         for j, t in enumerate(red.t):
-            if t is not None:
-                np.testing.assert_allclose(red.synthesize_at(coeffs, -t), cols[:, j],
-                                           rtol=0, atol=1e-12)
+            np.testing.assert_allclose(red.synthesize_at(coeffs, -t), cols[:, j],
+                                       rtol=0, atol=1e-12)
         assert g.l_values == red.l_values and g.l_values[0] == 0
         assert len(g.l_values) == cols.shape[1]
 
@@ -444,6 +445,15 @@ class TestGridContract:
         else:  # the other modes of a radial density vanish up to rounding
             np.testing.assert_allclose(field, expect, rtol=1e-12,
                                        atol=1e-14 * np.max(np.abs(col)))
+
+
+def test_only_model_names_the_grid_classes():
+    # what differs by grid kind, callers ask the grid (grid.reduction,
+    # grid.rays, grid.even_quadratics); no other module names a grid class
+    src = Path(model.__file__).parent
+    naming = [p.name for p in sorted(src.glob("*.py")) if p.name != "model.py"
+              and re.search(r"\b(RadialGrid|AxisymmetricGrid)\b", p.read_text())]
+    assert naming == []
 
 
 class TestXNorm:

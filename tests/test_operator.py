@@ -71,6 +71,18 @@ class TestSphericalReduction:
         radial = RadialGrid.graded(16, 4.0).reduction
         np.testing.assert_array_equal(radial.pl[0], radial.legendre_row())
 
+    def test_radial_round_trip_keeps_every_bit(self):
+        # a radial grid's one node column gives the tables [[1.0]]; only a
+        # -0.0 would come back as 0.0, since the matmul adds to a zero
+        g = RadialGrid.graded(16, 4.0)
+        red = g.reduction
+        assert isinstance(red, SphericalReduction) and red.l_values == [0]
+        v = np.random.default_rng(5).standard_normal(g.n)
+        v[:2] = np.inf, 1e-310
+        back = red.synthesize(red.analyze(v))
+        assert back.shape == (g.n,)
+        np.testing.assert_array_equal(back.view(np.int64), v.view(np.int64))
+
     def test_built_once_per_grid(self, monkeypatch):
         # the solve, the ray fits, beta and the decomposition all read the
         # transform of the one grid the solve built
