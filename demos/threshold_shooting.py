@@ -8,7 +8,7 @@ threshold has a universal growth law depending only on q:
       q = 3   u ~ 2^(1/4) r (log r)^(1/4)
       q > 3   u ~ b r with a nonuniversal slope
 
-The demo bisects the threshold for q = 2, 3, 5 and compares the fitted
+The demo locates the threshold for q = 2, 3, 5 and compares the fitted
 plateau against the predicted law.
 """
 

@@ -23,10 +23,11 @@ whole shot is one call of a straight-line loop generated from the tableau
 at the first shot (_shot_code): the stage sums are written out term by
 term and every stage expands the right-hand side in place, so a step costs
 its float arithmetic, not a loop over (stage, coefficient) pairs or 12
-function calls.  The bisection's shots read only their outcome; the
-trajectories that are returned (single shots, the exact start, the one at
-the threshold) also keep DOP853's order-7 dense output of each step and are
-sampled on it.
+function calls.  The threshold search's shots read only their outcome and
+their end state, from which _floor_gap makes a signed distance to the floor
+that _regula_falsi steers by; the trajectories that are returned (single
+shots, the exact start, the one at the threshold) also keep DOP853's
+order-7 dense output of each step and are sampled on it.
 
 No command imports scipy: the coefficients are read from scipy's
 dop853_coefficients.py by file path at the first shot (_dop853_coefficients),
@@ -216,13 +217,12 @@ def march(mq, forcing, g_floor, floor, r, r_end, u, du, w, dw,
         if on_step is not None:
             on_step(rhs, r, r_new, (u, du, w, dw), (nu, ndu, nw, ndw),
                     ({stages}))
+        event_new = nu - floor
+        touched = event >= 0.0 and event_new <= 0.0
+        if touched or r_new >= r_end:
+            return touched, r, r_new, event, event_new, ndu
         r, u, du, w, dw = r_new, nu, ndu, nw, ndw
         k0u, k0du, k0w, k0dw = {f_new}
-        event_new = u - floor
-        if event >= 0.0 and event_new <= 0.0:
-            return True
-        if r >= r_end:
-            return False
         event = event_new
 """
 
@@ -281,7 +281,9 @@ def _shot_code():
 
     march(mq, forcing, g_floor, floor, r, r_end, *y, *f, h_abs, on_step,
     rhs) runs one shot from state y with f = rhs(r, y) and first step
-    h_abs, and returns whether u touched the floor.  Each step is written
+    h_abs, and returns its end state (touched, r, r_new, event, event_new,
+    u'): whether u touched the floor, the last accepted step's radii and
+    its two values of u - floor, and u' at r_new.  Each step is written
     out in full: the 12 stages with _RHS expanded, the order-8 update, the
     error norm and scipy's step-size controller.  Each stage sum reads
     (0.0 + k_j * c_j + ...) over the tableau's nonzero terms in stage order,
@@ -331,7 +333,7 @@ def _march(q: float, u0: float, w0: float, r_end: float, forcing: float,
     (_shot_code), whose stage sums skip zero coefficients and add in stage
     order, so they can differ from scipy's BLAS dot products in the last
     bit.  on_step(rhs, r, r_new, y, y_new, stages) sees every accepted step.
-    Returns (floor, touched).
+    Returns (floor, end), with end the march's end state (_shot_code).
     """
     march, rhs_of = _shot_code()
     y, floor, g_floor = _start(q, u0, w0, r_end, forcing)
@@ -343,9 +345,27 @@ def _march(q: float, u0: float, w0: float, r_end: float, forcing: float,
                         on_step, rhs)
 
 
-def _touches_floor(q: float, u0: float, w0: float, r_end: float) -> bool:
-    """Whether the shot touches the floor before r_end; nothing is sampled."""
-    return _march(q, u0, w0, r_end, 0.0)[1]
+def _floor_gap(r_end: float, touched: bool, r: float, r_new: float,
+               event: float, event_new: float, du: float) -> float:
+    """Signed distance in radius from a shot's end state to the floor.
+
+    A touched shot gives r_c - r_end <= 0, with r_c the root of u - floor
+    interpolated linearly across the last step (event >= 0 >= event_new);
+    a survivor gives (u - floor) / (-u') > 0 at r_end, the radius still to
+    go if u kept falling at its final slope, or +inf when u' >= 0.  Both
+    sides go to 0 as w0 nears the threshold of the shots' r_end.
+    """
+    if touched:
+        r_c = r if event == 0.0 else r + (r_new - r) * (
+            event / (event - event_new))
+        return r_c - r_end
+    return event_new / -du if du < 0.0 else math.inf
+
+
+def _shoot(q: float, u0: float, w0: float, r_end: float):
+    """(touched, gap) of one shot (_floor_gap); nothing is sampled."""
+    end = _march(q, u0, w0, r_end, 0.0)[1]
+    return end[0], _floor_gap(r_end, *end)
 
 
 def _dense_rows(rhs, r: float, h: float, y, y_new, stages) -> np.ndarray:
@@ -390,29 +410,60 @@ def _interpolant(ends, starts, y_olds, rows):
     return sol
 
 
-def _floor_root(u_of, lo: float, hi: float, floor: float) -> float:
-    """Radius in [lo, hi] where u_of(r) - floor changes sign, by bisection
-    down to adjacent floats; the first radius seen at or below the floor."""
+def _regula_falsi(side, lo: float, f_lo: float, hi: float, f_hi: float):
+    """Shrink the bracket (lo, hi) to adjacent floats; returns (lo, hi).
+
+    side(x) -> (high, f): whether x takes the place of hi (otherwise of lo),
+    and f(x), a value that changes sign between the ends and goes smoothly
+    through the root, or inf where it is not known.  Each next x is the
+    Illinois regula falsi point (Dowell & Jarratt, BIT 11, 1971): the secant
+    root of the two ends, with the f of the end that stays halved when two
+    secant points in a row replace the same end.  The midpoint is taken
+    instead when an f is not finite, the secant root is not strictly inside
+    (lo, hi), or the last two points did not halve the bracket, so the
+    bracket halves at least every third point (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).  With every f infinite
+    this is plain bisection.
+    """
+    widths = (math.inf, math.inf)  # the bracket's width before the last two x
+    secant_moved_hi = None  # which end the last secant point replaced
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            return hi
-        if u_of(mid) > floor:
-            lo = mid
+            return lo, hi
+        x = mid
+        if (hi - lo <= 0.5 * widths[0] and math.isfinite(f_lo)
+                and math.isfinite(f_hi) and f_hi != f_lo):
+            secant = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
+            if lo < secant < hi:
+                x = secant
+        widths = (widths[1], hi - lo)
+        high, f_x = side(x)
+        if high:
+            hi, f_hi = x, f_x
         else:
-            hi = mid
+            lo, f_lo = x, f_x
+        if x != mid:
+            if high == secant_moved_hi:
+                if high:
+                    f_lo *= 0.5
+                else:
+                    f_hi *= 0.5
+            secant_moved_hi = high
 
 
 def integrate_radial(q: float, u0: float, w0: float, r_end: float,
                      n_eval: int = 400, forcing: float = 0.0) -> Trajectory:
     """Integrate the radial system from a series start near the origin.
 
-    The shot runs on the DOP853 stepper (_march), the bisection's, and
+    The shot runs on the DOP853 stepper (_march), the threshold search's, and
     stops when u falls to _FLOOR_FRAC u0 (outcome "touched_zero", r_stop the
-    root of u - floor on that step's interpolant); otherwise it runs to
-    r_end ("survived").  Every accepted step keeps DOP853's order-7 dense
-    output (_dense_rows); the n_eval geometric sample radii up to r_stop or
-    r_end are read from it, and the trajectory keeps it as its interpolant.
+    root of u - floor on that step's interpolant, bracketed by _regula_falsi
+    down to adjacent floats: the first radius seen at or below the floor);
+    otherwise it runs to r_end ("survived").  Every accepted step keeps
+    DOP853's order-7 dense output (_dense_rows); the n_eval geometric sample
+    radii up to r_stop or r_end are read from it, and the trajectory keeps
+    it as its interpolant.
     A constant `forcing` F adds to the w equation, matching profiles solved
     against a quartic polynomial (its bilaplacian is the constant 120 eps).
     """
@@ -422,12 +473,16 @@ def integrate_radial(q: float, u0: float, w0: float, r_end: float,
         steps.append((r_new, r, y,
                       _dense_rows(rhs, r, r_new - r, y, y_new, stages)))
 
-    floor, touched = _march(q, u0, w0, r_end, forcing, keep)
+    floor, (touched, r, r_new, event, event_new, _) = _march(
+        q, u0, w0, r_end, forcing, keep)
     sol = _interpolant(*map(np.array, zip(*steps)))
     r_stop = None
     if touched:
-        r_stop = _floor_root(lambda r: float(sol(r)[0]), steps[-1][1],
-                             steps[-1][0], floor)
+        def at_or_below(radius):
+            u = float(sol(radius)[0])
+            return not u > floor, u - floor
+
+        r_stop = _regula_falsi(at_or_below, r, event, r_new, event_new)[1]
     radii = np.geomspace(_R_START, r_end, n_eval)
     if touched:
         radii = radii[radii <= r_stop]
@@ -463,7 +518,7 @@ def universal_coefficient(q: float) -> float:
 def threshold_growth_diagnostics(traj: Trajectory, q: float) -> dict:
     """Measure the borderline growth law on a threshold trajectory.
 
-    The bisection midpoint follows the borderline solution over a few decades
+    The threshold trajectory follows the borderline solution over a few decades
     and then departs to one side, so global fits are biased.  Instead the
     ratio u / (growth law) is tracked in log r and read off where its local
     log-slope is smallest (the plateau); the effective exponent is
@@ -503,55 +558,50 @@ class BisectResult:
     history: list  # (w0, outcome) pairs in evaluation order
 
 
-_N_BISECT = 60  # most halvings; the loop also stops at float resolution
 _W_SCAN_START = 1.0  # first upper w0 tried, doubled until a shot survives
 _BISECT_N_EVAL = 800  # sample radii of the returned trajectory
 
 
 def bisect_growth_threshold(q: float, u0: float, r_end: float) -> BisectResult:
-    """Bisection on w0 between touching zero and surviving to r_end.
+    """Bracket w0 between touching zero and surviving to r_end.
 
     w0 = 0 must touch zero (checked; its failure means the scan range or q is
     outside the regime where the threshold exists) and the upper end is found
     by doubling _W_SCAN_START.  If no survivor appears within 60 doublings,
-    BracketNotFoundError is raised.  The shots (_touches_floor) read only
-    their outcome.  w_crit is the upper end of the final bracket, the least
-    w0 seen to survive: once the ends are adjacent floats, their midpoint
-    rounds to either end, and half the time to the one that touched zero.
-    The returned trajectory, sampled at _BISECT_N_EVAL radii, is integrated
-    at w_crit (integrate_radial) on the same steps as the shot that saw it
-    survive, so its outcome is "survived".  With up to _N_BISECT halvings it
-    follows the borderline growth over several decades before drifting to
-    one side.
+    BracketNotFoundError is raised.  The shots (_shoot) read their outcome
+    and their signed gap to the floor in radius (_floor_gap), which goes
+    through 0 at the threshold; _regula_falsi picks each next w0 from the
+    gaps of the bracket's ends and ends only when they are adjacent floats,
+    at any scale of the threshold.  w_crit is the upper end of the final
+    bracket, the least w0 seen to survive.  The returned trajectory, sampled
+    at _BISECT_N_EVAL radii, is integrated at w_crit (integrate_radial) on
+    the same steps as the shot that saw it survive, so its outcome is
+    "survived".  Resolved to the last bit of w0, it follows the borderline
+    growth over several decades before drifting to one side.
     """
     history = []
 
-    def survives(w0: float) -> bool:
-        touched = _touches_floor(q, u0, w0, r_end)
+    def survives(w0: float):
+        touched, gap = _shoot(q, u0, w0, r_end)
         history.append((w0, "touched_zero" if touched else "survived"))
-        return not touched
+        return not touched, gap
 
-    if survives(0.0):
+    survived, gap_lo = survives(0.0)
+    if survived:
         raise BracketNotFoundError(
             f"w0 = 0 survived to r = {r_end:g}; no threshold bracket in this regime")
     lo = 0.0
     hi = _W_SCAN_START
     for _ in range(60):
-        if survives(hi):
+        survived, gap_hi = survives(hi)
+        if survived:
             break
-        lo, hi = hi, hi * 2.0
+        lo, gap_lo, hi = hi, gap_hi, hi * 2.0
     else:
         raise BracketNotFoundError(
             f"no surviving trajectory for w0 up to {hi:g} (q = {q}, u0 = {u0})")
 
-    for _ in range(_N_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # float resolution reached
-        if survives(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _regula_falsi(survives, lo, gap_lo, hi, gap_hi)
     final = integrate_radial(q, u0, hi, r_end, n_eval=_BISECT_N_EVAL)
     return BisectResult(w_crit=hi, bracket=(lo, hi), trajectory=final,
                         history=history)

@@ -1,14 +1,13 @@
 """Smoke test of the demos and of the public names they and the README use.
 
-Three demos run to completion as subprocesses in a scratch directory (a few
-seconds together); threshold_shooting bisects three thresholds and takes
-about ten, so it is only imported.  The README's command-line round trip
-(cli_workflow.sh, about 15 s) runs against a `biharm` command on PATH that
-starts this checkout's CLI.
+The four demos run to completion as subprocesses in a scratch directory (a
+few seconds together; threshold_shooting's three threshold searches take
+under a second).  The README's command-line round trip (cli_workflow.sh,
+about 15 s) runs against a `biharm` command on PATH that starts this
+checkout's CLI.
 """
 
 import ast
-import importlib.util
 import os
 import re
 import subprocess
@@ -31,7 +30,8 @@ def _env_with_src() -> dict:
 
 
 @pytest.mark.parametrize("name", ["anisotropic_growth", "degenerate_direction",
-                                  "exact_solution_battery"])
+                                  "exact_solution_battery",
+                                  "threshold_shooting"])
 def test_demo_runs(name, tmp_path):
     proc = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")],
                           cwd=tmp_path, env=_env_with_src(),
@@ -56,14 +56,6 @@ def test_cli_workflow_round_trip(tmp_path):
     # solve, verify, verify of the corrupted profile, exact-q7, shoot
     assert codes == ["0", "0", "3", "0", "0"], proc.stdout[-2000:]
     assert "3 points, 3 converged" in proc.stdout
-
-
-def test_threshold_demo_imports():
-    spec = importlib.util.spec_from_file_location(
-        "threshold_shooting", DEMOS / "threshold_shooting.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
 
 
 def _names_imported_from_biharm(source: str) -> set:

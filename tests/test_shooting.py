@@ -92,7 +92,7 @@ class TestIntegrate:
             (400.0, 0.01, 1.0, 10.0),  # u0^(-q) overflows a float
         ]:
             with pytest.raises(ValueError):
-                shooting._touches_floor(q, u0, w0, r_end)
+                shooting._shoot(q, u0, w0, r_end)
             with pytest.raises(ValueError), np.errstate(invalid="ignore"):
                 integrate_radial(q, u0, w0, r_end)
 
@@ -189,18 +189,20 @@ def _loop_march(q, u0, w0, r_end, forcing, on_step=None, calls=None):
             rejected = True
         if on_step is not None:
             on_step(rhs, r, r_new, y, y_new, stages)
-        r, y, f = r_new, y_new, f_new
-        g_new = y[0] - floor
+        g_new = y_new[0] - floor
         if g >= 0.0 and g_new <= 0.0:
-            return floor, True
-        if r >= r_end:
-            return floor, False
+            return floor, (True, r, r_new, g, g_new, y_new[1])
+        if r_new >= r_end:
+            return floor, (False, r, r_new, g, g_new, y_new[1])
+        r, y, f = r_new, y_new, f_new
         g = g_new
 
 
 def _recorded_shot(march, *args):
     """(outcome or error message, step count, the bytes of every float that
-    on_step saw: radii, states and stages) of one shot."""
+    on_step saw: radii, states and stages) of one shot.  The outcome is the
+    floor's bits, whether u touched it, and the bits of the end state's
+    radii, u - floor values and final u'."""
     values = []
 
     def record(rhs, r, r_new, y, y_new, stages):
@@ -209,11 +211,34 @@ def _recorded_shot(march, *args):
             values.extend(k)
 
     try:
-        floor, touched = march(*args, on_step=record)
-        outcome = (floor.hex(), touched)
+        floor, (touched, *end) = march(*args, on_step=record)
+        outcome = (floor.hex(), touched, *(v.hex() for v in end))
     except shooting.IntegrationError as exc:
         outcome = str(exc)
     return outcome, len(values) // 62, np.array(values).tobytes()
+
+
+def _plain_bisection(q, u0, r_end):
+    """(w0, outcome) of every shot of a plain bisection: the scan of
+    bisect_growth_threshold, then midpoints down to adjacent floats."""
+    history = []
+
+    def survives(w0):
+        touched = shooting._shoot(q, u0, w0, r_end)[0]
+        history.append((w0, "touched_zero" if touched else "survived"))
+        return not touched
+
+    assert not survives(0.0)
+    lo, hi = 0.0, 1.0
+    while not survives(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if survives(mid):
+            hi = mid
+        else:
+            lo = mid
+    return history
 
 
 class TestStepper:
@@ -227,8 +252,8 @@ class TestStepper:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_generated_step_equals_the_loop_bit_for_bit(self):
-        # whole shots: outcome, step count, every accepted step's radii,
-        # states and 13 stages, and the too-small-step failure
+        # whole shots: outcome and end state, step count, every accepted
+        # step's radii, states and 13 stages, and the too-small-step failure
         rng = np.random.default_rng(7)
         shots = [(50.0, 1.0, -5.0, 100.0, 0.0),  # the step size collapses
                  (400.0, 1.0, -1.0, 10.0, 0.0)]  # u^(-q) overflows in stages
@@ -250,7 +275,7 @@ class TestStepper:
     def test_bisection_outcomes_equal_the_loop_steps(self, q):
         history = bisect_growth_threshold(q, 1.0, 1e4).history
         for w0, outcome in history:
-            touched = _loop_march(q, 1.0, w0, 1e4, 0.0)[1]
+            touched = _loop_march(q, 1.0, w0, 1e4, 0.0)[1][0]
             assert ("touched_zero" if touched else "survived") == outcome
 
     def test_generated_once_per_process_and_not_at_import(self):
@@ -259,7 +284,7 @@ class TestStepper:
         probe = ("import biharm.cli\n"
                  "from biharm import shooting as s\n"
                  "print(s._shot_code.cache_info().currsize)\n"
-                 "s._touches_floor(3.0, 1.0, 1.3, 100.0)\n"
+                 "s._shoot(3.0, 1.0, 1.3, 100.0)\n"
                  "s.integrate_radial(5.0, 1.0, -0.1, 100.0)\n"
                  "print(s._shot_code.cache_info().misses)\n")
         env = {**os.environ,
@@ -279,7 +304,7 @@ class TestStepper:
         for w0 in (self.W_CRIT[q] * (1.0 - delta),
                    self.W_CRIT[q] * (1.0 + delta)):
             touched = len(_scipy_shot(q, 1.0, w0, 1e4).t_events[0]) > 0
-            assert shooting._touches_floor(q, 1.0, w0, 1e4) == touched
+            assert shooting._shoot(q, 1.0, w0, 1e4)[0] == touched
             assert integrate_radial(q, 1.0, w0, 1e4).outcome == (
                 "touched_zero" if touched else "survived")
 
@@ -314,7 +339,7 @@ class TestStepper:
         # loop reference (bit for bit the same steps) after about as many
         # right-hand-side calls
         with pytest.raises(shooting.IntegrationError) as info:
-            shooting._touches_floor(50.0, 1.0, -5.0, 100.0)
+            shooting._shoot(50.0, 1.0, -5.0, 100.0)
         calls, calls_scipy = [], []
         with pytest.raises(shooting.IntegrationError):
             _loop_march(50.0, 1.0, -5.0, 100.0, 0.0, calls=calls)
@@ -397,9 +422,70 @@ class TestBisect:
         # w_crit of shoot --preset thmA-iv on the in-module stepper, to the
         # bit (solve_ivp shots gave 1.3698214805472406, one ulp below): a
         # stepper whose arithmetic drifts by one ulp moves it
+        # bisection took 55 shots to the same bracket
         res = bisect_growth_threshold(3.0, 1.0, 1e4)
         assert res.w_crit == float.fromhex("0x1.5eac9edc4f06fp+0")
-        assert len(res.history) == 55
+        assert res.bracket[0] == float.fromhex("0x1.5eac9edc4f06ep+0")
+        assert len(res.history) <= 30
+
+    # w_crit of plain bisection on the in-module stepper
+    W_BISECT = {2.0: "0x1.0063e2880a815p+1", 3.0: "0x1.5eac9edc4f06fp+0",
+                5.0: "0x1.e7ee5e59b2183p-1"}
+
+    @pytest.mark.parametrize("q", sorted(W_BISECT))
+    def test_infinite_gaps_give_plain_bisection(self, q, monkeypatch):
+        # with no gap to go by, every point is the midpoint: the shots of
+        # the bisection this search replaced, one for one
+        history = _plain_bisection(q, 1.0, 1e4)
+        monkeypatch.setattr(shooting, "_floor_gap", lambda *end: math.inf)
+        res = bisect_growth_threshold(q, 1.0, 1e4)
+        assert res.history == history
+        assert res.w_crit == float.fromhex(self.W_BISECT[q])
+
+    @pytest.mark.parametrize("q", [2.0, 5.0])
+    def test_threshold_matches_plain_bisection(self, q):
+        # q = 5's outcome is not monotone in the last bits of w0, so another
+        # sequence of shots may end a few ulps away
+        res = bisect_growth_threshold(q, 1.0, 1e4)
+        assert res.w_crit == pytest.approx(float.fromhex(self.W_BISECT[q]),
+                                           rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, 5.0])
+    def test_every_shot_lies_strictly_inside_the_bracket(self, q):
+        res = bisect_growth_threshold(q, 1.0, 1e4)
+        first = next(i for i, (_, outcome) in enumerate(res.history)
+                     if outcome == "survived")
+        lo, hi = res.history[first - 1][0], res.history[first][0]
+        for w0, outcome in res.history[first + 1:]:
+            assert lo < w0 < hi
+            if outcome == "survived":
+                hi = w0
+            else:
+                lo = w0
+        assert (lo, hi) == res.bracket
+        assert math.nextafter(lo, math.inf) == hi
+
+    def test_regula_falsi_on_a_smooth_root(self):
+        # x^3 - 2 on (1, 2): adjacent floats around 2^(1/3) in 17 points,
+        # where bisection takes 52
+        points = []
+
+        def side(x):
+            points.append(x)
+            return x ** 3 >= 2.0, x ** 3 - 2.0
+
+        lo, hi = shooting._regula_falsi(side, 1.0, -1.0, 2.0, 6.0)
+        assert math.nextafter(lo, math.inf) == hi
+        assert lo ** 3 < 2.0 <= hi ** 3
+        assert len(points) <= 20
+
+    def test_small_threshold_ends_on_adjacent_floats(self):
+        # w_crit near 9e-7 lies 2^-20 below the first scan point: a cap of
+        # 60 halvings stopped 9.6e-13 relative short of float resolution
+        res = bisect_growth_threshold(5.0, 1000.0, 1e6)
+        lo, hi = res.bracket
+        assert 8e-7 < hi < 1e-6
+        assert math.nextafter(lo, math.inf) == hi
 
     def test_missing_bracket_raises(self):
         # a large u0 makes the density negligible: w0 = 0 already survives,
