@@ -40,7 +40,7 @@ def main() -> None:
 
     prof = cont.final_profile
     g = prof.grid
-    u = prof.values + cont.limit_poly.value_rt(g.r[:, None], g.t[None, :])
+    u = prof.values + g.poly_values(cont.limit_poly)
     up = Profile(grid=g, values=u)
 
     print("\nquadratic growth of the limit proxy:")

@@ -207,6 +207,8 @@ def _check(value, threshold, note=""):
 def _residual_checks(prof: Profile, q: float, poly, seed: int, th: dict):
     """The pde and integral checks of a profile of u, its integral residual,
     and the verification.json keys both verify modes write from them."""
+    if seed < 0:  # numpy's default_rng refuses it with a traceback
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     pde = verify.pde_residual(prof, q, eps_quartic=poly.eps_quartic)
     integ = verify.integral_residual(prof, q, poly, n_samples=20, seed=seed)
     integral = _check(integ.max_rel, th["integral"])

@@ -130,35 +130,18 @@ class QuadraticPolynomial:
     def is_radial(self) -> bool:
         return self.is_even() and self.a[0] == self.a[1] == self.a[2]
 
-    def growth_order(self) -> int:
-        """Power of |x| governing P at infinity in every direction (0, 2, or 4).
+    def leading_term(self) -> tuple[int, float]:
+        """(m, lead): P ~ lead |x|^m at infinity in every direction.
 
-        A quartic term dominates all directions; otherwise growth is quadratic
-        only when every axis coefficient is positive.
+        A quartic term dominates all directions, (4, eps_quartic); otherwise
+        growth is quadratic only when every axis coefficient is positive,
+        (2, min a); else P has no growth along some axis, (0, 0.0).
         """
         if self.eps_quartic > 0.0:
-            return 4
-        return 2 if min(self.a) > 0.0 else 0
-
-    def tail_leading_coeff(self) -> float:
-        """Coefficient of the leading term at infinity, for tail bounds."""
-        if self.eps_quartic > 0.0:
-            return self.eps_quartic
+            return 4, self.eps_quartic
         if min(self.a) > 0.0:
-            return min(self.a)
-        return 0.0
-
-    def positivity_margin(self) -> float:
-        """inf P over R^3 when a_i >= 0 (else -inf); positive means P > 0."""
-        if min(self.a) < 0.0:
-            return -math.inf
-        margin = self.c
-        for ai, bi in zip(self.a, self.b):
-            if bi != 0.0:
-                if ai == 0.0:
-                    return -math.inf
-                margin -= bi * bi / (4.0 * ai)
-        return margin
+            return 2, min(self.a)
+        return 0, 0.0
 
     def with_eps(self, param: str, eps: float) -> "QuadraticPolynomial":
         """Return a copy with the continuation knob `param` set to `eps`."""
@@ -763,6 +746,12 @@ class ValidationResult:
 
 
 def validate_config(cfg: SolveConfig) -> ValidationResult:
+    """Check cfg before a solve: hard errors, then the integrability gate.
+
+    P must be even (b = 0) with a_i >= 0, eps_quartic >= 0 and c > 0, which
+    makes P >= c > 0 everywhere, so no separate positivity check is needed.
+    The gate reads the first stage's P.leading_term().
+    """
     hard, gates, warns = [], [], []
 
     if not (cfg.q > 0.0) or not math.isfinite(cfg.q):
@@ -787,12 +776,6 @@ def validate_config(cfg: SolveConfig) -> ValidationResult:
         hard.append(f"quadratic coefficients must be >= 0, got a = {p.a}")
     if p.c <= 0.0:
         hard.append(f"constant term must be positive, got c = {p.c} (P(0) = {p.c} <= 0)")
-    for i, (ai, bi) in enumerate(zip(p.a, p.b)):
-        if bi != 0.0 and ai == 0.0:
-            hard.append(f"b[{i}] != 0 with a[{i}] = 0 makes P unbounded below")
-    margin = p.positivity_margin()
-    if math.isfinite(margin) and margin <= 0.0 and p.c > 0.0:
-        hard.append(f"polynomial minimum {margin} <= 0 (c - sum b_i^2/(4 a_i))")
     if not p.is_even():
         hard.append(f"iteration requires an even polynomial, got b = {p.b}")
     if cfg.grid.kind == "radial" and not p.is_radial():
@@ -811,7 +794,7 @@ def validate_config(cfg: SolveConfig) -> ValidationResult:
     if not hard:
         # with continuation the gate applies to the stage polynomials (all of
         # which share the first stage's growth order), not the limit
-        m = cfg.stages()[0].poly.growth_order()
+        m = cfg.stages()[0].poly.leading_term()[0]
         if not (cfg.q > 1.0):
             gates.append(
                 f"integrability gate: q = {cfg.q:g} <= 1 is the nonexistence "

@@ -95,14 +95,14 @@ class OperatorContext:
         mass is (1/2) int_{r_max}^inf of it against s^2 ds.
         """
         q, p = self.cfg.q, self.cfg.poly
-        lead = p.tail_leading_coeff()
-        if lead <= 0.0:  # no growth (m = 0): no decay to bound with
+        m, lead = p.leading_term()
+        if m == 0:  # no growth: no decay to bound with
             return math.inf
         try:
             coeff = lead ** (-q)
         except OverflowError:  # lead too small for a float coefficient
             return math.inf
-        tail = PowerTail(coeff, p.growth_order() * q)
+        tail = PowerTail(coeff, m * q)
         return 0.5 * tail.moment(0, self.grid.r_max)
 
     def iterate_bound(self, dens0: np.ndarray | None = None) -> float:

@@ -106,8 +106,12 @@ def _start(q: float, u0: float, w0: float, r_end: float, forcing: float):
     The 2/r terms are regular once started at r0 with the quadratic Taylor
     expansions u = u0 + w0 r^2/6, w = w0 + (F - u0^(-q)) r^2/6.  A shot
     stops when u falls to floor = _FLOOR_FRAC u0; below u = 0 the density
-    freezes at g_floor = floor^(-q).
+    freezes at g_floor = floor^(-q).  A non-finite q is refused: its
+    first step would be NaN, or u would stay exactly at 1.0 = 1.0^(-q),
+    and the march would never end.
     """
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
     if not u0 > 0.0:
         raise ValueError(f"u0 must be positive, got {u0}")
     if not _R_START * 10 < r_end < math.inf:
@@ -228,20 +232,15 @@ def march(mq, forcing, g_floor, floor, r, r_end, u, du, w, dw,
 
 
 def _march_source(C, A, B, E3, E5):
-    """(source, coefficients) of _RHS_OF and _MARCH for this tableau.
+    """The source of _RHS_OF and _MARCH for this tableau.
 
-    The source names the tableau's nonzero coefficients c{s}, a{s}_{j},
-    b{j}, e3_{j} and e5_{j}; the returned dict maps those names to their
-    values, which the source is executed with.
+    Each nonzero coefficient is written as its repr, which reads back as
+    the same float, so the source needs no names for them.
     """
-    coeffs = {f"c{s}": C[s] for s in range(1, len(C))}
-    coeffs.update((f"a{s}_{j}", c) for s in range(len(A)) for j, c in A[s])
-    for name, terms in (("b", B), ("e3_", E3), ("e5_", E5)):
-        coeffs.update((f"{name}{j}", c) for j, c in terms)
     xs = ("u", "du", "w", "dw")
 
-    def total(name, terms, x):
-        return "(0.0" + "".join(f" + k{j}{x} * {name}{j}" for j, _ in terms) + ")"
+    def total(terms, x):
+        return "(0.0" + "".join(f" + k{j}{x} * {c!r}" for j, c in terms) + ")"
 
     def rhs(k, r, u, w):
         return _RHS.format(k=k, r=r, u=u, w=w)
@@ -251,18 +250,18 @@ def _march_source(C, A, B, E3, E5):
 
     step = []
     for s in range(1, len(C)):
-        step.append(f"rs = r + c{s} * h")
-        step += [f"{y} = {x} + {total(f'a{s}_', A[s], x)} * h" for x, y in
+        step.append(f"rs = r + {C[s]!r} * h")
+        step += [f"{y} = {x} + {total(A[s], x)} * h" for x, y in
                  zip(xs, ("su", f"k{s}u", "sw", f"k{s}w"))]
         step.append(rhs(f"k{s}", "rs", "su", "sw"))
     n = len(C)
-    step += [f"n{x} = {x} + h * {total('b', B, x)}" for x in xs]
+    step += [f"n{x} = {x} + h * {total(B, x)}" for x in xs]
     step += [f"rs = r + h\nk{n}u = ndu\nk{n}w = ndw",
              rhs(f"k{n}", "rs", "nu", "nw"), "n5 = n3 = 0.0"]
     for x in xs:
         step += [f"s = {_ATOL!r} + max(abs({x}), abs(n{x})) * {_RTOL!r}",
-                 f"e5 = {total('e5_', E5, x)} / s",
-                 f"e3 = {total('e3_', E3, x)} / s",
+                 f"e5 = {total(E5, x)} / s",
+                 f"e3 = {total(E3, x)} / s",
                  "n5 += e5 * e5\nn3 += e3 * e3"]
     step.append("err = (0.0 if n5 == 0.0 and n3 == 0.0"
                 " else h * n5 / sqrt((n5 + 0.01 * n3) * 4))")
@@ -272,7 +271,7 @@ def _march_source(C, A, B, E3, E5):
         f_new=stage(n), safety=_SAFETY, min_factor=_MIN_FACTOR,
         max_factor=_MAX_FACTOR, exponent=_ERROR_EXPONENT)
     rhs_of = _RHS_OF.format(rhs=textwrap.indent(rhs("k", "r", "u", "w"), " " * 8))
-    return rhs_of + "\n\n" + march, coeffs
+    return rhs_of + "\n\n" + march
 
 
 @functools.cache
@@ -287,15 +286,14 @@ def _shot_code():
     out in full: the 12 stages with _RHS expanded, the order-8 update, the
     error norm and scipy's step-size controller.  Each stage sum reads
     (0.0 + k_j * c_j + ...) over the tableau's nonzero terms in stage order,
-    so every float operation is the one a loop over _dop853_tableau() does,
-    in the same order.  The 13 stage tuples (f first, f_new last) are built
-    only for on_step.
+    with each c_j a float literal, so every float operation is the one a
+    loop over _dop853_tableau() does, in the same order.  The namespace the
+    source runs in holds only sqrt, nextafter, inf and IntegrationError.
+    The 13 stage tuples (f first, f_new last) are built only for on_step.
     """
-    src, coeffs = _march_source(*_dop853_tableau())
     namespace = {"sqrt": math.sqrt, "nextafter": math.nextafter,
-                 "inf": math.inf, "IntegrationError": IntegrationError,
-                 **coeffs}
-    exec(src, namespace)
+                 "inf": math.inf, "IntegrationError": IntegrationError}
+    exec(_march_source(*_dop853_tableau()), namespace)
     return namespace["march"], namespace["rhs_of"]
 
 

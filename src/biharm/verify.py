@@ -73,8 +73,11 @@ class RadialLaplacian:
         self.wts = d[..., 1] + (2.0 / r)[:, None] * d[..., 0]
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
+        """The Laplacian along axis 0 of an (n_r,) or (n_r, n_modes) array,
+        each column as if it were passed alone."""
         ext = np.concatenate([vals[self.p - 1::-1], vals])
-        return np.sum(self.wts * ext[self.idx], axis=1)
+        wts = self.wts.reshape(self.wts.shape + (1,) * (ext.ndim - 1))
+        return np.sum(wts * ext[self.idx], axis=1)
 
 
 @dataclass
@@ -98,9 +101,10 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
 
     The bilaplacian is two applications of the discrete Laplacian on each
     Legendre mode of the grid's reduction (l = 0 alone on a radial grid),
-    finite differences in radius.  The 120 eps constant is the exact
-    bilaplacian of an eps |x|^4 term, so profiles computed with a quartic
-    confinement can be checked against the equation they actually solve.
+    finite differences in radius, taken for all modes in one call.  The
+    120 eps constant is the exact bilaplacian of an eps |x|^4 term, so
+    profiles computed with a quartic confinement can be checked against the
+    equation they actually solve.
     The default window drops the outer nodes whose composed stencil reaches a
     one-sided row (the last 2 p radii; grids with more than 2 _STENCIL_WIDTH
     radii end the window at the 2 _STENCIL_WIDTH-th radius from the end) and
@@ -119,13 +123,10 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
     red = g.reduction
     coeffs = red.analyze(u)
     lap = RadialLaplacian(g.r)
-    out = np.empty_like(coeffs)
-    inv_r2 = 1.0 / (g.r * g.r)
-    for j, l in enumerate(red.l_values):
-        f = coeffs[:, j]
-        lap1 = lap.apply(f) - l * (l + 1) * f * inv_r2
-        out[:, j] = lap.apply(lap1) - l * (l + 1) * lap1 * inv_r2
-    bilap = red.synthesize(out)
+    ll = np.array([l * (l + 1) for l in red.l_values], dtype=float)
+    inv_r2 = (1.0 / (g.r * g.r))[:, None]
+    lap1 = lap.apply(coeffs) - ll * coeffs * inv_r2
+    bilap = red.synthesize(lap.apply(lap1) - ll * lap1 * inv_r2)
     res = bilap + dens - forcing
     if r_window is None:
         # two stencil applications amplify value-level roundoff by about

@@ -416,6 +416,20 @@ class TestVerify:
         assert err == "error: stored profile is not finite and strictly positive\n"
         assert not (tmp_path / "v" / "verification.json").exists()
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_negative_seed_exits_one(self, solved, tmp_path, capsys, exact):
+        # numpy's default_rng refuses a negative seed with a traceback; the
+        # exact battery takes it from --seed, a profile check from the config
+        _, out = solved
+        argv = (["--exact-q7", "--seed", "-1"] if exact else
+                ["--config", str(quick_config(tmp_path, seed=-1)),
+                 "--profile", str(out / "profile.csv")])
+        code, _, err = run(capsys, "verify", *argv,
+                           "--out", str(tmp_path / "v"))
+        assert code == 1
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "v" / "verification.json").exists()
+
     def test_early_stopped_continuation_is_checked_at_its_stage(
             self, tmp_path, capsys):
         # the run stops unconverged at eps = 0.3; its profile is v + P(0.3),
@@ -659,6 +673,24 @@ class TestShoot:
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: r_end ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--q", "nan", "--bisect"],
+        ["--q", "inf", "--bisect"],
+        ["--q", "nan", "--w0", "1", "--r-end", "100"],
+        ["--q", "inf", "--w0", "1", "--r-end", "100"],
+    ])
+    def test_nonfinite_q_exits_one_at_once(self, tmp_path, argv):
+        # a march on a non-finite q never ends; run apart with a timeout, so
+        # that a hang fails the test instead of stalling the suite
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "biharm.cli", "shoot", *argv,
+             "--out", str(tmp_path / "q")],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: q must be finite, got {argv[1]}\n"
+        assert not (tmp_path / "q" / "trajectory.csv").exists()
 
     def test_integrator_failure_exits_two(self, tmp_path, capsys):
         # u dives to the floor where u^(-50) is huge: the step size falls

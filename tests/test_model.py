@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import re
@@ -58,12 +59,10 @@ class TestPolynomial:
         degenerate = QuadraticPolynomial((0, 1, 1), (0, 0, 0), 1.0)
         quad = QuadraticPolynomial((1, 2, 2), (0, 0, 0), 1.0)
         quartic = QuadraticPolynomial((1, 2, 2), (0, 0, 0), 1.0, 0.5)
-        assert flat.growth_order() == 0
-        assert degenerate.growth_order() == 0
-        assert quad.growth_order() == 2
-        assert quartic.growth_order() == 4
-        assert quartic.tail_leading_coeff() == 0.5
-        assert quad.tail_leading_coeff() == 1.0
+        assert flat.leading_term() == (0, 0.0)
+        assert degenerate.leading_term() == (0, 0.0)
+        assert quad.leading_term() == (2, 1.0)
+        assert quartic.leading_term() == (4, 0.5)
 
     def test_pohozaev_weight_matches_finite_differences(self):
         # 2 x . grad P - P, checked against a directional derivative
@@ -544,6 +543,23 @@ class TestValidation:
         res = validate_config(_cfg(poly={"a": [1.0, 2.0, 2.0],
                                          "b": [0.5, 0, 0], "c": 1.0}))
         assert res.hard_errors
+
+    def test_every_odd_polynomial_is_refused_as_odd(self):
+        # b != 0 is refused as odd whatever a, c and eps are, so P's
+        # positivity needs no check of its own for b != 0
+        for kind, a, b, (c, eps) in itertools.product(
+                ["radial", "axisymmetric"],
+                [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 2.0, 2.0],
+                 [3.0, 0.5, 0.5]],
+                [[0.5, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1e-300],
+                 [2.0, 2.0, -2.0]],
+                [(1.0, 0.0), (1e-3, 0.1), (-1.0, 0.0)]):
+            grid = {"kind": kind, "n_r": 32, "r_max": 10.0}
+            res = validate_config(_cfg(q=3.0, grid=grid, poly={
+                "a": a, "b": b, "c": c, "eps_quartic": eps}))
+            assert not res.ok
+            assert (f"iteration requires an even polynomial, got b = "
+                    f"{tuple(b)}" in res.hard_errors)
 
     @pytest.mark.parametrize("grid, message", [
         ({"kind": "radial", "n_r": 7, "r_max": 10.0},

@@ -90,6 +90,10 @@ class TestIntegrate:
             (5.0, 1.0, 0.0, math.inf),
             (5.0, 1.0, math.nan, 10.0),
             (400.0, 0.01, 1.0, 10.0),  # u0^(-q) overflows a float
+            (math.nan, 1.0, 0.0, 10.0),  # u stays at 1.0 = 1.0^(-nan)
+            (math.nan, 1.0, 1.0, 10.0),  # a NaN first step
+            (math.inf, 1.0, 1.0, 10.0),
+            (-math.inf, 1.0, 1.0, 10.0),
         ]:
             with pytest.raises(ValueError):
                 shooting._shoot(q, u0, w0, r_end)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from biharm import verify
-from biharm.model import Profile, QuadraticPolynomial, RadialGrid
+from biharm.model import (AxisymmetricGrid, Profile, QuadraticPolynomial,
+                          RadialGrid, SphericalReduction)
 from biharm.verify import (A_Q7, RadialLaplacian, exact_q7_profile,
                            exact_q7_value, integral_residual, pde_residual,
                            pohozaev_residual)
@@ -75,7 +76,42 @@ class TestRadialLaplacian:
         np.testing.assert_allclose(got[:-10], expect[:-10], rtol=1e-7)
 
 
+def _loop_bilaplacian_modes(g, u):
+    """Lap^2 of each Legendre mode of u, one mode at a time."""
+    red = g.reduction
+    coeffs = red.analyze(u)
+    lap = RadialLaplacian(g.r)
+    out = np.empty_like(coeffs)
+    inv_r2 = 1.0 / (g.r * g.r)
+    for j, l in enumerate(red.l_values):
+        f = coeffs[:, j]
+        lap1 = lap.apply(f) - l * (l + 1) * f * inv_r2
+        out[:, j] = lap.apply(lap1) - l * (l + 1) * lap1 * inv_r2
+    return out
+
+
 class TestPDEResidual:
+    @pytest.mark.parametrize("g", [
+        RadialGrid.graded(300, 30.0),
+        AxisymmetricGrid.build(96, 24, 20.0)], ids=["radial", "axisymmetric"])
+    def test_all_modes_at_once_equal_the_mode_loop_bit_for_bit(
+            self, g, monkeypatch):
+        t = g.t_nodes
+        u = 1.0 + g.r_nodes**2 * (1.0 + 0.3 * t * t) + 0.01 * g.r_nodes**3 * t**4
+        seen = []
+        synthesize = SphericalReduction.synthesize
+
+        def record(self, coeffs):
+            seen.append(coeffs.copy())
+            return synthesize(self, coeffs)
+
+        monkeypatch.setattr(SphericalReduction, "synthesize", record)
+        pde_residual(Profile(grid=g, values=u), 5.0)
+        expect = _loop_bilaplacian_modes(g, u)
+        assert seen[0].shape == expect.shape
+        assert np.all(np.isfinite(expect))
+        assert seen[0].tobytes() == expect.tobytes()
+
     def test_exact_q7_battery(self):
         g = RadialGrid.graded(2000, 100.0)
         res = pde_residual(exact_q7_profile(g), 7.0)
