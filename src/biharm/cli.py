@@ -4,9 +4,10 @@ Subcommands: solve (fixed-point iteration, optionally with continuation),
 verify (residual battery on a stored profile), shoot (radial ODE integration
 and threshold bisection), sweep (cartesian parameter grid in a worker pool).
 
-Exit codes: 0 success / all checks pass; 1 structural error (bad config or
-shooting input, I/O, shape mismatch); 2 solve finished Diverged, or a shot's
-integrator failed; 3 verification check failed; 4 shooting bracket not found.
+Exit codes: 0 success / all checks pass; 1 structural error (usage, bad
+config or shooting input, I/O, shape mismatch); 2 solve finished Diverged,
+or a shot's integrator failed; 3 verification check failed; 4 shooting
+bracket not found.
 Reports are JSON with floats fixed to 12 significant digits and sorted keys,
 so identical config and seed give byte-identical output.  The default output
 directory is $BIHARM_OUT or ./biharm_out.
@@ -293,7 +294,8 @@ def cmd_verify(args) -> int:
         return _run_exact_q7(d, out, args.seed or 0)
     cfg, _ = _solve_config(d, "verify")
     if args.profile is None:
-        raise ConfigError("verify needs --profile PATH (a profile.csv from solve)")
+        raise ConfigError("verify needs --profile PATH (the profile.csv that solve "
+                          "wrote for this config)")
     stage_cfg, stage = _profile_stage(cfg, args.profile)
     grid = stage_cfg.grid.build()
     prof = load_profile_csv(args.profile, grid)  # ConfigError on mismatch
@@ -481,8 +483,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser with usage errors exiting EXIT_CONFIG, not 2 (the
+    code of a diverged solve); subparsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="biharm",
         description="Entire solutions of a fourth-order equation with an "
                     "inverse-power nonlinearity, by integral fixed point")
@@ -498,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="residual checks on a stored profile")
     pv.add_argument("--config", help="the config the profile was solved with")
     pv.add_argument("--preset", help="verification preset (exact-q7)")
-    pv.add_argument("--profile", help="profile.csv written by solve")
+    pv.add_argument("--profile", help="profile.csv written by solve for this "
+                    "config: one row per radius of r and u at each t > 0")
     pv.add_argument("--exact-q7", action="store_true",
                     help="run the closed-form battery (same as --preset exact-q7)")
     pv.add_argument("--out", help="output directory")

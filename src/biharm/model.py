@@ -8,8 +8,8 @@ to even Legendre modes (n_r, n_modes) and back.  A radial grid is the
 one-column case: its node column t = 1 with Gauss weight 2 carries the one
 mode l = 0, which holds on every ray.  Every field is even in x1 (P is, and
 the operator keeps it so), so an axisymmetric grid stores only its t > 0
-polar nodes, with doubled weights; the t < 0 half, their mirror, exists only
-in the profile CSV.  Grids also own their quadrature (grid.integrate) and
+polar nodes, with doubled weights, and the profile CSV holds only those
+too.  Grids also own their quadrature (grid.integrate) and
 what else depends only on the nodes, each written once for both kinds:
 grid.l_values, the angular mean grid.mode0, the truncated moments
 (1/8 pi) int |y|^k g (grid.moment), the mode convolution of both kernel
@@ -17,7 +17,8 @@ variants (grid.convolution, built once per grid), and P and its Pohozaev
 weight (grid.poly_values, grid.pohozaev_weight).  What differs by kind, the
 grid answers: the rays a fit reads (grid.rays) and the even quadratics of
 its symmetry class (grid.even_quadratics).  Only the profile CSV reader and
-writer, which own the file format, ask for the kind itself.
+writer ask for the kind itself, for the one header a radial file names
+`value` instead of its one polar cosine.
 Configuration objects round-trip through JSON with fixed field names, and
 report serialization is deterministic (floats rounded to 12 significant
 digits) so identical runs produce byte-identical files.
@@ -25,7 +26,6 @@ digits) so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -466,131 +466,56 @@ def x_norm(profile: Profile) -> float:
 
 
 def save_profile_csv(profile: Profile, path) -> None:
-    """Radial profiles as `r,value`; axisymmetric as `x1,rho,value` (row-major).
+    """The profile as its own (n_r, n_t) table, one row per radius.
 
-    Every row is the repr of its floats, f"{x1!r},{rho!r},{value!r}".  An
-    axisymmetric profile is written on all n_angle polar nodes, t < 0 first:
-    each radius formats its stored t > 0 rows and writes the t < 0 rows as
-    "-" plus their mirror's row in reverse order, which is the repr of the
-    mirror node (-x1, rho) holding the same value (x1 > 0 is never -0.0).
+    The header is `r` and then the repr of each stored polar cosine grid.t,
+    `value` on a radial grid (its one column); each row is the repr of r
+    and of u at each t, f"{r!r},{u_1!r},...,{u_n_t!r}".  Only the t > 0
+    half is written: every field is even in x1, so the file holds each
+    stored node once and reads back bit for bit.
     """
     g = profile.grid
-    v = profile.values
+    names = ["value"] if isinstance(g, RadialGrid) else map(repr, g.t.tolist())
     with open(path, "w") as f:
-        if isinstance(g, RadialGrid):
-            f.write("r,value\n")
-            f.writelines(f"{r!r},{w!r}\n"
-                         for r, w in zip(g.r.tolist(), v.tolist()))
-            return
-        f.write("x1,rho,value\n")
-        for xs, ys, ws in zip(g.x1.tolist(), g.rho.tolist(), v.tolist()):
-            rows = [f"{x!r},{y!r},{w!r}\n" for x, y, w in zip(xs, ys, ws)]
-            f.writelines("-" + row for row in reversed(rows))
-            f.writelines(rows)
-
-
-def _read_rows(lines, n_cols: int) -> np.ndarray:
-    """The (rows, n_cols) array of the CSV lines (a file or an iterable of
-    lines), as np.loadtxt reads them; no rows give shape (0, n_cols)."""
-    with warnings.catch_warnings():  # no rows: the caller reports the count
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(lines, delimiter=",", ndmin=2,
-                          usecols=range(n_cols))
-
-
-def _read_upper_rows(f, grid: AxisymmetricGrid) -> Optional[np.ndarray]:
-    """The t > 0 rows of an axisymmetric profile written by
-    save_profile_csv, parsed once; None for a file in any other form.
-
-    The file is read one radius (n_angle lines) at a time.  In the writer's
-    form every t > 0 line starts with a digit and the t < 0 lines are "-"
-    plus their mirror's line (one string compare per radius), so each t < 0
-    row is its mirror's row with x1 negated, and only the t > 0 lines reach
-    the parser.  A radius in another form (a comment, a blank line, a
-    reformatted number), a malformed number or a wrong line count gives
-    None: the caller then parses the whole file.
-    """
-    n_angle, half = grid.n_angle, grid.n_angle // 2
-    radii = 0
-
-    def upper_lines():
-        nonlocal radii
-        while block := list(itertools.islice(f, n_angle)):
-            upper = block[half:]
-            # every t > 0 line starts with a digit when the least and the
-            # greatest of them do
-            if not (len(block) == n_angle
-                    and "0" <= min(upper) and max(upper) < ":"
-                    and "".join(block[:half]) == "-" + "-".join(upper[::-1])):
-                raise ValueError("not in the writer's form")
-            radii += 1
-            yield from upper
-
-    try:
-        rows = _read_rows(upper_lines(), 3)
-    except ValueError:
-        return None
-    return rows if radii == grid.n_r else None
+        f.write(",".join(["r", *names]) + "\n")
+        f.writelines(f"{r!r},{','.join(map(repr, u))}\n" for r, u in
+                     zip(g.r.tolist(), profile.values.reshape(g.r.size, -1).tolist()))
 
 
 def load_profile_csv(path, grid: Grid) -> Profile:
     """Load a profile written by save_profile_csv onto a matching grid.
 
-    An axisymmetric file holds all n_angle polar nodes; the profile keeps
-    the t > 0 half, so the file must be even in x1.  A file in the writer's
-    form parses its t > 0 lines only (_read_upper_rows); any other file is
-    parsed whole in one np.loadtxt pass, whose error message a malformed
-    number or a wrong row count gives, and each t < 0 value must then be
-    its mirror's value bit for bit (hand-reformatted numbers still load).
-    A radius where it is not raises ConfigError naming the radius.
+    The body is parsed in one np.loadtxt pass, so a number in another form
+    of the same float (a hand-edited 1.50 for 1.5) still loads.  ConfigError
+    for a header other than the writer's, an unreadable row, a table other
+    than (n_r, n_t + 1), or radii or header polar cosines off the grid's by
+    more than 1e-9 (1 + r) and 1e-9 (the bound on x1 = r t as r grows).
     """
     radial = isinstance(grid, RadialGrid)
-    expect = ("r", "value") if radial else ("x1", "rho", "value")
-    n = grid.r.size * (1 if radial else grid.n_angle)  # rows of the file
+    n_r, n_t = grid.r.size, grid.t.size
     with open(path) as f:
         names = tuple(f.readline().strip().split(","))
-        if names != expect:
-            raise ConfigError(f"expected header {','.join(expect)}, got {names}")
-        body = f.tell()
-        rows = None if radial else _read_upper_rows(f, grid)
-        whole = rows is None
-        if whole:
-            f.seek(body)
+        try:
+            if names[0] != "r" or radial and names[1:] != ("value",):
+                raise ValueError
+            t = grid.t if radial else np.array(names[1:], dtype=float)
+        except ValueError:
+            want = ("r,value" if radial else
+                    f"r,t_1,...,t_{n_t} (the grid's polar cosines t > 0)")
+            raise ConfigError(f"expected header {want}, got {names}") from None
+        with warnings.catch_warnings():  # no rows: the shape check reports it
+            warnings.simplefilter("ignore", UserWarning)
             try:
-                rows = _read_rows(f, len(expect))
+                rows = np.loadtxt(f, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise ConfigError(f"unreadable profile row: {exc}") from exc
-            if rows.shape[0] != n:
-                raise ConfigError(f"profile has {rows.shape[0]} rows, grid has {n} nodes")
-    if radial:
-        r, v = rows.T
-        if not np.allclose(r, grid.r, rtol=1e-9, atol=1e-12):
-            raise ConfigError("profile radii do not match the configured grid")
-        return Profile(grid=grid, values=v)
-    h = grid.t.size
-    blocks = rows.reshape(grid.n_r, -1, 3)
-    upper = blocks[:, -h:]
-    # the t < 0 rows mirrored onto their t > 0 nodes; a file in the writer's
-    # form passed the string compare, so there they are the t > 0 rows
-    lower = blocks[:, h - 1::-1] * [-1.0, 1.0, 1.0] if whole else upper
-    scale = 1.0 + grid.r[:, None]
-
-    def off(read, want):  # max |want - read| / (1 + r), in place on want
-        want -= read
-        np.abs(want, out=want)
-        want /= scale
-        return np.max(want)
-
-    # grid.x1 and grid.rho are new arrays on every access
-    for half in (upper, lower) if whole else (upper,):
-        if off(half[..., 0], grid.x1) > 1e-9 or off(half[..., 1], grid.rho) > 1e-9:
-            raise ConfigError("profile coordinates do not match the configured grid")
-    odd = np.any(lower[..., 2].view(np.int64) != upper[..., 2].view(np.int64), axis=1)
-    if odd.any():
-        i = int(np.argmax(odd))
-        raise ConfigError(f"profile is not even in x1: at radius {i} (r = {grid.r[i]:.6g}) "
-                          f"the t < 0 values are not the mirror of the t > 0 values")
-    return Profile(grid=grid, values=upper[..., 2])
+    if rows.shape != (n_r, n_t + 1):
+        k, c = rows.shape if rows.size else (0, len(names))
+        raise ConfigError(f"profile has {k} rows of {c} fields, grid needs {n_r} of {n_t + 1}")
+    if not (t.shape == grid.t.shape and np.all(np.abs(t - grid.t) <= 1e-9)
+            and np.all(np.abs(rows[:, 0] - grid.r) <= 1e-9 * (1.0 + grid.r))):
+        raise ConfigError("profile coordinates do not match the configured grid")
+    return Profile(grid=grid, values=rows[:, 1:].reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------

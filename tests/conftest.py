@@ -58,26 +58,19 @@ def flat_q5_run(timings):
 
 @pytest.fixture
 def written_even(tmp_path):
-    """Check that the profile.csv rows the CLI writes for an axisymmetric
-    profile are even in x1 bit for bit, and read back bit for bit.
-
-    Each radius has its n_angle polar nodes, t < 0 first; every t < 0 row is
-    "-" plus its mirror's row, and one np.loadtxt pass over the file gives
-    mirror nodes the same value bits, rho bits and negated x1.
+    """Check the profile.csv the CLI writes for an axisymmetric profile: a
+    header `r` plus the repr of each stored polar cosine t > 0, one row per
+    radius (n_r + 1 lines), and values that read back bit for bit.  Only
+    the t > 0 half is written, so the file is even in x1 by its layout.
     """
     def check(profile):
         g = profile.grid
         path = tmp_path / "even.csv"
         save_profile_csv(profile, path)
-        lines = path.read_text().splitlines()[1:]
-        n, h = g.n_angle, g.n_angle // 2
-        assert len(lines) == g.r.size * n
-        for i in range(0, len(lines), n):
-            upper = lines[i + h:i + n]
-            assert lines[i:i + h] == ["-" + row for row in reversed(upper)]
-        rows = np.loadtxt(lines, delimiter=",").reshape(g.r.size, n, 3)
-        mirror = rows[:, ::-1].copy()
-        mirror[..., 0] *= -1.0
-        assert rows.tobytes() == mirror.tobytes()
+        lines = path.read_text().splitlines()
+        assert len(lines) == g.r.size + 1
+        header = lines[0].split(",")
+        assert header[0] == "r"
+        assert np.array(header[1:], dtype=float).tobytes() == g.t.tobytes()
         assert load_profile_csv(path, g).values.tobytes() == profile.values.tobytes()
     return check

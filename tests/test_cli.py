@@ -281,6 +281,30 @@ def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys,
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--q", "-inf", "--w0", "1"],  # -inf reads as an option
+    ["solve", "--preset", "thm1", "--no-such-option"],
+    ["solve", "--seed", "x"],
+    ["no-such-command"],
+], ids=["shoot-q-minus-inf", "solve-unknown-option", "solve-seed-not-int",
+        "unknown-command"])
+def test_usage_errors_exit_one(tmp_path, capsys, argv):
+    # argparse exits 2, the code of a diverged solve, unless told otherwise
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("biharm")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["shoot", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: biharm")
+
+
 def test_schema_bounds_match_the_code():
     # jsonschema is not a dependency, so the schema's numbers are read from
     # the file and held against the checks the code makes
@@ -461,7 +485,7 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--config", str(cfg),
                            "--profile", str(p), "--out", str(tmp_path / "v"))
         assert code == 1
-        assert err == "error: profile has 0 rows, grid has 400 nodes\n"
+        assert err == "error: profile has 0 rows of 2 fields, grid needs 400 of 2\n"
 
     @pytest.mark.parametrize("moved, why", [
         (True, "no report.json"),               # the profile copied alone
@@ -591,25 +615,44 @@ class TestVerify:
                            "--profile", str(p), "--out", str(tmp_path / "v4"))
         assert code == 1
 
-    def test_profile_not_even_in_x1_exits_one(self, tmp_path, capsys):
-        # a hand-edited t < 0 value: the profile is no longer even in x1,
-        # and verify names the radius in its error line, without a traceback
+    @pytest.mark.parametrize("edit, why", [
+        ("n_angle", "profile has 16 rows of 7 fields, grid needs 16 of 5"),
+        ("r_max", "profile coordinates do not match the configured grid"),
+        ("short_row", "unreadable profile row: the number of columns changed"),
+        ("malformed", "unreadable profile row: could not convert string '1.5x'"),
+        ("old_layout", "expected header r,t_1,...,t_4 (the grid's polar "
+                       "cosines t > 0), got ('x1', 'rho', 'value')"),
+    ], ids=["n_angle", "r_max", "short_row", "malformed", "old_layout"])
+    def test_profile_for_another_grid_or_malformed_exits_one(
+            self, tmp_path, capsys, edit, why):
+        # the config's grid is (n_r 16, n_angle 8, r_max 10); the profile
+        # is solved on another grid, loses a value, holds a malformed number,
+        # or is in the x1,rho,value layout of earlier versions
+        spec = {"kind": "axisymmetric", "n_r": 16, "n_angle": 8, "r_max": 10.0}
         cfg = quick_config(tmp_path, poly={"a": [1.0, 2.0, 2.0], "c": 1.0},
-                           grid={"kind": "axisymmetric", "n_r": 16,
-                                 "n_angle": 8, "r_max": 10.0})
-        g = SolveConfig.from_dict(json.loads(cfg.read_text())).grid.build()
+                           grid=spec)
+        other = {"n_angle": {"n_angle": 12}, "r_max": {"r_max": 12.0}}.get(edit, {})
+        g = GridSpec.from_dict({**spec, **other}).build()
         p = tmp_path / "profile.csv"
         save_profile_csv(Profile(grid=g, values=2.0 + g.x1**2 + g.rho), p)
         lines = p.read_text().splitlines(keepends=True)
-        row = 1 + 5 * 8 + 2  # radius 5, node 2 (t < 0)
-        x1, rho, _ = lines[row].split(",")
-        lines[row] = f"{x1},{rho},3.5\n"
+        if edit == "short_row":
+            lines[6] = lines[6].rsplit(",", 1)[0] + "\n"
+        elif edit == "malformed":
+            r, _, rest = lines[6].split(",", 2)
+            lines[6] = f"{r},1.5x,{rest}"
+        elif edit == "old_layout":
+            lines = ["x1,rho,value\n"] + [
+                f"{x!r},{y!r},{u!r}\n" for x, y, u in zip(
+                    g.x1.ravel().tolist(), g.rho.ravel().tolist(),
+                    (2.0 + g.x1**2 + g.rho).ravel().tolist())]
         p.write_text("".join(lines))
         code, _, err = run(capsys, "verify", "--config", str(cfg),
                            "--profile", str(p), "--out", str(tmp_path / "v"))
         assert code == 1
-        assert err.startswith("error: profile is not even in x1: at radius 5 ")
+        assert err.startswith(f"error: {why}")
         assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "v" / "verification.json").exists()
 
 
 class TestShoot:
@@ -691,6 +734,33 @@ class TestShoot:
         assert proc.returncode == 1
         assert proc.stderr == f"error: q must be finite, got {argv[1]}\n"
         assert not (tmp_path / "q" / "trajectory.csv").exists()
+
+    def test_huge_q_exits_two_at_once(self, tmp_path):
+        # u^(-1e15) overflows as soon as u dips below u0 = 1, so only steps
+        # that keep u at 1.0 are accepted and the march would not end; the
+        # step budget stops it.  Run apart with a timeout, so that a hang
+        # fails the test instead of stalling the suite
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "biharm.cli", "shoot", "--q", "1e15",
+             "--w0", "0", "--out", str(tmp_path / "q")],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: integrator failed: no end of the shot "
+                               f"in {shooting._MAX_ATTEMPTS} step attempts\n")
+        assert not (tmp_path / "q" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("u0, w0", [("0.2", "1"), ("0.155", "-4.9")])
+    def test_derivative_beyond_float_range_exits_two(self, tmp_path, capsys,
+                                                     u0, w0):
+        # u0^(-250) is finite, but the norm of the start's derivative that
+        # picks the first step overflows (with w0 < 0, u^(-q) itself)
+        code, _, err = run(capsys, "shoot", "--q", "250", "--u0", u0,
+                           "--w0", w0, "--r-end", "100",
+                           "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err == ("error: integrator failed: the derivative at the "
+                       "start is beyond float range\n")
 
     def test_integrator_failure_exits_two(self, tmp_path, capsys):
         # u dives to the floor where u^(-50) is huge: the step size falls

@@ -1,9 +1,7 @@
-import gc
 import itertools
 import json
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -144,33 +142,27 @@ class TestProfileIO:
             load_profile_csv(tmp_path / "p.csv", other)
 
     def test_rows_are_the_repr_of_each_float(self, tmp_path):
-        # an axisymmetric profile is written on all n_angle polar nodes: the
-        # t < 0 rows are "-" plus their mirror's row, which is the repr of
-        # the mirror node (-x1, rho) with the same value
+        # one row per radius: the repr of r, then of u at each stored polar
+        # cosine t > 0, whose reprs make the header; a radial profile is the
+        # one-column case with the header r,value
         g = AxisymmetricGrid.build(8, 6, 5.0)
         smooth = np.cos(g.x1) / 3.0 + g.rho
-        signed_zeros = smooth.copy()  # "-0.0" in a row and in its mirror's
+        signed_zeros = smooth.copy()  # "-0.0" written and read as such
         signed_zeros[3, 0], signed_zeros[3, 2] = 0.0, -0.0
         skewed = replace(g, t=g.t + 1e-3)  # other t > 0 nodes
         radial = RadialGrid.graded(8, 5.0)
-
-        def mirrored(a, sign=1.0):  # full polar layout, t < 0 first
-            return np.concatenate([sign * a[:, ::-1], a], axis=1)
-
         for grid, vals in [(g, smooth), (g, signed_zeros), (skewed, smooth),
                            (radial, np.cos(radial.r) / 3.0)]:
-            save_profile_csv(Profile(grid=grid, values=vals),
-                             tmp_path / "p.csv")
-            lines = (tmp_path / "p.csv").read_text().splitlines()
-            if grid is radial:
-                header, cols = "r,value", [grid.r, vals]
-            else:
-                header = "x1,rho,value"
-                cols = [mirrored(grid.x1, -1.0), mirrored(grid.rho),
-                        mirrored(vals)]
-            assert lines[0] == header
-            assert lines[1:] == [",".join(f"{x!r}" for x in row) for row in
-                                 zip(*(c.ravel().tolist() for c in cols))]
+            path = tmp_path / "p.csv"
+            save_profile_csv(Profile(grid=grid, values=vals), path)
+            lines = path.read_text().splitlines()
+            names = ["value"] if grid is radial else [repr(t) for t in grid.t.tolist()]
+            assert lines[0] == ",".join(["r", *names])
+            assert lines[1:] == [",".join(map(repr, [r, *u])) for r, u in
+                                 zip(grid.r.tolist(),
+                                     vals.reshape(grid.r.size, -1).tolist())]
+            back = load_profile_csv(path, grid).values
+            assert back.tobytes() == vals.tobytes()
 
     def test_header_and_rows_are_checked(self, tmp_path):
         g = RadialGrid.graded(8, 8.0)
@@ -185,17 +177,20 @@ class TestProfileIO:
             load_profile_csv(path, g)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("grid, header, n", [
-        (RadialGrid.graded(8, 8.0), "r,value", 8),
-        (AxisymmetricGrid.build(8, 6, 5.0), "x1,rho,value", 8 * 6),
+    @pytest.mark.parametrize("grid, fields", [
+        (RadialGrid.graded(8, 8.0), 2),
+        (AxisymmetricGrid.build(8, 6, 5.0), 4),
     ], ids=["radial", "axisymmetric"])
-    def test_header_only_profile_has_zero_rows(self, tmp_path, grid, header, n):
+    def test_header_only_profile_has_zero_rows(self, tmp_path, grid, fields):
         # the row count is the reason, for both grid kinds, and numpy's
-        # "input contained no data" warning is not passed on; an
-        # axisymmetric file has a row for each of the n_angle polar nodes
+        # "input contained no data" warning is not passed on; a file has a
+        # row for each radius, of r and u at each of the n_angle / 2 stored
+        # polar cosines
         path = tmp_path / "p.csv"
-        path.write_text(header + "\n")
-        with pytest.raises(ConfigError, match=f"^profile has 0 rows, grid has {n} nodes$"):
+        save_profile_csv(Profile(grid=grid, values=np.ones(grid.shape)), path)
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        with pytest.raises(ConfigError, match=(
+                f"^profile has 0 rows of {fields} fields, grid needs 8 of {fields}$")):
             load_profile_csv(path, grid)
 
     def test_shape_mismatch_is_config_error(self):
@@ -206,180 +201,111 @@ class TestProfileIO:
 
 
 def _loadtxt_rows(path):
-    """The rows of one np.loadtxt pass over the whole file."""
+    """The body of a profile.csv as one np.loadtxt pass reads it."""
     with open(path) as f:
         f.readline()
-        return np.loadtxt(f, delimiter=",", ndmin=2, usecols=range(3))
-
-
-def _whole_file_load(path, grid):
-    """load_profile_csv as one np.loadtxt pass over the whole file, with the
-    coordinates of both mirror halves checked: the error texts and the
-    traced memory the reader must not exceed."""
-    try:
-        rows = _loadtxt_rows(path)
-    except ValueError as exc:
-        raise ConfigError(f"unreadable profile row: {exc}") from exc
-    n = grid.r.size * grid.n_angle
-    if rows.shape[0] != n:
-        raise ConfigError(f"profile has {rows.shape[0]} rows, grid has {n} nodes")
-    blocks = rows.reshape(grid.n_r, grid.n_angle, 3)
-    h = grid.n_angle // 2
-    upper, lower = blocks[:, h:], blocks[:, h - 1::-1]
-    scale = 1.0 + grid.r[:, None]
-    for x1, rho in ((upper[..., 0], upper[..., 1]),
-                    (-lower[..., 0], lower[..., 1])):
-        if (np.max(np.abs(x1 - grid.x1) / scale) > 1e-9
-                or np.max(np.abs(rho - grid.rho) / scale) > 1e-9):
-            raise ConfigError("profile coordinates do not match the configured grid")
-    return Profile(grid=grid, values=upper[..., 2])
+        return np.loadtxt(f, delimiter=",", ndmin=2)
 
 
 class TestMirroredProfileReader:
-    """load_profile_csv keeps the t > 0 half of a file that holds all
-    n_angle polar nodes.  A file in save_profile_csv's form has only its
-    t > 0 rows parsed (model._read_upper_rows), and they must be what one
-    np.loadtxt pass over the whole file reads there; any other file is
-    parsed whole and loads only when it is even in x1."""
+    """load_profile_csv on an axisymmetric file: it holds the t > 0 half of
+    a field even in x1, the t < 0 half being its mirror, as the Profile's
+    own (n_r, n_angle / 2) table with the polar cosines in its header, and
+    the body is parsed in one np.loadtxt pass."""
 
     GRID = AxisymmetricGrid.build(8, 6, 5.0)
 
-    def _lines(self, tmp_path):
+    def _write(self, tmp_path, values=None):
         g = self.GRID
-        save_profile_csv(Profile(grid=g, values=np.cos(g.x1) / 3.0 + g.rho),
-                         tmp_path / "p.csv")
-        return (tmp_path / "p.csv").read_text().splitlines(keepends=True)
-
-    @staticmethod
-    def _set_value(line, value):
-        x1, rho, _ = line.split(",")
-        return f"{x1},{rho},{value}\n"
-
-    def _check(self, path, grid, writer_form=True):
-        h = grid.n_angle // 2
-        want = _loadtxt_rows(path).reshape(grid.n_r, grid.n_angle, 3)[:, h:]
-        with open(path) as f:
-            f.readline()
-            rows = model._read_upper_rows(f, grid)
-        assert (rows is not None) == writer_form
-        if rows is not None:
-            assert rows.tobytes() == np.ascontiguousarray(want).reshape(-1, 3).tobytes()
-        got = load_profile_csv(path, grid).values
-        assert got.tobytes() == np.ascontiguousarray(want[..., 2]).tobytes()
-
-    def _rejected(self, path, radius):
-        _whole_file_load(path, self.GRID)  # it reads, and its coordinates match
-        with pytest.raises(ConfigError, match=(
-                f"^profile is not even in x1: at radius {radius} "
-                r"\(r = .*\) the t < 0 values are not the mirror")):
-            load_profile_csv(path, self.GRID)
+        values = np.cos(g.x1) / 3.0 + g.rho if values is None else values
+        path = tmp_path / "p.csv"
+        save_profile_csv(Profile(grid=g, values=values), path)
+        return path, values
 
     def test_a_thm1_profile_reads_like_loadtxt(self, thm1_run, tmp_path):
-        _, cont = thm1_run
-        prof = cont.final_profile
+        prof = thm1_run[1].final_profile
         path = tmp_path / "profile.csv"
         save_profile_csv(prof, path)
-        self._check(path, prof.grid)
-        assert load_profile_csv(path, prof.grid).values.tobytes() == prof.values.tobytes()
-        # traced peak at or below the one-pass load's
-        peaks = []
-        for load in (_whole_file_load, load_profile_csv):
-            gc.collect()
-            tracemalloc.start()
-            load(path, prof.grid)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-        assert peaks[1] <= peaks[0]
-
-    def test_unmirrored_radii_are_parsed_whole(self, tmp_path):
-        # a t < 0 value one bit off its mirror at radius 2, the whole t < 0
-        # half of radius 5 off: the file is parsed whole, and the first of
-        # the two radii is named
-        lines = self._lines(tmp_path)
-        row = 1 + 2 * 6 + 1  # radius 2, node 1 (t < 0)
-        value = float(lines[row].split(",")[2])
-        lines[row] = self._set_value(lines[row], repr(float(np.nextafter(value, 1.0))))
-        for row in range(1 + 5 * 6, 1 + 5 * 6 + 3):
-            lines[row] = self._set_value(lines[row], "1.5")
-        path = tmp_path / "p.csv"
-        path.write_text("".join(lines))
-        with open(path) as f:
-            f.readline()
-            assert model._read_upper_rows(f, self.GRID) is None
-        self._rejected(path, 2)
-
-    def test_hand_edited_lower_row(self, tmp_path):
-        lines = self._lines(tmp_path)
-        row = 1 + 3 * 6 + 1  # radius 3, node 1 (t < 0)
-        lines[row] = self._set_value(lines[row], "0.25")
-        (tmp_path / "p.csv").write_text("".join(lines))
-        self._rejected(tmp_path / "p.csv", 3)
+        rows = _loadtxt_rows(path)
+        got = load_profile_csv(path, prof.grid).values
+        assert got.tobytes() == np.ascontiguousarray(rows[:, 1:]).tobytes()
+        assert got.tobytes() == prof.values.tobytes()
+        assert len(path.read_text().splitlines()) == prof.grid.n_r + 1
 
     def test_reformatted_numbers_load(self, tmp_path):
-        # a t < 0 value written in another form of the same float
-        lines = self._lines(tmp_path)
-        row = 1 + 3 * 6 + 1
-        value = float(lines[row].split(",")[2])
-        lines[row] = self._set_value(lines[row], f"{value:.17e}")
-        (tmp_path / "p.csv").write_text("".join(lines))
-        self._check(tmp_path / "p.csv", self.GRID, writer_form=False)
-
-    @pytest.mark.parametrize("lead", ["-", " "])
-    def test_upper_row_without_a_leading_digit(self, tmp_path, lead):
-        # "-" + "-X" or "- X" is no number: the whole file is parsed, and
-        # its error is the one of a single pass
-        lines = self._lines(tmp_path)
-        row = 1 + 4 * 6 + 4  # radius 4, node 4 (t > 0), mirror of node 1
-        lines[row] = lead + lines[row]
-        lines[row - 3] = "-" + lines[row]
-        path = tmp_path / "p.csv"
-        path.write_text("".join(lines))
-        with pytest.raises(ConfigError) as want:
-            _whole_file_load(path, self.GRID)
-        with pytest.raises(ConfigError) as got:
-            load_profile_csv(path, self.GRID)
-        assert str(got.value) == str(want.value)
+        # 1.50 is another form of the float 1.5, and reads as it
+        values = np.cos(self.GRID.x1) / 3.0 + self.GRID.rho
+        values[4, 1] = 1.5
+        path, _ = self._write(tmp_path, values)
+        text = path.read_text()
+        assert text.count(",1.5,") == 1
+        path.write_text(text.replace(",1.5,", ",1.50,"))
+        assert load_profile_csv(path, self.GRID).values.tobytes() == values.tobytes()
 
     def test_upper_row_with_a_leading_space_parses(self, tmp_path):
-        # " X" is the number X, and its mirror row written as "-X" keeps
-        # the file out of the writer's form: it is parsed whole and loads
-        lines = self._lines(tmp_path)
-        row = 1 + 4 * 6 + 4
-        lines[row] = " " + lines[row]
-        (tmp_path / "p.csv").write_text("".join(lines))
-        self._check(tmp_path / "p.csv", self.GRID, writer_form=False)
-
-    @pytest.mark.parametrize("extra", ["# a comment\n", "\n"])
-    def test_comment_or_blank_line_falls_back(self, tmp_path, extra):
-        lines = self._lines(tmp_path)
-        lines.insert(1 + 2 * 6 + 3, extra)
-        (tmp_path / "p.csv").write_text("".join(lines))
-        self._check(tmp_path / "p.csv", self.GRID, writer_form=False)
+        # every row holds t > 0 nodes; " X" is the number X
+        path, values = self._write(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[4] = " " + lines[4].replace(",", ", ")
+        path.write_text("".join(lines))
+        assert load_profile_csv(path, self.GRID).values.tobytes() == values.tobytes()
 
     def test_crlf_line_ends(self, tmp_path):
-        lines = self._lines(tmp_path)
-        path = tmp_path / "p.csv"
-        path.write_bytes("".join(lines).replace("\n", "\r\n").encode())
-        self._check(path, self.GRID)
+        path, values = self._write(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_profile_csv(path, self.GRID).values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("edit", ["malformed", "short", "long"])
     def test_errors_are_those_of_one_pass(self, tmp_path, edit):
-        lines = self._lines(tmp_path)
+        # a malformed number gives np.loadtxt's own message; missing or
+        # extra rows give the table's shape
+        path, _ = self._write(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
         if edit == "malformed":
-            lines[1 + 5 * 6 + 4] = lines[1 + 5 * 6 + 4].replace(",", ",x", 1)
+            lines[6] = lines[6].replace(",", ",x", 1)
         elif edit == "short":
-            lines = lines[:-7]
+            lines = lines[:-3]
         else:
-            lines += lines[-6:]
-        path = tmp_path / "p.csv"
+            lines += lines[-2:]
         path.write_text("".join(lines))
-        with pytest.raises(ConfigError) as want:
-            _whole_file_load(path, self.GRID)
+        try:
+            rows = _loadtxt_rows(path)
+        except ValueError as exc:
+            want = f"unreadable profile row: {exc}"
+        else:
+            want = f"profile has {rows.shape[0]} rows of 4 fields, grid needs 8 of 4"
+        assert edit == "malformed" or want.startswith("profile has ")
         with pytest.raises(ConfigError) as got:
             load_profile_csv(path, self.GRID)
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith(
-            "unreadable profile row" if edit == "malformed" else "profile has")
+        assert str(got.value) == want
+
+    @pytest.mark.parametrize("grid, why", [
+        (AxisymmetricGrid.build(8, 8, 5.0), "^profile has 8 rows of 4 fields, grid needs 8 of 5$"),
+        (AxisymmetricGrid.build(8, 6, 5.5), "^profile coordinates do not match"),
+        (replace(GRID, t=GRID.t + 2e-9), "^profile coordinates do not match"),
+    ], ids=["n_angle", "r_max", "t"])
+    def test_another_grid_is_refused(self, tmp_path, grid, why):
+        path, _ = self._write(tmp_path)
+        with pytest.raises(ConfigError, match=why):
+            load_profile_csv(path, grid)
+
+    def test_coordinates_within_the_bound_load(self, tmp_path):
+        # radii and polar cosines may be off by 1e-9 (1 + r) and 1e-9
+        path, values = self._write(tmp_path)
+        g = replace(self.GRID, r=self.GRID.r + 0.5e-9, t=self.GRID.t - 0.5e-9)
+        assert load_profile_csv(path, g).values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("header", ["x1,rho,value", "r,t=0.5,0.7,0.9"],
+                             ids=["old_layout", "not_a_number"])
+    def test_a_header_off_the_writers_names_the_expected_one(self, tmp_path,
+                                                            header):
+        path, _ = self._write(tmp_path)
+        path.write_text(header + "\n" + path.read_text().split("\n", 1)[1])
+        with pytest.raises(ConfigError, match=re.escape(
+                "expected header r,t_1,...,t_3 (the grid's polar cosines "
+                f"t > 0), got {tuple(header.split(','))}")):
+            load_profile_csv(path, self.GRID)
+
 
 _GRIDS = {
     "radial": lambda: RadialGrid.graded(48, 12.0),
