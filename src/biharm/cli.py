@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import (ConfigError, GridSpec, NonFiniteError, Profile,
-                    QuadraticPolynomial, SolveConfig,
+                    QuadraticPolynomial, SolveConfig, check_seed,
                     load_profile_csv, report_json, save_profile_csv,
                     validate_config)
 from .operator import continuation_eps_to_zero, solve_fixed_point
@@ -182,11 +182,19 @@ def cmd_solve(args) -> int:
             "cauchy_sup_r10": list(cont.cauchy),
         }
 
-    u = prof.values + prof.grid.poly_values(stage_cfg.poly)
-    save_profile_csv(Profile(grid=prof.grid, values=u), out / "profile.csv")
+    g = prof.grid
+    warnings = list(check.warnings)
+    if report.density_tail is not None:  # only an axisymmetric grid has a tail
+        warnings.append(
+            f"n_angle = {g.n_angle} does not resolve the last stage's density: "
+            f"its Legendre modes reach no roundoff plateau (max_r |g_l| / "
+            f"max_r |g_0| = {report.density_tail:.1e} at l = {g.l_values[-1]}); "
+            f"the results are those of this grid")
+    u = prof.values + g.poly_values(stage_cfg.poly)
+    save_profile_csv(Profile(grid=g, values=u), out / "profile.csv")
     _write_trace(out / "trace.csv", report)
     doc = {"config": cfg.to_dict(), "result": report.to_dict(), **extra,
-           "warnings": check.warnings}
+           "warnings": warnings}
     report_json(doc, out / "report.json")
     cfg.to_json(out / "config.json")
 
@@ -208,8 +216,6 @@ def _check(value, threshold, note=""):
 def _residual_checks(prof: Profile, q: float, poly, seed: int, th: dict):
     """The pde and integral checks of a profile of u, its integral residual,
     and the verification.json keys both verify modes write from them."""
-    if seed < 0:  # numpy's default_rng refuses it with a traceback
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     pde = verify.pde_residual(prof, q, eps_quartic=poly.eps_quartic)
     integ = verify.integral_residual(prof, q, poly, n_samples=20, seed=seed)
     integral = _check(integ.max_rel, th["integral"])
@@ -457,6 +463,7 @@ def cmd_sweep(args) -> int:
     k1s = _sweep_values(grid, "kappa1", [1.0])
     k2s = _sweep_values(grid, "kappa2", [1.0])
     epss = _sweep_values(grid, "eps", [0.0])
+    SolveConfig.from_dict(base)  # every point's config starts from it
     out = _out_dir(args)
     points = sorted((q, k1, k2, e) for q in qs for k1 in k1s
                     for k2 in k2s for e in epss)
@@ -549,6 +556,8 @@ ERROR_EXIT_CODES = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # solve's or verify's
+            check_seed(args.seed)
         return args.func(args)
     except tuple(ERROR_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,8 @@ to.  ModeConvolution applies the same quadrature in O(n_r log n_r) per mode
 (two doubling scans sharing one table per level), and convolve() applies
 (1/8 pi) int kernel(x, y) density(y) dy on a grid: the grid's Legendre
 analysis, its ModeConvolution (grid.convolution, one per grid for both
-kernel variants), synthesis (a radial grid is the one-mode case).  The
+kernel variants) on the band of leading modes above the analysis' roundoff
+(grid.reduction.chop), synthesis (a radial grid is the one-mode case).  The
 solver and the decomposition both call it; it returns the density's modes
 with the field, so callers take the density's moments from them.
 
@@ -112,33 +113,44 @@ class ModeConvolution:
     relative to its size as r -> 0.
 
     The P and Q recurrences run as two log-depth doubling scans (Hillis &
-    Steele, CACM 1986) over (n_r, 2 n_modes), forward and backward, sharing
+    Steele, CACM 1986) over (n_r, 2, band), forward and backward, sharing
     one table per level: at span d its row j, the product of (r_{i-1}/r_i)^k
     over i = j-d+1..j, carries x_{j-d} into x_j forward and x_j into x_{j-d}
     backward.  Every multiplier is a radius ratio <= 1, so nothing
     overflows, and products below the smallest normal float are flushed to
     0.  The tables depend on neither the density nor the kernel variant, so
-    they are built once here and serve both variants.
+    they serve both variants, and each mode's column is computed on its
+    own: the tables hold only the first self.n_modes modes, the widest
+    band asked for (2 n_modes n_r log2(n_r) coefficients), bit for bit the
+    first columns of the whole grid's, and grow() rebuilds them for a wider
+    band when a density needs more modes.
     """
 
     def __init__(self, grid, l_values):
-        r = grid.r
+        self.r = grid.r
+        self.l_values = np.asarray(list(l_values), dtype=float)
+        self.rw = self.r**2 * grid.line_w
+        self.n_modes = 0
+        self.levels = []
+
+    def grow(self, n_modes: int) -> None:
+        """Hold the tables of at least the first n_modes modes."""
+        if n_modes <= self.n_modes:
+            return
+        self.levels = []  # freed before the wider ones are built
+        r, l = self.r, self.l_values[:n_modes]
         n = r.size
-        l = np.asarray(list(l_values), dtype=float)
         self.a = 1.0 / (2.0 * l + 3.0)
         self.b = 1.0 / (2.0 * l - 1.0)
-        self.r = r
-        self.hw = (r**2 * grid.line_w)[:, None] / (2.0 * (2.0 * l + 1.0))
+        self.hw = self.rw[:, None] / (2.0 * (2.0 * l + 1.0))
         self.l0_cols = np.flatnonzero(l == 0.0)
-        self.n_modes = l.size
         # rho[j] = r_{j-1} / r_j; the prefix sums multiply by rho[j]^k, the
         # suffix sums by rho[j+1]^k, so one table per level serves both
         rho = np.zeros(n)
         rho[1:] = r[:-1] / r[1:]
-        c = rho[:, None] ** np.concatenate([l, l + 2.0])
+        c = rho[:, None, None] ** np.stack([l, l + 2.0])
         base = c[1:].copy()  # unflushed, it weights the suffix sources
         c[c < np.finfo(float).tiny] = 0.0
-        self.levels = []
         d = 1
         while d < n:
             self.levels.append((d, c[d:].copy()))
@@ -147,26 +159,31 @@ class ModeConvolution:
             d *= 2
         first = self.levels[0][1]  # the base, unless the flush changed it
         self.rho_k = first if np.array_equal(first, base) else base
+        self.n_modes = n_modes
 
     def __call__(self, g: np.ndarray, shifted: bool) -> np.ndarray:
-        """Field modes (n_r, n_modes) from density modes g (n_r, n_modes),
-        for the shifted or the unshifted kernel."""
-        m = self.n_modes
-        p = np.empty((g.shape[0], 2 * m))  # the sources h in both halves
-        h = np.multiply(g, self.hw, out=p[:, :m])  # a view the scan overwrites
-        p[:, m:] = h
+        """Field modes (n_r, band) from the first band density modes g
+        (n_r, band), for the shifted or the unshifted kernel."""
+        m = g.shape[1]
+        self.grow(m)
+        p = np.empty((g.shape[0], 2, m))  # the sources h in both halves
+        h = np.multiply(g, self.hw[:, :m], out=p[:, 0])  # a view the scan overwrites
+        p[:, 1] = h
         if shifted:
-            inner_l0 = -np.cumsum(self.r[:, None] * h[:, self.l0_cols], axis=0)
+            l0 = self.l0_cols[self.l0_cols < m]
+            inner_l0 = -np.cumsum(self.r[:, None] * h[:, l0], axis=0)
         q = np.zeros_like(p)  # outer sources r_{j+1} h_{j+1} rho[j+1]^k
-        np.multiply(p[1:], self.r[1:, None], out=q[:-1])
-        q[:-1] *= self.rho_k
+        np.multiply(p[1:], self.r[1:, None, None], out=q[:-1])
+        q[:-1] *= self.rho_k[..., :m]
         for d, c in self.levels:
+            c = c[..., :m]
             p[d:] += c * p[:-d]
             q[:-d] += c * q[d:]
-        far = -self.b * q[:, :m]
+        a, b = self.a[:m], self.b[:m]
+        far = -b * q[:, 0]
         if shifted:
-            far[:, self.l0_cols] = inner_l0
-        return self.r[:, None] * (self.a * p[:, m:] - self.b * p[:, :m]) + (self.a * q[:, m:] + far)
+            far[:, l0] = inner_l0
+        return self.r[:, None] * (a * p[:, 1] - b * p[:, 0]) + (a * q[:, 1] + far)
 
 
 def convolve(grid, density, shifted: bool):
@@ -175,12 +192,21 @@ def convolve(grid, density, shifted: bool):
 
     density is node values in the layout grid.shape; the field has the same
     layout and the modes are (n_r, n_modes), their l = 0 column the
-    density's angular mean.  The mode convolution is the grid's own
-    (grid.convolution), built once per grid for both kernel variants.
+    density's angular mean.  Only the band of leading modes the grid's
+    chop rule keeps (grid.reduction.chop: the modes above the analysis'
+    own roundoff) is convolved, with the grid's own mode convolution
+    (grid.convolution, one per grid for both kernel variants, whose tables
+    grow to the widest band asked of them); the field columns of the
+    dropped modes are zero when the modes are synthesized.
     """
     red = grid.reduction
     modes = red.analyze(density)
-    return red.synthesize(grid.convolution(modes, shifted)), modes
+    band, _ = red.chop(modes)
+    field = grid.convolution(modes[:, :band], shifted)
+    if band < modes.shape[1]:
+        field = np.concatenate(
+            [field, np.zeros((field.shape[0], modes.shape[1] - band))], axis=1)
+    return red.synthesize(field), modes
 
 
 def kernel_row(r_target, grid, l=0, shifted: bool = False) -> np.ndarray:

@@ -13,7 +13,8 @@ too.  Grids also own their quadrature (grid.integrate) and
 what else depends only on the nodes, each written once for both kinds:
 grid.l_values, the angular mean grid.mode0, the truncated moments
 (1/8 pi) int |y|^k g (grid.moment), the mode convolution of both kernel
-variants (grid.convolution, built once per grid), and P and its Pohozaev
+variants (grid.convolution, made once per grid, with tables for the band
+of modes its densities carry), and P and its Pohozaev
 weight (grid.poly_values, grid.pohozaev_weight).  What differs by kind, the
 grid answers: the rays a fit reads (grid.rays) and the even quadratics of
 its symmetry class (grid.even_quadratics).  Only the profile CSV reader and
@@ -237,7 +238,9 @@ class _NodeGrid:
     @cached_property
     def convolution(self):
         """The kernels.ModeConvolution of the grid's modes (it serves both
-        kernel variants), built on first use and kept."""
+        kernel variants), made on first use and kept.  Its scan tables hold
+        only the widest band of leading modes asked of it so far
+        (reduction.chop's band of each density convolved), not every mode."""
         from .kernels import ModeConvolution  # kernels builds on this module
 
         return ModeConvolution(self, self.l_values)
@@ -388,6 +391,12 @@ class AxisymmetricGrid(_NodeGrid):
         return [x1 * x1, self.rho**2], (0, 1, 1)
 
 
+# The chop tolerance: the unit roundoff u.  A density mode below the
+# roundoff bound n u (2l + 1) g_0 of its own analysis is noise of the
+# analysis (SphericalReduction.chop).
+CHOP_TOL = 2.0 ** -53
+
+
 class SphericalReduction:
     """Even-mode Legendre transform pair of a grid's node columns.
 
@@ -412,12 +421,51 @@ class SphericalReduction:
         self.pl = vander[:, self.l_values]  # (n_t, n_modes)
         scale = np.array([(2 * l + 1) / 2.0 for l in self.l_values])
         self.forward = (self.pl * grid.wt[:, None]).T * scale[:, None]  # (n_modes, n_t)
+        self.floor = CHOP_TOL * grid.t.size * (2.0 * scale)  # n u (2l + 1)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         return values.reshape(self.shape[0], -1) @ self.forward.T  # (n_r, n_modes)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         return (coeffs @ self.pl.T).reshape(self.shape)
+
+    def chop(self, modes: np.ndarray) -> tuple:
+        """(band, resolved): how many leading modes of a density's analysis
+        carry more than the analysis' roundoff, and whether the rest reach
+        a roundoff plateau.
+
+        Mode l at radius r is a dot product over the n node columns, so its
+        rounding error is at most about n u (2l + 1) |g|_0(r) (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1,
+        with |P_l| <= 1 and weights summing to 2), u = CHOP_TOL the unit
+        roundoff and |g|_0 the angular mean of |density|, which is g_0 for
+        the positive densities the solver convolves.  The plateau is the
+        run of trailing modes that stay below that bound at every radius;
+        the band ends where it starts, and l = 0 is always kept.  When the
+        last mode is above its bound there is no plateau: the band is every
+        mode and the density is not resolved by the grid (a radial grid's
+        one mode counts as resolved).
+
+        What dropping the plateau costs: |K_l| <= 4 K_0 / ((2l-1)(2l+3))
+        for l >= 2 (kernels.legendre_mode_kernel), and kernel_row divides
+        mode l by 2l + 1, so a mode below its bound adds at most
+        4 n u / ((2l-1)(2l+3)) times the unshifted l = 0 field of g_0;
+        the sum over every dropped l >= l* telescopes to n u / (2l* - 1)
+        of it.  The rounding of g_0 itself already puts up to n u of that
+        field into every computed field, so the dropped modes change it by
+        less than its own roundoff.  On thm1's grid (n = 128) the modes
+        past the band stay within 7e-14 to 3e-12 of g_0, under bounds of
+        9e-13 (l = 32) to 7e-12 (l = 254), and the band is 16 to 19 modes;
+        thm2's last mode (l = 126) is still 2e-10 of g_0 on its first stage
+        and 5 g_0 on its last, so it keeps all 64.  The test reads the last
+        mode first, and the others only when it is below its bound.
+        """
+        n = modes.shape[1]
+        g0 = np.abs(modes[:, 0])
+        if n > 1 and (np.abs(modes[:, -1]) > self.floor[-1] * g0).any():
+            return n, False
+        above = (np.abs(modes) > self.floor * g0[:, None]).any(axis=0).nonzero()[0]
+        return (int(above[-1]) + 1 if above.size else 1), True
 
     def legendre_row(self, t: Optional[float] = None) -> np.ndarray:
         """P_l(t) for the grid's modes l (any t in [-1, 1]; None only with
@@ -574,9 +622,22 @@ class ContinuationSpec:
             raise ConfigError(f"malformed continuation spec: {exc}") from exc
 
 
+def check_seed(seed: int) -> int:
+    """seed, or ConfigError when it is negative: the seed drives the
+    Halton draw of verify.integral_residual through numpy's default_rng,
+    which refuses a negative one with a traceback."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SolveConfig:
-    """Everything needed for one fixed-point solve (plus optional continuation)."""
+    """Everything needed for one fixed-point solve (plus optional continuation).
+
+    Its seed is checked on construction (check_seed), so a config file's
+    seed and one set with replace(cfg, seed=...) are refused alike.
+    """
 
     q: float
     poly: QuadraticPolynomial
@@ -587,6 +648,9 @@ class SolveConfig:
     max_iters: int = 200
     seed: int = 0
     continuation: Optional[ContinuationSpec] = None
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         d = {
@@ -614,7 +678,7 @@ class SolveConfig:
     def from_dict(cls, d: dict) -> "SolveConfig":
         try:
             cont = d.get("continuation")
-            return cls(
+            fields = dict(
                 q=float(d["q"]),
                 poly=QuadraticPolynomial.from_dict(d["poly"]),
                 kernel_variant=d["kernel_variant"],
@@ -627,6 +691,7 @@ class SolveConfig:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+        return cls(**fields)
 
     def replace_poly(self, poly: QuadraticPolynomial) -> "SolveConfig":
         """This config with another polynomial and no continuation."""
@@ -809,9 +874,15 @@ class SolutionReport:
     decomposition: Optional[dict] = None
     diff_history: list = field(default_factory=list)
     alpha_history: list = field(default_factory=list)
+    # max_r |g_l| / max_r |g_0| at the last mode of the returned iterate's
+    # density when its modes reach no roundoff plateau (SphericalReduction
+    # .chop), else None; solve writes it as a warning, not as a result
+    density_tail: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        d = asdict(self)
+        del d["density_tail"]
+        return d
 
     def to_json(self, path=None) -> str:
         return report_json(self.to_dict(), path)

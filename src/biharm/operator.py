@@ -14,13 +14,20 @@ the single l = 0 mode on radial ones, where the angular integral is the
 closed-form spherical mean), each mode is convolved with its closed-form
 radial kernel, and the field is resynthesized: kernels.convolve, which
 OperatorContext.apply calls and which also returns the density's modes.  No
-pointwise kernel singularity is ever evaluated.  Each mode's radial kernel
-is semiseparable, so the convolution runs as prefix and suffix recurrences
-over the radii (kernels.ModeConvolution, one per grid for both kernel
-variants: grid.convolution): one application costs O(n_modes * n_r log n_r)
-time, and the grid keeps 2 n_modes * n_r log2(n_r) scan coefficients (one
-table per doubling level, shared by the prefix and the suffix sums), not
-dense tables.  The slope alpha and the unshifted origin value are the grid's
+pointwise kernel singularity is ever evaluated.  Only the band of leading
+modes above the analysis' own roundoff is convolved (the grid's chop rule,
+grid.reduction.chop: the field the dropped modes would add is below the
+roundoff of the field), which is every mode of a density the grid does not
+resolve.  Each mode's radial kernel is semiseparable, so the convolution
+runs as prefix and suffix recurrences over the radii
+(kernels.ModeConvolution, one per grid for both kernel variants:
+grid.convolution): one application costs O(band * n_r log n_r) time, plus
+O(n_modes^2 n_r) for the analysis and synthesis, and the grid keeps
+2 band * n_r log2(n_r) scan coefficients for the widest band its densities
+have needed (one table per doubling level, shared by the prefix and the
+suffix sums), not dense tables.  A cold start's context builds them for the
+band of P^-q, its first density; they grow when a later density needs
+more modes.  The slope alpha and the unshifted origin value are the grid's
 truncated moments of the density's angular mean (grid.moment), read from the
 l = 0 column of the analysis the application already made; the analytic
 bound on the mass beyond r_max is a moment of analysis.PowerTail.  A warm
@@ -55,15 +62,28 @@ from .analysis import PowerTail
 class OperatorContext:
     """Grid (with its mode convolution), polynomial values and tail bound
     for one config; grid, when given, is one built from cfg.grid to share
-    (a warm start's), else cfg.grid is built."""
+    (a warm start's, whose tables are already built), else cfg.grid is
+    built, and with it the tables for the band of P^-q, which the cold
+    start's first application then convolves."""
 
     def __init__(self, cfg: SolveConfig, grid=None):
         self.cfg = cfg
         self.shifted = cfg.kernel_variant == "shifted"
         self.grid = g = cfg.grid.build() if grid is None else grid
-        g.convolution  # built here, so setting up a context holds its cost
         self.p_values = g.poly_values(cfg.poly)
         self.tail_bound = self.tail_bound_alpha()
+        # a cold start's first density is P^-q: the tables for its band are
+        # built here, so setting up a context holds their cost, and the
+        # density is kept for that first application (first_density)
+        self._cold_density = None
+        if grid is None:
+            try:
+                self._cold_density = self.density(np.zeros_like(self.p_values))
+            except NonFiniteError:
+                pass  # the first application meets it again
+            else:
+                red = g.reduction
+                g.convolution.grow(red.chop(red.analyze(self._cold_density))[0])
 
     # -- pieces ------------------------------------------------------------
 
@@ -80,6 +100,12 @@ class OperatorContext:
         if not np.all(np.isfinite(dens)):
             raise NonFiniteError("density (P + |v|)^-q not finite")
         return dens
+
+    def first_density(self, v: np.ndarray) -> np.ndarray:
+        """density(v) of the start value v: on a cold start (v = 0) the
+        P^-q that set-up made, handed over once."""
+        dens, self._cold_density = self._cold_density, None
+        return self.density(v) if dens is None else dens
 
     def origin_value(self, g0: np.ndarray) -> float:
         """Field value at the origin from the density's angular mean g0:
@@ -199,7 +225,8 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
     and report.alpha for the returned one) comes from the l = 0 column of the
     density analysis its application made (OperatorContext.apply), so each
     iterate's density is analyzed once.  Each iterate's density is computed
-    once too: a cold start's v = 0 has density P^-q, which also gives the
+    once too: a cold start's v = 0 has density P^-q, which the context's
+    set-up made (OperatorContext.first_density) and which also gives the
     iterate bound.
 
     Returns (profile, report); report.iters counts the iterates after the
@@ -233,8 +260,8 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
     history = _MixingHistory(x.shape, scale)
     diff_history, alpha_history = [], []
     bound = math.nan
-    # the accepted iterate: v, its residual f, density's angular mean and |f|_X
-    v, f, g0, res = x, None, None, math.nan
+    # the accepted iterate: v, its residual f, its density's modes and |f|_X
+    v, f, gv, res = x, None, None, math.nan
     extrapolated = refill = False
     converged = False
     reason = None
@@ -245,7 +272,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
         try:
             if not k and v0 is not None:  # P^-q may already overflow
                 bound = ctx.iterate_bound()
-            dens = ctx.density(x)
+            dens = ctx.density(x) if k else ctx.first_density(x)
             if not k and v0 is None:  # a cold start's v = 0 has density P^-q
                 bound = ctx.iterate_bound(dens)
             tx, modes = ctx.apply(x, dens)
@@ -254,18 +281,17 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
             reason = str(exc)
             break
         fx = np.subtract(tx, x, out=tx)
-        g0_x = modes[:, 0]  # the density's angular mean
         res_x, xn = x_norm(fx), x_norm(x)
         diff_history.append(res_x)
-        alpha_history.append(grid.moment(0, g0_x))
+        alpha_history.append(grid.moment(0, modes[:, 0]))
 
         if xn > _DIVERGENCE_FACTOR * max(bound, 1.0) or not math.isfinite(xn):
-            v, g0, res = x, g0_x, res_x
+            v, gv, res = x, modes, res_x
             reason = (f"iterate norm {xn:g} exceeded "
                       f"{_DIVERGENCE_FACTOR:g} x bound {bound:g}")
             break
         if res_x < cfg.tol_fixed_point * (1.0 + xn):
-            v, g0, res = x, g0_x, res_x
+            v, gv, res = x, modes, res_x
             converged = True
             break
         if extrapolated and res_x > res:
@@ -275,7 +301,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
         else:
             if k:
                 history.push(x - v, fx - f, theta)
-            v, f, g0, res = x, fx, g0_x, res_x
+            v, f, gv, res = x, fx, modes, res_x
             refill = refill and history.count < _ANDERSON_DEPTH
         extrapolated = history.count > 0 and not refill
     else:
@@ -283,8 +309,12 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
 
     prof = Profile(grid=grid, values=v)
     alpha = v_origin = math.nan
-    if g0 is not None:
+    density_tail = None
+    if gv is not None:
+        g0 = gv[:, 0]  # the density's angular mean
         alpha, v_origin = grid.moment(0, g0), ctx.origin_value(g0)
+        if not grid.reduction.chop(gv)[1]:
+            density_tail = float(np.max(np.abs(gv[:, -1])) / np.max(np.abs(g0)))
     report = SolutionReport(
         converged=converged,
         iters=k,
@@ -301,6 +331,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
         tail_bound=ctx.tail_bound,
         diff_history=diff_history,
         alpha_history=alpha_history,
+        density_tail=density_tail,
     )
     return prof, report
 

@@ -101,10 +101,11 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
 
     The bilaplacian is two applications of the discrete Laplacian on each
     Legendre mode of the grid's reduction (l = 0 alone on a radial grid),
-    finite differences in radius, taken for all modes in one call.  The
-    120 eps constant is the exact bilaplacian of an eps |x|^4 term, so
-    profiles computed with a quartic confinement can be checked against the
-    equation they actually solve.
+    finite differences in radius, taken for all modes in one call: every
+    mode, not the chop rule's band, since the noise window below reads the
+    top modes.  The 120 eps constant is the exact bilaplacian of an
+    eps |x|^4 term, so profiles computed with a quartic confinement can be
+    checked against the equation they actually solve.
     The default window drops the outer nodes whose composed stencil reaches a
     one-sided row (the last 2 p radii; grids with more than 2 _STENCIL_WIDTH
     radii end the window at the 2 _STENCIL_WIDTH-th radius from the end) and
@@ -211,11 +212,14 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
     node of all n_angle nearest a second Halton coordinate, read at its
     stored mirror when t < 0.  The kernel is re-expanded at
     each sample from the closed-form mode kernels, off the solver's
-    precomputed path: one kernel_row call gives the sample's rows of every
-    mode, the Legendre values P_l(t) come from the reduction's node table
-    (the sample sits on a node column), and I sums the modes' products
-    row @ g_l one by one in mode order.  gamma is fitted as the mean
-    offset; for the shifted kernel variant it estimates
+    precomputed path, over the band of leading modes that the reduction's
+    chop rule keeps for this function's own analysis of u^-q (the modes
+    above the analysis' roundoff, whose field the dropped ones change by
+    less than its own roundoff): one kernel_row call gives the sample's
+    rows of the band's modes, the Legendre values P_l(t) come from the
+    reduction's node table (the sample sits on a node column), and I sums
+    the modes' products row @ g_l one by one in mode order.  gamma is
+    fitted as the mean offset; for the shifted kernel variant it estimates
     -(1/8 pi) int |y| u^-q dy, for unshifted solutions and entire solutions
     it should vanish.  The residual is
     max |u - P - I - gamma| / |u| over the samples.  A power-law tail fitted
@@ -229,6 +233,7 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
     dens = u ** (-q)
     red = g.reduction
     ghat = red.analyze(dens)
+    l_band = red.l_values[:red.chop(ghat)[0]]
     u_nodes = u.reshape(g.r.size, -1)
     p_nodes = g.poly_values(poly).reshape(g.r.size, -1)
     n_polar = 2 * red.t.size
@@ -257,10 +262,10 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
                         0, n_polar - 1))
         tj = abs(2 * j - (n_polar - 1)) // 2  # the stored node j or its mirror
         tval = red.t[tj]
-        # all modes' rows in one call; accumulated mode by mode, since
+        # the band's rows in one call; accumulated mode by mode, since
         # synthesize_at's dot product sums in another order, which moves the
         # written residual's last digits
-        rows = kernel_row(rk, g, red.l_values, shifted=False)
+        rows = kernel_row(rk, g, l_band, shifted=False)
         pl_row = red.pl[tj].tolist()  # P_l(t) at the sample's node column
         ival = 0.0
         for j, row in enumerate(rows):

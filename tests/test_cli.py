@@ -15,8 +15,9 @@ import pytest
 
 from biharm import cli, shooting, verify
 from biharm.kernels import ModeConvolution
-from biharm.model import (GridSpec, Profile, RadialGrid, SolveConfig,
-                          load_profile_csv, save_profile_csv)
+from biharm.model import (ConfigError, GridSpec, Profile, RadialGrid,
+                          SolveConfig, check_seed, load_profile_csv,
+                          save_profile_csv)
 from biharm.operator import solve_fixed_point
 
 
@@ -80,6 +81,36 @@ class TestSolve:
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["config"]["seed"] == 42
+
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "config"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, flag):
+        # verify would refuse it later; solve refuses it before writing
+        cfg = quick_config(tmp_path, seed=3 if flag else -5)
+        out = tmp_path / "s"
+        code, _, err = run(capsys, "solve", "--config", str(cfg),
+                           "--out", str(out), *(["--seed", "-5"] if flag else []))
+        assert code == 1
+        assert err == "error: seed must be a non-negative integer, got -5\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset, warns", [
+        ("thm2", True), ("thm1", False), ("thmA-iii", False)])
+    def test_warns_when_the_angle_does_not_resolve_the_density(
+            self, tmp_path, capsys, preset, warns):
+        # thm2's last-stage density has no roundoff plateau within its 64
+        # modes; thm1's reaches it, and a radial grid's one mode is resolved
+        out = tmp_path / preset
+        assert run(capsys, "solve", "--preset", preset, "--out", str(out))[0] == 0
+        lines = [w for w in json.loads((out / "report.json").read_text())[
+            "warnings"] if w.startswith("n_angle = ")]
+        if not warns:
+            assert lines == []
+            return
+        (line,) = lines
+        assert line.startswith("n_angle = 128 does not resolve the last "
+                               "stage's density")
+        tail = float(line.split("max_r |g_0| = ")[1].split(" ")[0])
+        assert 1e-6 < tail < 1e-3 and "at l = 126)" in line
 
     def test_env_output_dir(self, tmp_path, capsys, monkeypatch):
         cfg = quick_config(tmp_path)
@@ -326,6 +357,10 @@ def test_schema_bounds_match_the_code():
                  {"n_angle": n_angle + 1}):
         assert error(**over) is not None, over
     assert error("radial", n_r=n_r - 1) is not None
+    seed = defs["solveConfig"]["properties"]["seed"]["minimum"]
+    assert check_seed(seed) == seed
+    with pytest.raises(ConfigError, match="seed must be a non-negative"):
+        check_seed(seed - 1)
     r_end = defs["shootPreset"]["properties"]["r_end"]["exclusiveMinimum"]
     with pytest.raises(ValueError, match="r_end"):
         shooting.integrate_radial(3.0, 1.0, 1.4, r_end)
@@ -452,6 +487,16 @@ class TestVerify:
                            "--out", str(tmp_path / "v"))
         assert code == 1
         assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "v" / "verification.json").exists()
+
+    def test_negative_seed_flag_exits_one(self, solved, tmp_path, capsys):
+        # --seed is checked like a config's seed, before the profile is read
+        cfg, out = solved
+        code, _, err = run(capsys, "verify", "--config", str(cfg), "--profile",
+                           str(out / "profile.csv"), "--seed", "-5",
+                           "--out", str(tmp_path / "v"))
+        assert code == 1
+        assert err == "error: seed must be a non-negative integer, got -5\n"
         assert not (tmp_path / "v" / "verification.json").exists()
 
     def test_early_stopped_continuation_is_checked_at_its_stage(
@@ -806,6 +851,20 @@ class TestSweep:
             assert row["exponent_eperp"] == ""
         else:
             assert float(row["exponent_eperp"]) == pytest.approx(2.0, rel=0.05)
+
+    def test_negative_base_seed_exits_one(self, tmp_path, capsys):
+        # every point's config starts from the base, so the sweep refuses
+        # its seed once, before any point runs
+        base = json.loads(quick_config(tmp_path, seed=-5).read_text())
+        sw = tmp_path / "sweep.json"
+        sw.write_text(json.dumps({"base": base, "grid": {"q": [4.0, 5.0]}}))
+        out = tmp_path / "sw"
+        code, _, err = run(capsys, "sweep", "--config", str(sw),
+                           "--out", str(out), "--threads", "1")
+        assert code == 1
+        assert err == "error: seed must be a non-negative integer, got -5\n"
+        assert not (out / "sweep.csv").exists()
+        assert not list(out.glob("point_*"))
 
     def test_failing_point_is_isolated(self, tmp_path, capsys):
         base = json.loads(quick_config(tmp_path).read_text())

@@ -250,13 +250,43 @@ class TestModeConvolution:
         # reversed suffix table: the same factors multiplied in the same tree
         l_values = getattr(grid, "l_values", [0])
         conv, ref = ModeConvolution(grid, l_values), _TwoTableScan(grid, l_values)
-        np.testing.assert_array_equal(conv.rho_k, ref.suf_rev[:0:-1])
+        m = len(l_values)
+        conv.grow(m)
+        np.testing.assert_array_equal(conv.rho_k.reshape(-1, 2 * m),
+                                      ref.suf_rev[:0:-1])
         assert [d for d, _ in conv.levels] == [d for d, _ in ref.levels]
         for (d, c), (_, c_ref) in zip(conv.levels, ref.levels):
-            assert c.shape == (grid.r.size - d, 2 * len(l_values))
-            np.testing.assert_array_equal(c[::-1].view(np.int64),
-                                          c_ref[:, c.shape[1]:].view(np.int64))
+            assert c.shape == (grid.r.size - d, 2, m)
+            np.testing.assert_array_equal(
+                c.reshape(-1, 2 * m)[::-1].view(np.int64),
+                c_ref[:, 2 * m:].view(np.int64))
         g = np.random.default_rng(11).standard_normal((grid.r.size, len(l_values)))
         for shifted in (False, True):
             np.testing.assert_array_equal(conv(g, shifted).view(np.int64),
                                           ref(g, shifted).view(np.int64))
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_a_band_is_the_first_columns_of_every_mode_bit_for_bit(self,
+                                                                   shifted):
+        # each mode's column of the level tables is computed on its own, so a
+        # band's tables, and its field, are the first columns of the whole
+        # grid's, whether built for the band or grown to it
+        grid = AxisymmetricGrid.build(256, 256, 60.0)
+        l_values = grid.l_values
+        g = np.random.default_rng(5).standard_normal((grid.r.size, len(l_values)))
+        full = ModeConvolution(grid, l_values)
+        want = full(g, shifted)
+        assert full.n_modes == len(l_values)
+        grown = ModeConvolution(grid, l_values)
+        for band in (1, 17, 9, 40):  # the tables grow, and a band below serves
+            built = ModeConvolution(grid, l_values)
+            for conv in (built, grown):
+                got = conv(g[:, :band], shifted)
+                assert got.shape == (grid.r.size, band)
+                np.testing.assert_array_equal(got.view(np.int64),
+                                              want[:, :band].view(np.int64))
+            assert built.n_modes == band
+            for (d, c), (_, c_full) in zip(built.levels, full.levels):
+                np.testing.assert_array_equal(c.view(np.int64),
+                                              c_full[..., :band].view(np.int64))
+        assert grown.n_modes == 40

@@ -372,6 +372,49 @@ class TestGridContract:
                                        atol=1e-14 * np.max(np.abs(col)))
 
 
+class TestChop:
+    """SphericalReduction.chop on synthetic spectra: mode l of the density
+    at radius r is env_l g_0(r), against the roundoff bound
+    n u (2l + 1) g_0(r) of the analysis (reduction.floor)."""
+
+    @staticmethod
+    def _modes(env):
+        r = np.linspace(0.1, 10.0, 40)
+        g0 = (1.0 + r * r) ** -2.0
+        signs = np.where(np.arange(r.size) % 3, 1.0, -1.0)[:, None]
+        return g0[:, None] * signs * np.asarray(env)[None, :]
+
+    def test_geometric_decay_onto_a_plateau_cuts_at_its_start(self):
+        red = AxisymmetricGrid.build(40, 64, 10.0).reduction
+        n = len(red.l_values)
+        start = 10
+        env = 0.1 ** np.arange(n)  # 1e-9 at mode 9, above its bound
+        env[start:] = 0.5 * red.floor[start:]  # a plateau below the bound
+        assert env[start - 1] > red.floor[start - 1]
+        assert red.chop(self._modes(env)) == (start, True)
+        # the plateau is the trailing run below the bound: a mode above it
+        # further on moves the cut past that mode
+        env[20] = 2.0 * red.floor[20]
+        assert red.chop(self._modes(env)) == (21, True)
+
+    def test_no_plateau_keeps_every_mode_unresolved(self):
+        red = AxisymmetricGrid.build(40, 64, 10.0).reduction
+        n = len(red.l_values)
+        env = 0.5 ** np.arange(n)  # 5e-10 at the last mode, still decaying
+        assert red.chop(self._modes(env)) == (n, False)
+        env[1:-1] = 0.0  # only the last mode above its bound
+        assert red.chop(self._modes(env)) == (n, False)
+
+    def test_a_radial_grid_keeps_its_one_mode_resolved(self):
+        red = RadialGrid.graded(40, 10.0).reduction
+        assert red.chop(self._modes([1.0])) == (1, True)
+
+    def test_the_bound_is_n_u_times_2l_plus_1(self):
+        red = AxisymmetricGrid.build(8, 16, 10.0).reduction
+        l = np.array(red.l_values, dtype=float)
+        np.testing.assert_array_equal(red.floor, 8 * 2.0 ** -53 * (2 * l + 1))
+
+
 def test_only_model_names_the_grid_classes():
     # what differs by grid kind, callers ask the grid (grid.reduction,
     # grid.rays, grid.even_quadratics); no other module names a grid class

@@ -1,3 +1,5 @@
+import filecmp
+import json
 import math
 import tracemalloc
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from biharm import cli
-from biharm.kernels import legendre_mode_kernel
+from biharm.kernels import ModeConvolution, legendre_mode_kernel
 from biharm.model import (NonFiniteError, Profile, QuadraticPolynomial,
                           RadialGrid, SolveConfig, SphericalReduction, x_norm)
 from biharm.operator import (OperatorContext, continuation_eps_to_zero,
@@ -386,10 +388,11 @@ class TestContinuation:
         assert res.limit_poly.eps_quartic == 0.0
 
     def test_working_set_of_the_thm1_continuation(self):
-        # the solve holds the grid's scan tables (3.7 MB), the mixing history
-        # (2.6 MB) and a few node arrays of 0.26 MB, on the t > 0 half of
-        # the 256 polar nodes; earlier stages' profiles are dropped, except
-        # the one the next stage starts from
+        # the solve holds the grid's scan tables for its band of at most 19
+        # modes (0.5 MB, 3.7 MB for all 128), the mixing history (2.6 MB)
+        # and a few node arrays of 0.26 MB, on the t > 0 half of the 256
+        # polar nodes; earlier stages' profiles are dropped, except the one
+        # the next stage starts from
         cfg = SolveConfig.from_dict(
             {k: v for k, v in cli.load_preset("thm1").items() if k != "command"})
         tracemalloc.start()
@@ -398,7 +401,7 @@ class TestContinuation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 8e6
         assert isinstance(res.final_profile, Profile) and not hasattr(res, "profiles")
         # the Cauchy gaps of keeping every stage's profile
         profiles = []
@@ -430,3 +433,65 @@ class TestContinuation:
         assert res.limit_poly == cfg.poly
         np.testing.assert_array_equal(res.final_profile.values, prof.values)
         assert res.final_report == report
+
+
+def _preset_cfg(name):
+    return SolveConfig.from_dict(
+        {k: v for k, v in cli.load_preset(name).items() if k != "command"})
+
+
+@pytest.fixture
+def bands(monkeypatch):
+    """The band of every mode convolution, in call order."""
+    seen = []
+    call = ModeConvolution.__call__
+    monkeypatch.setattr(ModeConvolution, "__call__", lambda self, g, shifted:
+                        seen.append(g.shape[1]) or call(self, g, shifted))
+    return seen
+
+
+class TestBand:
+    """The solve convolves the band of modes SphericalReduction.chop keeps."""
+
+    def test_set_up_builds_the_tables_of_the_first_application(self, bands):
+        ctx = OperatorContext(_preset_cfg("thm1").stages()[0])
+        red, conv = ctx.grid.reduction, ctx.grid.convolution
+        levels = conv.levels
+        dens = ctx.first_density(np.zeros_like(ctx.p_values))
+        assert conv.n_modes == red.chop(red.analyze(dens))[0] < len(red.l_values)
+        ctx.apply(np.zeros_like(ctx.p_values), dens)
+        assert bands == [conv.n_modes] and conv.levels is levels
+
+    def test_presets_apply_their_bands(self, bands):
+        # thm1's density reaches its roundoff plateau within 32 of its 128
+        # modes; thm2's does not, so it keeps all 64
+        continuation_eps_to_zero(_preset_cfg("thm1"))
+        assert max(bands) <= 32
+        bands.clear()
+        continuation_eps_to_zero(_preset_cfg("thm2"))
+        assert set(bands) == {64}
+
+    def test_a_growing_band_writes_the_bits_of_every_mode(self, tmp_path,
+                                                          capsys, monkeypatch,
+                                                          bands):
+        # later stages need more modes than P^-q; the tables grow, and the
+        # written files are those of a solve forced onto every mode
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_axisym_cfg(
+            q=2.0, n_r=64, n_angle=64, continuation={
+                "eps_sequence": [0.1, 0.03, 0.01], "eps_param": "quartic"}
+        ).to_dict()))
+        assert cli.main(["solve", "--config", str(cfg),
+                         "--out", str(tmp_path / "band")]) == 0
+        assert bands[0] < max(bands) < 32
+        chop = SphericalReduction.chop
+        monkeypatch.setattr(SphericalReduction, "chop", lambda self, m:
+                            (m.shape[1], chop(self, m)[1]))
+        bands.clear()
+        assert cli.main(["solve", "--config", str(cfg),
+                         "--out", str(tmp_path / "full")]) == 0
+        assert set(bands) == {32}
+        capsys.readouterr()
+        for name in ("report.json", "profile.csv", "trace.csv"):
+            assert filecmp.cmp(tmp_path / "band" / name,
+                               tmp_path / "full" / name, shallow=False), name

@@ -226,6 +226,31 @@ class TestIntegralResidual:
         assert [s["u"] for s in res.samples] == u.values[k, j].tolist()
 
 
+    def test_band_is_the_chop_of_its_own_analysis(self, thm1_run,
+                                                  monkeypatch):
+        # the oracle chops its own analysis of u^-q, whatever band the
+        # grid's mode convolution was built for: one kernel_row call per
+        # sample, each for the same leading modes
+        cfg, cont = thm1_run
+        poly = cfg.stages()[-1].poly
+        g = cfg.grid.build()  # a grid of its own, whose convolution is forced
+        u = Profile(grid=g, values=cont.final_profile.values + g.poly_values(poly))
+        red = g.reduction
+        band = red.chop(red.analyze(u.values ** -cfg.q))[0]
+        assert 1 < band < len(red.l_values)
+        rows = []
+        kernel_row = verify.kernel_row
+        monkeypatch.setattr(verify, "kernel_row", lambda r, grid, l, shifted:
+                            rows.append(list(l)) or kernel_row(r, grid, l, shifted))
+        want = integral_residual(u, cfg.q, poly, seed=5)
+        assert rows == [red.l_values[:band]] * len(want.samples)
+        for forced in (2, len(red.l_values)):
+            g.convolution.levels, g.convolution.n_modes = [], 0
+            g.convolution.grow(forced)
+            got = integral_residual(u, cfg.q, poly, seed=5)
+            assert (got.max_rel, got.gamma, got.samples) == (
+                want.max_rel, want.gamma, want.samples)
+
 class TestPohozaev:
     def test_flat_q5_solution_balances(self, flat_q5_run):
         # the effective constant c + gamma is negative here (~ -1.04); the
