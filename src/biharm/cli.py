@@ -147,14 +147,17 @@ def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
     return report
 
 
-def _solve_config(d: dict, command: str):
-    """(config, validation) of the solve config dict d, read by `command`;
-    ConfigError when d drives another subcommand, is malformed, or fails
-    validation with hard errors (e.g. a radial grid needs a radial P)."""
+def _solve_config(d: dict, command: str, seed: int | None):
+    """(config, validation) of the solve config dict d, read by `command`,
+    with its seed replaced by the --seed flag's when given; ConfigError
+    when d drives another subcommand, is malformed, or fails validation
+    with hard errors (e.g. a radial grid needs a radial P)."""
     if d.get("command", "solve") != "solve":
         raise ConfigError(f"this preset drives the {d.get('command')!r} "
                           f"subcommand, not {command}")
     cfg = SolveConfig.from_dict({k: v for k, v in d.items() if k != "command"})
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
     check = validate_config(cfg)
     if check.hard_errors:
         raise ConfigError("; ".join(check.hard_errors))
@@ -162,9 +165,7 @@ def _solve_config(d: dict, command: str):
 
 
 def cmd_solve(args) -> int:
-    cfg, check = _solve_config(_load_config_dict(args), "solve")
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg, check = _solve_config(_load_config_dict(args), "solve", args.seed)
     out = _out_dir(args)
 
     cont = continuation_eps_to_zero(cfg)
@@ -247,7 +248,7 @@ def _run_exact_q7(d: dict, out: Path, seed: int) -> int:
     checks, integ, keys = _residual_checks(
         prof, 7.0, QuadraticPolynomial((0, 0, 0), c=0.0), seed, th)
     checks["gamma"] = _check(abs(integ.gamma), th["gamma"])
-    return _write_verification({"mode": "exact-q7", "q": 7.0,
+    return _write_verification({"mode": "exact-q7", "q": 7.0, "seed": seed,
                                 "grid": gspec.to_dict(), "checks": checks,
                                 **keys}, out)
 
@@ -298,7 +299,7 @@ def cmd_verify(args) -> int:
         d = _load_config_dict(args)
     if d.get("command", "solve") == "verify":
         return _run_exact_q7(d, out, args.seed or 0)
-    cfg, _ = _solve_config(d, "verify")
+    cfg, _ = _solve_config(d, "verify", args.seed)
     if args.profile is None:
         raise ConfigError("verify needs --profile PATH (the profile.csv that solve "
                           "wrote for this config)")
@@ -308,9 +309,8 @@ def cmd_verify(args) -> int:
     u = prof.values
     if not np.all((u > 0.0) & (u < np.inf)):  # NaN fails both
         raise ConfigError("stored profile is not finite and strictly positive")
-    seed = args.seed if args.seed is not None else cfg.seed
     poly = stage_cfg.poly
-    residual_checks, integ, keys = _residual_checks(prof, cfg.q, poly, seed,
+    residual_checks, integ, keys = _residual_checks(prof, cfg.q, poly, cfg.seed,
                                                     DEFAULT_THRESHOLDS)
 
     po_value, po_note = None, ""

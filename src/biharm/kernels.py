@@ -143,7 +143,6 @@ class ModeConvolution:
         self.a = 1.0 / (2.0 * l + 3.0)
         self.b = 1.0 / (2.0 * l - 1.0)
         self.hw = self.rw[:, None] / (2.0 * (2.0 * l + 1.0))
-        self.l0_cols = np.flatnonzero(l == 0.0)
         # rho[j] = r_{j-1} / r_j; the prefix sums multiply by rho[j]^k, the
         # suffix sums by rho[j+1]^k, so one table per level serves both
         rho = np.zeros(n)
@@ -169,9 +168,8 @@ class ModeConvolution:
         p = np.empty((g.shape[0], 2, m))  # the sources h in both halves
         h = np.multiply(g, self.hw[:, :m], out=p[:, 0])  # a view the scan overwrites
         p[:, 1] = h
-        if shifted:
-            l0 = self.l0_cols[self.l0_cols < m]
-            inner_l0 = -np.cumsum(self.r[:, None] * h[:, l0], axis=0)
+        if shifted:  # every band starts at l = 0
+            inner_l0 = -np.cumsum(self.r * h[:, 0])
         q = np.zeros_like(p)  # outer sources r_{j+1} h_{j+1} rho[j+1]^k
         np.multiply(p[1:], self.r[1:, None, None], out=q[:-1])
         q[:-1] *= self.rho_k[..., :m]
@@ -182,7 +180,7 @@ class ModeConvolution:
         a, b = self.a[:m], self.b[:m]
         far = -b * q[:, 0]
         if shifted:
-            far[:, l0] = inner_l0
+            far[:, 0] = inner_l0
         return self.r[:, None] * (a * p[:, 1] - b * p[:, 0]) + (a * q[:, 1] + far)
 
 

@@ -238,9 +238,10 @@ class _NodeGrid:
     @cached_property
     def convolution(self):
         """The kernels.ModeConvolution of the grid's modes (it serves both
-        kernel variants), made on first use and kept.  Its scan tables hold
-        only the widest band of leading modes asked of it so far
-        (reduction.chop's band of each density convolved), not every mode."""
+        kernel variants), made on first use and kept.  It is made without
+        tables: the first density convolved builds those of its band
+        (reduction.chop's), and they then hold only the widest band of
+        leading modes asked of them so far, not every mode."""
         from .kernels import ModeConvolution  # kernels builds on this module
 
         return ModeConvolution(self, self.l_values)

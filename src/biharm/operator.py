@@ -25,12 +25,13 @@ grid.convolution): one application costs O(band * n_r log n_r) time, plus
 O(n_modes^2 n_r) for the analysis and synthesis, and the grid keeps
 2 band * n_r log2(n_r) scan coefficients for the widest band its densities
 have needed (one table per doubling level, shared by the prefix and the
-suffix sums), not dense tables.  A cold start's context builds them for the
-band of P^-q, its first density; they grow when a later density needs
-more modes.  The slope alpha and the unshifted origin value are the grid's
-truncated moments of the density's angular mean (grid.moment), read from the
-l = 0 column of the analysis the application already made; the analytic
-bound on the mass beyond r_max is a moment of analysis.PowerTail.  A warm
+suffix sums), not dense tables.  A context holds only what its config
+fixes: the first application builds the tables of its band, and a later
+one grows them when its density needs more modes.  The slope alpha and
+the unshifted origin value are the grid's truncated moments of the
+density's angular mean (grid.moment), read from the l = 0 column of the
+analysis the application already made; the analytic bound on the mass
+beyond r_max is a moment of analysis.PowerTail.  A warm
 start carries its grid: a solve started from a profile sets up its context
 on that profile's grid, so the stages of a continuation share one reduction
 and one mode convolution.
@@ -60,11 +61,11 @@ from .analysis import PowerTail
 
 
 class OperatorContext:
-    """Grid (with its mode convolution), polynomial values and tail bound
-    for one config; grid, when given, is one built from cfg.grid to share
-    (a warm start's, whose tables are already built), else cfg.grid is
-    built, and with it the tables for the band of P^-q, which the cold
-    start's first application then convolves."""
+    """What one config fixes: the grid (with its mode convolution), P at
+    the nodes and the tail bound.  grid, when given, is one built from
+    cfg.grid to share (a warm start's), else cfg.grid is built.  Set-up
+    computes no density; each application computes and analyzes its own,
+    and the first one builds the tables of its band."""
 
     def __init__(self, cfg: SolveConfig, grid=None):
         self.cfg = cfg
@@ -72,18 +73,6 @@ class OperatorContext:
         self.grid = g = cfg.grid.build() if grid is None else grid
         self.p_values = g.poly_values(cfg.poly)
         self.tail_bound = self.tail_bound_alpha()
-        # a cold start's first density is P^-q: the tables for its band are
-        # built here, so setting up a context holds their cost, and the
-        # density is kept for that first application (first_density)
-        self._cold_density = None
-        if grid is None:
-            try:
-                self._cold_density = self.density(np.zeros_like(self.p_values))
-            except NonFiniteError:
-                pass  # the first application meets it again
-            else:
-                red = g.reduction
-                g.convolution.grow(red.chop(red.analyze(self._cold_density))[0])
 
     # -- pieces ------------------------------------------------------------
 
@@ -100,12 +89,6 @@ class OperatorContext:
         if not np.all(np.isfinite(dens)):
             raise NonFiniteError("density (P + |v|)^-q not finite")
         return dens
-
-    def first_density(self, v: np.ndarray) -> np.ndarray:
-        """density(v) of the start value v: on a cold start (v = 0) the
-        P^-q that set-up made, handed over once."""
-        dens, self._cold_density = self._cold_density, None
-        return self.density(v) if dens is None else dens
 
     def origin_value(self, g0: np.ndarray) -> float:
         """Field value at the origin from the density's angular mean g0:
@@ -131,27 +114,24 @@ class OperatorContext:
         tail = PowerTail(coeff, m * q)
         return 0.5 * tail.moment(0, self.grid.r_max)
 
-    def iterate_bound(self, dens0: np.ndarray | None = None) -> float:
+    def iterate_bound(self, g0: np.ndarray | None = None) -> float:
         """Bound (1/8 pi) int P^-q dy on the weighted sup norm of every
-        iterate; pass dens0 = self.density(0) when the caller already has it."""
-        if dens0 is None:
-            dens0 = self.density(np.zeros_like(self.p_values))
+        iterate, from the angular mean g0 of P^-q; pass g0 when the caller
+        already has it (a cold start's first application analyzed P^-q)."""
+        if g0 is None:
+            g0 = self.grid.mode0(self.density(np.zeros_like(self.p_values)))
         tb = self.tail_bound
-        return (self.grid.moment(0, self.grid.mode0(dens0))
-                + (tb if math.isfinite(tb) else 0.0))
+        return self.grid.moment(0, g0) + (tb if math.isfinite(tb) else 0.0)
 
-    def apply(self, v: np.ndarray, dens: np.ndarray | None = None):
-        """(T(v), density modes); pass dens = self.density(v) when the caller
-        already has it.
+    def apply(self, v: np.ndarray):
+        """(T(v), density modes).
 
-        T(v) is kernels.convolve of the density with the context's kernel
-        variant.  The density modes (n_r, n_modes) are its analysis; their
-        l = 0 column gives the slope and origin value of the iterate without
-        analyzing the density again.
+        T(v) is kernels.convolve of the density (P + |v|)^(-q) with the
+        context's kernel variant.  The density modes (n_r, n_modes) are its
+        analysis; their l = 0 column gives the slope and origin value of the
+        iterate without analyzing the density again.
         """
-        if dens is None:
-            dens = self.density(v)
-        out, g = convolve(self.grid, dens, self.shifted)
+        out, g = convolve(self.grid, self.density(v), self.shifted)
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("operator output not finite")
         return out, g
@@ -224,10 +204,9 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
     history is full again.  The slope alpha of each iterate (alpha_history,
     and report.alpha for the returned one) comes from the l = 0 column of the
     density analysis its application made (OperatorContext.apply), so each
-    iterate's density is analyzed once.  Each iterate's density is computed
-    once too: a cold start's v = 0 has density P^-q, which the context's
-    set-up made (OperatorContext.first_density) and which also gives the
-    iterate bound.
+    iterate's density is computed and analyzed once.  A cold start's v = 0
+    has density P^-q, so its first application's l = 0 column also gives
+    the iterate bound; a warm start computes P^-q for the bound first.
 
     Returns (profile, report); report.iters counts the iterates after the
     start value, and final_residual is the residual of the returned profile.
@@ -272,11 +251,9 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
         try:
             if not k and v0 is not None:  # P^-q may already overflow
                 bound = ctx.iterate_bound()
-            dens = ctx.density(x) if k else ctx.first_density(x)
+            tx, modes = ctx.apply(x)
             if not k and v0 is None:  # a cold start's v = 0 has density P^-q
-                bound = ctx.iterate_bound(dens)
-            tx, modes = ctx.apply(x, dens)
-            del dens  # not held while the next iterate is mixed
+                bound = ctx.iterate_bound(modes[:, 0])
         except NonFiniteError as exc:
             reason = str(exc)
             break

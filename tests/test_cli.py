@@ -499,6 +499,29 @@ class TestVerify:
         assert err == "error: seed must be a non-negative integer, got -5\n"
         assert not (tmp_path / "v" / "verification.json").exists()
 
+    def test_seed_flag_is_the_seed_written(self, solved, tmp_path, capsys):
+        # --seed 1 on a seed-3 config writes what the config with seed 1
+        # writes: the seed that drew the samples, and those samples' checks
+        cfg, out = solved
+        argv = ["--profile", str(out / "profile.csv")]
+        assert run(capsys, "verify", "--config", str(cfg), *argv, "--seed", "1",
+                   "--out", str(tmp_path / "flag"))[0] == 0
+        assert run(capsys, "verify", "--config",
+                   str(quick_config(tmp_path, seed=1)), *argv,
+                   "--out", str(tmp_path / "config"))[0] == 0
+        doc = (tmp_path / "flag" / "verification.json").read_text()
+        assert json.loads(doc)["config"]["seed"] == 1
+        assert doc == (tmp_path / "config" / "verification.json").read_text()
+
+    @pytest.mark.parametrize("flag,seed", [([], 0), (["--seed", "5"], 5)],
+                             ids=["default", "flag"])
+    def test_exact_battery_writes_its_seed(self, tmp_path, capsys, flag, seed):
+        code, _, _ = run(capsys, "verify", "--exact-q7", *flag,
+                         "--out", str(tmp_path / "v"))
+        assert code == 0
+        doc = json.loads((tmp_path / "v" / "verification.json").read_text())
+        assert doc["seed"] == seed
+
     def test_early_stopped_continuation_is_checked_at_its_stage(
             self, tmp_path, capsys):
         # the run stops unconverged at eps = 0.3; its profile is v + P(0.3),

@@ -144,7 +144,7 @@ class TestFullLayoutReference:
             return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
         dens = ctx.density(v)
-        out, modes = ctx.apply(v, dens)
+        out, modes = ctx.apply(v)
         modes_ref = full.analyze(full.mirror(dens))
         out_ref = full.synthesize(g.convolution(modes_ref, ctx.shifted))
         assert rel(modes, modes_ref) < 1e-14
@@ -353,8 +353,8 @@ class TestSolve:
                             lambda self, v: calls.append(1) or density(self, v))
         cold, report = solve_fixed_point(cfg)
         assert report.converged
-        # iterate_bound's P^-q, which is also the cold start's density,
-        # then one per new iterate
+        # one per application: the cold start's P^-q, which also gives the
+        # iterate bound, then one per new iterate
         assert len(calls) == report.iters + 1
         calls.clear()
         warm = Profile(grid=cold.grid, values=0.5 * cold.values)
@@ -362,6 +362,29 @@ class TestSolve:
         assert report.converged and report.iters > 0
         # P^-q, the warm start value, then one per new iterate
         assert len(calls) == report.iters + 2
+
+    @pytest.mark.parametrize("cfg", [
+        _radial_cfg(q=5.0, a=0.0, c=1.0, n=200, r_max=50.0),
+        _axisym_cfg(q=5.0, a=(1.0, 2.0, 2.0), n_r=48, n_angle=16)],
+        ids=["radial", "axisymmetric"])
+    def test_density_is_analyzed_once_per_application(self, cfg, monkeypatch):
+        analyzed, applied = [], []
+        analyze, apply = SphericalReduction.analyze, OperatorContext.apply
+        monkeypatch.setattr(SphericalReduction, "analyze", lambda self, values:
+                            analyzed.append(1) or analyze(self, values))
+        monkeypatch.setattr(OperatorContext, "apply", lambda self, v:
+                            applied.append(1) or apply(self, v))
+        cold, report = solve_fixed_point(cfg)
+        assert report.converged
+        # the cold start's bound reads its first application's analysis
+        assert len(analyzed) == len(applied) == report.iters + 1
+        analyzed.clear()
+        applied.clear()
+        warm = Profile(grid=cold.grid, values=0.5 * cold.values)
+        _, report = solve_fixed_point(cfg, v0=warm)
+        assert report.converged and len(applied) == report.iters + 1
+        # and a warm start analyzes P^-q for its bound
+        assert len(analyzed) == len(applied) + 1
 
     def test_warm_start_context_reuse(self):
         cfg = _radial_cfg(q=5.0, a=1.0, eps=0.1, n=300, r_max=30.0)
@@ -453,14 +476,22 @@ def bands(monkeypatch):
 class TestBand:
     """The solve convolves the band of modes SphericalReduction.chop keeps."""
 
-    def test_set_up_builds_the_tables_of_the_first_application(self, bands):
+    def test_the_first_application_builds_the_tables_of_its_band(
+            self, bands, monkeypatch):
+        calls = []
+        density = OperatorContext.density
+        monkeypatch.setattr(OperatorContext, "density",
+                            lambda self, v: calls.append(1) or density(self, v))
         ctx = OperatorContext(_preset_cfg("thm1").stages()[0])
         red, conv = ctx.grid.reduction, ctx.grid.convolution
+        assert conv.n_modes == 0 and calls == []  # set-up computes neither
+        v = np.zeros_like(ctx.p_values)
+        _, modes = ctx.apply(v)
+        band = red.chop(modes)[0]
+        assert bands == [band] == [conv.n_modes] and band < len(red.l_values)
         levels = conv.levels
-        dens = ctx.first_density(np.zeros_like(ctx.p_values))
-        assert conv.n_modes == red.chop(red.analyze(dens))[0] < len(red.l_values)
-        ctx.apply(np.zeros_like(ctx.p_values), dens)
-        assert bands == [conv.n_modes] and conv.levels is levels
+        ctx.apply(v)  # the same band again: its tables serve
+        assert bands == [band, band] and conv.levels is levels
 
     def test_presets_apply_their_bands(self, bands):
         # thm1's density reaches its roundoff plateau within 32 of its 128

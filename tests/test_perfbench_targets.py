@@ -54,8 +54,9 @@ def test_profile_io_spans_measure_the_file(tracing, tmp_path, grid):
 def test_band_limited_solve_and_verify_keep_their_spans(tracing, tmp_path,
                                                         capsys):
     # a solve on fewer modes than its grid carries still applies the operator
-    # through OperatorContext.apply, once per iterate, and verify's integral
-    # oracle still looks kernel_row up in biharm.verify, once per sample
+    # through OperatorContext.apply, once per iterate, each application
+    # computing its own density, and verify's integral oracle still looks
+    # kernel_row up in biharm.verify, once per sample
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "q": 2.0,
@@ -81,6 +82,9 @@ def test_band_limited_solve_and_verify_keep_their_spans(tracing, tmp_path,
 
     iters = json.loads((out / "report.json").read_text())["result"]["iters"]
     assert [s[0] for s in solve].count("operator.apply") == iters + 1
+    densities = [s for s in solve if s[0] == "operator.density"]
+    assert len(densities) == iters + 1
+    assert all(solve[s[3]][0] == "operator.apply" for s in densities)
     samples = verify.integral_residual(u, config.q, config.poly, n_samples=20,
                                        seed=4).samples
     (parent,) = [i for i, s in enumerate(check)
