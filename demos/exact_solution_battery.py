@@ -25,7 +25,7 @@ def main() -> None:
     print(f"equation residual   max {pde.max_rel:.3e} on r in "
           f"[{pde.window[0]:.2f}, {pde.window[1]:.2f}]")
 
-    integ = integral_residual(prof, 7.0, ZERO, n_samples=20, seed=0)
+    integ = integral_residual(prof, 7.0, ZERO, seed=0)
     print(f"integral residual   max {integ.max_rel:.3e}, "
           f"fitted offset {integ.gamma:.3e}")
 

@@ -134,17 +134,16 @@ class PowerTail:
         return self.coeff * r_max ** (e - self.exponent) / (self.exponent - e)
 
 
-def ray_values(profile: Profile, t: Optional[float] = None):
+def ray_values(profile: Profile, t: float):
     """(radii, values) along the ray with polar cosine t.
 
     The profile is resynthesized from its even Legendre modes, which
     evaluates the ray exactly within the grid's angular band (t = +-1 gives
-    the symmetry axis).  Radial profiles ignore t; axisymmetric ones raise
-    ValueError without it.
+    the symmetry axis).  A radial profile has the one mode l = 0, the same
+    on every ray; grid.rays gives its ray as t = 1.
     """
-    g = profile.grid
-    red = g.reduction
-    return g.r, red.synthesize_at(red.analyze(profile.values), t)
+    red = profile.grid.reduction
+    return profile.grid.r, red.synthesize_at(red.analyze(profile.values), t)
 
 
 def _tail_moment(grid, g0: np.ndarray, k: int, integral: str):

@@ -43,7 +43,7 @@ PRESETS = ("thm1", "thm2", "thmA-iii", "thmA-iv", "exact-q7")
 
 DEFAULT_THRESHOLDS = {"pde": 1e-2, "integral": 1e-2, "pohozaev": 1e-2}
 
-# the shoot flags' defaults, which a shoot preset fills in
+# the defaults of the shoot parser's flags, which also fill in a shoot preset
 SHOOT_DEFAULTS = {"q": None, "u0": 1.0, "w0": None, "r_end": 1e4,
                   "bisect": False, "exact_start": False}
 
@@ -155,7 +155,7 @@ def _solve_config(d: dict, command: str, seed: int | None):
     if d.get("command", "solve") != "solve":
         raise ConfigError(f"this preset drives the {d.get('command')!r} "
                           f"subcommand, not {command}")
-    cfg = SolveConfig.from_dict({k: v for k, v in d.items() if k != "command"})
+    cfg = SolveConfig.from_dict(d)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     check = validate_config(cfg)
@@ -218,7 +218,7 @@ def _residual_checks(prof: Profile, q: float, poly, seed: int, th: dict):
     """The pde and integral checks of a profile of u, its integral residual,
     and the verification.json keys both verify modes write from them."""
     pde = verify.pde_residual(prof, q, eps_quartic=poly.eps_quartic)
-    integ = verify.integral_residual(prof, q, poly, n_samples=20, seed=seed)
+    integ = verify.integral_residual(prof, q, poly, seed=seed)
     integral = _check(integ.max_rel, th["integral"])
     if integ.tail_diverges:  # a truncated, divergent tail grades nothing
         integral = _check(None, th["integral"], f"NotApplicable: {integ.note}")
@@ -293,12 +293,13 @@ def _profile_stage(cfg: SolveConfig, profile_path) -> tuple:
 
 def cmd_verify(args) -> int:
     out = _out_dir(args)
-    if args.exact_q7 and not (args.preset or args.config):
-        d = load_preset("exact-q7")
-    else:
-        d = _load_config_dict(args)
-    if d.get("command", "solve") == "verify":
+    d = (load_preset("exact-q7") if args.exact_q7 and not (args.preset or args.config)
+         else _load_config_dict(args))
+    command = d.get("command", "solve")
+    if command == "verify":
         return _run_exact_q7(d, out, args.seed or 0)
+    if args.exact_q7:
+        raise ConfigError(f"--exact-q7 runs the closed-form battery, not a {command!r} config")
     cfg, _ = _solve_config(d, "verify", args.seed)
     if args.profile is None:
         raise ConfigError("verify needs --profile PATH (the profile.csv that solve "
@@ -526,15 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("shoot", help="radial ODE integration / bisection")
     ph.add_argument("--q", type=float)
-    ph.add_argument("--u0", type=float, default=1.0)
-    ph.add_argument("--w0", type=float, default=None)
-    ph.add_argument("--r-end", type=float, default=1e4)
+    ph.add_argument("--u0", type=float)
+    ph.add_argument("--w0", type=float)
+    ph.add_argument("--r-end", type=float)
     ph.add_argument("--bisect", action="store_true")
     ph.add_argument("--exact-start", action="store_true",
                     help="start from the closed-form q=7 origin data")
     ph.add_argument("--preset", help="shoot preset (thmA-iv)")
     ph.add_argument("--out", help="output directory")
-    ph.set_defaults(func=cmd_shoot)
+    ph.set_defaults(func=cmd_shoot, **SHOOT_DEFAULTS)
 
     pw = sub.add_parser("sweep", help="cartesian parameter sweep")
     pw.add_argument("--config", required=True, help="sweep config JSON")

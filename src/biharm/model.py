@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -159,11 +159,9 @@ class QuadraticPolynomial:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuadraticPolynomial":
-        try:
-            return cls(tuple(d["a"]), tuple(d.get("b", (0.0, 0.0, 0.0))),
-                       float(d.get("c", 1.0)), float(d.get("eps_quartic", 0.0)))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed polynomial spec: {exc}") from exc
+        """The polynomial of a config's "poly" object (_read_fields)."""
+        return _read_fields(cls, d, "polynomial spec", a=_floats, b=_floats,
+                            c=float, eps_quartic=float)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +279,6 @@ class RadialGrid(_NodeGrid):
         return cls(r=r, line_w=w, r_max=float(r_max), grading=float(grading))
 
     @property
-    def n(self) -> int:
-        return self.r.size
-
-    @property
     def shape(self) -> tuple:
         """Layout of node values: one value per radius."""
         return (self.r.size,)
@@ -347,10 +341,6 @@ class AxisymmetricGrid(_NodeGrid):
         wt = 0.5 * (wt + wt[::-1])
         return cls(r=r, line_w=w, t=t[h:], wt=2.0 * wt[h:], r_max=float(r_max),
                    grading=float(grading))
-
-    @property
-    def n_r(self) -> int:
-        return self.r.size
 
     @property
     def n_angle(self) -> int:
@@ -468,17 +458,12 @@ class SphericalReduction:
         above = (np.abs(modes) > self.floor * g0[:, None]).any(axis=0).nonzero()[0]
         return (int(above[-1]) + 1 if above.size else 1), True
 
-    def legendre_row(self, t: Optional[float] = None) -> np.ndarray:
-        """P_l(t) for the grid's modes l (any t in [-1, 1]; None only with
-        the one mode l = 0, which is 1 on every ray)."""
-        if t is None:
-            if len(self.l_values) > 1:
-                raise ValueError("axisymmetric profiles need a ray direction t")
-            t = 1.0
+    def legendre_row(self, t: float) -> np.ndarray:
+        """P_l(t) for the grid's modes l (any t in [-1, 1])."""
         l_max = self.l_values[-1]
         return np.polynomial.legendre.legvander(np.array([t]), l_max)[0, self.l_values]
 
-    def synthesize_at(self, coeffs: np.ndarray, t: Optional[float]) -> np.ndarray:
+    def synthesize_at(self, coeffs: np.ndarray, t: float) -> np.ndarray:
         """Mode sum along the ray with polar cosine t (any t in [-1, 1])."""
         return coeffs @ self.legendre_row(t)
 
@@ -571,6 +556,38 @@ def load_profile_csv(path, grid: Grid) -> Profile:
 # solver configuration
 
 
+def _integer(value) -> int:
+    """64, 64.0 and "64" read as 64; a bool or a fractional number is refused."""
+    number = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _read_fields(cls, d: dict, what: str, **read):
+    """The config dataclass cls from its JSON object d: each field d names,
+    through its read[name] conversion if any; a field left out keeps its
+    dataclass default, other keys are ignored.  ConfigError "malformed <what>:
+    <field>: ..." for a required field left out or a value its conversion
+    refuses; cls is made after that, so its own checks raise their own."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"malformed {what}: {type(d).__name__} is not an object")
+    values = {}
+    for f in fields(cls):
+        try:
+            if f.name in d:
+                values[f.name] = read.get(f.name, lambda v: v)(d[f.name])
+            elif f.default is MISSING:
+                raise ValueError("required field is missing")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed {what}: {f.name}: {exc}") from exc
+    return cls(**values)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     kind: str  # "radial" | "axisymmetric"
@@ -599,11 +616,9 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        try:
-            return cls(kind=d["kind"], n_r=int(d["n_r"]), r_max=float(d["r_max"]),
-                       grading=float(d.get("grading", 2.0)), n_angle=int(d.get("n_angle", 64)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed grid spec: {exc}") from exc
+        """The grid spec of a config's "grid" object (_read_fields)."""
+        return _read_fields(cls, d, "grid spec", n_r=_integer, r_max=float,
+                            grading=float, n_angle=_integer)
 
 
 @dataclass(frozen=True)
@@ -616,11 +631,8 @@ class ContinuationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ContinuationSpec":
-        try:
-            return cls(tuple(float(e) for e in d["eps_sequence"]),
-                       d.get("eps_param", "quartic"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed continuation spec: {exc}") from exc
+        """The continuation of a config's "continuation" object (_read_fields)."""
+        return _read_fields(cls, d, "continuation spec", eps_sequence=_floats)
 
 
 def check_seed(seed: int) -> int:
@@ -677,22 +689,13 @@ class SolveConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolveConfig":
-        try:
-            cont = d.get("continuation")
-            fields = dict(
-                q=float(d["q"]),
-                poly=QuadraticPolynomial.from_dict(d["poly"]),
-                kernel_variant=d["kernel_variant"],
-                grid=GridSpec.from_dict(d["grid"]),
-                damping=float(d.get("damping", 1.0)),
-                tol_fixed_point=float(d.get("tol_fixed_point", 1e-8)),
-                max_iters=int(d.get("max_iters", 200)),
-                seed=int(d.get("seed", 0)),
-                continuation=ContinuationSpec.from_dict(cont) if cont else None,
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
-        return cls(**fields)
+        """The config of a solve config object (_read_fields); an empty
+        "continuation" is none."""
+        return _read_fields(
+            cls, d, "config", q=float, poly=QuadraticPolynomial.from_dict,
+            grid=GridSpec.from_dict, damping=float, tol_fixed_point=float,
+            max_iters=_integer, seed=_integer,
+            continuation=lambda c: ContinuationSpec.from_dict(c) if c else None)
 
     def replace_poly(self, poly: QuadraticPolynomial) -> "SolveConfig":
         """This config with another polynomial and no continuation."""
@@ -884,6 +887,3 @@ class SolutionReport:
         d = asdict(self)
         del d["density_tail"]
         return d
-
-    def to_json(self, path=None) -> str:
-        return report_json(self.to_dict(), path)

@@ -22,6 +22,7 @@ from .kernels import kernel_row
 from .analysis import PowerTail
 
 A_Q7 = math.sqrt(1.0 / 15.0)  # sqrt(a + r^2) solves the q = 7 equation
+_N_SAMPLES = 20  # Halton points drawn by integral_residual
 
 
 def exact_q7_value(r):
@@ -95,8 +96,8 @@ def _noise_cut(r: np.ndarray, floor: np.ndarray, norm: float) -> float:
     return min(cut, float(r[r.size // 4]))
 
 
-def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
-                 r_window=None) -> PDEResidualResult:
+def pde_residual(u_profile: Profile, q: float,
+                 eps_quartic: float = 0.0) -> PDEResidualResult:
     """max |Lap^2 u + u^-q - 120 eps| / max u^-q over an interior window.
 
     The bilaplacian is two applications of the discrete Laplacian on each
@@ -106,7 +107,7 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
     top modes.  The 120 eps constant is the exact bilaplacian of an
     eps |x|^4 term, so profiles computed with a quartic confinement can be
     checked against the equation they actually solve.
-    The default window drops the outer nodes whose composed stencil reaches a
+    The window drops the outer nodes whose composed stencil reaches a
     one-sided row (the last 2 p radii; grids with more than 2 _STENCIL_WIDTH
     radii end the window at the 2 _STENCIL_WIDTH-th radius from the end) and
     the innermost nodes where roundoff amplified by h^-4 (and, for
@@ -129,30 +130,28 @@ def pde_residual(u_profile: Profile, q: float, eps_quartic: float = 0.0,
     lap1 = lap.apply(coeffs) - ll * coeffs * inv_r2
     bilap = red.synthesize(lap.apply(lap1) - ll * lap1 * inv_r2)
     res = bilap + dens - forcing
-    if r_window is None:
-        # two stencil applications amplify value-level roundoff by about
-        # 36 eps |u| / h^4 with h the local spacing; on strongly graded grids
-        # this floor dwarfs any truncation error at the innermost nodes
-        h = np.diff(g.r)
-        h = np.concatenate((h[:1], h))
-        u_ray = np.max(np.abs(u).reshape(g.r.size, -1), axis=1)
-        roundoff_floor = 36.0 * np.finfo(float).eps * u_ray / h**4
-        # two angular derivative pairs amplify the high-mode noise floor of
-        # the data by (l_max (l_max + 1) / r^2)^2; the floor is measured from
-        # the top modes (where true coefficients have decayed under it)
-        l_max = red.l_values[-1]
-        amp = (l_max * (l_max + 1.0)) ** 2
-        n_tail = min(3, coeffs.shape[1])
-        sigma = np.max(np.abs(coeffs[:, -n_tail:]), axis=1)
-        ang_floor = sigma * amp / g.r**4
-        hi = (g.r[-2 * _STENCIL_WIDTH] if g.r.size > 2 * _STENCIL_WIDTH
-              else g.r[-(2 * lap.p + 1)])
-        r_window = (max(_noise_cut(g.r, roundoff_floor, norm),
-                        _noise_cut(g.r, ang_floor, norm)), hi)
-    sel = (g.r >= r_window[0]) & (g.r <= r_window[1])
+    # two stencil applications amplify value-level roundoff by about
+    # 36 eps |u| / h^4 with h the local spacing; on strongly graded grids
+    # this floor dwarfs any truncation error at the innermost nodes
+    h = np.diff(g.r)
+    h = np.concatenate((h[:1], h))
+    u_ray = np.max(np.abs(u).reshape(g.r.size, -1), axis=1)
+    roundoff_floor = 36.0 * np.finfo(float).eps * u_ray / h**4
+    # two angular derivative pairs amplify the high-mode noise floor of
+    # the data by (l_max (l_max + 1) / r^2)^2; the floor is measured from
+    # the top modes (where true coefficients have decayed under it)
+    l_max = red.l_values[-1]
+    amp = (l_max * (l_max + 1.0)) ** 2
+    n_tail = min(3, coeffs.shape[1])
+    sigma = np.max(np.abs(coeffs[:, -n_tail:]), axis=1)
+    ang_floor = sigma * amp / g.r**4
+    lo = max(_noise_cut(g.r, roundoff_floor, norm), _noise_cut(g.r, ang_floor, norm))
+    hi = float(g.r[-2 * _STENCIL_WIDTH] if g.r.size > 2 * _STENCIL_WIDTH
+               else g.r[-(2 * lap.p + 1)])
+    sel = (g.r >= lo) & (g.r <= hi)
     return PDEResidualResult(
         max_rel=float(np.max(np.abs(res[sel])) / norm),
-        normalization=norm, window=(float(r_window[0]), float(r_window[1])))
+        normalization=norm, window=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +201,12 @@ def _sample_indices(r: np.ndarray, r_lo: float, r_hi: float,
     return np.unique(idx)
 
 
-def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
+def integral_residual(u_profile: Profile, q: float, poly,
                       seed: int = 0) -> IntegralResidualResult:
     """Re-evaluate u(x) = P(x) + gamma + (1/8 pi) int |x-y| u(y)^-q dy.
 
-    Sample points are grid nodes chosen by a scrambled Halton sequence,
+    Sample points are grid nodes chosen by the first _N_SAMPLES = 20 points
+    of a scrambled Halton sequence (fewer when two fall on one node),
     log-spread over radii [r_max/500, r_max/2] (truncation of the integral
     grows toward the boundary, so the outer half is excluded), at the polar
     node of all n_angle nearest a second Halton coordinate, read at its
@@ -251,15 +251,14 @@ def integral_residual(u_profile: Profile, q: float, poly, n_samples: int = 20,
                 f"r^-{power.exponent:.3g}; the residual measures the "
                 f"truncated integral")
         power = None
-    u01 = _halton(max(n_samples, 4), seed)
+    u01 = _halton(_N_SAMPLES, seed)
     r_lo, r_hi = g.r_max / 500.0, g.r_max / 2.0
     idx = _sample_indices(g.r, max(r_lo, g.r[0]), r_hi, u01[:, 0])
 
     samples = []
     for pos, k in enumerate(idx):
         rk = float(g.r[k])
-        j = int(np.clip(round(float(u01[pos % u01.shape[0], 1]) * (n_polar - 1)),
-                        0, n_polar - 1))
+        j = round(float(u01[pos, 1]) * (n_polar - 1))  # u01 lies in [0, 1)
         tj = abs(2 * j - (n_polar - 1)) // 2  # the stored node j or its mirror
         tval = red.t[tj]
         # the band's rows in one call; accumulated mode by mode, since

@@ -270,6 +270,15 @@ class TestSolve:
                            f"subcommand, not {cmd}\n")
 
 
+_SMALL_GRID = {"kind": "radial", "n_r": 64, "r_max": 10.0}
+
+
+def _small_config(**over) -> dict:
+    """A valid solve config on a 64-radius grid, with over's fields."""
+    return {"q": 5.0, "poly": {"a": [1.0, 1.0, 1.0]},
+            "kernel_variant": "shifted", "grid": _SMALL_GRID, **over}
+
+
 @pytest.mark.parametrize("cmd, doc", [
     ("solve", "[1, 2]"),
     ("verify", "[1, 2]"),
@@ -290,12 +299,20 @@ class TestSolve:
     ("solve", '{"q": 5.0, "poly": {"a": [1.0, 1.0, 1.0]}, "kernel_variant": '
               '"shifted", "grid": {"kind": "radial", "n_r": 64, "r_max": 10.0}, '
               '"max_iters": 1e999}'),
+    ("solve", json.dumps(_small_config(grid={**_SMALL_GRID, "n_r": 64.9}))),
+    ("solve", json.dumps(_small_config(grid={
+        **_SMALL_GRID, "kind": "axisymmetric", "n_angle": 64.5}))),
+    ("solve", json.dumps(_small_config(max_iters=2.7))),
+    ("solve", json.dumps(_small_config(seed=1.5))),
+    ("solve", json.dumps(_small_config(seed=True))),
 ], ids=["solve-array", "verify-array", "verify-exact-q7-no-grid",
         "verify-exact-q7-thresholds-array",
         "solve-string", "solve-not-utf8", "sweep-array", "sweep-base-array",
         "sweep-grid-array", "sweep-q-string", "sweep-kappa1-null",
         "sweep-eps-scalar", "sweep-q-int-past-float",
-        "verify-exact-q7-n_r-inf", "solve-max-iters-inf"])
+        "verify-exact-q7-n_r-inf", "solve-max-iters-inf", "solve-n_r-64.9",
+        "solve-n_angle-64.5", "solve-max-iters-2.7", "solve-seed-1.5",
+        "solve-seed-true"])
 def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys,
                                                         cmd, doc):
     path = tmp_path / "cfg.json"
@@ -310,6 +327,32 @@ def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys,
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"kernel_variant": "bogus"}, "unknown kernel_variant 'bogus'"),
+    ({"damping": 0.0}, "damping must lie in (0, 1], got 0.0"),
+    ({"damping": 1.5}, "damping must lie in (0, 1], got 1.5"),
+    ({"tol_fixed_point": 0.0}, "tol_fixed_point must be positive, got 0.0"),
+    ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+    ({"poly": {"a": [1.0, 1.0, 1.0], "eps_quartic": -0.1}},
+     "eps_quartic must be >= 0, got -0.1"),
+    ({"poly": {"a": [-1.0, -1.0, -1.0]}},
+     "quadratic coefficients must be >= 0, got a = (-1.0, -1.0, -1.0)"),
+    ({"continuation": {"eps_sequence": [0.1], "eps_param": "bogus"}},
+     "unknown eps_param 'bogus'"),
+], ids=["kernel_variant", "damping-0", "damping-1.5", "tol_fixed_point",
+        "max_iters", "eps_quartic", "a", "eps_param"])
+def test_config_hard_error_exits_one_with_its_message(tmp_path, capsys, over,
+                                                      message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_config(**over)))
+    code, _, err = run(capsys, "solve", "--config", str(path),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -365,6 +408,29 @@ def test_schema_bounds_match_the_code():
     with pytest.raises(ValueError, match="r_end"):
         shooting.integrate_radial(3.0, 1.0, 1.4, r_end)
     assert shooting.integrate_radial(3.0, 1.0, 1.4, 2.0 * r_end).outcome
+    # every field the schema types as an integer is read by the integer
+    # rule: x.0 loads as x, and x.5 and true are refused, naming the field;
+    # a definition this table lacks fails the lookup
+    section = {"solveConfig": (), "grid": ("grid",)}
+    base = _small_config(grid={**_SMALL_GRID, "kind": "axisymmetric",
+                               "n_angle": 8}, max_iters=200, seed=3)
+    integers = [(section[name], key) for name, definition in defs.items()
+                for key, prop in definition.get("properties", {}).items()
+                if prop.get("type") == "integer"]
+    assert {"n_r", "seed"} <= {key for _, key in integers}
+    for path, key in integers:
+        d = json.loads(json.dumps(base))
+        owner = d
+        for part in path:
+            owner = owner[part]
+        x = owner[key]
+        owner[key] = float(x)
+        assert SolveConfig.from_dict(d) == SolveConfig.from_dict(base), key
+        for value in (x + 0.5, True):
+            owner[key] = value
+            with pytest.raises(ConfigError, match=f": {key}: {value!r} is "
+                                                  f"not an integer$"):
+                SolveConfig.from_dict(d)
 
 
 # Run in a fresh interpreter: prints the scipy modules loaded after the
@@ -521,6 +587,20 @@ class TestVerify:
         assert code == 0
         doc = json.loads((tmp_path / "v" / "verification.json").read_text())
         assert doc["seed"] == seed
+
+    @pytest.mark.parametrize("given", ["preset", "config"])
+    def test_exact_flag_with_a_solve_config_exits_one(self, solved, tmp_path,
+                                                      capsys, given):
+        # the flag runs the closed-form battery alone, so a solve config
+        # given with it is an error, not a profile check run instead
+        cfg, out = solved
+        argv = ["--preset", "thm1"] if given == "preset" else ["--config", str(cfg)]
+        code, _, err = run(capsys, "verify", "--exact-q7", *argv, "--profile",
+                           str(out / "profile.csv"), "--out", str(tmp_path / "v"))
+        assert code == 1
+        assert err == ("error: --exact-q7 runs the closed-form battery, not "
+                       "a 'solve' config\n")
+        assert not (tmp_path / "v" / "verification.json").exists()
 
     def test_early_stopped_continuation_is_checked_at_its_stage(
             self, tmp_path, capsys):

@@ -122,7 +122,7 @@ class TestModeTables:
         shifted = mode_kernel_table(g, [0, 2], shifted=True)
         sw = g.r**2 * g.line_w / 2.0
         np.testing.assert_allclose(plain[0] - shifted[0],
-                                   np.tile(g.r * sw, (g.n, 1)), rtol=1e-12)
+                                   np.tile(g.r * sw, (g.r.size, 1)), rtol=1e-12)
         np.testing.assert_array_equal(plain[1], shifted[1])
 
     def test_table_applies_the_quadrature(self):
@@ -151,7 +151,7 @@ class TestModeTables:
         assert 2 in g.l_values
         for rk in (float(g.r[0]), float(g.r[17]), 3.3, float(g.r[-1])):
             rows = kernel_row(rk, g, g.l_values, shifted=shifted)
-            assert rows.shape == (len(g.l_values), g.n_r)
+            assert rows.shape == (len(g.l_values), g.r.size)
             for j, l in enumerate(g.l_values):
                 one = kernel_row(rk, g, l, shifted=shifted)
                 np.testing.assert_array_equal(rows[j].view(np.int64),

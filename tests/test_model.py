@@ -230,7 +230,7 @@ class TestMirroredProfileReader:
         got = load_profile_csv(path, prof.grid).values
         assert got.tobytes() == np.ascontiguousarray(rows[:, 1:]).tobytes()
         assert got.tobytes() == prof.values.tobytes()
-        assert len(path.read_text().splitlines()) == prof.grid.n_r + 1
+        assert len(path.read_text().splitlines()) == prof.grid.r.size + 1
 
     def test_reformatted_numbers_load(self, tmp_path):
         # 1.50 is another form of the float 1.5, and reads as it

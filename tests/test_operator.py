@@ -10,8 +10,8 @@ from biharm import cli
 from biharm.kernels import ModeConvolution, legendre_mode_kernel
 from biharm.model import (NonFiniteError, Profile, QuadraticPolynomial,
                           RadialGrid, SolveConfig, SphericalReduction, x_norm)
-from biharm.operator import (OperatorContext, continuation_eps_to_zero,
-                             solve_fixed_point)
+from biharm.operator import (OperatorContext, _MixingHistory,
+                             continuation_eps_to_zero, solve_fixed_point)
 
 
 def _radial_cfg(q=5.0, a=1.0, c=1.0, eps=0.0, n=400, r_max=40.0,
@@ -71,7 +71,7 @@ class TestSphericalReduction:
             np.testing.assert_array_equal(red.pl[j].view(np.int64),
                                           red.legendre_row(t).view(np.int64))
         radial = RadialGrid.graded(16, 4.0).reduction
-        np.testing.assert_array_equal(radial.pl[0], radial.legendre_row())
+        np.testing.assert_array_equal(radial.pl[0], radial.legendre_row(1.0))
 
     def test_radial_round_trip_keeps_every_bit(self):
         # a radial grid's one node column gives the tables [[1.0]]; only a
@@ -79,10 +79,10 @@ class TestSphericalReduction:
         g = RadialGrid.graded(16, 4.0)
         red = g.reduction
         assert isinstance(red, SphericalReduction) and red.l_values == [0]
-        v = np.random.default_rng(5).standard_normal(g.n)
+        v = np.random.default_rng(5).standard_normal(g.r.size)
         v[:2] = np.inf, 1e-310
         back = red.synthesize(red.analyze(v))
-        assert back.shape == (g.n,)
+        assert back.shape == (g.r.size,)
         np.testing.assert_array_equal(back.view(np.int64), v.view(np.int64))
 
     def test_built_once_per_grid(self, monkeypatch):
@@ -138,7 +138,7 @@ class TestFullLayoutReference:
         g = ctx.grid
         full = _FullLayout(g)
         v = cont.final_profile.values
-        assert v.shape == (g.n_r, full.half)
+        assert v.shape == (g.r.size, full.half)
 
         def rel(a, b):
             return np.max(np.abs(a - b)) / np.max(np.abs(b))
@@ -344,6 +344,26 @@ class TestSolve:
         prof, report = solve_fixed_point(cfg)
         assert not report.converged
         assert "max_iters" in report.diverged_reason
+
+    def test_blown_up_iterate_is_reported_and_exits_two(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # the first extrapolated iterate becomes 1e12 everywhere: positive,
+        # so its density stays finite, and past 1e6 times the bound
+        monkeypatch.setattr(_MixingHistory, "mix",
+                            lambda self, v, f, theta: np.full_like(v, 1e12))
+        cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=200, r_max=50.0)
+        _, report = solve_fixed_point(cfg)
+        assert not report.converged and report.iters == 2
+        assert report.iterate_bound < 1e5
+        assert report.diverged_reason.startswith("iterate norm ")
+        assert " exceeded 1e+06 x bound " in report.diverged_reason
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        code = cli.main(["solve", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"diverged: {report.diverged_reason}\n"
 
     def test_density_is_evaluated_once_per_iterate(self, monkeypatch):
         cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=200, r_max=50.0)

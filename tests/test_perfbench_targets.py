@@ -85,8 +85,7 @@ def test_band_limited_solve_and_verify_keep_their_spans(tracing, tmp_path,
     densities = [s for s in solve if s[0] == "operator.density"]
     assert len(densities) == iters + 1
     assert all(solve[s[3]][0] == "operator.apply" for s in densities)
-    samples = verify.integral_residual(u, config.q, config.poly, n_samples=20,
-                                       seed=4).samples
+    samples = verify.integral_residual(u, config.q, config.poly, seed=4).samples
     (parent,) = [i for i, s in enumerate(check)
                  if s[0] == "verify.integral_residual"]
     rows = [s for s in check if s[0] == "kernels.kernel_row"]
