@@ -26,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (ConfigError, GridSpec, NonFiniteError, Profile,
-                    QuadraticPolynomial, SolveConfig, check_seed,
-                    load_profile_csv, report_json, save_profile_csv,
-                    validate_config)
+from .model import (ConfigError, ExactQ7Thresholds, GridSpec, NonFiniteError,
+                    Profile, QuadraticPolynomial, SolveConfig, _number,
+                    check_seed, load_profile_csv, report_json,
+                    save_profile_csv, validate_config)
 from .operator import continuation_eps_to_zero, solve_fixed_point
 from . import analysis, shooting, verify
 
@@ -43,7 +43,8 @@ PRESETS = ("thm1", "thm2", "thmA-iii", "thmA-iv", "exact-q7")
 
 DEFAULT_THRESHOLDS = {"pde": 1e-2, "integral": 1e-2, "pohozaev": 1e-2}
 
-# the defaults of the shoot parser's flags, which also fill in a shoot preset
+# the defaults of the shoot inputs, for the flags not given and the keys a
+# shoot preset leaves out
 SHOOT_DEFAULTS = {"q": None, "u0": 1.0, "w0": None, "r_end": 1e4,
                   "bisect": False, "exact_start": False}
 
@@ -238,11 +239,7 @@ def _write_verification(doc: dict, out: Path) -> int:
 
 
 def _run_exact_q7(d: dict, out: Path, seed: int) -> int:
-    th = d.get("thresholds", {})
-    if not (isinstance(th, dict)
-            and all(isinstance(v, (int, float)) for v in th.values())):
-        raise ConfigError("exact-q7 thresholds must be an object of numbers")
-    th = {"pde": 1e-3, "integral": 1e-3, "gamma": 1e-2, **th}
+    th = vars(ExactQ7Thresholds.from_dict(d.get("thresholds", {})))
     gspec = GridSpec.from_dict(d.get("grid", {}))
     prof = verify.exact_q7_profile(gspec.build())
     checks, integ, keys = _residual_checks(
@@ -343,14 +340,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_shoot(args) -> int:
-    out = _out_dir(args)
-    if args.preset:  # the preset alone: flags given with it are ignored
+    given = {k: v for k, v in vars(args).items() if k in SHOOT_DEFAULTS}
+    if args.preset:  # the preset fixes every input
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ConfigError(f"--preset {args.preset} takes no other shoot "
+                              f"flags, got {flags}")
         d = load_preset(args.preset)
         if d.get("command") != "shoot":
             raise ConfigError(f"preset {args.preset!r} does not drive shoot")
-        d = {**SHOOT_DEFAULTS, **d}
     else:
-        d = vars(args)
+        d = given
+    d = {**SHOOT_DEFAULTS, **d}
+    out = _out_dir(args)
     q, u0, w0, r_end = d["q"], d["u0"], d["w0"], d["r_end"]
 
     summary = {"q": q, "u0": u0, "r_end": r_end}
@@ -449,7 +451,7 @@ def _sweep_values(grid: dict, key: str, default: list) -> list:
     values = grid.get(key, default)
     try:
         if isinstance(values, list):
-            return [float(x) for x in values]
+            return [_number(x) for x in values]
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"sweep grid {key!r} is not a list of numbers")
@@ -525,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=None)
     pv.set_defaults(func=cmd_verify)
 
-    ph = sub.add_parser("shoot", help="radial ODE integration / bisection")
+    ph = sub.add_parser("shoot", help="radial ODE integration / bisection",
+                        argument_default=argparse.SUPPRESS)  # flags not given
     ph.add_argument("--q", type=float)
     ph.add_argument("--u0", type=float)
     ph.add_argument("--w0", type=float)
@@ -533,9 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--bisect", action="store_true")
     ph.add_argument("--exact-start", action="store_true",
                     help="start from the closed-form q=7 origin data")
-    ph.add_argument("--preset", help="shoot preset (thmA-iv)")
-    ph.add_argument("--out", help="output directory")
-    ph.set_defaults(func=cmd_shoot, **SHOOT_DEFAULTS)
+    ph.add_argument("--preset", default=None, help="shoot preset (thmA-iv)")
+    ph.add_argument("--out", default=None, help="output directory")
+    ph.set_defaults(func=cmd_shoot)
 
     pw = sub.add_parser("sweep", help="cartesian parameter sweep")
     pw.add_argument("--config", required=True, help="sweep config JSON")

@@ -15,9 +15,10 @@ K_0(r, 0) = r, K_0(0, s) = s and max(r, s) <= K_0 <= r + s.
 kernel_row weights K_l with the grid's s^2 ds quadrature (K_0(r, s) - s for
 the shifted l = 0 mode); mode_kernel_table stacks its rows at the grid radii
 into dense per-mode matrices, the reference the tests hold ModeConvolution
-to.  ModeConvolution applies the same quadrature in O(n_r log n_r) per mode
-(two doubling scans sharing one table per level), and convolve() applies
-(1/8 pi) int kernel(x, y) density(y) dy on a grid: the grid's Legendre
+to.  ModeConvolution applies the same quadrature in O(n_r) per mode (one
+forward and one reversed prefix sum, rescaled block by block by one table
+of powers), and convolve() applies (1/8 pi) int kernel(x, y) density(y) dy
+on a grid: the grid's Legendre
 analysis, its ModeConvolution (grid.convolution, one per grid for both
 kernel variants) on the band of leading modes above the analysis' roundoff
 (grid.reduction.chop), synthesis (a radial grid is the one-mode case).  The
@@ -96,68 +97,109 @@ def mode_kernel_table(grid, l_values, shifted: bool) -> np.ndarray:
                      for l in l_values])
 
 
+_BLOCK_BITS = 1024  # bound on log2 (r_{b-1}/r_a)^k_max over one block [a, b)
+
+
 class ModeConvolution:
-    """The quadrature of mode_kernel_table, applied in O(n_r log n_r) per mode.
+    """The quadrature of mode_kernel_table, applied in O(n_r) per mode.
 
     K_l(r, s) is a sum of products of a function of r_< and one of r_>, so
     each mode's matrix is semiseparable.  With h = g_l s^2 w / (2 (2l+1)),
     A = 1/(2l+3) and B = 1/(2l-1), row j of the table product splits into the
     sources inside (s <= r_j, diagonal included) and outside r_j:
 
-        inner  r_j (A P^(l+2)_j - B P^l_j),  P^k_j = (r_{j-1}/r_j)^k P^k_{j-1} + h_j
-        outer  A Q^(l+2)_j - B Q^l_j,        Q^k_j = (r_j/r_{j+1})^k (Q^k_{j+1} + r_{j+1} h_{j+1})
+        inner  r_j (A P^(l+2)_j - B P^l_j),  P^k_j = sum_{i<=j} (r_i/r_j)^k h_i
+        outer  A Q^(l+2)_j - B Q^l_j,        Q^k_j = sum_{i>j} (r_j/r_i)^k r_i h_i
 
     The shifted kernel's l = 0 mode subtracts the scalar sum r h; there
     B = -1, so the outer term -B Q^0_j minus that sum is exactly
     -sum_{i<=j} r_i h_i, which is summed directly to keep the field accurate
     relative to its size as r -> 0.
 
-    The P and Q recurrences run as two log-depth doubling scans (Hillis &
-    Steele, CACM 1986) over (n_r, 2, band), forward and backward, sharing
-    one table per level: at span d its row j, the product of (r_{i-1}/r_i)^k
-    over i = j-d+1..j, carries x_{j-d} into x_j forward and x_j into x_{j-d}
-    backward.  Every multiplier is a radius ratio <= 1, so nothing
-    overflows, and products below the smallest normal float are flushed to
-    0.  The tables depend on neither the density nor the kernel variant, so
-    they serve both variants, and each mode's column is computed on its
-    own: the tables hold only the first self.n_modes modes, the widest
-    band asked for (2 n_modes n_r log2(n_r) coefficients), bit for bit the
+    Both sums run as rescaled prefix sums (Blelloch, "Prefix sums and their
+    applications", CMU-CS-90-190, 1990).  The radii are cut into blocks
+    [a, b) over which (r_{b-1}/r_a)^(l_max + 2) <= 2^_BLOCK_BITS for the
+    grid's top mode l_max, and each power is taken against its block's
+    reference radius c = sqrt(r_a r_{b-1}): T^k_i = (r_i/c)^k, which lies
+    within 2^(+-_BLOCK_BITS / 2) for every mode.  Inside a block
+    (r_i/r_j)^k = T_i / T_j, so
+
+        P_j = (carry + sum_{a<=i<=j} T_i h_i) / T_j
+        Q_j = T_j (carry + sum_{j<i<b} r_i h_i / T_i)
+
+    are one forward and one reversed np.cumsum per block, scaled back by
+    T_j.  The carry is the neighbouring block's sum at the boundary, P_{a-1}
+    forward or r_b h_b + Q_b backward, taken to its true size through the
+    table and into this block's scale by the boundary factor (r_{a-1}/c)^k
+    or (c/r_b)^k, both at most 1: one (2, band) vector per block boundary.
+    The table T (n_r, 2, band) holds 2 band n_r floats and the boundary
+    factors 4 band (n_blocks - 1).  The blocks come from the grid's top
+    mode, not from the band, so each mode's field column is computed the
+    same way whatever the band.  The tables depend on neither the density
+    nor the kernel variant, so they serve both variants; they hold only the
+    first self.n_modes modes, the widest band asked for, bit for bit the
     first columns of the whole grid's, and grow() rebuilds them for a wider
     band when a density needs more modes.
+
+    Accuracy.  A source h_i reaches P_j or Q_j through T_i, through 1/T
+    and a boundary factor at each block boundary between i and j, and
+    through 1/T_j, each a rounded ratio raised to k, so within (k + 2) u of
+    its value (u = 2^-53; the ratio's rounding is raised to the kth power,
+    the power adds one ulp), and through at most n_r - 1 additions (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2) and
+    a product per factor.  With k <= l + 2 and the A, B combination and the
+    source weights on top, a field entry is within
+
+        (2 n_blocks (l + 5) + n_r + 10) u sum_i |K|_l(r_j, r_i) |h_i|
+
+    of the exact sum of its quadrature, where |K|_l = r_> (A xi^(l+2) +
+    |B| xi^l) bounds every term of both sums (plus s for the shifted l = 0
+    mode, whose inner sum is one np.cumsum).  On thm2's grid (two blocks)
+    that is (4 l + 286) u.
+
+    Range.  Every table entry is a normal float, within 2^+-512.  The
+    scaled sources T_i h_i and r_i h_i / T_i and their sums stay below
+    2^512 times sum |h| or sum r |h| (a carry enters its block at most at
+    its true size), so nothing overflows while those sums stay below 2^511
+    (about 7e153).  A scaled value is subnormal only where its true size is
+    below 2^-510 (about 3e-154); where one is, or a boundary factor
+    underflows, the bound gains an absolute term below
+    (n_r + 2 n_blocks) 2^-562 (1 + r_j) (1 + sum |h| + sum r |h|).  The
+    densities the solver convolves lie far inside that range (the nonzero
+    sources of the thm1, thm2 and thmA-iii solves are above 6e-43 and their
+    sums below 4e9), so the hot path makes no subnormal products and needs
+    no flush of tiny table entries.
     """
 
     def __init__(self, grid, l_values):
-        self.r = grid.r
+        self.r = r = grid.r
         self.l_values = np.asarray(list(l_values), dtype=float)
-        self.rw = self.r**2 * grid.line_w
+        self.rw = r**2 * grid.line_w
+        span = (self.l_values[-1] + 2.0) * np.log2(r)  # log2 of r^k_max
+        edges = [0]
+        while edges[-1] < r.size:
+            a = edges[-1]
+            b = np.searchsorted(span, span[a] + _BLOCK_BITS, side="right")
+            edges.append(max(int(b), a + 1))
+        self.edges = edges  # block i is edges[i]:edges[i + 1]
+        c = np.sqrt(r[edges[:-1]] * r[np.array(edges[1:]) - 1])
+        self.ratio = r / np.repeat(c, np.diff(edges))  # r_i / c of its block
+        a = np.array(edges[1:-1], dtype=int)  # first radius of each block but one
+        self.step = np.stack([r[a - 1] / c[1:], c[:-1] / r[a]])
         self.n_modes = 0
-        self.levels = []
 
     def grow(self, n_modes: int) -> None:
         """Hold the tables of at least the first n_modes modes."""
         if n_modes <= self.n_modes:
             return
-        self.levels = []  # freed before the wider ones are built
-        r, l = self.r, self.l_values[:n_modes]
-        n = r.size
+        self.scale = None  # freed before the wider one is built
+        l = self.l_values[:n_modes]
+        k = np.stack([l, l + 2.0])
         self.a = 1.0 / (2.0 * l + 3.0)
         self.b = 1.0 / (2.0 * l - 1.0)
         self.hw = self.rw[:, None] / (2.0 * (2.0 * l + 1.0))
-        # rho[j] = r_{j-1} / r_j; the prefix sums multiply by rho[j]^k, the
-        # suffix sums by rho[j+1]^k, so one table per level serves both
-        rho = np.zeros(n)
-        rho[1:] = r[:-1] / r[1:]
-        c = rho[:, None, None] ** np.stack([l, l + 2.0])
-        base = c[1:].copy()  # unflushed, it weights the suffix sources
-        c[c < np.finfo(float).tiny] = 0.0
-        d = 1
-        while d < n:
-            self.levels.append((d, c[d:].copy()))
-            c[d:] *= c[:-d]
-            c[c < np.finfo(float).tiny] = 0.0
-            d *= 2
-        first = self.levels[0][1]  # the base, unless the flush changed it
-        self.rho_k = first if np.array_equal(first, base) else base
+        self.scale = self.ratio[:, None, None] ** k  # T, (n_r, 2, n_modes)
+        self.carry = self.step[..., None, None] ** k  # (2, n_blocks - 1, 2, n_modes)
         self.n_modes = n_modes
 
     def __call__(self, g: np.ndarray, shifted: bool) -> np.ndarray:
@@ -165,18 +207,33 @@ class ModeConvolution:
         (n_r, band), for the shifted or the unshifted kernel."""
         m = g.shape[1]
         self.grow(m)
-        p = np.empty((g.shape[0], 2, m))  # the sources h in both halves
-        h = np.multiply(g, self.hw[:, :m], out=p[:, 0])  # a view the scan overwrites
+        t, (into, back) = self.scale[..., :m], self.carry[..., :m]
+        p = np.empty_like(t)  # the sources h in both halves
+        h = np.multiply(g, self.hw[:, :m], out=p[:, 0])  # p *= t rescales it
         p[:, 1] = h
         if shifted:  # every band starts at l = 0
             inner_l0 = -np.cumsum(self.r * h[:, 0])
-        q = np.zeros_like(p)  # outer sources r_{j+1} h_{j+1} rho[j+1]^k
+        q = np.empty_like(p)  # row j: outer source r_{j+1} h_{j+1} / T_{j+1}
         np.multiply(p[1:], self.r[1:, None, None], out=q[:-1])
-        q[:-1] *= self.rho_k[..., :m]
-        for d, c in self.levels:
-            c = c[..., :m]
-            p[d:] += c * p[:-d]
-            q[:-d] += c * q[d:]
+        q[:-1] /= t[1:]
+        q[-1] = 0.0
+        p *= t  # inner sources T_i h_i
+        edges = self.edges
+        for i in range(len(edges) - 1):
+            a, b = edges[i], edges[i + 1]
+            if i:  # P_{a-1} into this block's scale
+                p[a] += into[i - 1] * (p[a - 1] / t[a - 1])
+            np.cumsum(p[a:b], axis=0, out=p[a:b])
+        for i in reversed(range(len(edges) - 1)):
+            a, b = edges[i], edges[i + 1]
+            if i < len(edges) - 2:  # r_b h_b + Q_b into this block's scale
+                q[b - 1] += q[b]  # q[b - 1] holds the source at r_b
+                q[b - 1] *= t[b]
+                q[b - 1] *= back[i]
+            rev = q[a:b][::-1]
+            np.cumsum(rev, axis=0, out=rev)
+        p /= t
+        q *= t
         a, b = self.a[:m], self.b[:m]
         far = -b * q[:, 0]
         if shifted:

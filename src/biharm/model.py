@@ -161,7 +161,7 @@ class QuadraticPolynomial:
     def from_dict(cls, d: dict) -> "QuadraticPolynomial":
         """The polynomial of a config's "poly" object (_read_fields)."""
         return _read_fields(cls, d, "polynomial spec", a=_floats, b=_floats,
-                            c=float, eps_quartic=float)
+                            c=_number, eps_quartic=_number)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +236,12 @@ class _NodeGrid:
     @cached_property
     def convolution(self):
         """The kernels.ModeConvolution of the grid's modes (it serves both
-        kernel variants), made on first use and kept.  It is made without
-        tables: the first density convolved builds those of its band
-        (reduction.chop's), and they then hold only the widest band of
-        leading modes asked of them so far, not every mode."""
+        kernel variants), made on first use and kept.  It cuts the radii
+        into its blocks, from the grid's top mode, but builds no table: the
+        first density convolved builds the power table of its band
+        (reduction.chop's), one power per radius, mode and sum, and it then
+        holds only the widest band of leading modes asked of it so far, not
+        every mode."""
         from .kernels import ModeConvolution  # kernels builds on this module
 
         return ModeConvolution(self, self.l_values)
@@ -510,10 +512,11 @@ def save_profile_csv(profile: Profile, path) -> None:
     """
     g = profile.grid
     names = ["value"] if isinstance(g, RadialGrid) else map(repr, g.t.tolist())
-    with open(path, "w") as f:
+    rows = profile.values.reshape(g.r.size, -1)
+    with open(path, "w") as f:  # one row of Python floats at a time
         f.write(",".join(["r", *names]) + "\n")
-        f.writelines(f"{r!r},{','.join(map(repr, u))}\n" for r, u in
-                     zip(g.r.tolist(), profile.values.reshape(g.r.size, -1).tolist()))
+        f.writelines(f"{r!r},{','.join(map(repr, u.tolist()))}\n"
+                     for r, u in zip(g.r.tolist(), rows))
 
 
 def load_profile_csv(path, grid: Grid) -> Profile:
@@ -564,8 +567,15 @@ def _integer(value) -> int:
     return number
 
 
+def _number(value) -> float:
+    """float(value), but a bool is refused: float() reads true as 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(_number(v) for v in values)
 
 
 def _read_fields(cls, d: dict, what: str, **read):
@@ -617,8 +627,8 @@ class GridSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
         """The grid spec of a config's "grid" object (_read_fields)."""
-        return _read_fields(cls, d, "grid spec", n_r=_integer, r_max=float,
-                            grading=float, n_angle=_integer)
+        return _read_fields(cls, d, "grid spec", n_r=_integer, r_max=_number,
+                            grading=_number, n_angle=_integer)
 
 
 @dataclass(frozen=True)
@@ -633,6 +643,22 @@ class ContinuationSpec:
     def from_dict(cls, d: dict) -> "ContinuationSpec":
         """The continuation of a config's "continuation" object (_read_fields)."""
         return _read_fields(cls, d, "continuation spec", eps_sequence=_floats)
+
+
+@dataclass(frozen=True)
+class ExactQ7Thresholds:
+    """The pass thresholds of the exact-q7 battery: a verify preset's
+    "thresholds" object, with each default where it names none."""
+
+    pde: float = 1e-3
+    integral: float = 1e-3
+    gamma: float = 1e-2
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExactQ7Thresholds":
+        """The thresholds of a "thresholds" object (_read_fields)."""
+        return _read_fields(cls, d, "exact-q7 thresholds", pde=_number,
+                            integral=_number, gamma=_number)
 
 
 def check_seed(seed: int) -> int:
@@ -692,8 +718,8 @@ class SolveConfig:
         """The config of a solve config object (_read_fields); an empty
         "continuation" is none."""
         return _read_fields(
-            cls, d, "config", q=float, poly=QuadraticPolynomial.from_dict,
-            grid=GridSpec.from_dict, damping=float, tol_fixed_point=float,
+            cls, d, "config", q=_number, poly=QuadraticPolynomial.from_dict,
+            grid=GridSpec.from_dict, damping=_number, tol_fixed_point=_number,
             max_iters=_integer, seed=_integer,
             continuation=lambda c: ContinuationSpec.from_dict(c) if c else None)
 

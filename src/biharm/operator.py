@@ -19,15 +19,15 @@ modes above the analysis' own roundoff is convolved (the grid's chop rule,
 grid.reduction.chop: the field the dropped modes would add is below the
 roundoff of the field), which is every mode of a density the grid does not
 resolve.  Each mode's radial kernel is semiseparable, so the convolution
-runs as prefix and suffix recurrences over the radii
+runs as prefix and suffix sums over the radii, rescaled block by block
 (kernels.ModeConvolution, one per grid for both kernel variants:
-grid.convolution): one application costs O(band * n_r log n_r) time, plus
-O(n_modes^2 n_r) for the analysis and synthesis, and the grid keeps
-2 band * n_r log2(n_r) scan coefficients for the widest band its densities
-have needed (one table per doubling level, shared by the prefix and the
-suffix sums), not dense tables.  A context holds only what its config
-fixes: the first application builds the tables of its band, and a later
-one grows them when its density needs more modes.  The slope alpha and
+grid.convolution): one application costs O(band * n_r) time, plus
+O(n_modes^2 n_r) for the analysis and synthesis, and the grid keeps one
+table of 2 band * n_r powers for the widest band its densities have
+needed, shared by the prefix and the suffix sums, not dense tables.  A
+context holds only what its config fixes: the first application builds
+the table of its band, and a later one grows it when its density needs
+more modes.  The slope alpha and
 the unshifted origin value are the grid's truncated moments of the
 density's angular mean (grid.moment), read from the l = 0 column of the
 analysis the application already made; the analytic bound on the mass

@@ -75,10 +75,15 @@ class RadialLaplacian:
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
         """The Laplacian along axis 0 of an (n_r,) or (n_r, n_modes) array,
-        each column as if it were passed alone."""
+        each column as if it were passed alone.  The stencil terms are added
+        one at a time, in the order a sum over the stencil axis takes, with
+        no (n_r, _STENCIL_WIDTH, n_modes) gather."""
         ext = np.concatenate([vals[self.p - 1::-1], vals])
         wts = self.wts.reshape(self.wts.shape + (1,) * (ext.ndim - 1))
-        return np.sum(wts * ext[self.idx], axis=1)
+        out = wts[:, 0] * ext[self.idx[:, 0]]
+        for k in range(1, _STENCIL_WIDTH):
+            out += wts[:, k] * ext[self.idx[:, k]]
+        return out
 
 
 @dataclass

@@ -260,6 +260,16 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--out", str(tmp_path / "f"))
         assert code == 1
 
+    def test_shoot_preset_refuses_other_flags(self, tmp_path, capsys):
+        # the preset fixes every shoot input, so a flag given with it would
+        # be dropped without a word: it is an error instead
+        code, _, err = run(capsys, "shoot", "--preset", "thmA-iv", "--q", "5",
+                           "--r-end", "100", "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert err == ("error: --preset thmA-iv takes no other shoot flags, "
+                       "got --q, --r-end\n")
+        assert not (tmp_path / "s").exists()
+
     def test_preset_for_wrong_subcommand(self, tmp_path, capsys):
         for cmd, preset, drives in (("solve", "exact-q7", "verify"),
                                     ("verify", "thmA-iv", "shoot")):
@@ -277,6 +287,23 @@ def _small_config(**over) -> dict:
     """A valid solve config on a 64-radius grid, with over's fields."""
     return {"q": 5.0, "poly": {"a": [1.0, 1.0, 1.0]},
             "kernel_variant": "shifted", "grid": _SMALL_GRID, **over}
+
+
+# a JSON true where a number is read, and the "<what>: <field>" of its error
+_BOOL_NUMBERS = [
+    ("solve", _small_config(q=True), "malformed config: q:"),
+    ("solve", _small_config(poly={"a": [1.0, 1.0, 1.0], "c": True}),
+     "malformed polynomial spec: c:"),
+    ("solve", _small_config(grid={**_SMALL_GRID, "r_max": True}),
+     "malformed grid spec: r_max:"),
+    ("solve", _small_config(damping=True), "malformed config: damping:"),
+    ("verify", {"command": "verify", "grid": _SMALL_GRID,
+                "thresholds": {"pde": True}}, "malformed exact-q7 thresholds: pde:"),
+    ("sweep", {"base": _small_config(), "grid": {"q": [True]}},
+     "sweep grid 'q' is not a list of numbers"),
+]
+_BOOL_IDS = ["solve-q-true", "solve-c-true", "solve-r_max-true",
+             "solve-damping-true", "verify-exact-q7-pde-true", "sweep-q-true"]
 
 
 @pytest.mark.parametrize("cmd, doc", [
@@ -305,6 +332,7 @@ def _small_config(**over) -> dict:
     ("solve", json.dumps(_small_config(max_iters=2.7))),
     ("solve", json.dumps(_small_config(seed=1.5))),
     ("solve", json.dumps(_small_config(seed=True))),
+    *[(cmd, json.dumps(doc)) for cmd, doc, _ in _BOOL_NUMBERS],
 ], ids=["solve-array", "verify-array", "verify-exact-q7-no-grid",
         "verify-exact-q7-thresholds-array",
         "solve-string", "solve-not-utf8", "sweep-array", "sweep-base-array",
@@ -312,7 +340,7 @@ def _small_config(**over) -> dict:
         "sweep-eps-scalar", "sweep-q-int-past-float",
         "verify-exact-q7-n_r-inf", "solve-max-iters-inf", "solve-n_r-64.9",
         "solve-n_angle-64.5", "solve-max-iters-2.7", "solve-seed-1.5",
-        "solve-seed-true"])
+        "solve-seed-true", *_BOOL_IDS])
 def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys,
                                                         cmd, doc):
     path = tmp_path / "cfg.json"
@@ -327,6 +355,22 @@ def test_malformed_config_exits_one_with_one_error_line(tmp_path, capsys,
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("cmd, doc, where", _BOOL_NUMBERS, ids=_BOOL_IDS)
+def test_a_json_bool_is_not_read_as_a_number(tmp_path, capsys, cmd, doc,
+                                             where):
+    # float(true) is 1.0; every float field, threshold and sweep value
+    # refuses it and names where it was
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    argv = [cmd, "--config", str(path), "--out", str(tmp_path / "out")]
+    if cmd == "verify":
+        argv += ["--profile", str(tmp_path / "profile.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err
 
 
 @pytest.mark.parametrize("over, message", [

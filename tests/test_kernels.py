@@ -158,119 +158,116 @@ class TestModeTables:
                                               one.view(np.int64))
 
 
-class _TwoTableScan:
-    """Reference for ModeConvolution: the scan with a second, reversed table
-    per level for the suffix sums, run as one forward scan over
-    (n_r, 4 n_modes) with the suffix half read backward."""
+# radii doubling from node to node: with l up to 1026 a single step spans
+# more than 2^1024, so every block is one radius and every carry crosses a
+# boundary factor (1/2)^k as small as 2^-1028, a subnormal
+_DOUBLING = SimpleNamespace(r=2.0 ** np.arange(-30.0, 34.0), line_w=np.ones(64),
+                            l_values=[0, 2, 1022, 1026])
+_GRIDS = {
+    "radial": lambda: RadialGrid.graded(400, 40.0),
+    "radial2000": lambda: RadialGrid.graded(2000, 400.0),
+    "axisymmetric": lambda: AxisymmetricGrid.build(400, 256, 40.0),
+    "thm1": lambda: AxisymmetricGrid.build(256, 256, 60.0),
+    "thm2": lambda: AxisymmetricGrid.build(256, 128, 80.0),
+    "axisym256x512": lambda: AxisymmetricGrid.build(256, 512, 80.0),
+    "doubling": lambda: _DOUBLING,
+}
 
-    def __init__(self, grid, l_values):
-        r = grid.r
-        l = np.asarray(list(l_values), dtype=float)
-        self.a, self.b = 1.0 / (2.0 * l + 3.0), 1.0 / (2.0 * l - 1.0)
-        self.r = r
-        self.hw = (r**2 * grid.line_w)[:, None] / (2.0 * (2.0 * l + 1.0))
-        self.l0_cols = np.flatnonzero(l == 0.0)
-        self.n_modes = l.size
-        rho = np.zeros(r.size)
-        rho[1:] = r[:-1] / r[1:]
-        pre = rho[:, None] ** np.concatenate([l, l + 2.0])
-        suf = np.zeros_like(pre)
-        suf[:-1] = pre[1:]
-        self.suf_rev = suf[::-1]
-        c = np.concatenate([pre, self.suf_rev], axis=1)
-        c[c < np.finfo(float).tiny] = 0.0
-        self.levels = []
-        d = 1
-        while d < r.size:
-            self.levels.append((d, c[d:].copy()))
-            c[d:] *= c[:-d]
-            c[c < np.finfo(float).tiny] = 0.0
-            d *= 2
 
-    def __call__(self, g, shifted):
-        m = self.n_modes
-        h = g * self.hw
-        rh = self.r[:, None] * h
-        src = np.zeros_like(rh)
-        src[1:] = rh[:0:-1]
-        x = np.concatenate([h, h, src, src], axis=1)
-        x[:, 2 * m:] *= self.suf_rev
-        for d, c in self.levels:
-            x[d:] += c * x[:-d]
-        p_l, p_l2 = x[:, :m], x[:, m:2 * m]
-        q_l, q_l2 = x[::-1, 2 * m:3 * m], x[::-1, 3 * m:]
-        far = -self.b * q_l
-        if shifted:
-            far[:, self.l0_cols] = -np.cumsum(rh[:, self.l0_cols], axis=0)
-        return self.r[:, None] * (self.a * p_l2 - self.b * p_l) + (self.a * q_l2 + far)
+def _absolute_kernel(l, r, s, shifted):
+    """|K|_l = r_> (A xi^(l+2) + |B| xi^l), plus s for the shifted l = 0
+    mode: a bound on every term either computation sums."""
+    hi, lo = np.maximum(r, s), np.minimum(r, s)
+    xi = lo / hi
+    k = hi * (xi ** (l + 2) / (2 * l + 3) + xi ** l / abs(2 * l - 1))
+    return k + s if shifted and l == 0 else k
+
+
+def _assert_within_bounds(conv, grid, g, got, checked, shifted):
+    """Each checked mode's field against its dense table, within the sum of
+    ModeConvolution's docstring bound and the dense table's own: kernel_row
+    rounds xi^l within (l + 2) u, the rest of a row within 12 u, and the
+    product with g adds n_r roundings; its underflows are far below the
+    docstring's absolute term."""
+    r, n_r = grid.r, grid.r.size
+    n_blocks = len(conv.edges) - 1
+    tables = mode_kernel_table(grid, checked, shifted)
+    for table, l in zip(tables, checked):
+        col = list(grid.l_values).index(l)
+        h = np.abs(g[:, col]) * r**2 * grid.line_w / (2 * (2 * l + 1))
+        scale = _absolute_kernel(l, r[:, None], r[None, :], shifted) @ h
+        factor = 2 * n_blocks * (l + 5) + n_r + 10 + (l + 14 + n_r)
+        tiny = (n_r + 2 * n_blocks) * 2.0**-562 * (1 + r) * (1 + h.sum() + r @ h)
+        err = np.abs(got[:, col] - table @ g[:, col])
+        assert np.all(err <= factor * 2.0**-53 * scale + tiny), (
+            l, np.max(err / scale) / 2.0**-53, factor)
 
 
 class TestModeConvolution:
     @pytest.mark.parametrize("shifted", [False, True])
-    @pytest.mark.parametrize("kind", ["radial", "axisymmetric"])
+    @pytest.mark.parametrize("kind", list(_GRIDS))
     def test_matches_dense_table(self, kind, shifted):
-        # same quadrature as mode_kernel_table, summed in another order: the
-        # rounding of any order is a few eps times sum |K_l| |h| (plus s |h|
-        # where the shift subtracts s), so 1e-12 of that bounds the gap
-        if kind == "radial":
-            grid, l_values, checked = RadialGrid.graded(400, 40.0), [0], [0]
-        else:
-            grid = AxisymmetricGrid.build(400, 256, 40.0)
-            l_values = list(range(0, 256, 2))
-            checked = [0, 2, 10, 64, 128, 200, 254]
+        # the quadrature of mode_kernel_table, summed in another order and
+        # rescaled block by block, within the docstring's error bound
+        grid = _GRIDS[kind]()
+        l_values = list(grid.l_values)
         r = grid.r
-        assert r[-1] / r[0] >= 1e5
+        assert r[-1] / r[0] >= 6e4
         g = np.random.default_rng(3).standard_normal((r.size, len(l_values)))
-        got = ModeConvolution(grid, l_values)(g, shifted)
+        conv = ModeConvolution(grid, l_values)
+        got = conv(g, shifted)
         assert np.all(np.isfinite(got))
-        tables = mode_kernel_table(grid, checked, shifted)
-        for table, l in zip(tables, checked):
-            col = l_values.index(l)
-            h = np.abs(g[:, col]) * r**2 * grid.line_w / (2 * (2 * l + 1))
-            k = np.abs(legendre_mode_kernel(l, r[:, None], r[None, :]))
-            if shifted and l == 0:
-                k = k + r[None, :]
-            err = np.abs(got[:, col] - table @ g[:, col])
-            assert np.all(err <= 1e-12 * (k @ h)), (l, np.max(err / (k @ h)))
+        picks = (0, 1, 5, 32, len(l_values) // 2, len(l_values) - 1)
+        checked = sorted({l_values[i] for i in picks if i < len(l_values)})
+        _assert_within_bounds(conv, grid, g, got, checked, shifted)
 
-    @pytest.mark.parametrize("grid", [
-        RadialGrid.graded(400, 40.0),
-        RadialGrid.graded(2000, 400.0),
-        AxisymmetricGrid.build(256, 128, 80.0),
-        AxisymmetricGrid.build(256, 256, 60.0),
-        AxisymmetricGrid.build(400, 256, 40.0),  # flushes 25,604 table entries
-        # radii doubling from node to node: 2^-1024 and 2^-1028 are subnormal
-        # powers rho^k, which weight the suffix sources unflushed
-        SimpleNamespace(r=2.0 ** np.arange(-30.0, 34.0), line_w=np.ones(64),
-                        l_values=[0, 2, 1022, 1026]),
-    ], ids=["radial400", "radial2000", "axisym256x128", "axisym256x256",
-            "axisym400x256", "subnormal"])
-    def test_one_table_scan_is_the_two_table_scan_bit_for_bit(self, grid):
-        # the backward scan reads the prefix table, which holds bit for bit the
-        # reversed suffix table: the same factors multiplied in the same tree
-        l_values = getattr(grid, "l_values", [0])
-        conv, ref = ModeConvolution(grid, l_values), _TwoTableScan(grid, l_values)
-        m = len(l_values)
-        conv.grow(m)
-        np.testing.assert_array_equal(conv.rho_k.reshape(-1, 2 * m),
-                                      ref.suf_rev[:0:-1])
-        assert [d for d, _ in conv.levels] == [d for d, _ in ref.levels]
-        for (d, c), (_, c_ref) in zip(conv.levels, ref.levels):
-            assert c.shape == (grid.r.size - d, 2, m)
-            np.testing.assert_array_equal(
-                c.reshape(-1, 2 * m)[::-1].view(np.int64),
-                c_ref[:, 2 * m:].view(np.int64))
-        g = np.random.default_rng(11).standard_normal((grid.r.size, len(l_values)))
-        for shifted in (False, True):
-            np.testing.assert_array_equal(conv(g, shifted).view(np.int64),
-                                          ref(g, shifted).view(np.int64))
+    def test_doubling_radii_make_one_block_per_radius(self):
+        conv = ModeConvolution(_DOUBLING, _DOUBLING.l_values)
+        assert conv.edges == list(range(65))
+        conv.grow(4)
+        np.testing.assert_array_equal(conv.scale, 1.0)  # c is the one radius
+        assert np.all(conv.carry[:, :, 1, 3] < np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_sources_across_the_float_range_give_a_finite_field(self, shifted):
+        # the scale table reaches 2^+-512; sources with |h| and r |h| spread
+        # log-uniformly from 2^-520 to 2^505 / n_r keep the scaled sums
+        # below 2^1017, so the field is finite, and within its bound where
+        # the smallest sources make subnormal products
+        grid = AxisymmetricGrid.build(256, 512, 80.0)
+        l_values, r = grid.l_values, grid.r
+        conv = ModeConvolution(grid, l_values)
+        conv.grow(len(l_values))
+        assert 500 < np.max(np.abs(np.log2(conv.scale))) <= 512
+        rng = np.random.default_rng(9)
+        exps = rng.uniform(-505.0, 505.0, (r.size, len(l_values)))
+        h = np.exp2(exps) / (r.size * np.maximum(r, 1.0))[:, None]
+        h *= rng.choice([-1.0, 1.0], h.shape)
+        hw = (r**2 * grid.line_w)[:, None] / (2.0 * (2.0 * np.array(l_values) + 1.0))
+        g = h / hw
+        got = conv(g, shifted)
+        assert np.all(np.isfinite(got))
+        _assert_within_bounds(conv, grid, g, got, [0, 2, 254, 510], shifted)
+
+    def test_the_tables_hold_one_power_per_radius_mode_and_sum(self):
+        # 2 band n_r powers, plus 4 band boundary factors per block boundary:
+        # no table per doubling level as the log-depth scan kept
+        for grid, band, n_blocks in ((AxisymmetricGrid.build(256, 128, 80.0), 64, 2),
+                                     (AxisymmetricGrid.build(256, 256, 60.0), 19, 4),
+                                     (RadialGrid.graded(2000, 400.0), 1, 1)):
+            conv = ModeConvolution(grid, grid.l_values)
+            conv(np.ones((grid.r.size, band)), False)
+            assert len(conv.edges) - 1 == n_blocks
+            assert conv.scale.shape == (grid.r.size, 2, band)
+            assert conv.carry.shape == (2, n_blocks - 1, 2, band)
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_a_band_is_the_first_columns_of_every_mode_bit_for_bit(self,
                                                                    shifted):
-        # each mode's column of the level tables is computed on its own, so a
-        # band's tables, and its field, are the first columns of the whole
-        # grid's, whether built for the band or grown to it
+        # each mode's column of the tables is computed on its own, and the
+        # blocks come from the grid's top mode, so a band's tables, and its
+        # field, are the first columns of the whole grid's, whether built
+        # for the band or grown to it
         grid = AxisymmetricGrid.build(256, 256, 60.0)
         l_values = grid.l_values
         g = np.random.default_rng(5).standard_normal((grid.r.size, len(l_values)))
@@ -285,8 +282,9 @@ class TestModeConvolution:
                 assert got.shape == (grid.r.size, band)
                 np.testing.assert_array_equal(got.view(np.int64),
                                               want[:, :band].view(np.int64))
-            assert built.n_modes == band
-            for (d, c), (_, c_full) in zip(built.levels, full.levels):
-                np.testing.assert_array_equal(c.view(np.int64),
-                                              c_full[..., :band].view(np.int64))
+            assert built.n_modes == band and built.edges == full.edges
+            for name in ("scale", "carry"):
+                np.testing.assert_array_equal(
+                    getattr(built, name).view(np.int64),
+                    getattr(full, name)[..., :band].view(np.int64))
         assert grown.n_modes == 40

@@ -222,9 +222,9 @@ class TestOperatorPieces:
         np.testing.assert_allclose(v2, lam**4 * v1, rtol=1e-12)
 
     def test_large_axisym_grid_applies(self):
-        # 128 dense mode tables of 2048^2 entries took 4.3 GB; the scan's
-        # per-level tables, shared by the prefix and the suffix sums, take
-        # about 40 MB, and one application's arrays a few MB each
+        # 128 dense mode tables of 2048^2 entries took 4.3 GB; the power
+        # table, shared by the prefix and the suffix sums, takes 4.2 MB, and
+        # one application's arrays a few MB each (33 MB in all)
         cfg = _axisym_cfg(n_r=2048, n_angle=256, r_max=100.0)
         tracemalloc.start()
         try:
@@ -234,7 +234,7 @@ class TestOperatorPieces:
         finally:
             tracemalloc.stop()
         assert np.all(np.isfinite(v))
-        assert peak < 0.1e9
+        assert peak < 0.05e9
 
     def test_iterate_bound_holds_along_the_iteration(self):
         cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=600, r_max=100.0)
@@ -431,8 +431,8 @@ class TestContinuation:
         assert res.limit_poly.eps_quartic == 0.0
 
     def test_working_set_of_the_thm1_continuation(self):
-        # the solve holds the grid's scan tables for its band of at most 19
-        # modes (0.5 MB, 3.7 MB for all 128), the mixing history (2.6 MB)
+        # the solve holds the grid's power table for its band of at most 19
+        # modes (78 kB, 0.5 MB for all 128), the mixing history (2.6 MB)
         # and a few node arrays of 0.26 MB, on the t > 0 half of the 256
         # polar nodes; earlier stages' profiles are dropped, except the one
         # the next stage starts from
@@ -509,9 +509,10 @@ class TestBand:
         _, modes = ctx.apply(v)
         band = red.chop(modes)[0]
         assert bands == [band] == [conv.n_modes] and band < len(red.l_values)
-        levels = conv.levels
+        scale = conv.scale
+        assert scale.shape == (ctx.grid.r.size, 2, band)
         ctx.apply(v)  # the same band again: its tables serve
-        assert bands == [band, band] and conv.levels is levels
+        assert bands == [band, band] and conv.scale is scale
 
     def test_presets_apply_their_bands(self, bands):
         # thm1's density reaches its roundoff plateau within 32 of its 128
