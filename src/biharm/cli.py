@@ -148,25 +148,20 @@ def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
     return report
 
 
-def _solve_config(d: dict, command: str, seed: int | None):
-    """(config, validation) of the solve config dict d, read by `command`,
-    with its seed replaced by the --seed flag's when given; ConfigError
-    when d drives another subcommand, is malformed, or fails validation
-    with hard errors (e.g. a radial grid needs a radial P)."""
+def _solve_config(d: dict, command: str, seed: int | None) -> SolveConfig:
+    """The solve config of the dict d, read by `command`, with its seed
+    replaced by the --seed flag's when given; ConfigError when d drives
+    another subcommand or is malformed, and SolveConfig's own when the
+    config breaks a structural rule (e.g. a radial grid needs a radial P)."""
     if d.get("command", "solve") != "solve":
         raise ConfigError(f"this preset drives the {d.get('command')!r} "
                           f"subcommand, not {command}")
     cfg = SolveConfig.from_dict(d)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    check = validate_config(cfg)
-    if check.hard_errors:
-        raise ConfigError("; ".join(check.hard_errors))
-    return cfg, check
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def cmd_solve(args) -> int:
-    cfg, check = _solve_config(_load_config_dict(args), "solve", args.seed)
+    cfg = _solve_config(_load_config_dict(args), "solve", args.seed)
     out = _out_dir(args)
 
     cont = continuation_eps_to_zero(cfg)
@@ -185,7 +180,7 @@ def cmd_solve(args) -> int:
         }
 
     g = prof.grid
-    warnings = list(check.warnings)
+    warnings = validate_config(cfg).warnings
     if report.density_tail is not None:  # only an axisymmetric grid has a tail
         warnings.append(
             f"n_angle = {g.n_angle} does not resolve the last stage's density: "
@@ -297,7 +292,7 @@ def cmd_verify(args) -> int:
         return _run_exact_q7(d, out, args.seed or 0)
     if args.exact_q7:
         raise ConfigError(f"--exact-q7 runs the closed-form battery, not a {command!r} config")
-    cfg, _ = _solve_config(d, "verify", args.seed)
+    cfg = _solve_config(d, "verify", args.seed)
     if args.profile is None:
         raise ConfigError("verify needs --profile PATH (the profile.csv that solve "
                           "wrote for this config)")
@@ -414,7 +409,7 @@ def _sweep_point(payload):
     try:
         cfg = SolveConfig.from_dict(base)
         poly = QuadraticPolynomial((k1, k2, k2), cfg.poly.b, cfg.poly.c, eps)
-        cfg = replace(cfg.replace_poly(poly), q=q)
+        cfg = replace(cfg, q=q, poly=poly, continuation=None)
         prof, report = solve_fixed_point(cfg)
         g = prof.grid
         up = Profile(grid=g, values=prof.values + g.poly_values(cfg.poly))
@@ -466,7 +461,9 @@ def cmd_sweep(args) -> int:
     k1s = _sweep_values(grid, "kappa1", [1.0])
     k2s = _sweep_values(grid, "kappa2", [1.0])
     epss = _sweep_values(grid, "eps", [0.0])
-    SolveConfig.from_dict(base)  # every point's config starts from it
+    # every point's config starts from the base: one that breaks a rule is
+    # refused once, before any point runs
+    SolveConfig.from_dict(base)
     out = _out_dir(args)
     points = sorted((q, k1, k2, e) for q in qs for k1 in k1s
                     for k2 in k2s for e in epss)

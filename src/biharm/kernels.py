@@ -251,17 +251,13 @@ def convolve(grid, density, shifted: bool):
     chop rule keeps (grid.reduction.chop: the modes above the analysis'
     own roundoff) is convolved, with the grid's own mode convolution
     (grid.convolution, one per grid for both kernel variants, whose tables
-    grow to the widest band asked of them); the field columns of the
-    dropped modes are zero when the modes are synthesized.
+    grow to the widest band asked of them); the field is synthesized from
+    the band alone.
     """
     red = grid.reduction
     modes = red.analyze(density)
     band, _ = red.chop(modes)
-    field = grid.convolution(modes[:, :band], shifted)
-    if band < modes.shape[1]:
-        field = np.concatenate(
-            [field, np.zeros((field.shape[0], modes.shape[1] - band))], axis=1)
-    return red.synthesize(field), modes
+    return red.synthesize(grid.convolution(modes[:, :band], shifted)), modes
 
 
 def kernel_row(r_target, grid, l=0, shifted: bool = False) -> np.ndarray:

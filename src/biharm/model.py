@@ -2,9 +2,9 @@
 
 Everything here is plain numpy plus frozen dataclasses.  Both grid kinds
 share one node interface: values have the layout grid.shape, grid.r_nodes
-and grid.t_nodes are the radius and polar cosine broadcast to it, and
-grid.reduction (one SphericalReduction per grid, built once) maps node values
-to even Legendre modes (n_r, n_modes) and back.  A radial grid is the
+is the radius broadcast to it, grid.t the polar cosine of each node column,
+and grid.reduction (one SphericalReduction per grid, built once) maps node
+values to even Legendre modes (n_r, n_modes) and back.  A radial grid is the
 one-column case: its node column t = 1 with Gauss weight 2 carries the one
 mode l = 0, which holds on every ray.  Every field is even in x1 (P is, and
 the operator keeps it so), so an axisymmetric grid stores only its t > 0
@@ -12,16 +12,17 @@ polar nodes, with doubled weights, and the profile CSV holds only those
 too.  Grids also own their quadrature (grid.integrate) and
 what else depends only on the nodes, each written once for both kinds:
 grid.l_values, the angular mean grid.mode0, the truncated moments
-(1/8 pi) int |y|^k g (grid.moment), the mode convolution of both kernel
-variants (grid.convolution, made once per grid, with tables for the band
-of modes its densities carry), and P and its Pohozaev
-weight (grid.poly_values, grid.pohozaev_weight).  What differs by kind, the
+(1/8 pi) int |y|^k g (grid.moment), the norm |v|_X (grid.x_norm), the
+mode convolution of both kernel variants (grid.convolution, made once per
+grid, with tables for the band of modes its densities carry), and P and
+its Pohozaev weight (grid.poly_values, grid.pohozaev_weight).  What differs by kind, the
 grid answers: the rays a fit reads (grid.rays) and the even quadratics of
 its symmetry class (grid.even_quadratics).  Only the profile CSV reader and
 writer ask for the kind itself, for the one header a radial file names
 `value` instead of its one polar cosine.
-Configuration objects round-trip through JSON with fixed field names, and
-report serialization is deterministic (floats rounded to 12 significant
+Configuration objects round-trip through JSON with fixed field names; a
+SolveConfig is checked when it is made, so one that exists is valid.
+Report serialization is deterministic (floats rounded to 12 significant
 digits) so identical runs produce byte-identical files.
 """
 
@@ -190,7 +191,7 @@ def _grid_error(kind: str, n_r: int, r_max: float, grading: float,
     """Why a grid of this kind cannot be built from these arguments, or None.
 
     The one home of the grid argument checks: the grid constructors raise
-    the message, validate_config reports it without building the grid.
+    the message, and SolveConfig raises it without building the grid.
     """
     if kind == "radial":
         if n_r < 8:
@@ -207,10 +208,11 @@ def _grid_error(kind: str, n_r: int, r_max: float, grading: float,
     return None
 
 
-def _raise_grid_error(*args) -> None:
-    error = _grid_error(*args)
-    if error is not None:
-        raise ConfigError(error)
+def _refuse(errors) -> None:
+    """ConfigError naming each of errors that is not None, joined by "; "."""
+    errors = [e for e in errors if e is not None]
+    if errors:
+        raise ConfigError("; ".join(errors))
 
 
 class _NodeGrid:
@@ -233,6 +235,10 @@ class _NodeGrid:
         angular mean g0 of g."""
         return float((0.5 * self.r ** (k + 2) * self.line_w) @ g0)
 
+    def x_norm(self, values: np.ndarray) -> float:
+        """Weighted sup norm |v|_X = sup |v(x)| / (1 + |x|) of node values."""
+        return float(np.max(np.abs(values) / (1.0 + self.r_nodes)))
+
     @cached_property
     def convolution(self):
         """The kernels.ModeConvolution of the grid's modes (it serves both
@@ -248,16 +254,11 @@ class _NodeGrid:
 
     def poly_values(self, poly: QuadraticPolynomial) -> np.ndarray:
         """P at the nodes."""
-        return poly.value_rt(self.r_nodes, self.t_nodes)
+        return poly.value_rt(self.r_nodes, self.t)
 
     def pohozaev_weight(self, poly: QuadraticPolynomial) -> np.ndarray:
         """2 (x . grad P) - P at the nodes."""
-        return poly.pohozaev_weight_rt(self.r_nodes, self.t_nodes)
-
-    @property
-    def t_nodes(self) -> np.ndarray:
-        """Polar cosine of every node column, broadcastable against the node layout."""
-        return self.t
+        return poly.pohozaev_weight_rt(self.r_nodes, self.t)
 
     @cached_property
     def reduction(self) -> "SphericalReduction":
@@ -276,9 +277,14 @@ class RadialGrid(_NodeGrid):
 
     @classmethod
     def graded(cls, n: int, r_max: float, grading: float = 2.0) -> "RadialGrid":
-        _raise_grid_error("radial", n, r_max, grading)
+        _refuse([_grid_error("radial", n, r_max, grading)])
         r, w = _graded_nodes(n, float(r_max), float(grading))
         return cls(r=r, line_w=w, r_max=float(r_max), grading=float(grading))
+
+    @property
+    def spec(self) -> "GridSpec":
+        """The grid spec that builds this grid."""
+        return GridSpec("radial", self.r.size, self.r_max, self.grading)
 
     @property
     def shape(self) -> tuple:
@@ -333,7 +339,7 @@ class AxisymmetricGrid(_NodeGrid):
 
     @classmethod
     def build(cls, n_r: int, n_angle: int, r_max: float, grading: float = 2.0) -> "AxisymmetricGrid":
-        _raise_grid_error("axisymmetric", n_r, r_max, grading, n_angle)
+        _refuse([_grid_error("axisymmetric", n_r, r_max, grading, n_angle)])
         r, w = _graded_nodes(n_r, float(r_max), float(grading))
         t, wt = np.polynomial.legendre.leggauss(n_angle)
         # enforce bit-exact antisymmetry of the nodes about t = 0, then keep
@@ -348,6 +354,12 @@ class AxisymmetricGrid(_NodeGrid):
     def n_angle(self) -> int:
         """Polar nodes over the whole circle, both mirror halves."""
         return 2 * self.t.size
+
+    @property
+    def spec(self) -> "GridSpec":
+        """The grid spec that builds this grid."""
+        return GridSpec("axisymmetric", self.r.size, self.r_max, self.grading,
+                        self.n_angle)
 
     @property
     def shape(self) -> tuple:
@@ -397,10 +409,10 @@ class SphericalReduction:
     t = cos theta, l = 0, 2, ..., 2 n_t - 2 for the grid's n_t node columns
     (exact for the grid's angular band: the stored t > 0 half-nodes with
     doubled weights are the full Gauss-Legendre rule on even integrands);
-    synthesize() evaluates the mode sum back at the nodes, which is the
-    field on both mirror halves.  t holds the polar cosines of the node
-    columns and pl the modes' Legendre values there, P_l(t) (n_t, n_modes),
-    a square table.  A radial grid's one column, t = 1 with weight 2, gives
+    synthesize() evaluates the sum of the leading modes it is given back at
+    the nodes, which is the field on both mirror halves.  t holds the polar
+    cosines of the node columns and pl the modes' Legendre values there,
+    P_l(t) (n_t, n_modes), a square table.  A radial grid's one column, t = 1 with weight 2, gives
     the one mode l = 0 and the tables [[1.0]], through which every value
     keeps its bits (a -0.0 comes back as 0.0).  Use grid.reduction, which
     builds it once per grid.
@@ -420,7 +432,8 @@ class SphericalReduction:
         return values.reshape(self.shape[0], -1) @ self.forward.T  # (n_r, n_modes)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return (coeffs @ self.pl.T).reshape(self.shape)
+        """The field at the nodes of the leading modes coeffs (n_r, band)."""
+        return (coeffs @ self.pl[:, :coeffs.shape[1]].T).reshape(self.shape)
 
     def chop(self, modes: np.ndarray) -> tuple:
         """(band, resolved): how many leading modes of a density's analysis
@@ -490,11 +503,6 @@ class Profile:
         if v.shape != self.grid.shape:
             raise ConfigError(
                 f"profile shape {v.shape} != grid node layout {self.grid.shape}")
-
-
-def x_norm(profile: Profile) -> float:
-    """Weighted sup norm sup |v(x)| / (1 + |x|)."""
-    return float(np.max(np.abs(profile.values) / (1.0 + profile.grid.r_nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -661,12 +669,16 @@ class ExactQ7Thresholds:
                             integral=_number, gamma=_number)
 
 
+def _seed_error(seed: int) -> Optional[str]:
+    """Why seed cannot seed a run, or None: the seed drives the Halton draw
+    of verify.integral_residual through numpy's default_rng, which refuses
+    a negative one with a traceback."""
+    return f"seed must be a non-negative integer, got {seed}" if seed < 0 else None
+
+
 def check_seed(seed: int) -> int:
-    """seed, or ConfigError when it is negative: the seed drives the
-    Halton draw of verify.integral_residual through numpy's default_rng,
-    which refuses a negative one with a traceback."""
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    """seed, or ConfigError when it is negative."""
+    _refuse([_seed_error(seed)])
     return seed
 
 
@@ -674,8 +686,13 @@ def check_seed(seed: int) -> int:
 class SolveConfig:
     """Everything needed for one fixed-point solve (plus optional continuation).
 
-    Its seed is checked on construction (check_seed), so a config file's
-    seed and one set with replace(cfg, seed=...) are refused alike.
+    A SolveConfig that exists is valid: construction checks every
+    structural rule, and then each continuation stage, and raises one
+    ConfigError naming each broken rule in a fixed order, joined by "; ".
+    So from_dict, replace, replace_poly and stages only return valid
+    configs.  P must be even (b = 0) with a_i >= 0, eps_quartic >= 0 and
+    c > 0, which makes P >= c > 0 everywhere.  Whether a solution can exist
+    at all is the integrability gate, validate_config.
     """
 
     q: float
@@ -689,7 +706,42 @@ class SolveConfig:
     continuation: Optional[ContinuationSpec] = None
 
     def __post_init__(self):
-        check_seed(self.seed)
+        p, cont = self.poly, self.continuation
+        errors = [_seed_error(self.seed)]
+        if not (self.q > 0.0) or not math.isfinite(self.q):
+            errors.append(f"q must be positive and finite, got {self.q}")
+        if self.kernel_variant not in ("shifted", "unshifted"):
+            errors.append(f"unknown kernel_variant {self.kernel_variant!r}")
+        if not (0.0 < self.damping <= 1.0):
+            errors.append(f"damping must lie in (0, 1], got {self.damping}")
+        if not (self.tol_fixed_point > 0.0):
+            errors.append(f"tol_fixed_point must be positive, got "
+                          f"{self.tol_fixed_point}")
+        if self.max_iters < 1:
+            errors.append(f"max_iters must be >= 1, got {self.max_iters}")
+        errors.append(self.grid.error())
+        if p.eps_quartic < 0.0:
+            errors.append(f"eps_quartic must be >= 0, got {p.eps_quartic}")
+        if min(p.a) < 0.0:
+            errors.append(f"quadratic coefficients must be >= 0, got a = {p.a}")
+        if p.c <= 0.0:
+            errors.append(f"constant term must be positive, got c = {p.c} "
+                          f"(P(0) = {p.c} <= 0)")
+        if not p.is_even():
+            errors.append(f"iteration requires an even polynomial, got b = {p.b}")
+        if self.grid.kind == "radial" and not p.is_radial():
+            errors.append("radial grid requires a radial polynomial (equal a_i, b = 0)")
+        if self.grid.kind == "axisymmetric" and not p.is_axisymmetric():
+            errors.append("axisymmetric grid requires a2 == a3 and b = 0")
+        if cont is not None:
+            seq = cont.eps_sequence
+            if len(seq) == 0 or any(e <= 0 for e in seq) or any(
+                    seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
+                errors.append("eps_sequence must be strictly decreasing and positive")
+            if cont.eps_param not in ("quartic", "axis1", "isotropic"):
+                errors.append(f"unknown eps_param {cont.eps_param!r}")
+        _refuse(errors)
+        self.stages()  # each stage is made, and so checked
 
     def to_dict(self) -> dict:
         d = {
@@ -746,104 +798,57 @@ class SolveConfig:
 
 @dataclass
 class ValidationResult:
-    """Outcome of config validation.
+    """Outcome of the integrability gate (validate_config).
 
-    hard_errors: structural problems (bad grid, non-positive or odd polynomial);
-    gate_failures: the analytic integrability gate (q in the nonexistence
+    gate_failures: why no solution can be found (q in the nonexistence
     regime, or kernel mass of P^-q divergent for the chosen variant);
     warnings: advisory notes, e.g. a constant P whose convergence relies on
-    the iterate's own linear growth.
+    the iterate's own linear growth.  ok: no gate failure.
     """
 
     ok: bool
-    hard_errors: list = field(default_factory=list)
     gate_failures: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
-    @property
-    def nonexistence_regime(self) -> bool:
-        return not self.hard_errors and bool(self.gate_failures)
-
 
 def validate_config(cfg: SolveConfig) -> ValidationResult:
-    """Check cfg before a solve: hard errors, then the integrability gate.
-
-    P must be even (b = 0) with a_i >= 0, eps_quartic >= 0 and c > 0, which
-    makes P >= c > 0 everywhere, so no separate positivity check is needed.
-    The gate reads the first stage's P.leading_term().
+    """The integrability gate of a config, which is structurally valid
+    because it exists (SolveConfig): q > 1, then m q > 4 for P's growth
+    order m, or q > 3 (shifted) / q > 4 (unshifted) for a P with no growth
+    along some direction.  It reads the first stage's P.leading_term().
     """
-    hard, gates, warns = [], [], []
-
-    if not (cfg.q > 0.0) or not math.isfinite(cfg.q):
-        hard.append(f"q must be positive and finite, got {cfg.q}")
-    if cfg.kernel_variant not in ("shifted", "unshifted"):
-        hard.append(f"unknown kernel_variant {cfg.kernel_variant!r}")
-    if not (0.0 < cfg.damping <= 1.0):
-        hard.append(f"damping must lie in (0, 1], got {cfg.damping}")
-    if not (cfg.tol_fixed_point > 0.0):
-        hard.append(f"tol_fixed_point must be positive, got {cfg.tol_fixed_point}")
-    if cfg.max_iters < 1:
-        hard.append(f"max_iters must be >= 1, got {cfg.max_iters}")
-
-    grid_problem = cfg.grid.error()
-    if grid_problem is not None:
-        hard.append(grid_problem)
-
-    p = cfg.poly
-    if p.eps_quartic < 0.0:
-        hard.append(f"eps_quartic must be >= 0, got {p.eps_quartic}")
-    if min(p.a) < 0.0:
-        hard.append(f"quadratic coefficients must be >= 0, got a = {p.a}")
-    if p.c <= 0.0:
-        hard.append(f"constant term must be positive, got c = {p.c} (P(0) = {p.c} <= 0)")
-    if not p.is_even():
-        hard.append(f"iteration requires an even polynomial, got b = {p.b}")
-    if cfg.grid.kind == "radial" and not p.is_radial():
-        hard.append("radial grid requires a radial polynomial (equal a_i, b = 0)")
-    if cfg.grid.kind == "axisymmetric" and not p.is_axisymmetric():
-        hard.append("axisymmetric grid requires a2 == a3 and b = 0")
-
-    if cfg.continuation is not None:
-        seq = cfg.continuation.eps_sequence
-        if len(seq) == 0 or any(e <= 0 for e in seq) or any(
-                seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
-            hard.append("eps_sequence must be strictly decreasing and positive")
-        if cfg.continuation.eps_param not in ("quartic", "axis1", "isotropic"):
-            hard.append(f"unknown eps_param {cfg.continuation.eps_param!r}")
-
-    if not hard:
-        # with continuation the gate applies to the stage polynomials (all of
-        # which share the first stage's growth order), not the limit
-        m = cfg.stages()[0].poly.leading_term()[0]
-        if not (cfg.q > 1.0):
+    gates, warns = [], []
+    # with continuation the gate applies to the stage polynomials (all of
+    # which share the first stage's growth order), not the limit
+    m = cfg.stages()[0].poly.leading_term()[0]
+    if not (cfg.q > 1.0):
+        gates.append(
+            f"integrability gate: q = {cfg.q:g} <= 1 is the nonexistence "
+            f"regime; no positive entire solution with polynomial growth "
+            f"exists there and the iteration cannot converge to one")
+    elif m == 0:
+        # P bounded along at least one direction: the iterate itself must
+        # supply linear growth, making the density decay like r^-q there;
+        # the shifted kernel needs the zeroth moment (q > 3), the
+        # unshifted also the first (q > 4)
+        need = 3.0 if cfg.kernel_variant == "shifted" else 4.0
+        if cfg.q > need:
+            warns.append(
+                f"P has no growth along at least one direction; "
+                f"convergence relies on the iterate's own linear growth "
+                f"(density ~ r^-{cfg.q:g}, q > {need:g} holds)")
+        else:
             gates.append(
-                f"integrability gate: q = {cfg.q:g} <= 1 is the nonexistence "
-                f"regime; no positive entire solution with polynomial growth "
-                f"exists there and the iteration cannot converge to one")
-        elif m == 0:
-            # P bounded along at least one direction: the iterate itself must
-            # supply linear growth, making the density decay like r^-q there;
-            # the shifted kernel needs the zeroth moment (q > 3), the
-            # unshifted also the first (q > 4)
-            need = 3.0 if cfg.kernel_variant == "shifted" else 4.0
-            if cfg.q > need:
-                warns.append(
-                    f"P has no growth along at least one direction; "
-                    f"convergence relies on the iterate's own linear growth "
-                    f"(density ~ r^-{cfg.q:g}, q > {need:g} holds)")
-            else:
-                gates.append(
-                    f"integrability gate: P has no growth and q = {cfg.q:g} <= "
-                    f"{need:g}, so the kernel mass of the density diverges even "
-                    f"with a linearly growing iterate")
-        elif cfg.q * m <= 4.0:
-            gates.append(
-                f"integrability gate: int |x| P^-q diverges "
-                f"(growth order {m} times q = {cfg.q * m:g} <= 4); raise the "
-                f"decay with a quartic term and pass to the limit instead")
+                f"integrability gate: P has no growth and q = {cfg.q:g} <= "
+                f"{need:g}, so the kernel mass of the density diverges even "
+                f"with a linearly growing iterate")
+    elif cfg.q * m <= 4.0:
+        gates.append(
+            f"integrability gate: int |x| P^-q diverges "
+            f"(growth order {m} times q = {cfg.q * m:g} <= 4); raise the "
+            f"decay with a quartic term and pass to the limit instead")
 
-    return ValidationResult(ok=not hard and not gates, hard_errors=hard,
-                            gate_failures=gates, warnings=warns)
+    return ValidationResult(ok=not gates, gate_failures=gates, warnings=warns)
 
 
 # ---------------------------------------------------------------------------

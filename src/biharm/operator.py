@@ -33,8 +33,8 @@ density's angular mean (grid.moment), read from the l = 0 column of the
 analysis the application already made; the analytic bound on the mass
 beyond r_max is a moment of analysis.PowerTail.  A warm
 start carries its grid: a solve started from a profile sets up its context
-on that profile's grid, so the stages of a continuation share one reduction
-and one mode convolution.
+on that profile's grid, which must be the one cfg.grid builds, so the
+stages of a continuation share one reduction and one mode convolution.
 
 Iteration is Anderson mixing of depth 5 (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) with mixing weight theta = cfg.damping, safeguarded: an
@@ -63,11 +63,16 @@ from .analysis import PowerTail
 class OperatorContext:
     """What one config fixes: the grid (with its mode convolution), P at
     the nodes and the tail bound.  grid, when given, is one built from
-    cfg.grid to share (a warm start's), else cfg.grid is built.  Set-up
-    computes no density; each application computes and analyzes its own,
-    and the first one builds the tables of its band."""
+    cfg.grid to share (a warm start's), else cfg.grid is built; ConfigError
+    when it is another grid (kind, n_r, n_angle, r_max or grading).  The
+    config itself is valid, as every SolveConfig is.  Set-up computes no
+    density; each application computes and analyzes its own, and the first
+    one builds the tables of its band."""
 
     def __init__(self, cfg: SolveConfig, grid=None):
+        if grid is not None and grid.spec.to_dict() != cfg.grid.to_dict():
+            raise ConfigError(f"warm start grid {grid.spec.to_dict()} is not "
+                              f"the config's {cfg.grid.to_dict()}")
         self.cfg = cfg
         self.shifted = cfg.kernel_variant == "shifted"
         self.grid = g = cfg.grid.build() if grid is None else grid
@@ -192,7 +197,8 @@ class _MixingHistory:
 
 def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
     """Anderson-accelerated fixed point of T from v = 0 (or a warm start v0
-    on a grid built from cfg.grid, which the solve then shares).
+    on a grid built from cfg.grid, which the solve then shares; a v0 on
+    another grid is refused with ConfigError by OperatorContext).
 
     Every iterate v is applied once and its residual |T(v) - v|_X recorded;
     the iteration stops when that residual is below tol (1 + |v|_X).  New
@@ -210,33 +216,25 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
 
     Returns (profile, report); report.iters counts the iterates after the
     start value, and final_residual is the residual of the returned profile.
-    Structural config problems raise ConfigError; everything else
-    (integrability gate, oscillation, blowup, non-finite arithmetic) lands in
-    the report with converged = False and a reason string.
+    cfg is valid, as every SolveConfig is; everything else (integrability
+    gate, oscillation, blowup, non-finite arithmetic) lands in the report
+    with converged = False and a reason string.
     """
-    check = validate_config(cfg)
-    if check.hard_errors:
-        raise ConfigError("; ".join(check.hard_errors))
-
-    if check.gate_failures:
+    gates = validate_config(cfg).gate_failures
+    if gates:
         grid = cfg.grid.build()
         prof = Profile(grid=grid, values=np.zeros(grid.shape))
         report = SolutionReport(converged=False, iters=0, final_residual=math.nan,
                                 damping_final=cfg.damping, q=cfg.q,
                                 kernel_variant=cfg.kernel_variant,
-                                diverged_reason=check.gate_failures[0])
+                                diverged_reason=gates[0])
         return prof, report
 
     ctx = OperatorContext(cfg, None if v0 is None else v0.grid)
     grid = ctx.grid
     x = np.zeros_like(ctx.p_values) if v0 is None else np.array(v0.values, dtype=float)
     theta = cfg.damping
-    scale = 1.0 + grid.r_nodes  # |a|_X = sup |a| / scale (model.x_norm)
-
-    def x_norm(a: np.ndarray) -> float:
-        return float(np.max(np.abs(a) / scale))
-
-    history = _MixingHistory(x.shape, scale)
+    history = _MixingHistory(x.shape, 1.0 + grid.r_nodes)
     diff_history, alpha_history = [], []
     bound = math.nan
     # the accepted iterate: v, its residual f, its density's modes and |f|_X
@@ -258,7 +256,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
             reason = str(exc)
             break
         fx = np.subtract(tx, x, out=tx)
-        res_x, xn = x_norm(fx), x_norm(x)
+        res_x, xn = grid.x_norm(fx), grid.x_norm(x)
         diff_history.append(res_x)
         alpha_history.append(grid.moment(0, modes[:, 0]))
 
@@ -303,7 +301,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
         alpha=alpha,
         v_origin=v_origin,
         u_origin=cfg.poly.c + v_origin,
-        x_norm_v=x_norm(v),
+        x_norm_v=grid.x_norm(v),
         iterate_bound=bound,
         tail_bound=ctx.tail_bound,
         diff_history=diff_history,

@@ -255,8 +255,8 @@ def test_criterion_9c_nonexistence_regime_is_flagged():
         grid=GridSpec("radial", 200, 20.0),
         tol_fixed_point=1e-8, max_iters=50)
     check = validate_config(cfg)
-    assert check.nonexistence_regime
     assert not check.ok
+    assert "nonexistence" in check.gate_failures[0]
     prof, rep = solve_fixed_point(cfg)
     assert not rep.converged
     assert rep.diverged_reason

@@ -162,7 +162,7 @@ class TestHessianDecay:
         for g, directions in ((_grid(400, 100.0), [None]),
                               (AxisymmetricGrid.build(400, 8, 100.0),
                                [1.0, 0.5, 0.0])):
-            v = (1.0 + g.t_nodes**2) * np.sqrt(1.0 + g.r_nodes**2)
+            v = (1.0 + g.t**2) * np.sqrt(1.0 + g.r_nodes**2)
             res = check_hessian_decay(Profile(grid=g, values=v), 5.0)
             assert [ray["direction"] for ray in res["rays"]] == directions
             assert res["bounded"]

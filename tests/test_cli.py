@@ -999,17 +999,22 @@ class TestSweep:
         else:
             assert float(row["exponent_eperp"]) == pytest.approx(2.0, rel=0.05)
 
-    def test_negative_base_seed_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("over, message", [
+        ({"seed": -5}, "seed must be a non-negative integer, got -5"),
+        ({"damping": 2.0}, "damping must lie in (0, 1], got 2.0"),
+    ], ids=["seed", "damping"])
+    def test_negative_base_seed_exits_one(self, tmp_path, capsys, over,
+                                          message):
         # every point's config starts from the base, so the sweep refuses
-        # its seed once, before any point runs
-        base = json.loads(quick_config(tmp_path, seed=-5).read_text())
+        # a base that breaks a rule once, before any point runs
+        base = json.loads(quick_config(tmp_path, **over).read_text())
         sw = tmp_path / "sweep.json"
         sw.write_text(json.dumps({"base": base, "grid": {"q": [4.0, 5.0]}}))
         out = tmp_path / "sw"
         code, _, err = run(capsys, "sweep", "--config", str(sw),
                            "--out", str(out), "--threads", "1")
         assert code == 1
-        assert err == "error: seed must be a non-negative integer, got -5\n"
+        assert err == f"error: {message}\n"
         assert not (out / "sweep.csv").exists()
         assert not list(out.glob("point_*"))
 

@@ -10,10 +10,10 @@ import pytest
 
 from biharm import model
 from biharm.kernels import ModeConvolution, convolve
-from biharm.model import (AxisymmetricGrid, ConfigError, GridSpec, Profile,
-                          QuadraticPolynomial, RadialGrid, SolveConfig,
-                          load_profile_csv, report_json, save_profile_csv,
-                          validate_config, x_norm)
+from biharm.model import (AxisymmetricGrid, ConfigError, ContinuationSpec,
+                          GridSpec, Profile, QuadraticPolynomial, RadialGrid,
+                          SolveConfig, load_profile_csv, report_json,
+                          save_profile_csv, validate_config)
 
 
 def _cfg(**over):
@@ -331,7 +331,7 @@ class TestGridContract:
         assert radii.shape == g.shape
         np.testing.assert_array_equal(radii.reshape(g.r.size, -1)[:, -1], g.r)
         prof = Profile(grid=g, values=-2.0 * (1.0 + radii))
-        assert x_norm(prof) == pytest.approx(2.0)
+        assert g.x_norm(prof.values) == pytest.approx(2.0)
 
     def test_round_trip_gives_an_even_field(self, kind):
         # the nodes hold one value per mirror pair, as many as there are
@@ -428,8 +428,7 @@ class TestXNorm:
     def test_weighted_sup(self):
         g = RadialGrid.graded(50, 10.0)
         v = 3.0 * (1.0 + g.r)
-        prof = Profile(grid=g, values=v)
-        assert x_norm(prof) == pytest.approx(3.0)
+        assert g.x_norm(v) == pytest.approx(3.0)
 
 
 class TestStages:
@@ -449,6 +448,88 @@ class TestStages:
                    for s in stages)
 
 
+_RADIAL_GRID = {"kind": "radial", "n_r": 32, "r_max": 10.0}
+_READ_FIELD = {"poly": QuadraticPolynomial.from_dict, "grid": GridSpec.from_dict,
+               "continuation": ContinuationSpec.from_dict}
+
+# each structural rule in the order a config checks them: fields of _cfg's
+# config that break it, and the ConfigError text (an odd P is not
+# axisymmetric either, so it breaks two)
+_HARD_ERRORS = [
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"q": -2.0}, "q must be positive and finite, got -2.0"),
+    ({"q": math.inf}, "q must be positive and finite, got inf"),
+    ({"kernel_variant": "cubic"}, "unknown kernel_variant 'cubic'"),
+    ({"damping": 2.0}, "damping must lie in (0, 1], got 2.0"),
+    ({"damping": 0.0}, "damping must lie in (0, 1], got 0.0"),
+    ({"tol_fixed_point": 0.0}, "tol_fixed_point must be positive, got 0.0"),
+    ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+    ({"grid": {**_RADIAL_GRID, "kind": "axisymmetric", "n_angle": 7}},
+     "axisymmetric grid needs an even n_angle >= 4"),
+    ({"poly": {"a": [1.0, 2.0, 2.0], "eps_quartic": -0.1}},
+     "eps_quartic must be >= 0, got -0.1"),
+    ({"poly": {"a": [-1.0, 2.0, 2.0]}},
+     "quadratic coefficients must be >= 0, got a = (-1.0, 2.0, 2.0)"),
+    ({"poly": {"a": [1.0, 2.0, 2.0], "c": -1.0}},
+     "constant term must be positive, got c = -1.0 (P(0) = -1.0 <= 0)"),
+    ({"poly": {"a": [1.0, 2.0, 2.0], "b": [0.5, 0.0, 0.0]}},
+     "iteration requires an even polynomial, got b = (0.5, 0.0, 0.0); "
+     "axisymmetric grid requires a2 == a3 and b = 0"),
+    ({"grid": _RADIAL_GRID},
+     "radial grid requires a radial polynomial (equal a_i, b = 0)"),
+    ({"poly": {"a": [1.0, 2.0, 3.0]}}, "axisymmetric grid requires a2 == a3 and b = 0"),
+    ({"continuation": {"eps_sequence": [0.01, 0.1]}},
+     "eps_sequence must be strictly decreasing and positive"),
+    ({"continuation": {"eps_sequence": []}},
+     "eps_sequence must be strictly decreasing and positive"),
+    ({"continuation": {"eps_sequence": [0.1], "eps_param": "axis2"}},
+     "unknown eps_param 'axis2'"),
+]
+
+
+class TestConstruction:
+    """A SolveConfig that exists is valid: each structural rule is checked
+    when a config is made, whether from JSON or by replace."""
+
+    @pytest.mark.parametrize("over, message", _HARD_ERRORS)
+    def test_each_hard_error_is_raised_where_the_config_is_made(self, over,
+                                                                 message):
+        with pytest.raises(ConfigError) as exc:
+            _cfg(**over)
+        assert str(exc.value) == message
+        fields = {k: _READ_FIELD.get(k, lambda v: v)(v) for k, v in over.items()}
+        with pytest.raises(ConfigError) as exc:
+            replace(_cfg(), **fields)
+        assert str(exc.value) == message
+
+    def test_every_fault_is_named_in_order(self):
+        with pytest.raises(ConfigError) as exc:
+            _cfg(seed=-1, damping=2.0, poly={"a": [1.0, 2.0, 2.0], "c": 0.0})
+        assert str(exc.value) == (
+            "seed must be a non-negative integer, got -1; damping must lie "
+            "in (0, 1], got 2.0; constant term must be positive, got c = 0.0 "
+            "(P(0) = 0.0 <= 0)")
+
+    def test_replace_poly_refuses_a_polynomial_off_the_grid(self):
+        with pytest.raises(ConfigError, match="^axisymmetric grid requires"):
+            _cfg().replace_poly(QuadraticPolynomial((1.0, 2.0, 3.0)))
+
+    def test_a_continuation_is_valid_when_its_stages_are(self):
+        # axis1 sets a1 = eps, which a radial grid's P cannot have at every
+        # stage: the config is refused when it is made, not when a stage is
+        poly = {"a": [1.0, 1.0, 1.0]}
+        cont = {"eps_sequence": [0.3, 0.1], "eps_param": "axis1"}
+        message = "radial grid requires a radial polynomial (equal a_i, b = 0)"
+        with pytest.raises(ConfigError) as exc:
+            _cfg(grid=_RADIAL_GRID, poly=poly, continuation=cont)
+        assert str(exc.value) == message
+        radial = _cfg(grid=_RADIAL_GRID, poly=poly)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replace(radial, continuation=ContinuationSpec.from_dict(cont))
+        assert len(replace(radial, continuation=ContinuationSpec(
+            (0.3, 0.1), "isotropic")).stages()) == 2
+
+
 class TestValidation:
     def test_clean_config_passes(self):
         # q m > 4 with growth order 2 needs q > 2
@@ -458,12 +539,11 @@ class TestValidation:
     def test_q_at_most_one_hits_the_gate(self):
         res = validate_config(_cfg(q=1.0))
         assert not res.ok
-        assert res.nonexistence_regime
         assert "nonexistence" in res.gate_failures[0]
 
     def test_negative_q_is_hard_error(self):
-        res = validate_config(_cfg(q=-2.0))
-        assert res.hard_errors
+        with pytest.raises(ConfigError, match="^q must be positive"):
+            _cfg(q=-2.0)
 
     def test_quadratic_gate_needs_mq_above_four(self):
         # growth order 2 with q = 2 leaves the first moment divergent
@@ -504,14 +584,12 @@ class TestValidation:
         assert not res.ok and res.gate_failures
 
     def test_nonpositive_polynomial_is_hard_error(self):
-        res = validate_config(_cfg(poly={"a": [1.0, 2.0, 2.0], "b": [0, 0, 0],
-                                         "c": -1.0}))
-        assert res.hard_errors
+        with pytest.raises(ConfigError, match="^constant term must be positive"):
+            _cfg(poly={"a": [1.0, 2.0, 2.0], "b": [0, 0, 0], "c": -1.0})
 
     def test_odd_polynomial_is_hard_error(self):
-        res = validate_config(_cfg(poly={"a": [1.0, 2.0, 2.0],
-                                         "b": [0.5, 0, 0], "c": 1.0}))
-        assert res.hard_errors
+        with pytest.raises(ConfigError, match="^iteration requires an even"):
+            _cfg(poly={"a": [1.0, 2.0, 2.0], "b": [0.5, 0, 0], "c": 1.0})
 
     def test_every_odd_polynomial_is_refused_as_odd(self):
         # b != 0 is refused as odd whatever a, c and eps are, so P's
@@ -524,11 +602,11 @@ class TestValidation:
                  [2.0, 2.0, -2.0]],
                 [(1.0, 0.0), (1e-3, 0.1), (-1.0, 0.0)]):
             grid = {"kind": kind, "n_r": 32, "r_max": 10.0}
-            res = validate_config(_cfg(q=3.0, grid=grid, poly={
-                "a": a, "b": b, "c": c, "eps_quartic": eps}))
-            assert not res.ok
+            with pytest.raises(ConfigError) as exc:
+                _cfg(q=3.0, grid=grid, poly={"a": a, "b": b, "c": c,
+                                             "eps_quartic": eps})
             assert (f"iteration requires an even polynomial, got b = "
-                    f"{tuple(b)}" in res.hard_errors)
+                    f"{tuple(b)}" in str(exc.value).split("; "))
 
     @pytest.mark.parametrize("grid, message", [
         ({"kind": "radial", "n_r": 7, "r_max": 10.0},
@@ -554,11 +632,13 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             GridSpec.from_dict(grid).build()
         assert str(exc.value) == message
-        assert message in validate_config(_cfg(grid=grid)).hard_errors
+        with pytest.raises(ConfigError) as exc:
+            _cfg(grid=grid)
+        assert message in str(exc.value).split("; ")
 
     def test_increasing_eps_sequence_is_hard_error(self):
-        res = validate_config(_cfg(continuation={"eps_sequence": [0.01, 0.1]}))
-        assert res.hard_errors
+        with pytest.raises(ConfigError, match="^eps_sequence must be strictly"):
+            _cfg(continuation={"eps_sequence": [0.01, 0.1]})
 
     def test_malformed_config_raises(self):
         with pytest.raises(ConfigError):

@@ -8,8 +8,8 @@ import pytest
 
 from biharm import cli
 from biharm.kernels import ModeConvolution, legendre_mode_kernel
-from biharm.model import (NonFiniteError, Profile, QuadraticPolynomial,
-                          RadialGrid, SolveConfig, SphericalReduction, x_norm)
+from biharm.model import (ConfigError, GridSpec, NonFiniteError, Profile,
+                          RadialGrid, SolveConfig, SphericalReduction)
 from biharm.operator import (OperatorContext, _MixingHistory,
                              continuation_eps_to_zero, solve_fixed_point)
 
@@ -72,6 +72,20 @@ class TestSphericalReduction:
                                           red.legendre_row(t).view(np.int64))
         radial = RadialGrid.graded(16, 4.0).reduction
         np.testing.assert_array_equal(radial.pl[0], radial.legendre_row(1.0))
+
+    @pytest.mark.parametrize("preset", ["thmA-iii", "thm1", "thm2"])
+    def test_a_band_synthesizes_as_its_zero_padded_modes(self, preset):
+        # kernels.convolve synthesizes the field of the band it convolved
+        # from the band alone: the columns of the modes past it would only
+        # add zeros
+        red = GridSpec.from_dict(cli.load_preset(preset)["grid"]).build().reduction
+        coeffs = np.random.default_rng(7).standard_normal(
+            (red.shape[0], len(red.l_values)))
+        for band in range(1, coeffs.shape[1] + 1):
+            padded = np.zeros_like(coeffs)
+            padded[:, :band] = coeffs[:, :band]
+            np.testing.assert_array_equal(red.synthesize(coeffs[:, :band]),
+                                          red.synthesize(padded))
 
     def test_radial_round_trip_keeps_every_bit(self):
         # a radial grid's one node column gives the tables [[1.0]]; only a
@@ -153,7 +167,7 @@ class TestFullLayoutReference:
         for f in (dens, v):
             assert g.integrate(f) == pytest.approx(
                 float(np.sum(full.weights * full.mirror(f))), rel=1e-14, abs=0)
-        assert x_norm(Profile(grid=g, values=v)) == float(
+        assert g.x_norm(v) == float(
             np.max(np.abs(full.mirror(v)) / (1.0 + g.r[:, None])))
 
 
@@ -265,8 +279,7 @@ class TestSolve:
         cfg = _radial_cfg(q=5.0, a=0.0, c=1.0, n=800, r_max=100.0)
         prof, report = solve_fixed_point(cfg)
         again, _ = OperatorContext(cfg).apply(prof.values)
-        step = Profile(grid=prof.grid, values=again - prof.values)
-        assert x_norm(step) < 10 * cfg.tol_fixed_point
+        assert prof.grid.x_norm(again - prof.values) < 10 * cfg.tol_fixed_point
 
     def test_damping_controller_engages_on_flat_polynomial(self, flat_q5_run):
         # extrapolated steps overshoot the flip-flopping far-field slope at
@@ -293,9 +306,10 @@ class TestSolve:
         prof, report = solve_fixed_point(cfg)
         assert report.converged
         tv, _ = OperatorContext(cfg).apply(prof.values)
-        step = Profile(grid=prof.grid, values=tv - prof.values)
-        assert report.final_residual == x_norm(step)
-        assert report.final_residual <= cfg.tol_fixed_point * (1.0 + x_norm(prof))
+        g = prof.grid
+        assert report.final_residual == g.x_norm(tv - prof.values)
+        assert report.final_residual <= cfg.tol_fixed_point * (
+            1.0 + g.x_norm(prof.values))
 
     def test_histories_have_one_entry_per_application(self, flat_q5_run):
         # trace.csv zips the two; iterate k has residual and alpha entry k
@@ -405,6 +419,25 @@ class TestSolve:
         assert report.converged and len(applied) == report.iters + 1
         # and a warm start analyzes P^-q for its bound
         assert len(analyzed) == len(applied) + 1
+
+    @pytest.mark.parametrize("cfg, grid", [
+        (_radial_cfg(n=200, r_max=30.0), {"kind": "radial", "n_r": 100, "r_max": 30.0}),
+        (_radial_cfg(n=200, r_max=30.0), {"kind": "radial", "n_r": 200, "r_max": 10.0}),
+        (_radial_cfg(n=200, r_max=30.0),
+         {"kind": "radial", "n_r": 200, "r_max": 30.0, "grading": 1.5}),
+        (_radial_cfg(n=200, r_max=30.0),
+         {"kind": "axisymmetric", "n_r": 200, "n_angle": 4, "r_max": 30.0}),
+        (_axisym_cfg(n_r=48, n_angle=16),
+         {"kind": "axisymmetric", "n_r": 48, "n_angle": 32, "r_max": 30.0}),
+    ], ids=["n_r", "r_max", "grading", "kind", "n_angle"])
+    def test_warm_start_on_another_grid_is_refused(self, cfg, grid):
+        # the solve runs on the warm start's grid, so it must be cfg's
+        g = GridSpec.from_dict(grid).build()
+        with pytest.raises(ConfigError, match="^warm start grid .* is not the config's"):
+            solve_fixed_point(cfg, v0=Profile(grid=g, values=np.zeros(g.shape)))
+        own = cfg.grid.build()  # another build of cfg's grid is its grid
+        warm = Profile(grid=own, values=np.zeros(own.shape))
+        assert solve_fixed_point(cfg, v0=warm)[1].converged
 
     def test_warm_start_context_reuse(self):
         cfg = _radial_cfg(q=5.0, a=1.0, eps=0.1, n=300, r_max=30.0)

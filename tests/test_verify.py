@@ -108,7 +108,7 @@ class TestPDEResidual:
         AxisymmetricGrid.build(96, 24, 20.0)], ids=["radial", "axisymmetric"])
     def test_all_modes_at_once_equal_the_mode_loop_bit_for_bit(
             self, g, monkeypatch):
-        t = g.t_nodes
+        t = g.t
         u = 1.0 + g.r_nodes**2 * (1.0 + 0.3 * t * t) + 0.01 * g.r_nodes**3 * t**4
         seen = []
         synthesize = SphericalReduction.synthesize
