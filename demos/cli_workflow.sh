@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Round trip through the command line: solve a radial problem, verify the
 # stored profile, corrupt it and watch the verifier object, then run a
-# small parameter sweep.  Exit codes: 0 ok, 1 config error, 2 diverged,
+# small parameter sweep and verify one of its points, whose directory
+# holds what solve writes.  Exit codes: 0 ok, 1 config error, 2 diverged,
 # 3 a verification check failed, 4 no shooting bracket.
 set -u
 
@@ -57,3 +58,9 @@ cat > "$WORK/sweep.json" <<EOF
 EOF
 biharm sweep --config "$WORK/sweep.json" --out "$WORK/sweep" --threads 2
 cat "$WORK/sweep/sweep.csv"
+
+echo
+echo "== verify a sweep point =="
+biharm verify --config "$WORK/sweep/point_0000/config.json" \
+    --profile "$WORK/sweep/point_0000/profile.csv" --out "$WORK/sweep_check"
+echo "exit $?"

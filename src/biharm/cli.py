@@ -2,7 +2,10 @@
 
 Subcommands: solve (fixed-point iteration, optionally with continuation),
 verify (residual battery on a stored profile), shoot (radial ODE integration
-and threshold bisection), sweep (cartesian parameter grid in a worker pool).
+and threshold bisection), sweep (cartesian parameter grid in a worker pool:
+each point is a solve of the base config with the point's q, curvatures and
+eps, the base's continuation running at every point, and its directory holds
+solve's four files).
 
 Exit codes: 0 success / all checks pass; 1 structural error (usage, bad
 config or shooting input, I/O, shape mismatch); 2 solve finished Diverged,
@@ -30,7 +33,8 @@ from .model import (ConfigError, ExactQ7Thresholds, GridSpec, NonFiniteError,
                     Profile, QuadraticPolynomial, SolveConfig, _number,
                     check_seed, load_profile_csv, report_json,
                     save_profile_csv, validate_config)
-from .operator import continuation_eps_to_zero, solve_fixed_point
+from .operator import continuation_eps_to_zero
+from .operator import solve_fixed_point  # noqa: F401  (perfbench/tracing.py patches this name)
 from . import analysis, shooting, verify
 
 EXIT_OK = 0
@@ -95,39 +99,36 @@ def _write_trace(path: Path, report) -> None:
             w.writerow([i, repr(float(d)), repr(float(a))])
 
 
-def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
+def _enrich_report(report, u: Profile, u_limit: Profile, limit_poly, q: float):
     """Attach growth fits, beta, and the decomposition to a converged report.
 
-    cfg is the config (stage) the profile solved.  Fits run on u = v + P with
-    P the continuation limit when one was used (the object the limit
-    statements are about) and the solved polynomial otherwise.
+    u = v + P is the profile with the polynomial its stage solved, which
+    beta reads.  The growth fits and the decomposition read u_limit = v + P
+    with P the continuation limit limit_poly (the object the limit
+    statements are about), which is u itself without continuation.
     """
-    fit_poly = limit_poly if limit_poly is not None else cfg.poly
-    g = prof.grid
-    u_fit = prof.values + g.poly_values(fit_poly)
-    u_solved = prof.values + g.poly_values(cfg.poly)
+    g = u.grid
 
     def ray_model(t: float) -> str:
         # growth along a ray: quartic term dominates everywhere, otherwise
         # the quadratic coefficient in that direction, otherwise the
         # iterate's own linear growth
-        if fit_poly.eps_quartic > 0.0:
+        if limit_poly.eps_quartic > 0.0:
             return "power"
-        return "quadratic" if fit_poly.angular_factor(t) > 0.0 else "linear"
+        return "quadratic" if limit_poly.angular_factor(t) > 0.0 else "linear"
 
     fits = []
     try:
         for t, direction in g.rays((1.0, 0.0)):
-            r, vals = analysis.ray_values(Profile(grid=g, values=u_fit), t)
+            r, vals = analysis.ray_values(u_limit, t)
             fits.append(analysis.fit_growth(r, vals, ray_model(t),
                                             direction=direction).to_dict())
     except analysis.InsufficientTailError as exc:
         report.beta_note = f"growth fits skipped: {exc}"
     report.growth_fits = fits
 
-    up = Profile(grid=g, values=u_solved)
     try:
-        beta, note = analysis.compute_beta(up, cfg.q)
+        beta, note = analysis.compute_beta(u, q)
     except (analysis.NotIntegrableError,
             analysis.InsufficientTailError) as exc:
         beta, note = None, str(exc)
@@ -138,14 +139,11 @@ def _enrich_report(report, prof: Profile, cfg: SolveConfig, limit_poly=None):
         report.beta_note = "; ".join(filter(None, (report.beta_note, note)))
     # the decomposition basis is quadratic, so for continuation runs it
     # applies to the limit object v + P_limit, not the quartic stage
-    up_fit = Profile(grid=g, values=u_fit)
     try:
-        report.decomposition = analysis.decompose(up_fit, cfg.q,
-                                                  beta=report.beta)
+        report.decomposition = analysis.decompose(u_limit, q, beta=report.beta)
     except (analysis.NotIntegrableError, analysis.InsufficientTailError,
             NonFiniteError) as exc:
         report.decomposition = {"error": str(exc)}
-    return report
 
 
 def _solve_config(d: dict, command: str, seed: int | None) -> SolveConfig:
@@ -160,15 +158,21 @@ def _solve_config(d: dict, command: str, seed: int | None) -> SolveConfig:
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
-def cmd_solve(args) -> int:
-    cfg = _solve_config(_load_config_dict(args), "solve", args.seed)
-    out = _out_dir(args)
-
+def _solve_into(cfg: SolveConfig, out: Path) -> tuple:
+    """Solve cfg, through its continuation when it has one, and write the
+    run to the directory out: profile.csv (u = v + P of the last stage
+    attempted), trace.csv, report.json and config.json.  Returns (report,
+    u), the report carrying fits, beta and decomposition when it converged.
+    """
     cont = continuation_eps_to_zero(cfg)
     prof, report = cont.final_profile, cont.final_report
     stage_cfg = cfg.stages()[len(cont.reports) - 1]  # the last stage attempted
+    g = prof.grid
+    u = Profile(grid=g, values=prof.values + g.poly_values(stage_cfg.poly))
     if report.converged:
-        report = _enrich_report(report, prof, stage_cfg, cont.limit_poly)
+        u_limit = u if cont.limit_poly == stage_cfg.poly else Profile(
+            grid=g, values=prof.values + g.poly_values(cont.limit_poly))
+        _enrich_report(report, u, u_limit, cont.limit_poly, cfg.q)
     extra = {}
     if cfg.continuation is not None:
         extra["continuation"] = {
@@ -179,7 +183,6 @@ def cmd_solve(args) -> int:
             "cauchy_sup_r10": list(cont.cauchy),
         }
 
-    g = prof.grid
     warnings = validate_config(cfg).warnings
     if report.density_tail is not None:  # only an axisymmetric grid has a tail
         warnings.append(
@@ -187,14 +190,20 @@ def cmd_solve(args) -> int:
             f"its Legendre modes reach no roundoff plateau (max_r |g_l| / "
             f"max_r |g_0| = {report.density_tail:.1e} at l = {g.l_values[-1]}); "
             f"the results are those of this grid")
-    u = prof.values + g.poly_values(stage_cfg.poly)
-    save_profile_csv(Profile(grid=g, values=u), out / "profile.csv")
+    out.mkdir(parents=True, exist_ok=True)
+    save_profile_csv(u, out / "profile.csv")
     _write_trace(out / "trace.csv", report)
     doc = {"config": cfg.to_dict(), "result": report.to_dict(), **extra,
            "warnings": warnings}
     report_json(doc, out / "report.json")
     cfg.to_json(out / "config.json")
+    return report, u
 
+
+def cmd_solve(args) -> int:
+    cfg = _solve_config(_load_config_dict(args), "solve", args.seed)
+    out = _out_dir(args)
+    report, _ = _solve_into(cfg, out)
     if not report.converged:
         print(f"diverged: {report.diverged_reason}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -401,7 +410,8 @@ def cmd_shoot(args) -> int:
 
 
 def _sweep_point(payload):
-    """Run one sweep point; returns an aggregate row.  Never raises."""
+    """Solve one sweep point into its directory, as solve would; returns its
+    sweep.csv row.  Never raises."""
     base, q, k1, k2, eps, point_dir = payload
     row = {"q": q, "kappa1": k1, "kappa2": k2, "eps": eps,
            "converged": False, "iters": 0, "beta": "", "alpha": "",
@@ -409,29 +419,19 @@ def _sweep_point(payload):
     try:
         cfg = SolveConfig.from_dict(base)
         poly = QuadraticPolynomial((k1, k2, k2), cfg.poly.b, cfg.poly.c, eps)
-        cfg = replace(cfg, q=q, poly=poly, continuation=None)
-        prof, report = solve_fixed_point(cfg)
-        g = prof.grid
-        up = Profile(grid=g, values=prof.values + g.poly_values(cfg.poly))
+        report, u = _solve_into(replace(cfg, q=q, poly=poly), Path(point_dir))
         row["converged"] = report.converged
         row["iters"] = report.iters
         if report.converged:
-            report = _enrich_report(report, prof, cfg)
             row["alpha"] = report.alpha
             row["beta"] = "" if report.beta is None else report.beta
             # a radial grid has one ray, so no exponent_eperp
             for key, (t, _) in zip(("exponent_e1", "exponent_eperp"),
-                                   g.rays((1.0, 0.0))):
-                r, vals = analysis.ray_values(up, t)
-                fit = analysis.fit_growth(r, vals, "power")
-                row[key] = fit.params["exponent"]
+                                   u.grid.rays((1.0, 0.0))):
+                r, vals = analysis.ray_values(u, t)
+                row[key] = analysis.fit_growth(r, vals, "power").params["exponent"]
         else:
             row["error"] = report.diverged_reason or ""
-        pd = Path(point_dir)
-        pd.mkdir(parents=True, exist_ok=True)
-        report_json({"config": cfg.to_dict(), "result": report.to_dict()},
-                    pd / "report.json")
-        save_profile_csv(up, pd / "profile.csv")
     except Exception as exc:  # per-point isolation: record, never abort
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

@@ -151,8 +151,6 @@ class QuadraticPolynomial:
             return QuadraticPolynomial(self.a, self.b, self.c, eps)
         if param == "axis1":
             return QuadraticPolynomial((eps, self.a[1], self.a[2]), self.b, self.c, self.eps_quartic)
-        if param == "isotropic":
-            return QuadraticPolynomial((eps, eps, eps), self.b, self.c, self.eps_quartic)
         raise ConfigError(f"unknown continuation parameter {param!r}")
 
     def to_dict(self) -> dict:
@@ -642,7 +640,7 @@ class GridSpec:
 @dataclass(frozen=True)
 class ContinuationSpec:
     eps_sequence: tuple[float, ...]
-    eps_param: str = "quartic"  # "quartic" | "axis1" | "isotropic"
+    eps_param: str = "quartic"  # "quartic" | "axis1"
 
     def to_dict(self) -> dict:
         return {"eps_sequence": list(self.eps_sequence), "eps_param": self.eps_param}
@@ -738,7 +736,7 @@ class SolveConfig:
             if len(seq) == 0 or any(e <= 0 for e in seq) or any(
                     seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
                 errors.append("eps_sequence must be strictly decreasing and positive")
-            if cont.eps_param not in ("quartic", "axis1", "isotropic"):
+            if cont.eps_param not in ("quartic", "axis1"):
                 errors.append(f"unknown eps_param {cont.eps_param!r}")
         _refuse(errors)
         self.stages()  # each stage is made, and so checked

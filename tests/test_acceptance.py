@@ -1,6 +1,6 @@
 """Acceptance battery.
 
-One test per numbered criterion (6 and 7 carry lettered sub-parts); run
+One test per numbered criterion (1, 6, 7 and 9 carry lettered sub-parts); run
 with -v to get one pass/fail line each.  Expensive solves come from the
 session fixtures in conftest.py, and each criterion asserts its own
 wall-clock budget where one is stated.
@@ -32,6 +32,28 @@ def test_criterion_1_closed_form_battery():
     integ = verify.integral_residual(prof, 7.0, ZERO_POLY, seed=0)
     assert integ.max_rel < 1e-3, f"integral residual {integ.max_rel:.3e}"
     assert abs(integ.gamma) < 1e-2, f"fitted offset {integ.gamma:.3e}"
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_criterion_1b_solver_reproduces_the_closed_form():
+    """The solver, radial and shifted at q = 7 over the constant c = u(0) =
+    15^(-1/4), converges to the closed form u = sqrt(15^(-1/2) + |x|^2):
+    slope alpha = 1 and u = v + c, each to 3e-9 relative.  The errors are
+    about 9e-10 and 1.3e-9 at n_r = 2000, and 1.5e-8 and 2.0e-8 on half
+    that grid, which the bound refuses."""
+    t0 = time.perf_counter()
+    c = 15.0 ** -0.25
+    cfg = SolveConfig(
+        q=7.0, poly=QuadraticPolynomial((0.0, 0.0, 0.0), c=c),
+        kernel_variant="shifted", grid=GridSpec("radial", 2000, 400.0),
+        tol_fixed_point=1e-13)
+    prof, rep = solve_fixed_point(cfg)
+    assert rep.converged, rep.diverged_reason
+    assert abs(rep.alpha - 1.0) < 3e-9, f"alpha - 1 = {rep.alpha - 1.0:.3e}"
+    g = prof.grid
+    exact = verify.exact_q7_value(g.r)
+    err = np.max(np.abs(prof.values + g.poly_values(cfg.poly) - exact) / exact)
+    assert err < 3e-9, f"max relative error of u {err:.3e}"
     assert time.perf_counter() - t0 < 10.0
 
 

@@ -1036,3 +1036,59 @@ class TestSweep:
         assert rows[1]["converged"] == "True"
         assert rows[2]["converged"] == "True"
         assert float(rows[1]["exponent_e1"]) == pytest.approx(2.0, rel=0.05)
+
+    def test_a_worker_pool_writes_what_one_process_writes(self, tmp_path,
+                                                          capsys):
+        # the points run in two worker processes write the same sweep.csv
+        # and point files, byte for byte, as the points run in turn; the
+        # q = 1 point fails the integrability gate and is written too
+        base = json.loads(quick_config(
+            tmp_path, grid={"kind": "radial", "n_r": 200, "r_max": 30.0}
+        ).read_text())
+        sw = tmp_path / "sweep.json"
+        sw.write_text(json.dumps({"base": base,
+                                  "grid": {"q": [1.0, 5.0, 6.0]}}))
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert run(capsys, "sweep", "--config", str(sw), "--out", str(out),
+                       "--threads", threads)[0] == 0
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        names = ("config.json", "profile.csv", "report.json", "trace.csv")
+        assert sorted(map(str, trees[0])) == [
+            f"point_{i:04d}/{n}" for i in range(3) for n in names] + ["sweep.csv"]
+        assert trees[0] == trees[1]
+
+    def test_a_continuation_runs_at_every_point(self, tmp_path, capsys):
+        # thm1's quartic continuation at q = 2: the limit problem alone is
+        # gated out (m q = 4), so the sweep must run each point's stages
+        base = cli.load_preset("thm1")
+        del base["command"]
+        base["grid"].update(n_r=64, n_angle=16)
+        sw = tmp_path / "sweep.json"
+        sw.write_text(json.dumps({"base": base, "grid": {
+            "q": [2.0], "kappa1": [1.0], "kappa2": [2.0]}}))
+        out = tmp_path / "sw"
+        assert run(capsys, "sweep", "--config", str(sw), "--out", str(out),
+                   "--threads", "1")[0] == 0
+        with open(out / "sweep.csv") as f:
+            (row,) = csv.DictReader(f)
+        assert row["converged"] == "True" and not row["error"]
+        point = out / "point_0000"
+        doc = json.loads((point / "report.json").read_text())
+        assert doc["continuation"]["converged"] == [True, True, True]
+        assert doc["config"]["continuation"] == base["continuation"]
+        # the point directory is a solve directory: verify reads its stage
+        # from the report next to the profile (its pde check fails on this
+        # coarse grid, so no exit code is asserted), and solve of the
+        # point's config writes the same files
+        run(capsys, "verify", "--config", str(point / "config.json"),
+            "--profile", str(point / "profile.csv"), "--out", str(out / "v"))
+        stage = json.loads((out / "v" / "verification.json").read_text())["stage"]
+        assert stage == {"converged": True, "eps": 0.01, "note": ""}
+        assert run(capsys, "solve", "--config", str(point / "config.json"),
+                   "--out", str(out / "solve"))[0] == 0
+        for name in ("config.json", "profile.csv", "report.json", "trace.csv"):
+            assert filecmp.cmp(point / name, out / "solve" / name,
+                               shallow=False), name

@@ -53,8 +53,9 @@ def test_cli_workflow_round_trip(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     codes = re.findall(r"^exit (\d+)", proc.stdout, re.M)
-    # solve, verify, verify of the corrupted profile, exact-q7, shoot
-    assert codes == ["0", "0", "3", "0", "0"], proc.stdout[-2000:]
+    # solve, verify, verify of the corrupted profile, exact-q7, shoot, and
+    # verify of a sweep point's own config and profile
+    assert codes == ["0", "0", "3", "0", "0", "0"], proc.stdout[-2000:]
     assert "3 points, 3 converged" in proc.stdout
 
 

@@ -77,7 +77,6 @@ class TestPolynomial:
         p = QuadraticPolynomial((0, 1, 1), (0, 0, 0), 1.0)
         assert p.with_eps("quartic", 0.3).eps_quartic == 0.3
         assert p.with_eps("axis1", 0.3).a == (0.3, 1.0, 1.0)
-        assert p.with_eps("isotropic", 0.3).a == (0.3, 0.3, 0.3)
         with pytest.raises(ConfigError):
             p.with_eps("nope", 0.3)
 
@@ -436,7 +435,7 @@ class TestStages:
         cfg = _cfg()
         assert cfg.stages() == [cfg]
 
-    @pytest.mark.parametrize("param", ["quartic", "axis1", "isotropic"])
+    @pytest.mark.parametrize("param", ["quartic", "axis1"])
     def test_one_stage_per_eps(self, param):
         cfg = _cfg(continuation={"eps_sequence": [0.3, 0.1, 0.03],
                                  "eps_param": param})
@@ -484,6 +483,8 @@ _HARD_ERRORS = [
      "eps_sequence must be strictly decreasing and positive"),
     ({"continuation": {"eps_sequence": [0.1], "eps_param": "axis2"}},
      "unknown eps_param 'axis2'"),
+    ({"continuation": {"eps_sequence": [0.1], "eps_param": "isotropic"}},
+     "unknown eps_param 'isotropic'"),
 ]
 
 
@@ -527,7 +528,7 @@ class TestConstruction:
         with pytest.raises(ConfigError, match=re.escape(message)):
             replace(radial, continuation=ContinuationSpec.from_dict(cont))
         assert len(replace(radial, continuation=ContinuationSpec(
-            (0.3, 0.1), "isotropic")).stages()) == 2
+            (0.3, 0.1), "quartic")).stages()) == 2
 
 
 class TestValidation:

@@ -99,7 +99,7 @@ class TestSphericalReduction:
         assert back.shape == (g.r.size,)
         np.testing.assert_array_equal(back.view(np.int64), v.view(np.int64))
 
-    def test_built_once_per_grid(self, monkeypatch):
+    def test_built_once_per_grid(self, monkeypatch, tmp_path):
         # the solve, the ray fits, beta and the decomposition all read the
         # transform of the one grid the solve built
         built = []
@@ -107,12 +107,11 @@ class TestSphericalReduction:
         monkeypatch.setattr(SphericalReduction, "__init__",
                             lambda self, grid: built.append(grid) or init(self, grid))
         cfg = _axisym_cfg(q=5.0, a=(1.0, 2.0, 2.0), n_r=96, n_angle=32)
-        prof, report = solve_fixed_point(cfg)
+        report, u = cli._solve_into(cfg, tmp_path)
         assert report.converged
-        report = cli._enrich_report(report, prof, cfg)
         assert report.beta is not None and report.decomposition is not None
         assert len(report.growth_fits) == 2
-        assert len(built) == 1 and built[0] is prof.grid
+        assert len(built) == 1 and built[0] is u.grid
 
 
 class _FullLayout:
