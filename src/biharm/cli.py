@@ -4,8 +4,8 @@ Subcommands: solve (fixed-point iteration, optionally with continuation),
 verify (residual battery on a stored profile), shoot (radial ODE integration
 and threshold bisection), sweep (cartesian parameter grid in a worker pool:
 each point is a solve of the base config with the point's q, curvatures and
-eps, the base's continuation running at every point, and its directory holds
-solve's four files).
+eps, the base's continuation running at every point with the axis it sets
+held at its limit 0, and its directory holds solve's four files).
 
 Exit codes: 0 success / all checks pass; 1 structural error (usage, bad
 config or shooting input, I/O, shape mismatch); 2 solve finished Diverged,
@@ -161,17 +161,17 @@ def _solve_config(d: dict, command: str, seed: int | None) -> SolveConfig:
 def _solve_into(cfg: SolveConfig, out: Path) -> tuple:
     """Solve cfg, through its continuation when it has one, and write the
     run to the directory out: profile.csv (u = v + P of the last stage
-    attempted), trace.csv, report.json and config.json.  Returns (report,
-    u), the report carrying fits, beta and decomposition when it converged.
-    """
+    attempted), trace.csv, report.json and config.json.  Returns the report,
+    with fits, beta and decomposition when it converged, and v + P_limit,
+    the profile its growth fits read (u itself without continuation)."""
     cont = continuation_eps_to_zero(cfg)
     prof, report = cont.final_profile, cont.final_report
     stage_cfg = cfg.stages()[len(cont.reports) - 1]  # the last stage attempted
     g = prof.grid
     u = Profile(grid=g, values=prof.values + g.poly_values(stage_cfg.poly))
+    u_limit = u if cont.limit_poly == stage_cfg.poly else Profile(
+        grid=g, values=prof.values + g.poly_values(cont.limit_poly))
     if report.converged:
-        u_limit = u if cont.limit_poly == stage_cfg.poly else Profile(
-            grid=g, values=prof.values + g.poly_values(cont.limit_poly))
         _enrich_report(report, u, u_limit, cont.limit_poly, cfg.q)
     extra = {}
     if cfg.continuation is not None:
@@ -197,7 +197,7 @@ def _solve_into(cfg: SolveConfig, out: Path) -> tuple:
            "warnings": warnings}
     report_json(doc, out / "report.json")
     cfg.to_json(out / "config.json")
-    return report, u
+    return report, u_limit
 
 
 def cmd_solve(args) -> int:
@@ -411,7 +411,7 @@ def cmd_shoot(args) -> int:
 
 def _sweep_point(payload):
     """Solve one sweep point into its directory, as solve would; returns its
-    sweep.csv row.  Never raises."""
+    sweep.csv row, its exponents fitted on v + P_limit.  Never raises."""
     base, q, k1, k2, eps, point_dir = payload
     row = {"q": q, "kappa1": k1, "kappa2": k2, "eps": eps,
            "converged": False, "iters": 0, "beta": "", "alpha": "",
@@ -420,8 +420,7 @@ def _sweep_point(payload):
         cfg = SolveConfig.from_dict(base)
         poly = QuadraticPolynomial((k1, k2, k2), cfg.poly.b, cfg.poly.c, eps)
         report, u = _solve_into(replace(cfg, q=q, poly=poly), Path(point_dir))
-        row["converged"] = report.converged
-        row["iters"] = report.iters
+        row.update(converged=report.converged, iters=report.iters)
         if report.converged:
             row["alpha"] = report.alpha
             row["beta"] = "" if report.beta is None else report.beta
@@ -458,19 +457,22 @@ def cmd_sweep(args) -> int:
     if not (isinstance(base, dict) and isinstance(grid, dict)):
         raise ConfigError("sweep config needs objects 'base' and 'grid'")
     qs = _sweep_values(grid, "q", [base.get("q", 2.0)])
-    k1s = _sweep_values(grid, "kappa1", [1.0])
     k2s = _sweep_values(grid, "kappa2", [1.0])
     epss = _sweep_values(grid, "eps", [0.0])
-    # every point's config starts from the base: one that breaks a rule is
-    # refused once, before any point runs
-    SolveConfig.from_dict(base)
+    # every point's config starts from the base, refused once if it breaks
+    # a rule; its continuation sets one axis at every stage and ends with it
+    # at 0, so the sweep holds that axis at 0 and refuses a grid listing it
+    cont = SolveConfig.from_dict(base).continuation
+    held = cont and {"axis1": "kappa1", "quartic": "eps"}[cont.eps_param]
+    if held in grid:
+        raise ConfigError(f"sweep grid lists {held!r}, which the base's "
+                          f"{cont.eps_param!r} continuation sets at every stage")
+    k1s = _sweep_values(grid, "kappa1", [0.0 if held == "kappa1" else 1.0])
     out = _out_dir(args)
     points = sorted((q, k1, k2, e) for q in qs for k1 in k1s
                     for k2 in k2s for e in epss)
-    payloads = [
-        (base, q, k1, k2, e, str(out / f"point_{i:04d}"))
-        for i, (q, k1, k2, e) in enumerate(points)
-    ]
+    payloads = [(base, *point, str(out / f"point_{i:04d}"))
+                for i, point in enumerate(points)]
     threads = args.threads or min(4, os.cpu_count() or 1)
     if threads > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~12 ms to import
@@ -483,8 +485,7 @@ def cmd_sweep(args) -> int:
     with open(out / "sweep.csv", "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)
         w.writeheader()
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
     n_ok = sum(1 for r in rows if r["converged"])
     print(f"{len(rows)} points, {n_ok} converged; results in {out}")
     return EXIT_OK

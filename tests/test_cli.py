@@ -1018,6 +1018,41 @@ class TestSweep:
         assert not (out / "sweep.csv").exists()
         assert not list(out.glob("point_*"))
 
+    @pytest.mark.parametrize("preset, axis", [("thm1", "eps"),
+                                              ("thm2", "kappa1")])
+    def test_an_axis_the_continuation_sets_is_refused(self, tmp_path, capsys,
+                                                      preset, axis):
+        # each stage sets this axis itself and the limit sets it to 0, so
+        # the points of such an axis would all solve one problem
+        base = cli.load_preset(preset)
+        sw = tmp_path / "sweep.json"
+        sw.write_text(json.dumps({"base": base,
+                                  "grid": {axis: [0.5, 1.0, 2.0]}}))
+        out = tmp_path / "sw"
+        code, _, err = run(capsys, "sweep", "--config", str(sw),
+                           "--out", str(out), "--threads", "1")
+        assert code == 1
+        param = base["continuation"]["eps_param"]
+        assert err == (f"error: sweep grid lists {axis!r}, which the base's "
+                       f"{param!r} continuation sets at every stage\n")
+        assert not (out / "sweep.csv").exists()
+        assert not list(out.glob("point_*"))
+
+    def test_an_axis1_continuation_holds_kappa1_at_its_limit(self, tmp_path,
+                                                              capsys):
+        base = cli.load_preset("thm2")
+        base["grid"].update(n_r=64, n_angle=16)
+        sw = tmp_path / "sweep.json"
+        sw.write_text(json.dumps({"base": base, "grid": {"q": [8.0]}}))
+        out = tmp_path / "sw"
+        assert run(capsys, "sweep", "--config", str(sw), "--out", str(out),
+                   "--threads", "1")[0] == 0
+        with open(out / "sweep.csv") as f:
+            (row,) = csv.DictReader(f)
+        assert row["converged"] == "True" and row["kappa1"] == "0.0"
+        doc = json.loads((out / "point_0000" / "report.json").read_text())
+        assert doc["config"]["poly"]["a"] == [0.0, 1.0, 1.0]
+
     def test_failing_point_is_isolated(self, tmp_path, capsys):
         base = json.loads(quick_config(tmp_path).read_text())
         base["grid"] = {"kind": "radial", "n_r": 200, "r_max": 30.0,
@@ -1075,6 +1110,12 @@ class TestSweep:
         with open(out / "sweep.csv") as f:
             (row,) = csv.DictReader(f)
         assert row["converged"] == "True" and not row["error"]
+        # the row's eps is the continuation's limit 0, and its exponents are
+        # fits on v + P_limit, as the report's growth fits are (on v + P of
+        # the last stage, with its 0.01 |x|^4, they read 3.54 and 3.31)
+        assert row["eps"] == "0.0"
+        for key in ("exponent_e1", "exponent_eperp"):
+            assert float(row[key]) == pytest.approx(2.0, abs=0.05)
         point = out / "point_0000"
         doc = json.loads((point / "report.json").read_text())
         assert doc["continuation"]["converged"] == [True, True, True]
