@@ -24,10 +24,12 @@ at the first shot (_shot_code): the stage sums are written out term by
 term and every stage expands the right-hand side in place, so a step costs
 its float arithmetic, not a loop over (stage, coefficient) pairs or 12
 function calls.  The threshold search's shots read only their outcome and
-their end state, from which _floor_gap makes a signed distance to the floor
-that _regula_falsi steers by; the trajectories that are returned (single
-shots, the exact start, the one at the threshold) also keep DOP853's
-order-7 dense output of each step and are sampled on it.
+their end state, from which _floor_gap makes a signed distance in radius to
+the threshold, graded by the borderline growth law (_gap_law) so that it is
+about linear in w0 on both sides; _regula_falsi steers by the secant of the
+last two shots.  The trajectories that are returned (single shots, the
+exact start, the one at the threshold) also keep DOP853's order-7 dense
+output of each step and are sampled on it.
 
 No command imports scipy: the coefficients are read from scipy's
 dop853_coefficients.py by file path at the first shot (_dop853_coefficients),
@@ -64,9 +66,6 @@ class Trajectory:
     outcome: str  # "survived" | "touched_zero"
     r_stop: Optional[float]  # crossing radius when touched_zero
     sol: object = field(repr=False, default=None)  # dense output, r -> y
-
-    def interp_u(self, radii) -> np.ndarray:
-        return self.sol(np.asarray(radii, dtype=float))[0]
 
 
 # no command calls this; perfbench/tracing.py patches this name
@@ -366,27 +365,66 @@ def _march(q: float, u0: float, w0: float, r_end: float, forcing: float,
                         on_step, rhs)
 
 
-def _floor_gap(r_end: float, touched: bool, r: float, r_new: float,
-               event: float, event_new: float, du: float) -> float:
-    """Signed distance in radius from a shot's end state to the floor.
+def _gap_law(q: float, u0: float, r_end: float):
+    """(p, sigma) of the threshold model that grades _floor_gap.
 
-    A touched shot gives r_c - r_end <= 0, with r_c the root of u - floor
-    interpolated linearly across the last step (event >= 0 >= event_new);
-    a survivor gives (u - floor) / (-u') > 0 at r_end, the radius still to
-    go if u kept falling at its final slope, or +inf when u' >= 0.  Both
-    sides go to 0 as w0 nears the threshold of the shots' r_end.
+    Near the threshold a shot follows the borderline growth U(r) (module
+    docstring) and leaves it along the fastest-growing perturbation: u is
+    about U(r) (1 - k (r / r_end)^p), with k linear in w0 and k = 1 at the
+    threshold of this r_end, where u meets the floor at r_end with slope
+    -sigma = -p U(r_end) / r_end.  For 1 < q < 3, U = C r^s with s =
+    4/(q+1) and C the universal coefficient, and the perturbation r^lambda
+    solves the radial bilaplacian linearized about U, lambda (lambda + 1)
+    (lambda - 1) (lambda - 2) = q s (s + 1) (s - 1) (2 - s), so p = lambda -
+    s (0.58 at q = 1.5, 0.84 at q = 2).  For q >= 3 the perturbation is r^2
+    against linear growth: p = 1, with U = 2^(1/4) r (log(r / u0))^(1/4) at
+    q = 3 (r / u0 taken at least e), and U = u0^((3-q)/4) r for q > 3,
+    whose coefficient scales with u0 as the equation does (u0 -> c^s u0
+    with r -> c r); the linear law also serves as a scale for q <= 1, where
+    no threshold law exists.
     """
+    if 1.0 < q < 3.0:
+        s = 4.0 / (q + 1.0)
+        # the quartic in lambda is mu (mu - 2) with mu = lambda (lambda - 1)
+        mu = 1.0 + math.sqrt(1.0 + q * s * (s + 1.0) * (s - 1.0) * (2.0 - s))
+        p = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * mu)) - s
+        return p, p * universal_coefficient(q) * r_end ** (s - 1.0)
+    if q == 3.0:
+        return 1.0, 2.0 ** 0.25 * math.log(max(r_end / u0, math.e)) ** 0.25
+    return 1.0, u0 ** ((3.0 - q) / 4.0)
+
+
+def _floor_gap(q: float, u0: float, r_end: float, touched: bool, r: float,
+               r_new: float, event: float, event_new: float,
+               du: float) -> float:
+    """Signed distance in radius from a shot's end state to the threshold
+    of its r_end, graded by the threshold model (_gap_law): about linear in
+    w0 on both sides, far from the threshold too.
+
+    A touched shot gives (r_end / p) (1 - (r_end / r_c)^p) < 0, which the
+    model makes linear in k; r_c is the root of u - floor interpolated
+    linearly across the last step (event >= 0 >= event_new), and near the
+    threshold the gap is r_c - r_end.  A survivor gives (u - floor) /
+    max(-u', sigma) > 0 at r_end: the radius still to go to the floor at the
+    steeper of its own final descent and the model's slope at the
+    threshold.  The first is linear in w0 close to the threshold, where u
+    dives onto the floor; the second keeps the gap finite and linear once u
+    turns up.  From w0 = 0 to 2 w_crit (q = 1.5 to 8) the gap's slope in w0
+    stays within a factor 3.5 of its slope at the threshold, on both sides.
+    """
+    p, sigma = _gap_law(q, u0, r_end)
     if touched:
         r_c = r if event == 0.0 else r + (r_new - r) * (
             event / (event - event_new))
-        return r_c - r_end
-    return event_new / -du if du < 0.0 else math.inf
+        return r_end / p * (1.0 - (r_end / r_c) ** p)
+    slope = max(-du, sigma)
+    return event_new / slope if slope > 0.0 else math.inf
 
 
 def _shoot(q: float, u0: float, w0: float, r_end: float):
     """(touched, gap) of one shot (_floor_gap); nothing is sampled."""
     end = _march(q, u0, w0, r_end, 0.0)[1]
-    return end[0], _floor_gap(r_end, *end)
+    return end[0], _floor_gap(q, u0, r_end, *end)
 
 
 def _dense_rows(rhs, r: float, h: float, y, y_new, stages) -> np.ndarray:
@@ -437,40 +475,38 @@ def _regula_falsi(side, lo: float, f_lo: float, hi: float, f_hi: float):
     side(x) -> (high, f): whether x takes the place of hi (otherwise of lo),
     and f(x), a value that changes sign between the ends and goes smoothly
     through the root, or inf where it is not known.  Each next x is the
-    Illinois regula falsi point (Dowell & Jarratt, BIT 11, 1971): the secant
-    root of the two ends, with the f of the end that stays halved when two
-    secant points in a row replace the same end.  The midpoint is taken
+    secant root of the last two points (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4), which start as lo and then hi; a
+    secant root less than one ulp from the last point is moved to the next
+    float past it, toward the other end, so that the far end of a bracket
+    the secant approaches from one side moves too.  The midpoint is taken
     instead when an f is not finite, the secant root is not strictly inside
-    (lo, hi), or the last two points did not halve the bracket, so the
-    bracket halves at least every third point (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4).  With every f infinite
-    this is plain bisection.
+    (lo, hi), or the last three points did not halve the bracket, so the
+    bracket halves at least every fourth point.  With every f infinite this
+    is plain bisection.
     """
-    widths = (math.inf, math.inf)  # the bracket's width before the last two x
-    secant_moved_hi = None  # which end the last secant point replaced
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi  # the last two points, b the later
+    # the bracket's width before each of the last three x
+    widths = (math.inf,) * 3
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return lo, hi
         x = mid
-        if (hi - lo <= 0.5 * widths[0] and math.isfinite(f_lo)
-                and math.isfinite(f_hi) and f_hi != f_lo):
-            secant = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
+        if (hi - lo <= 0.5 * widths[0] and math.isfinite(f_a)
+                and math.isfinite(f_b) and f_b != f_a):
+            secant = b - f_b * ((b - a) / (f_b - f_a))
+            if abs(secant - b) < math.ulp(b):
+                secant = math.nextafter(b, hi if b == lo else lo)
             if lo < secant < hi:
                 x = secant
-        widths = (widths[1], hi - lo)
+        widths = widths[1:] + (hi - lo,)
         high, f_x = side(x)
         if high:
-            hi, f_hi = x, f_x
+            hi = x
         else:
-            lo, f_lo = x, f_x
-        if x != mid:
-            if high == secant_moved_hi:
-                if high:
-                    f_lo *= 0.5
-                else:
-                    f_hi *= 0.5
-            secant_moved_hi = high
+            lo = x
+        a, f_a, b, f_b = b, f_b, x, f_x
 
 
 def integrate_radial(q: float, u0: float, w0: float, r_end: float,
@@ -590,15 +626,28 @@ def bisect_growth_threshold(q: float, u0: float, r_end: float) -> BisectResult:
     outside the regime where the threshold exists) and the upper end is found
     by doubling _W_SCAN_START.  If no survivor appears within 60 doublings,
     BracketNotFoundError is raised.  The shots (_shoot) read their outcome
-    and their signed gap to the floor in radius (_floor_gap), which goes
-    through 0 at the threshold; _regula_falsi picks each next w0 from the
-    gaps of the bracket's ends and ends only when they are adjacent floats,
-    at any scale of the threshold.  w_crit is the upper end of the final
-    bracket, the least w0 seen to survive.  The returned trajectory, sampled
-    at _BISECT_N_EVAL radii, is integrated at w_crit (integrate_radial) on
-    the same steps as the shot that saw it survive, so its outcome is
-    "survived".  Resolved to the last bit of w0, it follows the borderline
-    growth over several decades before drifting to one side.
+    and their signed gap in radius to the threshold (_floor_gap), which goes
+    through 0 there and is about linear in w0 on both sides; _regula_falsi
+    picks each next w0 from the gaps of the last two shots and ends only
+    when the bracket's ends are adjacent floats, at any scale of the
+    threshold.  w_crit is the upper end of the final bracket, the least w0
+    seen to survive.  The returned trajectory, sampled at _BISECT_N_EVAL
+    radii, is integrated at w_crit (integrate_radial) on the same steps as
+    the shot that saw it survive, so its outcome is "survived".  Resolved
+    to the last bit of w0, it follows the borderline growth over several
+    decades before drifting to one side.
+
+    The outcome is not monotone in the last ulps of w0: there a shot's
+    rounding and step control move u more than one ulp of w0 does.  At
+    u0 = 1, r_end = 1e4, isolated shots within about 16 ulps of w_crit land
+    on the other side (around q = 5's w_crit the outcomes read
+    ttttttttStttSStt|SSSSSSSSSStSSSSSS, | at w_crit); at q = 5, u0 = 1000,
+    r_end = 1e6 the mixed band is several hundred ulps wide.  So w_crit is
+    one of several adjacent-float brackets, and another sequence of shots
+    can end elsewhere in the band: Illinois regula falsi on a gap graded
+    only near the threshold ended at most 1.1e-14 relative away on q = 1.2
+    to 12, u0 = 0.5 to 2, r_end = 1e2 to 1e4, and 4.8e-14 away on that
+    q = 5 case.
     """
     history = []
 

@@ -156,7 +156,7 @@ def test_criterion_6a_ode_reproduces_grid_solve():
                                      forcing=120.0 * eps)
     assert traj.outcome == "survived"
     half = g.r <= g.r_max / 2.0
-    rel = np.max(np.abs(traj.interp_u(g.r[half]) - u[half]) / u[half])
+    rel = np.max(np.abs(traj.sol(g.r[half])[0] - u[half]) / u[half])
     assert rel < 5e-3, f"max relative deviation {rel:.3e}"
 
 
@@ -198,7 +198,7 @@ def test_criterion_7c_threshold_growth_q3_log_correction():
     assert diag["model"] == "linear_times_log_quarter"
     assert diag["coeff"] == pytest.approx(target, rel=0.20)
     checkpoints = np.geomspace(20.0, diag["r_plateau"], 6)
-    comp = np.array([res.trajectory.interp_u(r) / (r * math.log(r) ** 0.25)
+    comp = np.array([res.trajectory.sol(r)[0] / (r * math.log(r) ** 0.25)
                      for r in checkpoints])
     dist = np.abs(comp - target)
     assert np.all(np.diff(comp) > 0.0), "compensated ratio not increasing"

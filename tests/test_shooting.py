@@ -73,7 +73,13 @@ class TestIntegrate:
         traj = integrate_radial(7.0, 1.0, 1.0, 10.0)
         mid = 0.5 * (traj.r[10] + traj.r[11])
         left, right = sorted((traj.u[10], traj.u[11]))
-        assert left <= traj.interp_u(mid) <= right
+        assert left <= traj.sol(mid)[0] <= right
+
+    def test_touched_radius_is_pinned(self):
+        # r_stop is bracketed to adjacent floats by the threshold search's
+        # root-finder, so a change to that rule shows here first
+        traj = integrate_radial(5.0, 1.0, -0.1, 100.0)
+        assert traj.r_stop == float.fromhex("0x1.6d7efa4b28a8dp+1")
 
     def test_constant_forcing_shifts_the_w_equation(self):
         # with forcing F = u0^-q the fourth-order term vanishes at start:
@@ -426,11 +432,22 @@ class TestBisect:
         # w_crit of shoot --preset thmA-iv on the in-module stepper, to the
         # bit (solve_ivp shots gave 1.3698214805472406, one ulp below): a
         # stepper whose arithmetic drifts by one ulp moves it
-        # bisection took 55 shots to the same bracket
+        # bisection took 55 shots to the same bracket, and Illinois regula
+        # falsi on a gap graded only near the threshold 27
         res = bisect_growth_threshold(3.0, 1.0, 1e4)
         assert res.w_crit == float.fromhex("0x1.5eac9edc4f06fp+0")
         assert res.bracket[0] == float.fromhex("0x1.5eac9edc4f06ep+0")
-        assert len(res.history) <= 30
+        assert len(res.history) <= 16
+
+    # shots of bisect_growth_threshold(q, 1.0, r_end) with the gap that
+    # was not graded on either side far from the threshold
+    UNGRADED_SHOTS = {(2.0, 1e4): 31, (3.0, 1e4): 27, (5.0, 1e4): 31,
+                      (2.0, 3e3): 20}
+
+    @pytest.mark.parametrize("q, r_end", sorted(UNGRADED_SHOTS))
+    def test_graded_gap_takes_no_more_shots(self, q, r_end):
+        res = bisect_growth_threshold(q, 1.0, r_end)
+        assert len(res.history) <= self.UNGRADED_SHOTS[q, r_end]
 
     # w_crit of plain bisection on the in-module stepper
     W_BISECT = {2.0: "0x1.0063e2880a815p+1", 3.0: "0x1.5eac9edc4f06fp+0",
@@ -481,6 +498,25 @@ class TestBisect:
         lo, hi = shooting._regula_falsi(side, 1.0, -1.0, 2.0, 6.0)
         assert math.nextafter(lo, math.inf) == hi
         assert lo ** 3 < 2.0 <= hi ** 3
+        assert len(points) <= 20
+
+    @pytest.mark.parametrize("root", [0.3, 1.0 / 3.0, math.pi / 4.0, 0.7])
+    @pytest.mark.parametrize("kink", [2.5, 1.0 / 2.5])
+    def test_regula_falsi_across_a_kink(self, root, kink):
+        # the shape of the graded gap: linear on each side of the root, with
+        # slopes that differ by a factor 2.5; a secant on two points of one
+        # side lands on the root, then the far end has to move as well
+        points = []
+
+        def side(x):
+            points.append(x)
+            high = x >= root
+            return high, (x - root) * (kink if high else 1.0)
+
+        lo, hi = shooting._regula_falsi(side, 0.0, -root, 1.0,
+                                        kink * (1.0 - root))
+        assert math.nextafter(lo, math.inf) == hi
+        assert lo < root <= hi
         assert len(points) <= 20
 
     def test_small_threshold_ends_on_adjacent_floats(self):
