@@ -1,8 +1,9 @@
 """Far-field structure analysis of computed profiles.
 
-Everything here reads node values only: growth-law fits along rays, the
-power-law tail beyond r_max (PowerTail: fitted to the last decade, with
-closed-form moments that return inf when they diverge), the far-field slope
+Everything here reads node values only: growth-law fits along rays
+(fit_growth, the one judge of a fit window: each it cannot use is an
+InsufficientTailError), the power-law tail beyond r_max (PowerTail: fitted
+to the last decade, closed-form moments, inf when they diverge), the far-field slope
 beta = (1/8 pi) int u^-q dy and the first moment (1/8 pi) int |y| u^-q dy
 (each the grid's truncated moment plus that tail, _tail_moment), the split
 of a solution into polynomial part plus kernel convolution (kernels.convolve),
@@ -21,8 +22,7 @@ from .model import (InsufficientTailError, NonFiniteError, NotIntegrableError,
                     Profile)
 from .kernels import convolve
 
-_LOG_DRIFT_MODEL = "linear_times_log_quarter"
-FIT_MODELS = ("linear", "quadratic", "power", _LOG_DRIFT_MODEL)
+FIT_MODELS = ("linear", "quadratic", "power")
 
 
 @dataclass
@@ -43,40 +43,33 @@ class GrowthFit:
                 "direction": self.direction}
 
 
-def _fit_window(r: np.ndarray, r_window, min_nodes: int):
-    if r_window is None:
-        r_window = (r[-1] / 10.0, r[-1])
-    lo, hi = float(r_window[0]), float(r_window[1])
-    mask = (r >= lo) & (r <= hi)
-    n = int(np.count_nonzero(mask))
-    if n < min_nodes:
-        raise InsufficientTailError(
-            f"fit window [{lo:g}, {hi:g}] contains {n} nodes, need {min_nodes}")
-    rw = r[mask]
-    if rw[-1] < 3.0 * rw[0]:
-        raise InsufficientTailError(
-            f"fit window [{rw[0]:g}, {rw[-1]:g}] spans a factor "
-            f"{rw[-1] / rw[0]:.2f} < 3 in radius")
-    return mask, (float(rw[0]), float(rw[-1]))
-
-
 def fit_growth(r: np.ndarray, values: np.ndarray, model: str,
                r_window=None, min_nodes: int = 30,
                direction: Optional[float] = None) -> GrowthFit:
     """Fit one growth law to values(r) on a window (default: the last decade).
 
     Models: "linear" c0 + c1 r; "quadratic" c0 + c1 r + c2 r^2; "power"
-    C r^p (positive values only); "linear_times_log_quarter" C r (log r)^(1/4)
-    with a drift coefficient in log r.  rel_residual is the max deviation over
-    the window divided by the max magnitude of the data there.
+    C r^p.  rel_residual is the max deviation over the window divided by the
+    max magnitude of the data there.  A window the fit cannot use raises
+    InsufficientTailError: fewer than min_nodes nodes, radii spanning a
+    factor below 3, or (power) a value that is not positive, as a density
+    that underflows to 0 in the tail.
     """
     r = np.asarray(r, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask, window = _fit_window(r, r_window, min_nodes)
+    if r_window is None:
+        r_window = (r[-1] / 10.0, r[-1])
+    lo, hi = float(r_window[0]), float(r_window[1])
+    mask = (r >= lo) & (r <= hi)
     rw, vw = r[mask], values[mask]
-    scale = float(np.max(np.abs(vw)))
-    if scale == 0.0:
-        scale = 1.0
+    if rw.size < min_nodes:
+        raise InsufficientTailError(
+            f"fit window [{lo:g}, {hi:g}] contains {rw.size} nodes, need {min_nodes}")
+    if rw[-1] < 3.0 * rw[0]:
+        raise InsufficientTailError(
+            f"fit window [{rw[0]:g}, {rw[-1]:g}] spans a factor "
+            f"{rw[-1] / rw[0]:.2f} < 3 in radius")
+    scale = float(np.max(np.abs(vw))) or 1.0
 
     if model in ("linear", "quadratic"):
         A = np.vander(rw, 2 if model == "linear" else 3, increasing=True)
@@ -84,30 +77,21 @@ def fit_growth(r: np.ndarray, values: np.ndarray, model: str,
         fitted = A @ coef
         params = dict(zip(("intercept", "slope", "curvature"), map(float, coef)))
     elif model == "power":
-        if np.any(vw <= 0.0):
-            raise NonFiniteError("power-law fit needs positive values on the window")
+        if not np.all(vw > 0.0):
+            raise InsufficientTailError(
+                f"power-law fit needs positive values on the window "
+                f"[{rw[0]:g}, {rw[-1]:g}]")
         A = np.stack([np.ones_like(rw), np.log(rw)], axis=1)
         coef, *_ = np.linalg.lstsq(A, np.log(vw), rcond=None)
         fitted = np.exp(A @ coef)
         params = {"coeff": float(math.exp(coef[0])), "exponent": float(coef[1])}
-    elif model == _LOG_DRIFT_MODEL:
-        if window[0] <= 1.0:
-            raise InsufficientTailError(
-                "log-quarter model needs the window inside r > 1")
-        base = rw * np.log(rw) ** 0.25
-        ratio = vw / base
-        A = np.stack([np.ones_like(rw), np.log(rw)], axis=1)
-        coef, *_ = np.linalg.lstsq(A, ratio, rcond=None)
-        fitted = (A @ coef) * base
-        params = {"coeff": float(np.mean(ratio)),
-                  "coeff_end": float(ratio[-1]),
-                  "drift_per_log": float(coef[1])}
     else:
         raise ValueError(f"unknown fit model {model!r}; choose from {FIT_MODELS}")
 
     rel = float(np.max(np.abs(vw - fitted)) / scale)
     return GrowthFit(model=model, params=params, rel_residual=rel,
-                     window=window, n_nodes=rw.size, direction=direction)
+                     window=(float(rw[0]), float(rw[-1])), n_nodes=rw.size,
+                     direction=direction)
 
 
 @dataclass(frozen=True)
@@ -166,7 +150,8 @@ def compute_beta(u_profile: Profile, q: float):
     The grid integral covers r <= r_max; the remainder is integrated in closed
     form from a power law fitted to the angular mean of u^-q over the last
     decade.  Raises NotIntegrableError when the fitted decay makes the tail
-    divergent (exponent <= 3).
+    divergent (exponent <= 3) and InsufficientTailError when that decade
+    cannot be fitted (too few nodes, or u^-q underflowing to 0 there).
     """
     g = u_profile.grid
     u = u_profile.values
@@ -184,7 +169,7 @@ def first_moment(grid, g0: np.ndarray) -> float:
     The grid sum covers r <= r_max and a power law fitted to the last decade
     of g0 the rest.  Raises NotIntegrableError when that tail diverges
     (fitted decay r^-4 or slower) and InsufficientTailError when the grid
-    has no usable last decade.
+    has no usable last decade (too few nodes, or g0 not positive there).
     """
     quad, tail, _ = _tail_moment(grid, g0, 1, "first moment int |y| u^-q dy")
     return quad + tail
@@ -237,7 +222,7 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dic
     a, b = [rest[i] for i in axes], [0.0, 0.0, 0.0]
 
     # first moment of the density, for the identity gap (finite iff decay
-    # > 4, and fittable only with a last decade of enough nodes); optional,
+    # > 4, and fittable only on a last decade fit_growth can use); optional,
     # so either failure leaves the rest of the decomposition standing
     try:
         moment1 = first_moment(g, modes[:, 0])
@@ -286,7 +271,7 @@ def check_hessian_decay(v_profile: Profile, q: float) -> dict:
     radial direction) is compared to the decay law for the given q on radii
     [2, r_max / 2]; the envelope coefficient is the max ratio over that
     window and the trend is the fitted power of the ratio, which should not
-    grow.
+    grow.  fit_growth refuses a window of fewer than 30 interior nodes.
     """
     g = v_profile.grid
     r_window = (2.0, g.r_max / 2.0)
@@ -298,18 +283,14 @@ def check_hessian_decay(v_profile: Profile, q: float) -> dict:
         vals = g.reduction.synthesize_at(coeffs, t)
         rm, d2 = _second_derivative_nonuniform(g.r, vals)
         sel = (rm >= r_window[0]) & (rm <= r_window[1])
-        if np.count_nonzero(sel) < 30:
-            raise InsufficientTailError(
-                f"hessian window [{r_window[0]:g}, {r_window[1]:g}] has "
-                f"{np.count_nonzero(sel)} interior nodes, need 30")
         rr, dd = rm[sel], np.abs(d2[sel])
         envelope = rr ** expo
         if q == 1.5:
             envelope = envelope * np.log(np.maximum(rr, math.e))
         ratio = dd / envelope
-        floor = 1e-14 * max(float(np.max(dd)), 1e-300)
+        floor = 1e-14 * max(float(np.max(dd, initial=0.0)), 1e-300)
         trend = fit_growth(rr, np.maximum(ratio, floor), "power",
-                           r_window=(rr[0], rr[-1]), min_nodes=10)
+                           r_window=r_window)
         results.append({
             "direction": direction,
             "envelope_coeff": float(np.max(ratio)),

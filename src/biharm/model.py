@@ -37,6 +37,8 @@ from typing import Optional
 
 import numpy as np
 
+from .kernels import ModeConvolution
+
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
@@ -54,7 +56,7 @@ class NotIntegrableError(ArithmeticError):
 
 
 class InsufficientTailError(ValueError):
-    """Raised when a tail fit window has too few nodes or spans a radius factor below 3."""
+    """Raised when a fit window cannot be used (analysis.fit_growth says why)."""
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +203,8 @@ def _grid_error(kind: str, n_r: int, r_max: float, grading: float,
             return "axisymmetric grid needs an even n_angle >= 4"
     else:
         return f"unknown grid kind {kind!r}"
-    if r_max <= 0 or grading < 1.0:
-        return f"{kind} grid needs r_max > 0 and grading >= 1"
+    if not (0.0 < r_max < math.inf and 1.0 <= grading < math.inf):  # NaN too
+        return f"{kind} grid needs finite r_max > 0 and grading >= 1"
     return None
 
 
@@ -246,8 +248,6 @@ class _NodeGrid:
         (reduction.chop's), one power per radius, mode and sum, and it then
         holds only the widest band of leading modes asked of it so far, not
         every mode."""
-        from .kernels import ModeConvolution  # kernels builds on this module
-
         return ModeConvolution(self, self.l_values)
 
     def poly_values(self, poly: QuadraticPolynomial) -> np.ndarray:
@@ -680,6 +680,18 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def _numbers(d: dict, prefix: str = ""):
+    """(name, value) of each float of a config dict, named by its path in
+    it: "q", "grid.r_max", "poly.a[0]"."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _numbers(value, f"{prefix}{key}.")
+        elif isinstance(value, list):
+            yield from ((f"{prefix}{key}[{i}]", x) for i, x in enumerate(value))
+        elif isinstance(value, float):
+            yield prefix + key, value
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Everything needed for one fixed-point solve (plus optional continuation).
@@ -687,6 +699,7 @@ class SolveConfig:
     A SolveConfig that exists is valid: construction checks every
     structural rule, and then each continuation stage, and raises one
     ConfigError naming each broken rule in a fixed order, joined by "; ".
+    Every number must be finite: that rule goes first and alone (JSON reads NaN).
     So from_dict, replace, replace_poly and stages only return valid
     configs.  P must be even (b = 0) with a_i >= 0, eps_quartic >= 0 and
     c > 0, which makes P >= c > 0 everywhere.  Whether a solution can exist
@@ -704,10 +717,12 @@ class SolveConfig:
     continuation: Optional[ContinuationSpec] = None
 
     def __post_init__(self):
+        _refuse(f"{name} must be finite, got {x}"
+                for name, x in _numbers(self.to_dict()) if not math.isfinite(x))
         p, cont = self.poly, self.continuation
         errors = [_seed_error(self.seed)]
-        if not (self.q > 0.0) or not math.isfinite(self.q):
-            errors.append(f"q must be positive and finite, got {self.q}")
+        if not (self.q > 0.0):
+            errors.append(f"q must be positive, got {self.q}")
         if self.kernel_variant not in ("shifted", "unshifted"):
             errors.append(f"unknown kernel_variant {self.kernel_variant!r}")
         if not (0.0 < self.damping <= 1.0):

@@ -32,7 +32,8 @@ def exact_q7_value(r):
 
 
 def exact_q7_profile(grid) -> Profile:
-    return Profile(grid=grid, values=exact_q7_value(grid.r))
+    """The exact q = 7 solution at the nodes of a grid of either kind."""
+    return Profile(grid=grid, values=exact_q7_value(grid.r_nodes) * np.ones(grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ def integral_residual(u_profile: Profile, q: float, poly,
     note = ""
     try:
         power = PowerTail.fit(g.r, ghat[:, 0])
-    except (InsufficientTailError, NonFiniteError) as exc:
+    except InsufficientTailError as exc:
         power = None
         note = f"no tail correction ({exc})"
     # the s part of the far kernel needs faster decay than its r^2 / s part
@@ -313,7 +314,8 @@ def pohozaev_residual(u_profile: Profile, q: float, poly,
     decade.  gamma_offset shifts the constant term of P (shifted-kernel
     solutions match the identity with c replaced by c + gamma, whose sign is
     unconstrained).  Returns residual = |t1 + t2| / max(|t1|, |t2|), or None
-    with a note when a tail diverges.
+    with a note when a tail diverges or cannot be fitted (an integrand that
+    underflows to 0 in the last decade).
     """
     g = u_profile.grid
     u = u_profile.values
@@ -331,8 +333,8 @@ def pohozaev_residual(u_profile: Profile, q: float, poly,
         total = g.integrate(vals)
         m0 = g.mode0(vals)
         try:
-            fit = PowerTail.fit(g.r, np.abs(m0) + 1e-300)
-        except (InsufficientTailError, NonFiniteError) as exc:
+            fit = PowerTail.fit(g.r, np.abs(m0))
+        except InsufficientTailError as exc:
             return PohozaevResult(None, None, None, f"tail fit failed: {exc}")
         tail = PowerTail(FOUR_PI * fit.coeff, fit.exponent).moment(0, g.r_max)
         if math.isinf(tail):

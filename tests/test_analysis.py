@@ -39,12 +39,6 @@ class TestFitGrowth:
         assert fit.params["exponent"] == pytest.approx(1.5, rel=1e-12)
         assert fit.params["coeff"] == pytest.approx(3.0, rel=1e-10)
 
-    def test_linear_times_log_quarter(self):
-        g = _grid(2000, 5000.0)
-        vals = 1.3 * g.r * np.log(np.maximum(g.r, 1.1)) ** 0.25
-        fit = fit_growth(g.r, vals, "linear_times_log_quarter")
-        assert fit.params["coeff"] == pytest.approx(1.3, rel=1e-6)
-
     def test_explicit_window(self):
         g = _grid(500, 50.0)
         vals = 0.5 * g.r
@@ -57,6 +51,17 @@ class TestFitGrowth:
         g = _grid(50, 10.0)
         with pytest.raises(InsufficientTailError):
             fit_growth(g.r, g.r, "linear", r_window=(9.9, 10.0))
+
+    @pytest.mark.parametrize("floor", [0.0, -1e-20, math.nan])
+    def test_power_refuses_a_value_that_is_not_positive(self, floor):
+        # a density that underflows to 0 in the tail is a window the power
+        # law cannot use, refused as a short window is
+        g = _grid(200, 40.0)
+        vals = g.r**-3.0
+        vals[-5:] = floor
+        with pytest.raises(InsufficientTailError,
+                           match=r"positive values on the window \[4.096, 40\]"):
+            fit_growth(g.r, vals, "power")
 
     def test_unknown_model(self):
         g = _grid(100, 10.0)
@@ -115,6 +120,18 @@ class TestBeta:
         with pytest.raises(NotIntegrableError,
                            match=r"need faster than r\^-4\)"):
             first_moment(g, g.mode0(u ** -4.0))
+
+    def test_underflowed_tail_is_refused(self):
+        # (1 + r^2)^-120 is below the smallest float past r = 22, so the
+        # last decade [4, 40] has no power law to fit
+        g = _grid(200, 40.0)
+        prof = Profile(grid=g, values=1.0 + g.r**2)
+        with pytest.raises(InsufficientTailError, match="positive values"):
+            compute_beta(prof, 120.0)
+        with pytest.raises(InsufficientTailError, match="positive values"):
+            first_moment(g, g.mode0(prof.values ** -120.0))
+        dec = decompose(prof, 120.0)
+        assert dec["first_moment"] is None and dec["gamma_identity_gap"] is None
 
 
 class TestDecompose:

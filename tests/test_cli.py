@@ -4,6 +4,7 @@ outputs, determinism, and preset handling, all run in-process."""
 import csv
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -397,6 +398,101 @@ def test_config_hard_error_exits_one_with_its_message(tmp_path, capsys, over,
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert message in lines[0]
+
+
+# each float a solve config reads, named as its error names it, and the
+# fields of _small_config's config that put a value there
+_FLOAT_FIELDS = {
+    "q": lambda x: {"q": x},
+    "poly.a[0]": lambda x: {"poly": {"a": [x, 1.0, 1.0]}},
+    "poly.b[1]": lambda x: {"poly": {"a": [1.0, 1.0, 1.0], "b": [0.0, x, 0.0]}},
+    "poly.c": lambda x: {"poly": {"a": [1.0, 1.0, 1.0], "c": x}},
+    "poly.eps_quartic": lambda x: {"poly": {"a": [1.0, 1.0, 1.0],
+                                            "eps_quartic": x}},
+    "grid.r_max": lambda x: {"grid": {**_SMALL_GRID, "r_max": x}},
+    "grid.grading": lambda x: {"grid": {**_SMALL_GRID, "grading": x}},
+    "damping": lambda x: {"damping": x},
+    "tol_fixed_point": lambda x: {"tol_fixed_point": x},
+    "continuation.eps_sequence[1]": lambda x: {
+        "continuation": {"eps_sequence": [0.1, x]}},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("field", list(_FLOAT_FIELDS))
+def test_nonfinite_number_exits_one_naming_its_field(tmp_path, capsys, field,
+                                                     value):
+    # json reads NaN and Infinity; no rule of a config can judge them, so
+    # they are refused alone, before the rest
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_small_config(**_FLOAT_FIELDS[field](value))))
+    code, _, err = run(capsys, "solve", "--config", str(path),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == f"error: {field} must be finite, got {value}\n"
+
+
+def test_exact_q7_battery_on_an_axisymmetric_grid(tmp_path, capsys):
+    # the closed form fills every polar node column of the grid
+    path = tmp_path / "q7.json"
+    path.write_text(json.dumps({"command": "verify", "grid": {
+        "kind": "axisymmetric", "n_r": 400, "n_angle": 16, "r_max": 100.0}}))
+    code, _, _ = run(capsys, "verify", "--config", str(path),
+                     "--out", str(tmp_path / "out"))
+    assert code == 0
+    doc = json.loads((tmp_path / "out" / "verification.json").read_text())
+    assert {k: v["status"] for k, v in doc["checks"].items()} == {
+        "pde": "pass", "integral": "pass", "gamma": "pass"}
+    assert doc["checks"]["pde"]["value"] < 1e-4
+
+
+def test_refused_tails_and_numbers_end_in_an_exit_code(tmp_path):
+    # each run ends with a documented exit code and no traceback.  At
+    # q = 120 on r <= 40, u^-q underflows to 0 in the last decade: the
+    # solve converges, and every tail fit of that decade is refused and
+    # noted (beta, the first moment, the Pohozaev constant)
+    q120 = {"q": 120.0, "poly": {"a": [1.0, 1.0, 1.0], "c": 1.0},
+            "kernel_variant": "shifted", "tol_fixed_point": 1e-10,
+            "grid": {"kind": "radial", "n_r": 200, "r_max": 40.0}}
+    docs = {"q120.json": q120, "sweep.json": {"base": q120, "grid": {"q": [120]}},
+            "nan.json": _small_config(q=math.nan),
+            "inf.json": _small_config(poly={"a": [1.0, 1.0, 1.0], "c": math.inf}),
+            "q7.json": {"command": "verify", "grid": {
+                "kind": "axisymmetric", "n_r": 400, "n_angle": 16,
+                "r_max": 100.0}}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    runs = [
+        (["solve", "--config", "q120.json", "--out", "solve"], {0}),
+        (["verify", "--config", "q120.json", "--profile", "solve/profile.csv",
+          "--out", "verify"], {0, 3}),
+        (["sweep", "--config", "sweep.json", "--out", "sweep", "--threads", "1"],
+         {0}),
+        (["solve", "--config", "nan.json", "--out", "nan"], {1}),
+        (["solve", "--config", "inf.json", "--out", "inf"], {1}),
+        (["verify", "--config", "q7.json", "--out", "q7"], {0}),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv, codes in runs:
+        proc = subprocess.run([sys.executable, "-m", "biharm.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode in codes, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+
+    assert sorted(p.name for p in (tmp_path / "solve").iterdir()) == [
+        "config.json", "profile.csv", "report.json", "trace.csv"]
+    result = json.loads((tmp_path / "solve" / "report.json").read_text())["result"]
+    assert result["converged"] and result["beta"] is None
+    assert "power-law fit needs positive values" in result["beta_note"]
+    assert result["decomposition"]["first_moment"] is None
+    checks = json.loads(
+        (tmp_path / "verify" / "verification.json").read_text())["checks"]
+    assert checks["pohozaev"]["status"] == "not_applicable"
+    with open(tmp_path / "sweep" / "sweep.csv") as f:
+        (row,) = csv.DictReader(f)
+    assert row["converged"] == "True" and row["beta"] == "" and not row["error"]
+    assert (tmp_path / "sweep" / "point_0000" / "report.json").is_file()
 
 
 @pytest.mark.parametrize("argv", [

@@ -456,8 +456,8 @@ _READ_FIELD = {"poly": QuadraticPolynomial.from_dict, "grid": GridSpec.from_dict
 # axisymmetric either, so it breaks two)
 _HARD_ERRORS = [
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
-    ({"q": -2.0}, "q must be positive and finite, got -2.0"),
-    ({"q": math.inf}, "q must be positive and finite, got inf"),
+    ({"q": -2.0}, "q must be positive, got -2.0"),
+    ({"q": math.inf}, "q must be finite, got inf"),
     ({"kernel_variant": "cubic"}, "unknown kernel_variant 'cubic'"),
     ({"damping": 2.0}, "damping must lie in (0, 1], got 2.0"),
     ({"damping": 0.0}, "damping must lie in (0, 1], got 0.0"),
@@ -613,9 +613,9 @@ class TestValidation:
         ({"kind": "radial", "n_r": 7, "r_max": 10.0},
          "radial grid needs at least 8 nodes"),
         ({"kind": "radial", "n_r": 32, "r_max": 0.0},
-         "radial grid needs r_max > 0 and grading >= 1"),
+         "radial grid needs finite r_max > 0 and grading >= 1"),
         ({"kind": "radial", "n_r": 32, "r_max": 10.0, "grading": 0.5},
-         "radial grid needs r_max > 0 and grading >= 1"),
+         "radial grid needs finite r_max > 0 and grading >= 1"),
         ({"kind": "axisymmetric", "n_r": 7, "r_max": 10.0},
          "axisymmetric grid needs at least 8 radii"),
         ({"kind": "axisymmetric", "n_r": 32, "n_angle": 7, "r_max": 10.0},
@@ -623,9 +623,9 @@ class TestValidation:
         ({"kind": "axisymmetric", "n_r": 32, "n_angle": 2, "r_max": 10.0},
          "axisymmetric grid needs an even n_angle >= 4"),
         ({"kind": "axisymmetric", "n_r": 32, "r_max": -1.0},
-         "axisymmetric grid needs r_max > 0 and grading >= 1"),
+         "axisymmetric grid needs finite r_max > 0 and grading >= 1"),
         ({"kind": "axisymmetric", "n_r": 32, "r_max": 10.0, "grading": 0.9},
-         "axisymmetric grid needs r_max > 0 and grading >= 1"),
+         "axisymmetric grid needs finite r_max > 0 and grading >= 1"),
         ({"kind": "polar", "n_r": 32, "r_max": 10.0},
          "unknown grid kind 'polar'"),
     ])

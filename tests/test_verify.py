@@ -129,6 +129,14 @@ class TestPDEResidual:
         res = pde_residual(exact_q7_profile(g), 7.0)
         assert res.max_rel < 1e-3
 
+    def test_exact_q7_profile_fills_the_node_layout(self):
+        # each polar node column of an axisymmetric grid holds the radial
+        # closed form, so the battery runs on either grid kind
+        g = AxisymmetricGrid.build(64, 4, 10.0)
+        prof = exact_q7_profile(g)
+        assert prof.values.shape == g.shape
+        assert np.all(prof.values == exact_q7_value(g.r)[:, None])
+
     def test_detects_smooth_perturbation(self):
         g = RadialGrid.graded(2000, 100.0)
         clean = pde_residual(exact_q7_profile(g), 7.0)
@@ -292,6 +300,19 @@ class TestPohozaev:
                                                          1.0))
         assert res.residual is None
         assert "q > 1" in res.note
+
+    def test_underflowed_tail_notes(self):
+        # u^(1-q) and u^-q underflow to 0 in the last decade at q = 120
+        g = RadialGrid.graded(200, 40.0)
+        poly = QuadraticPolynomial((1, 1, 1), (0, 0, 0), 1.0)
+        prof = Profile(grid=g, values=g.poly_values(poly))
+        res = pohozaev_residual(prof, 120.0, poly)
+        assert res.residual is None
+        assert res.note.startswith("tail fit failed: power-law fit needs "
+                                   "positive values")
+        integ = integral_residual(prof, 120.0, poly)
+        assert integ.note.startswith("no tail correction (power-law fit")
+        assert not integ.tail_diverges
 
     def test_divergent_tail_notes(self):
         # u ~ r gives u^(1-q) ~ r^-1 at q = 2: integral diverges
