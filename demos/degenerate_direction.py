@@ -36,7 +36,7 @@ def main() -> None:
 
     prof = cont.final_profile
     g = prof.grid
-    u = prof.values + g.poly_values(cont.limit_poly)
+    u = prof.values + g.poly_values(cfg.limit_poly)
     up = Profile(grid=g, values=u)
 
     r, axis = ray_values(up, 1.0)

@@ -23,6 +23,7 @@ from .model import (InsufficientTailError, NonFiniteError, NotIntegrableError,
 from .kernels import convolve
 
 FIT_MODELS = ("linear", "quadratic", "power")
+FIT_MIN_NODES = 30  # fewest nodes a fit window may hold
 
 
 @dataclass
@@ -44,14 +45,13 @@ class GrowthFit:
 
 
 def fit_growth(r: np.ndarray, values: np.ndarray, model: str,
-               r_window=None, min_nodes: int = 30,
-               direction: Optional[float] = None) -> GrowthFit:
+               r_window=None, direction: Optional[float] = None) -> GrowthFit:
     """Fit one growth law to values(r) on a window (default: the last decade).
 
     Models: "linear" c0 + c1 r; "quadratic" c0 + c1 r + c2 r^2; "power"
     C r^p.  rel_residual is the max deviation over the window divided by the
     max magnitude of the data there.  A window the fit cannot use raises
-    InsufficientTailError: fewer than min_nodes nodes, radii spanning a
+    InsufficientTailError: fewer than FIT_MIN_NODES nodes, radii spanning a
     factor below 3, or (power) a value that is not positive, as a density
     that underflows to 0 in the tail.
     """
@@ -62,9 +62,9 @@ def fit_growth(r: np.ndarray, values: np.ndarray, model: str,
     lo, hi = float(r_window[0]), float(r_window[1])
     mask = (r >= lo) & (r <= hi)
     rw, vw = r[mask], values[mask]
-    if rw.size < min_nodes:
-        raise InsufficientTailError(
-            f"fit window [{lo:g}, {hi:g}] contains {rw.size} nodes, need {min_nodes}")
+    if rw.size < FIT_MIN_NODES:
+        raise InsufficientTailError(f"fit window [{lo:g}, {hi:g}] contains "
+                                    f"{rw.size} nodes, need {FIT_MIN_NODES}")
     if rw[-1] < 3.0 * rw[0]:
         raise InsufficientTailError(
             f"fit window [{rw[0]:g}, {rw[-1]:g}] spans a factor "

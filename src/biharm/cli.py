@@ -3,14 +3,16 @@
 Subcommands: solve (fixed-point iteration, optionally with continuation),
 verify (residual battery on a stored profile), shoot (radial ODE integration
 and threshold bisection), sweep (cartesian parameter grid in a worker pool:
-each point is a solve of the base config with the point's q, curvatures and
-eps, the base's continuation running at every point with the axis it sets
-held at its limit 0, and its directory holds solve's four files).
+each point is the base config with the axes its grid lists replaced, q,
+kappa1 = a1, kappa2 = a2 = a3 and eps = eps_quartic; an axis it leaves out
+keeps the base's q or the value in its limit polynomial, so the axis a
+continuation sets stays at its limit 0.  Every point's config is made and
+checked before any runs; each point's directory holds solve's four files).
 
 Exit codes: 0 success / all checks pass; 1 structural error (usage, bad
-config or shooting input, I/O, shape mismatch); 2 solve finished Diverged,
-or a shot's integrator failed; 3 verification check failed; 4 shooting
-bracket not found.
+config, a sweep point's included, or shooting input, I/O, shape mismatch);
+2 solve finished Diverged, or a shot's integrator failed; 3 verification
+check failed; 4 shooting bracket not found.
 Reports are JSON with floats fixed to 12 significant digits and sorted keys,
 so identical config and seed give byte-identical output.  The default output
 directory is $BIHARM_OUT or ./biharm_out.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -169,10 +172,11 @@ def _solve_into(cfg: SolveConfig, out: Path) -> tuple:
     stage_cfg = cfg.stages()[len(cont.reports) - 1]  # the last stage attempted
     g = prof.grid
     u = Profile(grid=g, values=prof.values + g.poly_values(stage_cfg.poly))
-    u_limit = u if cont.limit_poly == stage_cfg.poly else Profile(
-        grid=g, values=prof.values + g.poly_values(cont.limit_poly))
+    limit_poly = cfg.limit_poly
+    u_limit = u if limit_poly == stage_cfg.poly else Profile(
+        grid=g, values=prof.values + g.poly_values(limit_poly))
     if report.converged:
-        _enrich_report(report, u, u_limit, cont.limit_poly, cfg.q)
+        _enrich_report(report, u, u_limit, limit_poly, cfg.q)
     extra = {}
     if cfg.continuation is not None:
         extra["continuation"] = {
@@ -409,17 +413,19 @@ def cmd_shoot(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
+SWEEP_AXES = ("q", "kappa1", "kappa2", "eps")
+SWEEP_COLUMNS = [*SWEEP_AXES, "converged", "iters", "beta", "alpha",
+                 "exponent_e1", "exponent_eperp", "error"]
+
+
 def _sweep_point(payload):
-    """Solve one sweep point into its directory, as solve would; returns its
-    sweep.csv row, its exponents fitted on v + P_limit.  Never raises."""
-    base, q, k1, k2, eps, point_dir = payload
-    row = {"q": q, "kappa1": k1, "kappa2": k2, "eps": eps,
-           "converged": False, "iters": 0, "beta": "", "alpha": "",
-           "exponent_e1": "", "exponent_eperp": "", "error": ""}
+    """Solve one sweep point's config into its directory, as solve would;
+    returns its sweep.csv row, its exponents fitted on v + P_limit."""
+    cfg, point, point_dir = payload
+    row = {**dict.fromkeys(SWEEP_COLUMNS, ""), **dict(zip(SWEEP_AXES, point)),
+           "converged": False, "iters": 0}
     try:
-        cfg = SolveConfig.from_dict(base)
-        poly = QuadraticPolynomial((k1, k2, k2), cfg.poly.b, cfg.poly.c, eps)
-        report, u = _solve_into(replace(cfg, q=q, poly=poly), Path(point_dir))
+        report, u = _solve_into(cfg, Path(point_dir))
         row.update(converged=report.converged, iters=report.iters)
         if report.converged:
             row["alpha"] = report.alpha
@@ -436,19 +442,34 @@ def _sweep_point(payload):
     return row
 
 
-SWEEP_COLUMNS = ["q", "kappa1", "kappa2", "eps", "converged", "iters",
-                 "beta", "alpha", "exponent_e1", "exponent_eperp", "error"]
-
-
-def _sweep_values(grid: dict, key: str, default: list) -> list:
-    """The values a sweep grid lists for one parameter, as floats."""
-    values = grid.get(key, default)
-    try:
-        if isinstance(values, list):
-            return [_number(x) for x in values]
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"sweep grid {key!r} is not a list of numbers")
+def _sweep_points(grid: dict, cfg: SolveConfig) -> list:
+    """(axis values, config) of each point of a sweep grid, sorted: the base
+    config cfg with the point's q, a = (kappa1, kappa2, kappa2) and
+    eps_quartic = eps.  An axis the grid leaves out holds cfg's value: its
+    q, and the a1, a2 and eps_quartic of its limit polynomial.  ConfigError
+    for a key that names no axis or a point whose config breaks a rule."""
+    unknown = [key for key in grid if key not in SWEEP_AXES]
+    if unknown:
+        raise ConfigError(f"sweep grid key {unknown[0]!r} names no axis; the "
+                          f"axes are {', '.join(SWEEP_AXES)}")
+    lim, axes = cfg.limit_poly, []
+    for key, value in zip(SWEEP_AXES, (cfg.q, lim.a[0], lim.a[1], lim.eps_quartic)):
+        values = grid.get(key, [value])
+        try:
+            if not isinstance(values, list):
+                raise TypeError
+            axes.append([_number(x) for x in values])
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"sweep grid {key!r} is not a list of numbers") from None
+    points = []
+    for q, k1, k2, eps in sorted(itertools.product(*axes)):
+        poly = QuadraticPolynomial((k1, k2, k2), cfg.poly.b, cfg.poly.c, eps)
+        try:
+            points.append(((q, k1, k2, eps), replace(cfg, q=q, poly=poly)))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep point q = {q}, kappa1 = {k1}, kappa2 = "
+                              f"{k2}, eps = {eps}: {exc}") from None
+    return points
 
 
 def cmd_sweep(args) -> int:
@@ -456,23 +477,19 @@ def cmd_sweep(args) -> int:
     base, grid = sw.get("base"), sw.get("grid")
     if not (isinstance(base, dict) and isinstance(grid, dict)):
         raise ConfigError("sweep config needs objects 'base' and 'grid'")
-    qs = _sweep_values(grid, "q", [base.get("q", 2.0)])
-    k2s = _sweep_values(grid, "kappa2", [1.0])
-    epss = _sweep_values(grid, "eps", [0.0])
-    # every point's config starts from the base, refused once if it breaks
-    # a rule; its continuation sets one axis at every stage and ends with it
-    # at 0, so the sweep holds that axis at 0 and refuses a grid listing it
-    cont = SolveConfig.from_dict(base).continuation
+    cfg = SolveConfig.from_dict(base)
+    # a base's continuation sets one axis at every stage and ends with it
+    # at 0, so every point of a grid listing that axis would solve one problem
+    cont = cfg.continuation
     held = cont and {"axis1": "kappa1", "quartic": "eps"}[cont.eps_param]
     if held in grid:
         raise ConfigError(f"sweep grid lists {held!r}, which the base's "
                           f"{cont.eps_param!r} continuation sets at every stage")
-    k1s = _sweep_values(grid, "kappa1", [0.0 if held == "kappa1" else 1.0])
+    # every point's config is made, and so checked, before any point runs
+    points = _sweep_points(grid, cfg)
     out = _out_dir(args)
-    points = sorted((q, k1, k2, e) for q in qs for k1 in k1s
-                    for k2 in k2s for e in epss)
-    payloads = [(base, *point, str(out / f"point_{i:04d}"))
-                for i, point in enumerate(points)]
+    payloads = [(point_cfg, values, str(out / f"point_{i:04d}"))
+                for i, (values, point_cfg) in enumerate(points)]
     threads = args.threads or min(4, os.cpu_count() or 1)
     if threads > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~12 ms to import

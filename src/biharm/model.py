@@ -86,19 +86,6 @@ class QuadraticPolynomial:
 
     # -- evaluation ---------------------------------------------------------
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an (..., 3) array of Cartesian points."""
-        pts = np.asarray(points, dtype=float)
-        a = np.array(self.a)
-        b = np.array(self.b)
-        r2 = np.sum(pts * pts, axis=-1)
-        return (
-            self.c
-            + np.sum(a * pts * pts, axis=-1)
-            + np.sum(b * pts, axis=-1)
-            + self.eps_quartic * r2 * r2
-        )
-
     def angular_factor(self, t) -> np.ndarray:
         """a1 t^2 + a2 (1 - t^2), P's quadratic part over r^2 on the ray with
         polar cosine t (axially symmetric even P only: a2 == a3, b == 0)."""
@@ -119,9 +106,6 @@ class QuadraticPolynomial:
         ang = self.angular_factor(t)
         r2 = np.square(r, dtype=float)
         return 3.0 * r2 * ang + 7.0 * self.eps_quartic * r2 * r2 - self.c
-
-    def laplacian_origin(self) -> float:
-        return 2.0 * (self.a[0] + self.a[1] + self.a[2])
 
     # -- structure ----------------------------------------------------------
 
@@ -660,6 +644,9 @@ class ExactQ7Thresholds:
     integral: float = 1e-3
     gamma: float = 1e-2
 
+    def __post_init__(self):
+        _refuse(_nonfinite(asdict(self), "thresholds."))
+
     @classmethod
     def from_dict(cls, d: dict) -> "ExactQ7Thresholds":
         """The thresholds of a "thresholds" object (_read_fields)."""
@@ -680,16 +667,18 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def _numbers(d: dict, prefix: str = ""):
-    """(name, value) of each float of a config dict, named by its path in
-    it: "q", "grid.r_max", "poly.a[0]"."""
+def _nonfinite(d: dict, prefix: str = ""):
+    """"<name> must be finite, got <x>" for each float x of a config dict
+    that is not finite (JSON reads NaN and Infinity, and no rule of a config
+    can judge them), named by its path in d: "q", "grid.r_max", "poly.a[0]"."""
     for key, value in d.items():
-        if isinstance(value, dict):
-            yield from _numbers(value, f"{prefix}{key}.")
-        elif isinstance(value, list):
-            yield from ((f"{prefix}{key}[{i}]", x) for i, x in enumerate(value))
-        elif isinstance(value, float):
-            yield prefix + key, value
+        if isinstance(value, list):
+            value = {f"{key}[{i}]": x for i, x in enumerate(value)}
+            yield from _nonfinite(value, prefix)
+        elif isinstance(value, dict):
+            yield from _nonfinite(value, f"{prefix}{key}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            yield f"{prefix}{key} must be finite, got {value}"
 
 
 @dataclass(frozen=True)
@@ -717,8 +706,7 @@ class SolveConfig:
     continuation: Optional[ContinuationSpec] = None
 
     def __post_init__(self):
-        _refuse(f"{name} must be finite, got {x}"
-                for name, x in _numbers(self.to_dict()) if not math.isfinite(x))
+        _refuse(_nonfinite(self.to_dict()))
         p, cont = self.poly, self.continuation
         errors = [_seed_error(self.seed)]
         if not (self.q > 0.0):
@@ -791,6 +779,12 @@ class SolveConfig:
     def replace_poly(self, poly: QuadraticPolynomial) -> "SolveConfig":
         """This config with another polynomial and no continuation."""
         return replace(self, poly=poly, continuation=None)
+
+    @property
+    def limit_poly(self) -> QuadraticPolynomial:
+        """P of the limit problem: poly with the continuation's parameter at 0."""
+        cont = self.continuation
+        return self.poly if cont is None else self.poly.with_eps(cont.eps_param, 0.0)
 
     def stages(self) -> list:
         """The configs solved in turn: one per continuation eps, else [self].

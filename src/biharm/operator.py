@@ -321,7 +321,6 @@ class ContinuationResult:
     final_profile: Profile
     reports: list
     cauchy: list  # sup over r <= 10 of |v_i - v_{i-1}| between consecutive stages
-    limit_poly: object
 
     @property
     def final_report(self) -> SolutionReport:
@@ -333,11 +332,11 @@ def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
     that does not converge.
 
     A config without continuation is the one-stage case: the plain solve,
-    with limit_poly = cfg.poly and no eps values.  Each stage starts from
-    the previous stage's profile and so shares its grid, with the Legendre
-    reduction and the mode convolution.  Cauchy diagnostics
-    record sup_{r <= 10} |v_i - v_{i-1}|; a decreasing sequence is the
-    empirical sign that the family converges.
+    with no eps values.  Each stage starts from the previous stage's
+    profile and so shares its grid, with the Legendre reduction and the mode
+    convolution.  Cauchy diagnostics record sup_{r <= 10} |v_i - v_{i-1}|;
+    a decreasing sequence is the empirical sign that the family converges.
+    The limit problem's P is cfg.limit_poly.
     """
     cont = cfg.continuation
     reports, cauchy = [], []
@@ -351,10 +350,6 @@ def continuation_eps_to_zero(cfg: SolveConfig) -> ContinuationResult:
         warm = prof
         if not rep.converged:
             break
-    eps_values, limit_poly = [], cfg.poly
-    if cont is not None:
-        eps_values = list(cont.eps_sequence[:len(reports)])
-        limit_poly = cfg.poly.with_eps(cont.eps_param, 0.0)
+    eps_values = [] if cont is None else list(cont.eps_sequence[:len(reports)])
     return ContinuationResult(eps_values=eps_values, final_profile=warm,
-                              reports=reports, cauchy=cauchy,
-                              limit_poly=limit_poly)
+                              reports=reports, cauchy=cauchy)

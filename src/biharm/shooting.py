@@ -579,8 +579,8 @@ def threshold_growth_diagnostics(traj: Trajectory, q: float) -> dict:
     and then departs to one side, so global fits are biased.  Instead the
     ratio u / (growth law) is tracked in log r and read off where its local
     log-slope is smallest (the plateau); the effective exponent is
-    d log u / d log r there.  Returns the plateau coefficient and radius, the
-    effective exponent, and the ratio trace for drift checks.
+    d log u / d log r there.  Returns the plateau coefficient and radius and
+    the effective exponent.
     """
     model, expo = borderline_exponent(q)
     sel = (traj.u > 0) & (traj.r > 10.0 * _R_START)
@@ -602,8 +602,6 @@ def threshold_growth_diagnostics(traj: Trajectory, q: float) -> dict:
         "coeff": float(ratio[k]),
         "r_plateau": float(r[k]),
         "exponent": float(dlogu[k]),
-        "r_trace": r,
-        "ratio_trace": ratio,
     }
 
 

@@ -90,7 +90,6 @@ class RadialLaplacian:
 @dataclass
 class PDEResidualResult:
     max_rel: float
-    normalization: float  # max of u^-q over the grid
     window: tuple
 
 
@@ -155,9 +154,8 @@ def pde_residual(u_profile: Profile, q: float,
     hi = float(g.r[-2 * _STENCIL_WIDTH] if g.r.size > 2 * _STENCIL_WIDTH
                else g.r[-(2 * lap.p + 1)])
     sel = (g.r >= lo) & (g.r <= hi)
-    return PDEResidualResult(
-        max_rel=float(np.max(np.abs(res[sel])) / norm),
-        normalization=norm, window=(lo, hi))
+    return PDEResidualResult(max_rel=float(np.max(np.abs(res[sel])) / norm),
+                             window=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +298,6 @@ def integral_residual(u_profile: Profile, q: float, poly,
 @dataclass
 class PohozaevResult:
     residual: Optional[float]
-    term_dilation: Optional[float]  # c_q int u^(1-q)
-    term_weight: Optional[float]    # (1/2) int (2 x . grad P - P) u^-q
     note: str = ""
 
 
@@ -322,7 +318,7 @@ def pohozaev_residual(u_profile: Profile, q: float, poly,
     if np.min(u) <= 0.0:
         raise NonFiniteError("pohozaev residual needs a strictly positive profile")
     if q <= 1.0:
-        return PohozaevResult(None, None, None, "identity needs q > 1")
+        return PohozaevResult(None, "identity needs q > 1")
     c_q = 0.5 - 3.0 / (q - 1.0)
 
     dil = u ** (1.0 - q)
@@ -335,12 +331,11 @@ def pohozaev_residual(u_profile: Profile, q: float, poly,
         try:
             fit = PowerTail.fit(g.r, np.abs(m0))
         except InsufficientTailError as exc:
-            return PohozaevResult(None, None, None, f"tail fit failed: {exc}")
+            return PohozaevResult(None, f"tail fit failed: {exc}")
         tail = PowerTail(FOUR_PI * fit.coeff, fit.exponent).moment(0, g.r_max)
         if math.isinf(tail):
-            return PohozaevResult(None, None, None,
-                                  f"integrand tail decays like "
-                                  f"r^-{fit.exponent:.3g}, integral diverges")
+            return PohozaevResult(None, f"integrand tail decays like "
+                                        f"r^-{fit.exponent:.3g}, integral diverges")
         total += math.copysign(tail, m0[-1])
         terms.append(total)
 
@@ -348,5 +343,5 @@ def pohozaev_residual(u_profile: Profile, q: float, poly,
     t2 = 0.5 * terms[1]
     denom = max(abs(t1), abs(t2))
     if denom < 1e-300:
-        return PohozaevResult(0.0, t1, t2, "both terms vanish")
-    return PohozaevResult(abs(t1 + t2) / denom, t1, t2, "")
+        return PohozaevResult(0.0, "both terms vanish")
+    return PohozaevResult(abs(t1 + t2) / denom)

@@ -85,7 +85,7 @@ def test_criterion_3_anisotropic_quadratic_growth(thm1_run, timings,
     rep = cont.final_report
     assert all(r.converged for r in cont.reports)
     g = prof.grid
-    u_fit = prof.values + g.poly_values(cont.limit_poly)
+    u_fit = prof.values + g.poly_values(cfg.limit_poly)
     up = Profile(grid=g, values=u_fit)
     for t, target in ((1.0, 1.0), (0.0, 2.0)):
         r, vals = analysis.ray_values(up, t)
@@ -110,8 +110,8 @@ def test_criterion_4_degenerate_direction_limit(thm2_run, timings):
     v = cont.final_profile.values
     sp = cfg.stages()[-1].poly
     u_stage = Profile(grid=g, values=v + g.poly_values(sp))
-    u_proxy = Profile(grid=g, values=v + g.poly_values(cont.limit_poly))
-    integ = verify.integral_residual(u_proxy, cfg.q, cont.limit_poly, seed=0)
+    u_proxy = Profile(grid=g, values=v + g.poly_values(cfg.limit_poly))
+    integ = verify.integral_residual(u_proxy, cfg.q, cfg.limit_poly, seed=0)
     assert integ.max_rel < 1e-2, f"integral residual {integ.max_rel:.3e}"
     poh = verify.pohozaev_residual(u_stage, cfg.q, sp, gamma_offset=0.0)
     assert poh.residual is not None and poh.residual < 1e-2, \
@@ -151,7 +151,7 @@ def test_criterion_6a_ode_reproduces_grid_solve():
     dens = u ** (-cfg.q)
     # shifted kernel pins v(0) = 0, so u(0) = P(0) and the origin Laplacian
     # splits into the polynomial part plus the density moment int s g(s) ds
-    w0 = cfg.poly.laplacian_origin() + float(np.sum(g.r * g.line_w * dens))
+    w0 = 2.0 * sum(cfg.poly.a) + float(np.sum(g.r * g.line_w * dens))
     traj = shooting.integrate_radial(cfg.q, cfg.poly.c, w0, g.r_max,
                                      forcing=120.0 * eps)
     assert traj.outcome == "survived"
@@ -212,7 +212,7 @@ def test_criterion_8_decomposition_recovers_polynomial(thm1_run):
     prof = cont.final_profile
     g = prof.grid
     u_stage = prof.values + g.poly_values(cfg.stages()[-1].poly)
-    u_fit = prof.values + g.poly_values(cont.limit_poly)
+    u_fit = prof.values + g.poly_values(cfg.limit_poly)
     beta, _ = analysis.compute_beta(
         Profile(grid=g, values=u_stage), cfg.q)
     dec = analysis.decompose(

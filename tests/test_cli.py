@@ -432,6 +432,21 @@ def test_nonfinite_number_exits_one_naming_its_field(tmp_path, capsys, field,
     assert err == f"error: {field} must be finite, got {value}\n"
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("field", ["pde", "integral", "gamma"])
+def test_nonfinite_exact_q7_threshold_exits_one_naming_it(tmp_path, capsys,
+                                                          field, value):
+    # every value fails `value < nan`, and every value passes `< inf`
+    path = tmp_path / "q7.json"
+    path.write_text(json.dumps({"command": "verify", "grid": _SMALL_GRID,
+                                "thresholds": {field: value}}))
+    code, _, err = run(capsys, "verify", "--config", str(path),
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == f"error: thresholds.{field} must be finite, got {value}\n"
+    assert not (tmp_path / "out" / "verification.json").exists()
+
+
 def test_exact_q7_battery_on_an_axisymmetric_grid(tmp_path, capsys):
     # the closed form fills every polar node column of the grid
     path = tmp_path / "q7.json"
@@ -1148,6 +1163,52 @@ class TestSweep:
         assert row["converged"] == "True" and row["kappa1"] == "0.0"
         doc = json.loads((out / "point_0000" / "report.json").read_text())
         assert doc["config"]["poly"]["a"] == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("grid, poly, axes", [
+        ({"kind": "axisymmetric", "n_r": 64, "n_angle": 8, "r_max": 20.0},
+         {"a": [2.0, 3.0, 3.0]}, ("2.0", "3.0", "0.0")),
+        (_SMALL_GRID, {"a": [1.0, 1.0, 1.0], "eps_quartic": 0.05},
+         ("1.0", "1.0", "0.05")),
+    ], ids=["curvatures", "eps"])
+    def test_an_axis_the_grid_leaves_out_keeps_the_base_value(
+            self, tmp_path, capsys, grid, poly, axes):
+        base = _small_config(grid=grid, poly=poly)
+        sw = tmp_path / "sweep.json"
+        sw.write_text(json.dumps({"base": base, "grid": {"q": [5.0]}}))
+        out = tmp_path / "sw"
+        assert run(capsys, "sweep", "--config", str(sw), "--out", str(out),
+                   "--threads", "1")[0] == 0
+        written = json.loads((out / "point_0000" / "config.json").read_text())
+        assert written["poly"] == SolveConfig.from_dict(base).poly.to_dict()
+        with open(out / "sweep.csv") as f:
+            (row,) = csv.DictReader(f)
+        assert (row["kappa1"], row["kappa2"], row["eps"]) == axes
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"q": [math.nan, 5.0], "kappa2": [math.inf]},
+         "error: sweep point q = nan, kappa1 = 1.0, kappa2 = inf, eps = 0.0: "
+         "q must be finite, got nan; poly.a[1] must be finite, got inf; "
+         "poly.a[2] must be finite, got inf"),
+        ({"q": [5.0], "kappa1": [1.0, 2.0]},
+         "error: sweep point q = 5.0, kappa1 = 2.0, kappa2 = 1.0, eps = 0.0: "
+         "radial grid requires a radial polynomial (equal a_i, b = 0)"),
+        ({"q": [5.0], "kapa2": [3.0]},
+         "error: sweep grid key 'kapa2' names no axis; the axes are q, "
+         "kappa1, kappa2, eps"),
+    ], ids=["nonfinite", "radial-kappa1", "unknown-key"])
+    def test_a_point_that_breaks_a_rule_is_refused_before_any_point_runs(
+            self, tmp_path, capsys, grid, message):
+        # every point's config is made from the base before the first runs,
+        # so one refused point leaves no point directory and no sweep.csv
+        sw = tmp_path / "sweep.json"
+        sw.write_text(json.dumps({"base": _small_config(), "grid": grid}))
+        out = tmp_path / "sw"
+        code, _, err = run(capsys, "sweep", "--config", str(sw),
+                           "--out", str(out), "--threads", "1")
+        assert code == 1
+        assert err == message + "\n"
+        assert not (out / "sweep.csv").exists()
+        assert not list(out.glob("point_*"))
 
     def test_failing_point_is_isolated(self, tmp_path, capsys):
         base = json.loads(quick_config(tmp_path).read_text())

@@ -35,8 +35,9 @@ class TestPolynomial:
         rng = np.random.default_rng(1)
         r = rng.uniform(0.1, 5.0, 40)
         t = rng.uniform(-1.0, 1.0, 40)
-        pts = np.stack([r * t, r * np.sqrt(1 - t**2), np.zeros(40)], axis=-1)
-        np.testing.assert_allclose(p(pts), p.value_rt(r, t), rtol=1e-13)
+        x = np.stack([r * t, r * np.sqrt(1 - t**2), np.zeros(40)], axis=-1)
+        cartesian = 0.7 + x**2 @ np.array(p.a) + 0.05 * np.sum(x**2, axis=-1)**2
+        np.testing.assert_allclose(cartesian, p.value_rt(r, t), rtol=1e-13)
 
     def test_radial_evaluation(self):
         p = QuadraticPolynomial((3.0, 3.0, 3.0), (0, 0, 0), 2.0, 0.1)
@@ -445,6 +446,16 @@ class TestStages:
         assert all(s.continuation is None for s in stages)
         assert all(s.replace_poly(cfg.poly) == cfg.replace_poly(cfg.poly)
                    for s in stages)
+
+    @pytest.mark.parametrize("param, a, eps", [
+        (None, (1.0, 2.0, 2.0), 0.05), ("quartic", (1.0, 2.0, 2.0), 0.0),
+        ("axis1", (0.0, 2.0, 2.0), 0.05)], ids=["none", "quartic", "axis1"])
+    def test_limit_poly_sets_the_continuation_parameter_to_zero(self, param,
+                                                                a, eps):
+        cont = param and {"eps_sequence": [0.3, 0.1], "eps_param": param}
+        cfg = _cfg(poly={"a": [1.0, 2.0, 2.0], "eps_quartic": 0.05},
+                   continuation=cont)
+        assert cfg.limit_poly == QuadraticPolynomial(a, eps_quartic=eps)
 
 
 _RADIAL_GRID = {"kind": "radial", "n_r": 32, "r_max": 10.0}
