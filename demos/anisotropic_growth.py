@@ -15,8 +15,7 @@ from biharm import (Profile, SolveConfig, continuation_eps_to_zero,
 
 CONFIG = {
     "q": 2.0,
-    "poly": {"a": [1.0, 2.0, 2.0], "b": [0.0, 0.0, 0.0], "c": 1.0,
-             "eps_quartic": 0.0},
+    "poly": {"a": [1.0, 2.0, 2.0], "c": 1.0, "eps_quartic": 0.0},
     "kernel_variant": "shifted",
     "grid": {"kind": "axisymmetric", "n_r": 192, "n_angle": 192,
              "r_max": 60.0, "grading": 2.0},

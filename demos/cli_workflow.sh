@@ -12,8 +12,7 @@ trap 'rm -rf "$WORK"' EXIT
 cat > "$WORK/config.json" <<'EOF'
 {
   "q": 5.0,
-  "poly": {"a": [1.0, 1.0, 1.0], "b": [0.0, 0.0, 0.0], "c": 1.0,
-           "eps_quartic": 0.0},
+  "poly": {"a": [1.0, 1.0, 1.0], "c": 1.0, "eps_quartic": 0.0},
   "kernel_variant": "shifted",
   "grid": {"kind": "radial", "n_r": 400, "r_max": 40.0, "grading": 2.0},
   "damping": 1.0,

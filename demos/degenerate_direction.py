@@ -11,8 +11,7 @@ from biharm import Profile, SolveConfig, continuation_eps_to_zero, fit_growth, r
 
 CONFIG = {
     "q": 8.0,
-    "poly": {"a": [0.0, 1.0, 1.0], "b": [0.0, 0.0, 0.0], "c": 1.0,
-             "eps_quartic": 0.0},
+    "poly": {"a": [0.0, 1.0, 1.0], "c": 1.0, "eps_quartic": 0.0},
     "kernel_variant": "unshifted",
     "grid": {"kind": "axisymmetric", "n_r": 192, "n_angle": 96,
              "r_max": 80.0, "grading": 2.0},

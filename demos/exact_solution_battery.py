@@ -13,7 +13,7 @@ from biharm import (GridSpec, Profile, QuadraticPolynomial, compute_beta,
                     exact_q7_profile, exact_q7_value, integral_residual,
                     pde_residual)
 
-ZERO = QuadraticPolynomial((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0.0)
+ZERO = QuadraticPolynomial((0.0, 0.0, 0.0), c=0.0)
 
 
 def main() -> None:

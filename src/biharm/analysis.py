@@ -175,15 +175,12 @@ def first_moment(grid, g0: np.ndarray) -> float:
     return quad + tail
 
 
-_B_TOLERANCE = 0.02  # slack of the |b| <= beta constraint check
-
-
 def _columns(*arrays) -> np.ndarray:
     """The arrays, flattened, as the columns of one matrix."""
     return np.stack([a.ravel() for a in arrays], axis=1)
 
 
-def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dict:
+def decompose(u_profile: Profile, q: float) -> dict:
     """Split u into polynomial part plus kernel convolution of u^-q.
 
     Computes v = (1/8 pi) int (|x-y| - |y|) u(y)^-q dy on the grid, fits
@@ -191,10 +188,10 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dic
     field on a grid is even in x1, so it has no linear part) with weights
     (1 + r^2)^-2 under the R^3 measure, and reports the coefficients, the
     relative fit residual in the quadratic-weighted sup norm, and the
-    constraint checks (nonnegative quadratic part, linear part bounded by the
-    slope beta up to _B_TOLERANCE, positive constant).  gamma_identity_gap is the fitted constant
-    minus (1/8 pi) int |y| u^-q dy; it vanishes when u itself satisfies the
-    unshifted integral identity.
+    constraint checks: c > 0, and min a >= -max |w - fit| / (1 + r^2), as an
+    a_i within the fit's own error in that norm is zero to its accuracy.
+    gamma_identity_gap is the fitted constant minus (1/8 pi) int |y| u^-q
+    dy; it vanishes when u itself satisfies the unshifted integral identity.
     """
     g = u_profile.grid
     u = u_profile.values
@@ -216,10 +213,11 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dic
     coef, *_ = np.linalg.lstsq(A * sw[:, None], w.ravel() * sw, rcond=None)
     fit_vals = (A @ coef).reshape(w.shape)
     denom = float(np.max(np.abs(fit_vals) / quad_scale))
-    fit_residual = float(np.max(np.abs(w - fit_vals) / quad_scale)) / max(denom, 1e-300)
+    fit_error = float(np.max(np.abs(w - fit_vals) / quad_scale))
+    fit_residual = fit_error / max(denom, 1e-300)
 
     c, *rest = (float(x) for x in coef)
-    a, b = [rest[i] for i in axes], [0.0, 0.0, 0.0]
+    a = [rest[i] for i in axes]
 
     # first moment of the density, for the identity gap (finite iff decay
     # > 4, and fittable only on a last decade fit_growth can use); optional,
@@ -229,15 +227,9 @@ def decompose(u_profile: Profile, q: float, beta: Optional[float] = None) -> dic
     except (NotIntegrableError, InsufficientTailError):
         moment1 = None
 
-    a_scale = max(max(abs(x) for x in a), 1e-12)
-    constraints = {
-        "a_nonneg": bool(min(a) >= -1e-6 * a_scale),
-        "c_positive": bool(c > 0.0),
-    }
-    if beta is not None:
-        constraints["b_bounded_by_beta"] = bool(
-            max(abs(x) for x in b) <= beta + _B_TOLERANCE)
-    return {"a": a, "b": b, "c": c, "fit_residual": fit_residual,
+    constraints = {"a_nonneg": bool(min(a) >= -fit_error),
+                   "c_positive": bool(c > 0.0)}
+    return {"a": a, "b": [0.0, 0.0, 0.0], "c": c, "fit_residual": fit_residual,
             "gamma_identity_gap": None if moment1 is None else c - moment1,
             "first_moment": moment1, "constraints": constraints}
 

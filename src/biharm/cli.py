@@ -143,21 +143,21 @@ def _enrich_report(report, u: Profile, u_limit: Profile, limit_poly, q: float):
     # the decomposition basis is quadratic, so for continuation runs it
     # applies to the limit object v + P_limit, not the quartic stage
     try:
-        report.decomposition = analysis.decompose(u_limit, q, beta=report.beta)
+        report.decomposition = analysis.decompose(u_limit, q)
     except (analysis.NotIntegrableError, analysis.InsufficientTailError,
             NonFiniteError) as exc:
         report.decomposition = {"error": str(exc)}
 
 
 def _solve_config(d: dict, command: str, seed: int | None) -> SolveConfig:
-    """The solve config of the dict d, read by `command`, with its seed
-    replaced by the --seed flag's when given; ConfigError when d drives
-    another subcommand or is malformed, and SolveConfig's own when the
-    config breaks a structural rule (e.g. a radial grid needs a radial P)."""
+    """The solve config of the dict d (solve's, verify's or a sweep's base),
+    read by `command`, with its seed replaced by the --seed flag's if given;
+    ConfigError when d drives another subcommand or is malformed, and
+    SolveConfig's own when it breaks a rule (a radial grid needs radial P)."""
     if d.get("command", "solve") != "solve":
         raise ConfigError(f"this preset drives the {d.get('command')!r} "
                           f"subcommand, not {command}")
-    cfg = SolveConfig.from_dict(d)
+    cfg = SolveConfig.from_dict({k: v for k, v in d.items() if k != "command"})
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
@@ -272,11 +272,14 @@ def _profile_stage(cfg: SolveConfig, profile_path) -> tuple:
     doc = _read_json(path, "report.json") if path.is_file() else None
     written = None if doc is None else doc.get("config")
 
-    def unseeded(d):
-        return {k: v for k, v in d.items() if k != "seed"}
+    def unseeded(c):  # the config as report.json writes it, less its seed
+        return report_json(replace(c, seed=0).to_dict())
 
-    if not isinstance(written, dict) or unseeded(written) != unseeded(
-            json.loads(report_json(cfg.to_dict()))):
+    try:  # read as a config: a report written before P lost b names b = 0
+        same = unseeded(SolveConfig.from_dict(written)) == unseeded(cfg)
+    except ConfigError:
+        same = False
+    if not same:
         why = "no" if doc is None else "another config's"
         return stages[-1], {
             "eps": eps[-1], "converged": None,
@@ -463,7 +466,7 @@ def _sweep_points(grid: dict, cfg: SolveConfig) -> list:
             raise ConfigError(f"sweep grid {key!r} is not a list of numbers") from None
     points = []
     for q, k1, k2, eps in sorted(itertools.product(*axes)):
-        poly = QuadraticPolynomial((k1, k2, k2), cfg.poly.b, cfg.poly.c, eps)
+        poly = replace(cfg.poly, a=(k1, k2, k2), eps_quartic=eps)
         try:
             points.append(((q, k1, k2, eps), replace(cfg, q=q, poly=poly)))
         except ConfigError as exc:
@@ -477,7 +480,7 @@ def cmd_sweep(args) -> int:
     base, grid = sw.get("base"), sw.get("grid")
     if not (isinstance(base, dict) and isinstance(grid, dict)):
         raise ConfigError("sweep config needs objects 'base' and 'grid'")
-    cfg = SolveConfig.from_dict(base)
+    cfg = _solve_config(base, "sweep", None)
     # a base's continuation sets one axis at every stage and ends with it
     # at 0, so every point of a grid listing that axis would solve one problem
     cont = cfg.continuation

@@ -65,38 +65,36 @@ class InsufficientTailError(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticPolynomial:
-    """P(x) = c + sum_i a_i x_i^2 + sum_i b_i x_i + eps_quartic |x|^4.
+    """P(x) = c + sum_i a_i x_i^2 + eps_quartic |x|^4, even in every x_i.
 
     The quartic term is an optional regularizer that restores integrability of
     P^-q when the quadratic part alone decays too slowly.
     """
 
     a: tuple[float, float, float]
-    b: tuple[float, float, float] = (0.0, 0.0, 0.0)
     c: float = 1.0
     eps_quartic: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "eps_quartic", float(self.eps_quartic))
-        if len(self.a) != 3 or len(self.b) != 3:
-            raise ConfigError("polynomial coefficient vectors must have length 3")
+        if len(self.a) != 3:
+            raise ConfigError("polynomial coefficient vector a must have length 3")
 
     # -- evaluation ---------------------------------------------------------
 
     def angular_factor(self, t) -> np.ndarray:
         """a1 t^2 + a2 (1 - t^2), P's quadratic part over r^2 on the ray with
-        polar cosine t (axially symmetric even P only: a2 == a3, b == 0)."""
+        polar cosine t (axially symmetric P only: a2 == a3)."""
         if not self.is_axisymmetric():
-            raise ConfigError("P on spheres (r, t) requires a2 == a3 and b == 0")
+            raise ConfigError("P on spheres (r, t) requires a2 == a3")
         t = np.asarray(t, dtype=float)
         return self.a[0] * t * t + self.a[1] * (1.0 - t * t)
 
     def value_rt(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Evaluate on spheres: radius r, polar cosine t against the x1 axis
-        (axisymmetric even P only, as angular_factor)."""
+        (axisymmetric P only, as angular_factor)."""
         ang = self.angular_factor(t)
         r2 = np.square(r, dtype=float)
         return self.c + r2 * ang + self.eps_quartic * r2 * r2
@@ -109,14 +107,8 @@ class QuadraticPolynomial:
 
     # -- structure ----------------------------------------------------------
 
-    def is_even(self) -> bool:
-        return all(v == 0.0 for v in self.b)
-
     def is_axisymmetric(self) -> bool:
-        return self.is_even() and self.a[1] == self.a[2]
-
-    def is_radial(self) -> bool:
-        return self.is_even() and self.a[0] == self.a[1] == self.a[2]
+        return self.a[1] == self.a[2]
 
     def leading_term(self) -> tuple[int, float]:
         """(m, lead): P ~ lead |x|^m at infinity in every direction.
@@ -134,19 +126,25 @@ class QuadraticPolynomial:
     def with_eps(self, param: str, eps: float) -> "QuadraticPolynomial":
         """Return a copy with the continuation knob `param` set to `eps`."""
         if param == "quartic":
-            return QuadraticPolynomial(self.a, self.b, self.c, eps)
+            return replace(self, eps_quartic=eps)
         if param == "axis1":
-            return QuadraticPolynomial((eps, self.a[1], self.a[2]), self.b, self.c, self.eps_quartic)
+            return replace(self, a=(eps, *self.a[1:]))
         raise ConfigError(f"unknown continuation parameter {param!r}")
 
     def to_dict(self) -> dict:
-        return {"a": list(self.a), "b": list(self.b), "c": self.c, "eps_quartic": self.eps_quartic}
+        return {"a": list(self.a), "c": self.c, "eps_quartic": self.eps_quartic}
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuadraticPolynomial":
-        """The polynomial of a config's "poly" object (_read_fields)."""
-        return _read_fields(cls, d, "polynomial spec", a=_floats, b=_floats,
-                            c=_number, eps_quartic=_number)
+        """The polynomial of a config's "poly" object (_read_fields); its "b",
+        which configs written before P lost its linear part name, must be zeros."""
+        if isinstance(d, dict) and "b" in d:
+            d, b = {k: v for k, v in d.items() if k != "b"}, d["b"]
+            if not (isinstance(b, list) and len(b) == 3 and all(
+                    x == 0 and type(x) is not bool for x in b)):
+                raise ConfigError(f"iteration requires an even polynomial, got b = {b}")
+        return _read_fields(cls, d, "polynomial spec", a=_floats, c=_number,
+                            eps_quartic=_number)
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +569,17 @@ def _floats(values) -> tuple:
 def _read_fields(cls, d: dict, what: str, **read):
     """The config dataclass cls from its JSON object d: each field d names,
     through its read[name] conversion if any; a field left out keeps its
-    dataclass default, other keys are ignored.  ConfigError "malformed <what>:
-    <field>: ..." for a required field left out or a value its conversion
-    refuses; cls is made after that, so its own checks raise their own."""
+    dataclass default.  ConfigError "malformed <what>: ..." for a key that
+    names no field, then for a required field left out or a value its
+    conversion refuses (a nested object's reader raises its own); cls is
+    made after that, so its own checks raise their own."""
     if not isinstance(d, dict):
         raise ConfigError(f"malformed {what}: {type(d).__name__} is not an object")
+    names = [f.name for f in fields(cls)]
+    unknown = [key for key in d if key not in names]
+    if unknown:
+        raise ConfigError(f"malformed {what}: unknown key {unknown[0]!r}; its "
+                          f"keys are {', '.join(names)}")
     values = {}
     for f in fields(cls):
         try:
@@ -583,6 +587,8 @@ def _read_fields(cls, d: dict, what: str, **read):
                 values[f.name] = read.get(f.name, lambda v: v)(d[f.name])
             elif f.default is MISSING:
                 raise ValueError("required field is missing")
+        except ConfigError:
+            raise  # a nested object's reader, which names its own object
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed {what}: {f.name}: {exc}") from exc
     return cls(**values)
@@ -690,7 +696,7 @@ class SolveConfig:
     ConfigError naming each broken rule in a fixed order, joined by "; ".
     Every number must be finite: that rule goes first and alone (JSON reads NaN).
     So from_dict, replace, replace_poly and stages only return valid
-    configs.  P must be even (b = 0) with a_i >= 0, eps_quartic >= 0 and
+    configs.  P (even by construction) must have a_i >= 0, eps_quartic >= 0 and
     c > 0, which makes P >= c > 0 everywhere.  Whether a solution can exist
     at all is the integrability gate, validate_config.
     """
@@ -728,12 +734,10 @@ class SolveConfig:
         if p.c <= 0.0:
             errors.append(f"constant term must be positive, got c = {p.c} "
                           f"(P(0) = {p.c} <= 0)")
-        if not p.is_even():
-            errors.append(f"iteration requires an even polynomial, got b = {p.b}")
-        if self.grid.kind == "radial" and not p.is_radial():
-            errors.append("radial grid requires a radial polynomial (equal a_i, b = 0)")
+        if self.grid.kind == "radial" and len(set(p.a)) > 1:
+            errors.append("radial grid requires a radial polynomial (equal a_i)")
         if self.grid.kind == "axisymmetric" and not p.is_axisymmetric():
-            errors.append("axisymmetric grid requires a2 == a3 and b = 0")
+            errors.append("axisymmetric grid requires a2 == a3")
         if cont is not None:
             seq = cont.eps_sequence
             if len(seq) == 0 or any(e <= 0 for e in seq) or any(

@@ -19,7 +19,7 @@ from biharm.operator import OperatorContext, solve_fixed_point
 
 MODULE_T0 = time.perf_counter()
 
-ZERO_POLY = QuadraticPolynomial((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0.0)
+ZERO_POLY = QuadraticPolynomial((0.0, 0.0, 0.0), 0.0, 0.0)
 
 
 def test_criterion_1_closed_form_battery():
@@ -63,7 +63,7 @@ def test_criterion_2_first_iterate_slope():
     t0 = time.perf_counter()
     cfg = SolveConfig(
         q=2.0,
-        poly=QuadraticPolynomial((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 1.0, 0.0),
+        poly=QuadraticPolynomial((1.0, 1.0, 1.0), 1.0, 0.0),
         kernel_variant="shifted",
         grid=GridSpec("radial", 4000, 4000.0),
         tol_fixed_point=1e-10, max_iters=5)
@@ -140,7 +140,7 @@ def test_criterion_6a_ode_reproduces_grid_solve():
     eps = 0.5
     cfg = SolveConfig(
         q=2.0,
-        poly=QuadraticPolynomial((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 1.0, eps),
+        poly=QuadraticPolynomial((1.0, 1.0, 1.0), 1.0, eps),
         kernel_variant="shifted",
         grid=GridSpec("radial", 2000, 50.0),
         tol_fixed_point=1e-12, max_iters=200)
@@ -211,12 +211,8 @@ def test_criterion_8_decomposition_recovers_polynomial(thm1_run):
     cfg, cont = thm1_run
     prof = cont.final_profile
     g = prof.grid
-    u_stage = prof.values + g.poly_values(cfg.stages()[-1].poly)
     u_fit = prof.values + g.poly_values(cfg.limit_poly)
-    beta, _ = analysis.compute_beta(
-        Profile(grid=g, values=u_stage), cfg.q)
-    dec = analysis.decompose(
-        Profile(grid=g, values=u_fit), cfg.q, beta=beta)
+    dec = analysis.decompose(Profile(grid=g, values=u_fit), cfg.q)
     for got, want in zip(dec["a"], (1.0, 2.0, 2.0)):
         assert got == pytest.approx(want, rel=0.05)
     assert max(abs(x) for x in dec["b"]) <= 0.02
@@ -272,7 +268,7 @@ def test_criterion_9c_nonexistence_regime_is_flagged():
     regime instead of pretending to converge."""
     cfg = SolveConfig(
         q=1.0,
-        poly=QuadraticPolynomial((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 1.0, 0.0),
+        poly=QuadraticPolynomial((1.0, 1.0, 1.0), 1.0, 0.0),
         kernel_variant="shifted",
         grid=GridSpec("radial", 200, 20.0),
         tol_fixed_point=1e-8, max_iters=50)

@@ -137,7 +137,7 @@ class TestBeta:
 class TestDecompose:
     def test_exact_q7_recovers_flat_polynomial(self):
         prof = exact_q7_profile(_grid(2000, 100.0))
-        dec = decompose(prof, 7.0, beta=1.0)
+        dec = decompose(prof, 7.0)
         # u - (1/8pi) int (|x-y| - |y|) u^-7 = u(0) exactly
         assert max(abs(x) for x in dec["a"]) < 1e-6
         assert max(abs(x) for x in dec["b"]) < 1e-8
@@ -145,7 +145,6 @@ class TestDecompose:
         assert dec["fit_residual"] < 1e-6
         assert dec["constraints"]["a_nonneg"]
         assert dec["constraints"]["c_positive"]
-        assert dec["constraints"]["b_bounded_by_beta"]
 
     def test_exact_q7_gamma_identity(self):
         # for the unshifted representation u = gamma + beta |x| + o(1) the
@@ -160,10 +159,30 @@ class TestDecompose:
         cfg, prof, report = flat_q5_run
         u = prof.values + prof.grid.poly_values(cfg.poly)
         up = Profile(grid=prof.grid, values=u)
-        dec = decompose(up, 5.0, beta=report.beta)
+        dec = decompose(up, 5.0)
         assert max(abs(x) for x in dec["a"]) < 1e-6
         assert dec["c"] == pytest.approx(1.0, rel=1e-5)
         assert dec["fit_residual"] < 1e-5
+
+    def test_a_negative_a_within_the_fit_error_is_nonnegative(self, thm2_run):
+        # thm2's limit P has a1 = 0; the fitted a1 of v + P_limit is -5e-5,
+        # inside the fit's own error (fit_residual 1.8e-3 of a fit of size
+        # ~1), so a1 is zero to the fit's accuracy
+        cfg, cont = thm2_run
+        g = cont.final_profile.grid
+        u = cont.final_profile.values + g.poly_values(cfg.limit_poly)
+        dec = decompose(Profile(grid=g, values=u), cfg.q)
+        assert -1e-4 < dec["a"][0] < 0.0 < dec["fit_residual"] < 1e-2
+        assert dec["constraints"]["a_nonneg"]
+
+    def test_a_negative_a_beyond_the_fit_error_is_refused(self):
+        # u = 1 + 50 - x1^2 / 2 + rho^2 is positive on r <= 10 and exactly
+        # quadratic, so its fit error is the small convolution part's
+        g = AxisymmetricGrid.build(64, 16, 10.0)
+        u = 51.0 - 0.5 * g.x1**2 + g.rho**2
+        dec = decompose(Profile(grid=g, values=u), 8.0)
+        assert dec["a"][0] == pytest.approx(-0.5, rel=1e-2)
+        assert not dec["constraints"]["a_nonneg"]
 
 
 class TestHessianDecay:
@@ -202,7 +221,7 @@ class TestRayValues:
     def test_axisym_ray_interpolates_polynomial_exactly(self):
         from biharm.model import QuadraticPolynomial
         g = AxisymmetricGrid.build(64, 32, 20.0)
-        p = QuadraticPolynomial((1.0, 2.0, 2.0), (0, 0, 0), 1.0)
+        p = QuadraticPolynomial((1.0, 2.0, 2.0), 1.0)
         vals = p.value_rt(g.r[:, None], g.t[None, :])
         prof = Profile(grid=g, values=vals)
         for t in (1.0, 0.0, 0.6):

@@ -2,6 +2,7 @@
 outputs, determinism, and preset handling, all run in-process."""
 
 import csv
+import dataclasses
 import filecmp
 import json
 import math
@@ -16,7 +17,8 @@ import pytest
 
 from biharm import cli, shooting, verify
 from biharm.kernels import ModeConvolution
-from biharm.model import (ConfigError, GridSpec, Profile, RadialGrid,
+from biharm.model import (ConfigError, ContinuationSpec, ExactQ7Thresholds,
+                          GridSpec, Profile, QuadraticPolynomial, RadialGrid,
                           SolveConfig, check_seed, load_profile_csv,
                           save_profile_csv)
 from biharm.operator import solve_fixed_point
@@ -401,7 +403,8 @@ def test_config_hard_error_exits_one_with_its_message(tmp_path, capsys, over,
 
 
 # each float a solve config reads, named as its error names it, and the
-# fields of _small_config's config that put a value there
+# fields of _small_config's config that put a value there (b, which must be
+# zeros, is refused as odd)
 _FLOAT_FIELDS = {
     "q": lambda x: {"q": x},
     "poly.a[0]": lambda x: {"poly": {"a": [x, 1.0, 1.0]}},
@@ -429,7 +432,10 @@ def test_nonfinite_number_exits_one_naming_its_field(tmp_path, capsys, field,
     code, _, err = run(capsys, "solve", "--config", str(path),
                        "--out", str(tmp_path / "out"))
     assert code == 1
-    assert err == f"error: {field} must be finite, got {value}\n"
+    message = f"{field} must be finite, got {value}"
+    if field == "poly.b[1]":  # b must be zeros, which a non-finite b is not
+        message = f"iteration requires an even polynomial, got b = [0.0, {value}, 0.0]"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
@@ -445,6 +451,55 @@ def test_nonfinite_exact_q7_threshold_exits_one_naming_it(tmp_path, capsys,
     assert code == 1
     assert err == f"error: thresholds.{field} must be finite, got {value}\n"
     assert not (tmp_path / "out" / "verification.json").exists()
+
+
+# a misspelled key at each level a config is read at: the subcommand that
+# reads it, the config, and the object and key its error names
+_MISSPELLED_KEYS = {
+    "top": ("solve", _small_config(max_iter=3), "config", "max_iter"),
+    "poly": ("solve", _small_config(poly={"a": [1.0, 1.0, 1.0],
+                                          "eps_quartc": 0.5}),
+             "polynomial spec", "eps_quartc"),
+    "grid": ("solve", _small_config(grid={**_SMALL_GRID, "n_angel": 64}),
+             "grid spec", "n_angel"),
+    "continuation": ("solve", _small_config(continuation={
+        "eps_sequence": [0.1], "eps_parm": "axis1"}), "continuation spec",
+        "eps_parm"),
+    "thresholds": ("verify", {"command": "verify", "grid": _SMALL_GRID,
+                              "thresholds": {"pdf": 0.1}},
+                   "exact-q7 thresholds", "pdf"),
+    "sweep-base": ("sweep", {"base": _small_config(poly={
+        "a": [1.0, 1.0, 1.0], "eps_quartc": 0.5}), "grid": {"q": [4.0, 5.0]}},
+        "polynomial spec", "eps_quartc"),
+}
+
+
+@pytest.mark.parametrize("level", list(_MISSPELLED_KEYS))
+def test_a_key_no_field_reads_exits_one_naming_it(tmp_path, capsys, level):
+    # such a key was ignored, so the field it meant kept its default
+    cmd, doc, what, key = _MISSPELLED_KEYS[level]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, cmd, "--config", str(path), "--out", str(out))
+    assert code == 1
+    assert err.startswith(f"error: malformed {what}: unknown key {key!r}; "
+                          f"its keys are ") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_sweep_base_is_read_as_a_solve_config(tmp_path, capsys):
+    # the base goes through the one entry of a solve config, which reads
+    # its command key: "solve" is accepted, another subcommand is refused
+    path = tmp_path / "sweep.json"
+    for command, want in (("solve", 0), ("shoot", 1)):
+        path.write_text(json.dumps({"base": _small_config(command=command),
+                                    "grid": {"q": [5.0]}}))
+        code, _, err = run(capsys, "sweep", "--config", str(path), "--out",
+                           str(tmp_path / command), "--threads", "1")
+        assert code == want
+    assert err == "error: this preset drives the 'shoot' subcommand, not sweep\n"
+    assert not (tmp_path / "shoot").exists()
 
 
 def test_exact_q7_battery_on_an_axisymmetric_grid(tmp_path, capsys):
@@ -559,6 +614,21 @@ def test_schema_bounds_match_the_code():
     assert check_seed(seed) == seed
     with pytest.raises(ConfigError, match="seed must be a non-negative"):
         check_seed(seed - 1)
+    # each object a reader reads names exactly its dataclass's fields (a
+    # solve config also its command), and the schema refuses any other key
+    # as the reader does
+    readers = {"polynomial": (defs["polynomial"], QuadraticPolynomial),
+               "grid": (defs["grid"], GridSpec),
+               "continuation": (defs["continuation"], ContinuationSpec),
+               "solveConfig": (defs["solveConfig"], SolveConfig),
+               "thresholds": (defs["verifyPreset"]["properties"]["thresholds"],
+                              ExactQ7Thresholds)}
+    for name, (definition, cls) in readers.items():
+        read = {f.name for f in dataclasses.fields(cls)}
+        if cls is SolveConfig:
+            read.add("command")
+        assert set(definition["properties"]) == read, name
+        assert definition["additionalProperties"] is False, name
     r_end = defs["shootPreset"]["properties"]["r_end"]["exclusiveMinimum"]
     with pytest.raises(ValueError, match="r_end"):
         shooting.integrate_radial(3.0, 1.0, 1.4, r_end)
@@ -779,6 +849,22 @@ class TestVerify:
                                   3.0, eps_quartic=0.3)
         assert doc["checks"]["pde"]["value"] == pytest.approx(pde.max_rel,
                                                               rel=1e-11)
+
+    def test_a_report_written_before_p_lost_b_names_its_stage(self, tmp_path,
+                                                              capsys):
+        # such a report's config names poly.b = [0, 0, 0]; read as a config,
+        # it is the config verify is given, so its stage (eps = 0.3) is used
+        cont = {"eps_sequence": [0.3, 0.1], "eps_param": "quartic"}
+        cfg = quick_config(tmp_path, q=3.0, max_iters=3, continuation=cont)
+        out = tmp_path / "early"
+        assert run(capsys, "solve", "--config", str(cfg), "--out", str(out))[0] == 2
+        report = json.loads((out / "report.json").read_text())
+        report["config"]["poly"]["b"] = [0.0, 0.0, 0.0]
+        (out / "report.json").write_text(json.dumps(report))
+        run(capsys, "verify", "--config", str(cfg), "--profile",
+            str(out / "profile.csv"), "--out", str(tmp_path / "chk"))
+        doc = json.loads((tmp_path / "chk" / "verification.json").read_text())
+        assert (doc["stage"]["eps"], doc["stage"]["converged"]) == (0.3, False)
 
     @pytest.mark.filterwarnings("error")
     def test_header_only_profile_exits_one(self, solved, tmp_path, capsys):
@@ -1191,7 +1277,7 @@ class TestSweep:
          "poly.a[2] must be finite, got inf"),
         ({"q": [5.0], "kappa1": [1.0, 2.0]},
          "error: sweep point q = 5.0, kappa1 = 2.0, kappa2 = 1.0, eps = 0.0: "
-         "radial grid requires a radial polynomial (equal a_i, b = 0)"),
+         "radial grid requires a radial polynomial (equal a_i)"),
         ({"q": [5.0], "kapa2": [3.0]},
          "error: sweep grid key 'kapa2' names no axis; the axes are q, "
          "kappa1, kappa2, eps"),

@@ -8,6 +8,7 @@ checkout's CLI.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -17,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import biharm
+from biharm import cli
+from biharm.model import ExactQ7Thresholds, GridSpec, SolveConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -74,3 +77,41 @@ def test_demo_and_readme_imports_are_exported():
     assert "solve_fixed_point" in used  # the README quick start was parsed
     missing = sorted(used - set(biharm.__all__))
     assert not missing, f"not in biharm.__all__: {missing}"
+
+
+def _written_solve_configs() -> dict:
+    """The solve configs the demos and the README write out, by file."""
+    found = {}
+    for path in sorted(DEMOS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "CONFIG" for t in node.targets):
+                found[path.name] = ast.literal_eval(node.value)
+    script = (DEMOS / "cli_workflow.sh").read_text()
+    found["cli_workflow.sh"] = json.loads(re.search(
+        r"config\.json\" <<'EOF'\n(.*?)\nEOF", script, re.S).group(1))
+    readme = (ROOT / "README.md").read_text()
+    found["README.md"] = ast.literal_eval(re.search(
+        r"SolveConfig\.from_dict\((\{.*?\})\)", readme, re.S).group(1))
+    return found
+
+
+def test_every_preset_and_demo_config_loads():
+    # the readers refuse a key that names no field, so each config shipped
+    # to a user names only fields
+    configs = _written_solve_configs()
+    assert set(configs) == {"anisotropic_growth.py", "degenerate_direction.py",
+                            "cli_workflow.sh", "README.md"}
+    for name, d in configs.items():
+        assert "b" not in d["poly"], name
+        SolveConfig.from_dict(d)
+    for name in cli.PRESETS:
+        d = cli.load_preset(name)
+        if d["command"] == "solve":
+            assert "b" not in d["poly"], name
+            cli._solve_config(d, "solve", None)
+        elif d["command"] == "verify":
+            GridSpec.from_dict(d["grid"])
+            ExactQ7Thresholds.from_dict(d["thresholds"])
+        else:  # the shoot inputs: every key is one cmd_shoot reads
+            assert set(d) <= {"command", *cli.SHOOT_DEFAULTS}, name

@@ -31,7 +31,7 @@ def _cfg(**over):
 
 class TestPolynomial:
     def test_cartesian_and_spherical_evaluations_agree(self):
-        p = QuadraticPolynomial((1.0, 2.0, 2.0), (0, 0, 0), 0.7, 0.05)
+        p = QuadraticPolynomial((1.0, 2.0, 2.0), 0.7, 0.05)
         rng = np.random.default_rng(1)
         r = rng.uniform(0.1, 5.0, 40)
         t = rng.uniform(-1.0, 1.0, 40)
@@ -40,24 +40,24 @@ class TestPolynomial:
         np.testing.assert_allclose(cartesian, p.value_rt(r, t), rtol=1e-13)
 
     def test_radial_evaluation(self):
-        p = QuadraticPolynomial((3.0, 3.0, 3.0), (0, 0, 0), 2.0, 0.1)
+        p = QuadraticPolynomial((3.0, 3.0, 3.0), 2.0, 0.1)
         r = np.array([0.0, 1.0, 2.0])
         g = RadialGrid(r=r, line_w=np.ones(3), r_max=2.0, grading=1.0)
         np.testing.assert_allclose(g.poly_values(p),
                                    2.0 + 3.0 * r**2 + 0.1 * r**4)
 
     def test_value_rt_rejects_non_axisymmetric(self):
-        p = QuadraticPolynomial((1.0, 2.0, 3.0), (0, 0, 0), 1.0)
+        p = QuadraticPolynomial((1.0, 2.0, 3.0), 1.0)
         with pytest.raises(ConfigError):
             p.value_rt(np.ones(3), np.zeros(3))
         with pytest.raises(ConfigError):
             p.pohozaev_weight_rt(np.ones(3), np.zeros(3))
 
     def test_growth_order(self):
-        flat = QuadraticPolynomial((0, 0, 0), (0, 0, 0), 1.0)
-        degenerate = QuadraticPolynomial((0, 1, 1), (0, 0, 0), 1.0)
-        quad = QuadraticPolynomial((1, 2, 2), (0, 0, 0), 1.0)
-        quartic = QuadraticPolynomial((1, 2, 2), (0, 0, 0), 1.0, 0.5)
+        flat = QuadraticPolynomial((0, 0, 0), 1.0)
+        degenerate = QuadraticPolynomial((0, 1, 1), 1.0)
+        quad = QuadraticPolynomial((1, 2, 2), 1.0)
+        quartic = QuadraticPolynomial((1, 2, 2), 1.0, 0.5)
         assert flat.leading_term() == (0, 0.0)
         assert degenerate.leading_term() == (0, 0.0)
         assert quad.leading_term() == (2, 1.0)
@@ -65,7 +65,7 @@ class TestPolynomial:
 
     def test_pohozaev_weight_matches_finite_differences(self):
         # 2 x . grad P - P, checked against a directional derivative
-        p = QuadraticPolynomial((1.0, 2.0, 2.0), (0, 0, 0), 0.9, 0.02)
+        p = QuadraticPolynomial((1.0, 2.0, 2.0), 0.9, 0.02)
         r, t = 1.7, 0.4
         h = 1e-6
         dil = (p.value_rt(np.array(r * (1 + h)), np.array(t))
@@ -75,7 +75,7 @@ class TestPolynomial:
         assert got == pytest.approx(expect, rel=1e-8)
 
     def test_with_eps_variants(self):
-        p = QuadraticPolynomial((0, 1, 1), (0, 0, 0), 1.0)
+        p = QuadraticPolynomial((0, 1, 1), 1.0)
         assert p.with_eps("quartic", 0.3).eps_quartic == 0.3
         assert p.with_eps("axis1", 0.3).a == (0.3, 1.0, 1.0)
         with pytest.raises(ConfigError):
@@ -463,8 +463,8 @@ _READ_FIELD = {"poly": QuadraticPolynomial.from_dict, "grid": GridSpec.from_dict
                "continuation": ContinuationSpec.from_dict}
 
 # each structural rule in the order a config checks them: fields of _cfg's
-# config that break it, and the ConfigError text (an odd P is not
-# axisymmetric either, so it breaks two)
+# config that break it, and the ConfigError text (an odd P is refused by
+# the polynomial reader, before any other rule)
 _HARD_ERRORS = [
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
     ({"q": -2.0}, "q must be positive, got -2.0"),
@@ -483,11 +483,10 @@ _HARD_ERRORS = [
     ({"poly": {"a": [1.0, 2.0, 2.0], "c": -1.0}},
      "constant term must be positive, got c = -1.0 (P(0) = -1.0 <= 0)"),
     ({"poly": {"a": [1.0, 2.0, 2.0], "b": [0.5, 0.0, 0.0]}},
-     "iteration requires an even polynomial, got b = (0.5, 0.0, 0.0); "
-     "axisymmetric grid requires a2 == a3 and b = 0"),
+     "iteration requires an even polynomial, got b = [0.5, 0.0, 0.0]"),
     ({"grid": _RADIAL_GRID},
-     "radial grid requires a radial polynomial (equal a_i, b = 0)"),
-    ({"poly": {"a": [1.0, 2.0, 3.0]}}, "axisymmetric grid requires a2 == a3 and b = 0"),
+     "radial grid requires a radial polynomial (equal a_i)"),
+    ({"poly": {"a": [1.0, 2.0, 3.0]}}, "axisymmetric grid requires a2 == a3"),
     ({"continuation": {"eps_sequence": [0.01, 0.1]}},
      "eps_sequence must be strictly decreasing and positive"),
     ({"continuation": {"eps_sequence": []}},
@@ -509,8 +508,8 @@ class TestConstruction:
         with pytest.raises(ConfigError) as exc:
             _cfg(**over)
         assert str(exc.value) == message
-        fields = {k: _READ_FIELD.get(k, lambda v: v)(v) for k, v in over.items()}
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(ConfigError) as exc:  # an odd P fails the read
+            fields = {k: _READ_FIELD.get(k, lambda v: v)(v) for k, v in over.items()}
             replace(_cfg(), **fields)
         assert str(exc.value) == message
 
@@ -531,7 +530,7 @@ class TestConstruction:
         # stage: the config is refused when it is made, not when a stage is
         poly = {"a": [1.0, 1.0, 1.0]}
         cont = {"eps_sequence": [0.3, 0.1], "eps_param": "axis1"}
-        message = "radial grid requires a radial polynomial (equal a_i, b = 0)"
+        message = "radial grid requires a radial polynomial (equal a_i)"
         with pytest.raises(ConfigError) as exc:
             _cfg(grid=_RADIAL_GRID, poly=poly, continuation=cont)
         assert str(exc.value) == message
@@ -603,22 +602,31 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^iteration requires an even"):
             _cfg(poly={"a": [1.0, 2.0, 2.0], "b": [0.5, 0, 0], "c": 1.0})
 
+    def test_a_zero_b_still_loads_as_no_linear_part(self):
+        # configs written before P lost its linear part name b = [0, 0, 0]
+        want = _cfg(poly={"a": [1.0, 2.0, 2.0]})
+        for b in ([0, 0, 0], [0.0, -0.0, 0.0]):
+            assert _cfg(poly={"a": [1.0, 2.0, 2.0], "b": b}) == want
+        assert "b" not in want.to_dict()["poly"]
+
     def test_every_odd_polynomial_is_refused_as_odd(self):
         # b != 0 is refused as odd whatever a, c and eps are, so P's
-        # positivity needs no check of its own for b != 0
+        # positivity needs no check of its own for b != 0: the reader
+        # refuses it before the config is made, and so any b but three zeros
         for kind, a, b, (c, eps) in itertools.product(
                 ["radial", "axisymmetric"],
                 [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 2.0, 2.0],
                  [3.0, 0.5, 0.5]],
                 [[0.5, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1e-300],
-                 [2.0, 2.0, -2.0]],
+                 [2.0, 2.0, -2.0], [0.0, math.nan, 0.0], [0.0, 0.0],
+                 [False, 0, 0], "000", None],
                 [(1.0, 0.0), (1e-3, 0.1), (-1.0, 0.0)]):
             grid = {"kind": kind, "n_r": 32, "r_max": 10.0}
             with pytest.raises(ConfigError) as exc:
                 _cfg(q=3.0, grid=grid, poly={"a": a, "b": b, "c": c,
                                              "eps_quartic": eps})
-            assert (f"iteration requires an even polynomial, got b = "
-                    f"{tuple(b)}" in str(exc.value).split("; "))
+            assert str(exc.value) == (f"iteration requires an even "
+                                      f"polynomial, got b = {b}")
 
     @pytest.mark.parametrize("grid, message", [
         ({"kind": "radial", "n_r": 7, "r_max": 10.0},

@@ -296,15 +296,14 @@ class TestPohozaev:
         g = RadialGrid.graded(200, 20.0)
         u = 1.0 + g.r**2
         res = pohozaev_residual(Profile(grid=g, values=u),
-                                0.5, QuadraticPolynomial((1, 1, 1), (0, 0, 0),
-                                                         1.0))
+                                0.5, QuadraticPolynomial((1, 1, 1), 1.0))
         assert res.residual is None
         assert "q > 1" in res.note
 
     def test_underflowed_tail_notes(self):
         # u^(1-q) and u^-q underflow to 0 in the last decade at q = 120
         g = RadialGrid.graded(200, 40.0)
-        poly = QuadraticPolynomial((1, 1, 1), (0, 0, 0), 1.0)
+        poly = QuadraticPolynomial((1, 1, 1), 1.0)
         prof = Profile(grid=g, values=g.poly_values(poly))
         res = pohozaev_residual(prof, 120.0, poly)
         assert res.residual is None
@@ -319,7 +318,6 @@ class TestPohozaev:
         g = RadialGrid.graded(400, 50.0)
         u = 1.0 + g.r
         res = pohozaev_residual(Profile(grid=g, values=u),
-                                2.0, QuadraticPolynomial((0, 0, 0), (0, 0, 0),
-                                                         1.0))
+                                2.0, QuadraticPolynomial((0, 0, 0), 1.0))
         assert res.residual is None
         assert "diverges" in res.note
