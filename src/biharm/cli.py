@@ -34,8 +34,8 @@ import numpy as np
 
 from .model import (ConfigError, ExactQ7Thresholds, GridSpec, NonFiniteError,
                     Profile, QuadraticPolynomial, SolveConfig, _number,
-                    check_seed, load_profile_csv, report_json,
-                    save_profile_csv, validate_config)
+                    check_seed, load_profile_csv, refuse_unknown_keys,
+                    report_json, save_profile_csv, validate_config)
 from .operator import continuation_eps_to_zero
 from .operator import solve_fixed_point  # noqa: F401  (perfbench/tracing.py patches this name)
 from . import analysis, shooting, verify
@@ -247,6 +247,7 @@ def _write_verification(doc: dict, out: Path) -> int:
 
 
 def _run_exact_q7(d: dict, out: Path, seed: int) -> int:
+    refuse_unknown_keys(d, "exact-q7 config", ["command", "mode", "grid", "thresholds"])
     th = vars(ExactQ7Thresholds.from_dict(d.get("thresholds", {})))
     gspec = GridSpec.from_dict(d.get("grid", {}))
     prof = verify.exact_q7_profile(gspec.build())
@@ -477,6 +478,7 @@ def _sweep_points(grid: dict, cfg: SolveConfig) -> list:
 
 def cmd_sweep(args) -> int:
     sw = _read_json(args.config, "sweep config")
+    refuse_unknown_keys(sw, "sweep config", ["base", "grid"])
     base, grid = sw.get("base"), sw.get("grid")
     if not (isinstance(base, dict) and isinstance(grid, dict)):
         raise ConfigError("sweep config needs objects 'base' and 'grid'")

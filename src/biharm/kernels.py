@@ -16,9 +16,9 @@ kernel_row weights K_l with the grid's s^2 ds quadrature (K_0(r, s) - s for
 the shifted l = 0 mode); mode_kernel_table stacks its rows at the grid radii
 into dense per-mode matrices, the reference the tests hold ModeConvolution
 to.  ModeConvolution applies the same quadrature in O(n_r) per mode (one
-forward and one reversed prefix sum, rescaled block by block by one table
-of powers), and convolve() applies (1/8 pi) int kernel(x, y) density(y) dy
-on a grid: the grid's Legendre
+forward and one reversed prefix sum, rescaled block by block, from
+per-radius source and weight tables), and convolve() applies (1/8 pi) int
+kernel(x, y) density(y) dy on a grid: the grid's Legendre
 analysis, its ModeConvolution (grid.convolution, one per grid for both
 kernel variants) on the band of leading modes above the analysis' roundoff
 (grid.reduction.chop), synthesis (a radial grid is the one-mode case).  The
@@ -132,33 +132,52 @@ class ModeConvolution:
     forward or r_b h_b + Q_b backward, taken to its true size through the
     table and into this block's scale by the boundary factor (r_{a-1}/c)^k
     or (c/r_b)^k, both at most 1: one (2, band) vector per block boundary.
-    The table T (n_r, 2, band) holds 2 band n_r floats and the boundary
-    factors 4 band (n_blocks - 1).  The blocks come from the grid's top
-    mode, not from the band, so each mode's field column is computed the
-    same way whatever the band.  The tables depend on neither the density
-    nor the kernel variant, so they serve both variants; they hold only the
-    first self.n_modes modes, the widest band asked for, bit for bit the
-    first columns of the whole grid's, and grow() rebuilds them for a wider
-    band when a density needs more modes.
+
+    grow() folds everything but the density into per-radius, per-mode
+    tables, so a call is two broadcast products into one preallocated
+    (2, 2, n_r, band) workspace (inner and outer half, k = l and l + 2),
+    the block scans above, one product with the weights and three sums:
+
+        source  (-B, A) hw_i T_i  and  (-B, A) hw_i r_i / T_i
+        weight  r_j / T_j         and  T_j
+
+    with hw = r^2 w / (2 (2l + 1)), so a field entry is the sum of the four
+    weighted scans.  source and weight (2, 2, n_r, band) hold 8 band n_r
+    floats, the workspace 4 band n_r, the boundary factors carry
+    4 band (n_blocks - 1); scale, the powers T (2, n_r, band), is the
+    outer half of weight.  The blocks come from the grid's top mode, not
+    from the band, and every step works column by column, so each mode's
+    field column is computed the same way whatever the band.  The tables
+    depend on neither the density nor the kernel variant, so they serve
+    both variants; they hold only the first self.n_modes modes, the widest
+    band asked for, bit for bit the first columns of the whole grid's, and
+    grow() rebuilds them for a wider band when a density needs more modes.
+    A call returns a new array; no view of the workspace escapes.
 
     Accuracy.  A source h_i reaches P_j or Q_j through T_i, through 1/T
     and a boundary factor at each block boundary between i and j, and
-    through 1/T_j, each a rounded ratio raised to k, so within (k + 2) u of
-    its value (u = 2^-53; the ratio's rounding is raised to the kth power,
-    the power adds one ulp), and through at most n_r - 1 additions (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2) and
-    a product per factor.  With k <= l + 2 and the A, B combination and the
-    source weights on top, a field entry is within
+    through the weight's T_j, each a rounded ratio raised to k, so within
+    (k + 2) u of its value (u = 2^-53; the ratio's rounding is raised to
+    the kth power, the power adds one ulp), with a product (or the
+    weight's one division) per factor, and through at most n_r - 1
+    additions (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., sec. 4.2).  The rest of a path is at most 9 roundings: hw (3),
+    the rounded -B or A and its product with hw (2), the product with g,
+    the outer source's product with r / T, and the four-term sum (2 or 3
+    additions, the weight product counted with its factor).  With
+    k <= l + 2, a field entry is within
 
         (2 n_blocks (l + 5) + n_r + 10) u sum_i |K|_l(r_j, r_i) |h_i|
 
     of the exact sum of its quadrature, where |K|_l = r_> (A xi^(l+2) +
     |B| xi^l) bounds every term of both sums (plus s for the shifted l = 0
-    mode, whose inner sum is one np.cumsum).  On thm2's grid (two blocks)
+    mode, whose inner sum is one np.cumsum, written over the outer l = 0
+    scan, whose weight T^0 is exactly 1).  On thm2's grid (two blocks)
     that is (4 l + 286) u.
 
-    Range.  Every table entry is a normal float, within 2^+-512.  The
-    scaled sources T_i h_i and r_i h_i / T_i and their sums stay below
+    Range.  Every power T is a normal float, within 2^+-512, and the
+    sources and weights are T or 1/T times r, hw and a constant at most 1.
+    The scaled sources T_i h_i and r_i h_i / T_i and their sums stay below
     2^512 times sum |h| or sum r |h| (a carry enters its block at most at
     its true size), so nothing overflows while those sums stay below 2^511
     (about 7e153).  A scaled value is subnormal only where its true size is
@@ -192,14 +211,21 @@ class ModeConvolution:
         """Hold the tables of at least the first n_modes modes."""
         if n_modes <= self.n_modes:
             return
-        self.scale = None  # freed before the wider one is built
+        self.source = self.weight = self._work = None  # freed before the wider ones
         l = self.l_values[:n_modes]
         k = np.stack([l, l + 2.0])
-        self.a = 1.0 / (2.0 * l + 3.0)
-        self.b = 1.0 / (2.0 * l - 1.0)
-        self.hw = self.rw[:, None] / (2.0 * (2.0 * l + 1.0))
-        self.scale = self.ratio[:, None, None] ** k  # T, (n_r, 2, n_modes)
+        coef = np.stack([-1.0 / (2.0 * l - 1.0), 1.0 / (2.0 * l + 3.0)])[:, None]
+        hwc = self.rw[:, None] * (coef / (2.0 * (2.0 * l + 1.0)))  # -B hw, A hw
+        self.weight = w = np.empty((2, 2, self.r.size, n_modes))
+        # the powers vary along the last axis: numpy squares for a broadcast
+        # exponent of 2, which would round the l = 0 column differently
+        # with the band
+        w[1] = np.moveaxis(self.ratio[:, None, None] ** k, 1, 0)
+        self.scale = w[1]  # T, (2, n_r, n_modes)
+        np.divide(self.r[:, None], self.scale, out=w[0])  # r / T
+        self.source = np.stack([hwc * self.scale, hwc * w[0]])
         self.carry = self.step[..., None, None] ** k  # (2, n_blocks - 1, 2, n_modes)
+        self._work = np.empty(w.size)
         self.n_modes = n_modes
 
     def __call__(self, g: np.ndarray, shifted: bool) -> np.ndarray:
@@ -208,37 +234,36 @@ class ModeConvolution:
         m = g.shape[1]
         self.grow(m)
         t, (into, back) = self.scale[..., :m], self.carry[..., :m]
-        p = np.empty_like(t)  # the sources h in both halves
-        h = np.multiply(g, self.hw[:, :m], out=p[:, 0])  # p *= t rescales it
-        p[:, 1] = h
-        if shifted:  # every band starts at l = 0
-            inner_l0 = -np.cumsum(self.r * h[:, 0])
-        q = np.empty_like(p)  # row j: outer source r_{j+1} h_{j+1} / T_{j+1}
-        np.multiply(p[1:], self.r[1:, None, None], out=q[:-1])
-        q[:-1] /= t[1:]
-        q[-1] = 0.0
-        p *= t  # inner sources T_i h_i
+        src = self.source[..., :m]
+        ws = self._work[:4 * g.size].reshape(2, 2, -1, m)
+        p, q = ws  # inner sources T_i c h_i; q[:, j]: r_{j+1} c h_{j+1} / T_{j+1}
+        np.multiply(g, src[0], out=p)
+        np.multiply(g[1:], src[1, :, 1:], out=q[:, :-1])
+        q[:, -1] = 0.0
         edges = self.edges
         for i in range(len(edges) - 1):
             a, b = edges[i], edges[i + 1]
             if i:  # P_{a-1} into this block's scale
-                p[a] += into[i - 1] * (p[a - 1] / t[a - 1])
-            np.cumsum(p[a:b], axis=0, out=p[a:b])
+                p[:, a] += into[i - 1] * (p[:, a - 1] / t[:, a - 1])
+            np.cumsum(p[:, a:b], axis=1, out=p[:, a:b])
         for i in reversed(range(len(edges) - 1)):
             a, b = edges[i], edges[i + 1]
             if i < len(edges) - 2:  # r_b h_b + Q_b into this block's scale
-                q[b - 1] += q[b]  # q[b - 1] holds the source at r_b
-                q[b - 1] *= t[b]
-                q[b - 1] *= back[i]
-            rev = q[a:b][::-1]
-            np.cumsum(rev, axis=0, out=rev)
-        p /= t
-        q *= t
-        a, b = self.a[:m], self.b[:m]
-        far = -b * q[:, 0]
-        if shifted:
-            far[:, 0] = inner_l0
-        return self.r[:, None] * (a * p[:, 1] - b * p[:, 0]) + (a * q[:, 1] + far)
+                q[:, b - 1] += q[:, b]  # q[:, b - 1] holds the source at r_b
+                q[:, b - 1] *= t[:, b]
+                q[:, b - 1] *= back[i]
+            rev = q[:, a:b][:, ::-1]
+            np.cumsum(rev, axis=1, out=rev)
+        if shifted:  # every band starts at l = 0, whose outer weight is 1
+            inner = q[0, :, 0]
+            np.multiply(g[:, 0], src[1, 0, :, 0], out=inner)  # r_i h_i
+            np.cumsum(inner, out=inner)
+            inner *= -1.0  # numpy 2.4's in-place np.negative misreads it
+        ws *= self.weight[..., :m]
+        out = p[0] + p[1]
+        out += q[0]
+        out += q[1]
+        return out
 
 
 def convolve(grid, density, shifted: bool):

