@@ -1,13 +1,12 @@
 """Command-line interface.
 
 Subcommands: solve (fixed-point iteration, optionally with continuation),
-verify (residual battery on a stored profile), shoot (radial ODE integration
-and threshold bisection), sweep (cartesian parameter grid in a worker pool:
-each point is the base config with the axes its grid lists replaced, q,
-kappa1 = a1, kappa2 = a2 = a3 and eps = eps_quartic; an axis it leaves out
-keeps the base's q or the value in its limit polynomial, so the axis a
-continuation sets stays at its limit 0.  Every point's config is made and
-checked before any runs; each point's directory holds solve's four files).
+verify (residual battery on a stored profile, or the exact-q7 battery),
+shoot (radial ODE integration and threshold bisection), sweep (cartesian
+parameter grid in a worker pool, SweepConfig.points).  Each input, a config,
+a preset or shoot's flags, is a frozen dataclass read by model._read_fields,
+and _read_input alone reads a config's or preset's "command"; all of it is
+read and checked before anything is written.
 
 Exit codes: 0 success / all checks pass; 1 structural error (usage, bad
 config, a sweep point's included, or shooting input, I/O, shape mismatch);
@@ -26,16 +25,16 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, make_dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .model import (ConfigError, ExactQ7Thresholds, GridSpec, NonFiniteError,
-                    Profile, QuadraticPolynomial, SolveConfig, _number,
-                    check_seed, load_profile_csv, refuse_unknown_keys,
-                    report_json, save_profile_csv, validate_config)
+from .model import (ConfigError, ExactQ7Config, NonFiniteError, Profile,
+                    QuadraticPolynomial, SolveConfig, _number, _read_fields,
+                    check_seed, load_profile_csv, report_json,
+                    save_profile_csv, validate_config)
 from .operator import continuation_eps_to_zero
 from .operator import solve_fixed_point  # noqa: F401  (perfbench/tracing.py patches this name)
 from . import analysis, shooting, verify
@@ -50,10 +49,10 @@ PRESETS = ("thm1", "thm2", "thmA-iii", "thmA-iv", "exact-q7")
 
 DEFAULT_THRESHOLDS = {"pde": 1e-2, "integral": 1e-2, "pohozaev": 1e-2}
 
-# the defaults of the shoot inputs, for the flags not given and the keys a
-# shoot preset leaves out
-SHOOT_DEFAULTS = {"q": None, "u0": 1.0, "w0": None, "r_end": 1e4,
-                  "bisect": False, "exact_start": False}
+# the "command" of each config or preset a subcommand reads: verify checks a
+# solve config's profile or runs a verify preset's exact-q7 battery
+_READS = {"solve": ("solve",), "verify": ("solve", "verify"),
+          "shoot": ("shoot",), "sweep": ("solve",)}
 
 
 def _out_dir(args) -> Path:
@@ -83,11 +82,26 @@ def _read_json(path, what: str) -> dict:
     return doc
 
 
-def _load_config_dict(args) -> dict:
-    if getattr(args, "preset", None):
-        return load_preset(args.preset)
-    if getattr(args, "config", None):
-        return _read_json(args.config, "config")
+def _read_input(d: dict, what: str, subcommand: str):
+    """The input of subcommand in the config or preset d: d less its
+    "command", read by the reader of the subcommand that key names ("solve"
+    if none).  The one reader of "command": ConfigError "this <what> drives
+    ..." for a command subcommand does not read (_READS)."""
+    d = {**d}  # a TypeError for a sweep's base that is not an object
+    command = d.pop("command", "solve")
+    if command not in _READS[subcommand]:
+        raise ConfigError(f"this {what} drives the {command!r} subcommand, "
+                          f"not {subcommand}")
+    reader = {"solve": SolveConfig, "verify": ExactQ7Config, "shoot": ShootSpec}
+    return reader[command].from_dict(d)
+
+
+def _read_given(args, subcommand: str):
+    """The input of the --preset or --config that args name (_read_input)."""
+    if args.preset:
+        return _read_input(load_preset(args.preset), "preset", subcommand)
+    if args.config:
+        return _read_input(_read_json(args.config, "config"), "config", subcommand)
     raise ConfigError("need --config PATH or --preset NAME")
 
 
@@ -149,18 +163,6 @@ def _enrich_report(report, u: Profile, u_limit: Profile, limit_poly, q: float):
         report.decomposition = {"error": str(exc)}
 
 
-def _solve_config(d: dict, command: str, seed: int | None) -> SolveConfig:
-    """The solve config of the dict d (solve's, verify's or a sweep's base),
-    read by `command`, with its seed replaced by the --seed flag's if given;
-    ConfigError when d drives another subcommand or is malformed, and
-    SolveConfig's own when it breaks a rule (a radial grid needs radial P)."""
-    if d.get("command", "solve") != "solve":
-        raise ConfigError(f"this preset drives the {d.get('command')!r} "
-                          f"subcommand, not {command}")
-    cfg = SolveConfig.from_dict({k: v for k, v in d.items() if k != "command"})
-    return cfg if seed is None else replace(cfg, seed=seed)
-
-
 def _solve_into(cfg: SolveConfig, out: Path) -> tuple:
     """Solve cfg, through its continuation when it has one, and write the
     run to the directory out: profile.csv (u = v + P of the last stage
@@ -205,7 +207,8 @@ def _solve_into(cfg: SolveConfig, out: Path) -> tuple:
 
 
 def cmd_solve(args) -> int:
-    cfg = _solve_config(_load_config_dict(args), "solve", args.seed)
+    cfg = _read_given(args, "solve")
+    cfg = cfg if args.seed is None else replace(cfg, seed=args.seed)
     out = _out_dir(args)
     report, _ = _solve_into(cfg, out)
     if not report.converged:
@@ -235,9 +238,10 @@ def _residual_checks(prof: Profile, q: float, poly, seed: int, th: dict):
     return checks, integ, {"gamma": integ.gamma, "pde_window": list(pde.window)}
 
 
-def _write_verification(doc: dict, out: Path) -> int:
-    """Write doc to verification.json, print its checks and grade them."""
-    report_json(doc, out / "verification.json")
+def _write_verification(doc: dict, args) -> int:
+    """Write doc to verification.json in the output directory of args, print
+    its checks and grade them."""
+    report_json(doc, _out_dir(args) / "verification.json")
     checks = doc["checks"]
     for k, v in checks.items():
         print(f"{k}: {v['status']}" + (f" ({v['value']:.3g})"
@@ -246,17 +250,15 @@ def _write_verification(doc: dict, out: Path) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _run_exact_q7(d: dict, out: Path, seed: int) -> int:
-    refuse_unknown_keys(d, "exact-q7 config", ["command", "mode", "grid", "thresholds"])
-    th = vars(ExactQ7Thresholds.from_dict(d.get("thresholds", {})))
-    gspec = GridSpec.from_dict(d.get("grid", {}))
-    prof = verify.exact_q7_profile(gspec.build())
+def _run_exact_q7(cfg: ExactQ7Config, args) -> int:
+    th, seed = vars(cfg.thresholds), args.seed or 0
+    prof = verify.exact_q7_profile(cfg.grid.build())
     checks, integ, keys = _residual_checks(
         prof, 7.0, QuadraticPolynomial((0, 0, 0), c=0.0), seed, th)
     checks["gamma"] = _check(abs(integ.gamma), th["gamma"])
     return _write_verification({"mode": "exact-q7", "q": 7.0, "seed": seed,
-                                "grid": gspec.to_dict(), "checks": checks,
-                                **keys}, out)
+                                "grid": cfg.grid.to_dict(), "checks": checks,
+                                **keys}, args)
 
 
 def _profile_stage(cfg: SolveConfig, profile_path) -> tuple:
@@ -301,15 +303,17 @@ def _profile_stage(cfg: SolveConfig, profile_path) -> tuple:
 
 
 def cmd_verify(args) -> int:
-    out = _out_dir(args)
-    d = (load_preset("exact-q7") if args.exact_q7 and not (args.preset or args.config)
-         else _load_config_dict(args))
-    command = d.get("command", "solve")
-    if command == "verify":
-        return _run_exact_q7(d, out, args.seed or 0)
+    if args.exact_q7 and not (args.preset or args.config):
+        args.preset = "exact-q7"  # the flag alone runs the preset's battery
+    cfg = _read_given(args, "verify")
+    if isinstance(cfg, ExactQ7Config):  # like shoot's preset, it takes no other input
+        if args.profile is not None:
+            raise ConfigError("the exact-q7 battery builds its own profile, so "
+                              "it takes no --profile")
+        return _run_exact_q7(cfg, args)
     if args.exact_q7:
-        raise ConfigError(f"--exact-q7 runs the closed-form battery, not a {command!r} config")
-    cfg = _solve_config(d, "verify", args.seed)
+        raise ConfigError("--exact-q7 runs the closed-form battery, not a 'solve' config")
+    cfg = cfg if args.seed is None else replace(cfg, seed=args.seed)
     if args.profile is None:
         raise ConfigError("verify needs --profile PATH (the profile.csv that solve "
                           "wrote for this config)")
@@ -348,39 +352,58 @@ def cmd_verify(args) -> int:
     }
     return _write_verification({"config": cfg.to_dict(), "checks": checks,
                                 "stage": stage, "integral_note": integ.note,
-                                **keys}, out)
+                                **keys}, args)
+
+
+@dataclass(frozen=True)
+class ShootSpec:
+    """The input of shoot, its flags or a shoot preset's keys: a shot from
+    (q, u0, w0) to r_end, the threshold search over w0 (bisect), or a shot
+    from the q = 7 closed form's u0 and w0 (exact_start) to r <= 10."""
+
+    q: float | None = None
+    u0: float = 1.0
+    w0: float | None = None
+    r_end: float = 1e4
+    bisect: bool = False
+    exact_start: bool = False
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ShootSpec":
+        """The spec of the inputs d (_read_fields), an exact start's with the
+        q, u0, w0 and r_end it integrates; ConfigError for an input its mode
+        does not read or lacks."""
+        spec = _read_fields(cls, d, "shoot spec", q=_number, u0=_number,
+                            w0=_number, r_end=_number)
+        if spec.exact_start:
+            if spec.bisect or "u0" in d or "w0" in d or spec.q not in (None, 7.0):
+                raise ConfigError("--exact-start fixes q = 7, u0 and w0: it takes "
+                                  "no --bisect, --u0 or --w0, and --q only as 7")
+            return replace(spec, q=7.0, u0=15.0 ** -0.25, w0=3.0 * 15.0 ** 0.25,
+                           r_end=min(spec.r_end, 10.0))
+        if spec.bisect and "w0" in d:
+            raise ConfigError("--bisect searches for w0, so it takes no --w0")
+        if spec.bisect and (spec.q is None or spec.q <= 1.0):  # NaN: shooting names it
+            raise ConfigError("bisect mode needs q > 1")
+        if not spec.bisect and (spec.q is None or spec.w0 is None):
+            raise ConfigError("single-shot mode needs --q and --w0")
+        return spec
 
 
 def cmd_shoot(args) -> int:
-    given = {k: v for k, v in vars(args).items() if k in SHOOT_DEFAULTS}
+    given = {k: v for k, v in vars(args).items() if k in ShootSpec.__dataclass_fields__}
     if args.preset:  # the preset fixes every input
         if given:
             flags = ", ".join("--" + k.replace("_", "-") for k in given)
             raise ConfigError(f"--preset {args.preset} takes no other shoot "
                               f"flags, got {flags}")
-        d = load_preset(args.preset)
-        if d.get("command") != "shoot":
-            raise ConfigError(f"preset {args.preset!r} does not drive shoot")
+        spec = _read_input(load_preset(args.preset), "preset", "shoot")
     else:
-        d = given
-    d = {**SHOOT_DEFAULTS, **d}
-    out = _out_dir(args)
-    q, u0, w0, r_end = d["q"], d["u0"], d["w0"], d["r_end"]
-
+        spec = ShootSpec.from_dict(given)
+    q, u0, r_end = spec.q, spec.u0, spec.r_end
     summary = {"q": q, "u0": u0, "r_end": r_end}
     try:
-        if d["exact_start"]:
-            u0 = 15.0 ** -0.25
-            w0 = 3.0 * 15.0 ** 0.25
-            traj = shooting.integrate_radial(7.0, u0, w0, min(r_end, 10.0))
-            dev = np.max(np.abs(traj.u - verify.exact_q7_value(traj.r))
-                         / verify.exact_q7_value(traj.r))
-            summary.update({"q": 7.0, "u0": u0, "w0": w0,
-                            "max_rel_deviation_from_closed_form": float(dev),
-                            "outcome": traj.outcome})
-        elif d["bisect"]:
-            if q is None or q <= 1.0:
-                raise ConfigError("bisect mode needs q > 1")
+        if spec.bisect:
             res = shooting.bisect_growth_threshold(q, u0, r_end)
             traj = res.trajectory
             diag = shooting.threshold_growth_diagnostics(traj, q)
@@ -396,14 +419,18 @@ def cmd_shoot(args) -> int:
             if 1.0 < q < 3.0:
                 summary["growth"]["universal_coeff"] = shooting.universal_coefficient(q)
         else:
-            if q is None or w0 is None:
-                raise ConfigError("single-shot mode needs --q and --w0")
-            traj = shooting.integrate_radial(q, u0, w0, r_end)
-            summary.update({"w0": w0, "outcome": traj.outcome,
-                            "r_stop": traj.r_stop})
+            traj = shooting.integrate_radial(q, u0, spec.w0, r_end)
+            summary.update({"w0": spec.w0, "outcome": traj.outcome})
+            if spec.exact_start:
+                exact = verify.exact_q7_value(traj.r)
+                dev = np.max(np.abs(traj.u - exact) / exact)
+                summary["max_rel_deviation_from_closed_form"] = float(dev)
+            else:
+                summary["r_stop"] = traj.r_stop
     except ValueError as exc:  # shooting's check of q, u0, w0, r_end
         raise ConfigError(str(exc)) from exc
 
+    out = _out_dir(args)  # only once the shots ran: a refused input writes nothing
     with open(out / "trajectory.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["r", "u", "du", "w", "dw"])
@@ -417,7 +444,18 @@ def cmd_shoot(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
+def _axis_values(values) -> tuple:
+    """The values of a sweep axis: a non-empty JSON list of numbers."""
+    if not (isinstance(values, list) and values):
+        raise ValueError(f"{values!r} is not a list of one or more numbers")
+    return tuple(map(_number, values))
+
+
+# the axes of a sweep grid, q, kappa1 = a1, kappa2 = a2 = a3 and
+# eps = eps_quartic, each its values or None where the grid leaves it out
 SWEEP_AXES = ("q", "kappa1", "kappa2", "eps")
+SweepGrid = make_dataclass("SweepGrid", [(axis, "tuple | None", None)
+                                         for axis in SWEEP_AXES], frozen=True)
 SWEEP_COLUMNS = [*SWEEP_AXES, "converged", "iters", "beta", "alpha",
                  "exponent_e1", "exponent_eperp", "error"]
 
@@ -446,52 +484,53 @@ def _sweep_point(payload):
     return row
 
 
-def _sweep_points(grid: dict, cfg: SolveConfig) -> list:
-    """(axis values, config) of each point of a sweep grid, sorted: the base
-    config cfg with the point's q, a = (kappa1, kappa2, kappa2) and
-    eps_quartic = eps.  An axis the grid leaves out holds cfg's value: its
-    q, and the a1, a2 and eps_quartic of its limit polynomial.  ConfigError
-    for a key that names no axis or a point whose config breaks a rule."""
-    unknown = [key for key in grid if key not in SWEEP_AXES]
-    if unknown:
-        raise ConfigError(f"sweep grid key {unknown[0]!r} names no axis; the "
-                          f"axes are {', '.join(SWEEP_AXES)}")
-    lim, axes = cfg.limit_poly, []
-    for key, value in zip(SWEEP_AXES, (cfg.q, lim.a[0], lim.a[1], lim.eps_quartic)):
-        values = grid.get(key, [value])
-        try:
-            if not isinstance(values, list):
-                raise TypeError
-            axes.append([_number(x) for x in values])
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"sweep grid {key!r} is not a list of numbers") from None
-    points = []
-    for q, k1, k2, eps in sorted(itertools.product(*axes)):
-        poly = replace(cfg.poly, a=(k1, k2, k2), eps_quartic=eps)
-        try:
-            points.append(((q, k1, k2, eps), replace(cfg, q=q, poly=poly)))
-        except ConfigError as exc:
-            raise ConfigError(f"sweep point q = {q}, kappa1 = {k1}, kappa2 = "
-                              f"{k2}, eps = {eps}: {exc}") from None
-    return points
+@dataclass(frozen=True)
+class SweepConfig:
+    """The input of sweep: a base solve config and the axis values its
+    points replace (SweepGrid)."""
+
+    base: SolveConfig
+    grid: SweepGrid
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SweepConfig":
+        """The sweep config of a JSON object (_read_fields), its base read
+        as a solve config (_read_input)."""
+        return _read_fields(
+            cls, d, "sweep config",
+            base=lambda base: _read_input(base, "config", "sweep"),
+            grid=lambda grid: _read_fields(SweepGrid, grid, "sweep grid", **dict.fromkeys(
+                SWEEP_AXES, _axis_values)))
+
+    def points(self) -> list:
+        """(axis values, config) of each point, sorted: the base config with
+        the point's q, a = (kappa1, kappa2, kappa2) and eps_quartic = eps.
+        An axis the grid leaves out holds the base's value: its q, and the
+        a1, a2 and eps_quartic of its limit polynomial.  ConfigError for a
+        point whose config breaks a rule, or for a grid listing the axis the
+        base's continuation sets, which every point would hold at 0."""
+        cfg, lim, cont = self.base, self.base.limit_poly, self.base.continuation
+        held = cont and {"axis1": "kappa1", "quartic": "eps"}[cont.eps_param]
+        if held and getattr(self.grid, held) is not None:
+            raise ConfigError(f"sweep grid lists {held!r}, which the base's "
+                              f"{cont.eps_param!r} continuation sets at every stage")
+        axes = [getattr(self.grid, axis) or (value,) for axis, value in
+                zip(SWEEP_AXES, (cfg.q, lim.a[0], lim.a[1], lim.eps_quartic))]
+        points = []
+        for q, k1, k2, eps in sorted(itertools.product(*axes)):
+            poly = replace(cfg.poly, a=(k1, k2, k2), eps_quartic=eps)
+            try:
+                points.append(((q, k1, k2, eps), replace(cfg, q=q, poly=poly)))
+            except ConfigError as exc:
+                raise ConfigError(f"sweep point q = {q}, kappa1 = {k1}, kappa2 = "
+                                  f"{k2}, eps = {eps}: {exc}") from None
+        return points
 
 
 def cmd_sweep(args) -> int:
-    sw = _read_json(args.config, "sweep config")
-    refuse_unknown_keys(sw, "sweep config", ["base", "grid"])
-    base, grid = sw.get("base"), sw.get("grid")
-    if not (isinstance(base, dict) and isinstance(grid, dict)):
-        raise ConfigError("sweep config needs objects 'base' and 'grid'")
-    cfg = _solve_config(base, "sweep", None)
-    # a base's continuation sets one axis at every stage and ends with it
-    # at 0, so every point of a grid listing that axis would solve one problem
-    cont = cfg.continuation
-    held = cont and {"axis1": "kappa1", "quartic": "eps"}[cont.eps_param]
-    if held in grid:
-        raise ConfigError(f"sweep grid lists {held!r}, which the base's "
-                          f"{cont.eps_param!r} continuation sets at every stage")
+    sweep = SweepConfig.from_dict(_read_json(args.config, "sweep config"))
     # every point's config is made, and so checked, before any point runs
-    points = _sweep_points(grid, cfg)
+    points = sweep.points()
     out = _out_dir(args)
     payloads = [(point_cfg, values, str(out / f"point_{i:04d}"))
                 for i, (values, point_cfg) in enumerate(points)]

@@ -571,15 +571,6 @@ def _floats(values) -> tuple:
     return tuple(_number(v) for v in values)
 
 
-def refuse_unknown_keys(d: dict, what: str, names) -> None:
-    """ConfigError "malformed <what>: unknown key ..." for the first key of
-    the JSON object d that is not one of names."""
-    unknown = [key for key in d if key not in names]
-    if unknown:
-        raise ConfigError(f"malformed {what}: unknown key {unknown[0]!r}; its "
-                          f"keys are {', '.join(names)}")
-
-
 def _read_fields(cls, d: dict, what: str, **read):
     """The config dataclass cls from its JSON object d: each field d names,
     through its read[name] conversion if any; a field left out keeps its
@@ -589,13 +580,17 @@ def _read_fields(cls, d: dict, what: str, **read):
     made after that, so its own checks raise their own."""
     if not isinstance(d, dict):
         raise ConfigError(f"malformed {what}: {type(d).__name__} is not an object")
-    refuse_unknown_keys(d, what, [f.name for f in fields(cls)])
+    names = [f.name for f in fields(cls)]
+    unknown = [key for key in d if key not in names]
+    if unknown:
+        raise ConfigError(f"malformed {what}: unknown key {unknown[0]!r}; its "
+                          f"keys are {', '.join(names)}")
     values = {}
     for f in fields(cls):
         try:
             if f.name in d:
                 values[f.name] = read.get(f.name, lambda v: v)(d[f.name])
-            elif f.default is MISSING:
+            elif f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError("required field is missing")
         except ConfigError:
             raise  # a nested object's reader, which names its own object
@@ -668,6 +663,21 @@ class ExactQ7Thresholds:
         """The thresholds of a "thresholds" object (_read_fields)."""
         return _read_fields(cls, d, "exact-q7 thresholds", pde=_number,
                             integral=_number, gamma=_number)
+
+
+@dataclass(frozen=True)
+class ExactQ7Config:
+    """The input of the exact-q7 battery, a verify preset less its
+    "command": the grid the closed form is sampled on and the thresholds."""
+
+    grid: GridSpec
+    thresholds: ExactQ7Thresholds = field(default_factory=ExactQ7Thresholds)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExactQ7Config":
+        """The battery's input of a verify preset or config (_read_fields)."""
+        return _read_fields(cls, d, "exact-q7 config", grid=GridSpec.from_dict,
+                            thresholds=ExactQ7Thresholds.from_dict)
 
 
 def _seed_error(seed: int) -> Optional[str]:

@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from biharm.cli import load_preset
+from biharm.cli import _read_input, load_preset
 from biharm.model import SolveConfig, load_profile_csv, save_profile_csv
 from biharm.operator import continuation_eps_to_zero, solve_fixed_point
 
 
 def _solve_config_from_preset(name: str) -> SolveConfig:
-    d = load_preset(name)
-    return SolveConfig.from_dict({k: v for k, v in d.items() if k != "command"})
+    return _read_input(load_preset(name), "preset", "solve")
 
 
 @pytest.fixture(scope="session")

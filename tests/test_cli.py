@@ -17,8 +17,8 @@ import pytest
 
 from biharm import cli, shooting, verify
 from biharm.kernels import ModeConvolution
-from biharm.model import (ConfigError, ContinuationSpec, ExactQ7Thresholds,
-                          GridSpec, Profile, QuadraticPolynomial, RadialGrid,
+from biharm.model import (ConfigError, ContinuationSpec, ExactQ7Config,
+                          ExactQ7Thresholds, GridSpec, Profile, QuadraticPolynomial, RadialGrid,
                           SolveConfig, check_seed, load_profile_csv,
                           save_profile_csv)
 from biharm.operator import solve_fixed_point
@@ -317,7 +317,7 @@ _BOOL_NUMBERS = [
     ("verify", {"command": "verify", "grid": _SMALL_GRID,
                 "thresholds": {"pde": True}}, "malformed exact-q7 thresholds: pde:"),
     ("sweep", {"base": _small_config(), "grid": {"q": [True]}},
-     "sweep grid 'q' is not a list of numbers"),
+     "malformed sweep grid: q:"),
 ]
 _BOOL_IDS = ["solve-q-true", "solve-c-true", "solve-r_max-true",
              "solve-damping-true", "verify-exact-q7-pde-true", "sweep-q-true"]
@@ -485,26 +485,39 @@ _MISSPELLED_KEYS = {
     "sweep-base": ("sweep", {"base": _small_config(poly={
         "a": [1.0, 1.0, 1.0], "eps_quartc": 0.5}), "grid": {"q": [4.0, 5.0]}},
         "polynomial spec", "eps_quartc"),
-    "exact-q7": ("verify", {"command": "verify", "mode": "exact-q7",
-                            "grid": _SMALL_GRID, "threshold": {"pde": 1e-9}},
+    "exact-q7": ("verify", {"command": "verify", "grid": _SMALL_GRID,
+                            "threshold": {"pde": 1e-9}},
                  "exact-q7 config", "threshold"),
+    "exact-q7-mode": ("verify", {"command": "verify", "mode": "junk",
+                                 "grid": _SMALL_GRID}, "exact-q7 config", "mode"),
     "sweep": ("sweep", {"base": _small_config(), "gird": {"q": [4.0, 5.0]},
                         "grid": {"q": [5.0]}}, "sweep config", "gird"),
+    "sweep-grid": ("sweep", {"base": _small_config(),
+                             "grid": {"q": [5.0], "kapa2": [3.0]}},
+                   "sweep grid", "kapa2"),
+    # shoot reads no config file: this is the preset it is given
+    "shoot": ("shoot", {"command": "shoot", "q": 3.0, "bisect": True,
+                        "r_ned": 100.0}, "shoot spec", "r_ned"),
 }
 
 
 @pytest.mark.parametrize("level", list(_MISSPELLED_KEYS))
-def test_a_key_no_field_reads_exits_one_naming_it(tmp_path, capsys, level):
+def test_a_key_no_field_reads_exits_one_naming_it(tmp_path, capsys,
+                                                  monkeypatch, level):
     # such a key was ignored, so the field it meant kept its default
     cmd, doc, what, key = _MISSPELLED_KEYS[level]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    code, _, err = run(capsys, cmd, "--config", str(path), "--out", str(out))
+    argv = [cmd, "--config", str(path), "--out", str(out)]
+    if cmd == "shoot":
+        monkeypatch.setattr(cli, "load_preset", lambda name: doc)
+        argv[1:3] = ["--preset", "thmA-iv"]
+    code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith(f"error: malformed {what}: unknown key {key!r}; "
                           f"its keys are ") and err.count("\n") == 1
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_a_sweep_base_is_read_as_a_solve_config(tmp_path, capsys):
@@ -517,7 +530,7 @@ def test_a_sweep_base_is_read_as_a_solve_config(tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--config", str(path), "--out",
                            str(tmp_path / command), "--threads", "1")
         assert code == want
-    assert err == "error: this preset drives the 'shoot' subcommand, not sweep\n"
+    assert err == "error: this config drives the 'shoot' subcommand, not sweep\n"
     assert not (tmp_path / "shoot").exists()
 
 
@@ -634,20 +647,28 @@ def test_schema_bounds_match_the_code():
     with pytest.raises(ConfigError, match="seed must be a non-negative"):
         check_seed(seed - 1)
     # each object a reader reads names exactly its dataclass's fields (a
-    # solve config also its command), and the schema refuses any other key
-    # as the reader does
+    # config or preset also its command), and the schema refuses any other
+    # key as the reader does
     readers = {"polynomial": (defs["polynomial"], QuadraticPolynomial),
                "grid": (defs["grid"], GridSpec),
                "continuation": (defs["continuation"], ContinuationSpec),
                "solveConfig": (defs["solveConfig"], SolveConfig),
                "thresholds": (defs["verifyPreset"]["properties"]["thresholds"],
-                              ExactQ7Thresholds)}
+                              ExactQ7Thresholds),
+               "sweepConfig": (defs["sweepConfig"], cli.SweepConfig),
+               "sweepGrid": (defs["sweepConfig"]["properties"]["grid"],
+                             cli.SweepGrid),
+               "shootPreset": (defs["shootPreset"], cli.ShootSpec),
+               "verifyPreset": (defs["verifyPreset"], ExactQ7Config)}
     for name, (definition, cls) in readers.items():
         read = {f.name for f in dataclasses.fields(cls)}
-        if cls is SolveConfig:
+        if name in ("solveConfig", "shootPreset", "verifyPreset"):
             read.add("command")
         assert set(definition["properties"]) == read, name
         assert definition["additionalProperties"] is False, name
+    # the sweep grid reader refuses an axis with no value, as the schema does
+    for axis in defs["sweepConfig"]["properties"]["grid"]["properties"].values():
+        assert axis["minItems"] == 1
     r_end = defs["shootPreset"]["properties"]["r_end"]["exclusiveMinimum"]
     with pytest.raises(ValueError, match="r_end"):
         shooting.integrate_radial(3.0, 1.0, 1.4, r_end)
@@ -845,6 +866,17 @@ class TestVerify:
         assert err == ("error: --exact-q7 runs the closed-form battery, not "
                        "a 'solve' config\n")
         assert not (tmp_path / "v" / "verification.json").exists()
+
+    @pytest.mark.parametrize("argv", [["--exact-q7"], ["--preset", "exact-q7"]],
+                             ids=["flag", "preset"])
+    def test_exact_battery_refuses_a_profile(self, tmp_path, capsys, argv):
+        # the battery builds its own profile, so one given would be dropped
+        code, _, err = run(capsys, "verify", *argv, "--profile",
+                           str(tmp_path / "profile.csv"), "--out", str(tmp_path / "v"))
+        assert code == 1
+        assert err == ("error: the exact-q7 battery builds its own profile, so "
+                       "it takes no --profile\n")
+        assert not (tmp_path / "v").exists()
 
     def test_early_stopped_continuation_is_checked_at_its_stage(
             self, tmp_path, capsys):
@@ -1073,6 +1105,39 @@ class TestShoot:
         assert doc["max_rel_deviation_from_closed_form"] < 1e-8
         assert (tmp_path / "sh" / "trajectory.csv").exists()
 
+    def test_exact_start_writes_the_r_end_it_integrated(self, tmp_path, capsys):
+        # the exact start ends by r = 10, below the default r_end 1e4
+        code, _, _ = run(capsys, "shoot", "--exact-start",
+                         "--out", str(tmp_path / "sh"))
+        assert code == 0
+        doc = json.loads((tmp_path / "sh" / "summary.json").read_text())
+        assert (doc["q"], doc["r_end"]) == (7.0, 10.0)
+        rows = (tmp_path / "sh" / "trajectory.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[0]) == 10.0
+
+    _EXACT_START_FIXES = ("--exact-start fixes q = 7, u0 and w0: it takes no "
+                          "--bisect, --u0 or --w0, and --q only as 7")
+
+    @pytest.mark.parametrize("argv, why", [
+        (["--exact-start", "--bisect"], _EXACT_START_FIXES),
+        (["--exact-start", "--u0", "1"], _EXACT_START_FIXES),
+        (["--exact-start", "--w0", "1"], _EXACT_START_FIXES),
+        (["--exact-start", "--q", "5"], _EXACT_START_FIXES),
+        (["--bisect", "--q", "3", "--w0", "1"],
+         "--bisect searches for w0, so it takes no --w0"),
+        (["--bisect", "--q", "1"], "bisect mode needs q > 1"),
+        (["--bisect"], "bisect mode needs q > 1"),
+        (["--q", "3"], "single-shot mode needs --q and --w0"),
+    ], ids=["exact-bisect", "exact-u0", "exact-w0", "exact-q5", "bisect-w0",
+            "bisect-q1", "bisect-no-q", "shot-no-w0"])
+    def test_an_input_its_mode_does_not_read_is_refused(self, tmp_path,
+                                                        capsys, argv, why):
+        # such an input was dropped, or refused after --out was made
+        code, _, err = run(capsys, "shoot", *argv, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"error: {why}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bisect_writes_threshold(self, tmp_path, capsys):
         code, _, _ = run(capsys, "shoot", "--q", "2", "--bisect",
                          "--r-end", "3e3", "--out", str(tmp_path / "bi"))
@@ -1111,6 +1176,7 @@ class TestShoot:
                            "--out", str(tmp_path / "bad"))
         assert code == 1
         assert err.startswith("error: ")
+        assert not (tmp_path / "bad").exists()
 
     def test_infinite_r_end_prints_only_the_error(self, tmp_path):
         # r_end is checked before the sample radii are built, so numpy has
@@ -1180,16 +1246,18 @@ class TestShoot:
 
 
 class TestSweep:
-    def test_empty_grid_gives_header_only(self, tmp_path, capsys):
+    def test_an_axis_with_no_value_is_refused(self, tmp_path, capsys):
+        # a sweep of no point is no sweep: it wrote an empty sweep.csv
         base = json.loads(quick_config(tmp_path).read_text())
         sw = tmp_path / "sweep.json"
         sw.write_text(json.dumps({"base": base, "grid": {"q": []}}))
         out = tmp_path / "sw0"
-        code, _, _ = run(capsys, "sweep", "--config", str(sw),
-                         "--out", str(out), "--threads", "1")
-        assert code == 0
-        lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines == [",".join(cli.SWEEP_COLUMNS)]
+        code, _, err = run(capsys, "sweep", "--config", str(sw),
+                           "--out", str(out), "--threads", "1")
+        assert code == 1
+        assert err == ("error: malformed sweep grid: q: [] is not a list of "
+                       "one or more numbers\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid, kappa2", [
         ({"kind": "radial", "n_r": 200, "r_max": 30.0}, 1.0),
@@ -1297,10 +1365,7 @@ class TestSweep:
         ({"q": [5.0], "kappa1": [1.0, 2.0]},
          "error: sweep point q = 5.0, kappa1 = 2.0, kappa2 = 1.0, eps = 0.0: "
          "radial grid requires a radial polynomial (equal a_i)"),
-        ({"q": [5.0], "kapa2": [3.0]},
-         "error: sweep grid key 'kapa2' names no axis; the axes are q, "
-         "kappa1, kappa2, eps"),
-    ], ids=["nonfinite", "radial-kappa1", "unknown-key"])
+    ], ids=["nonfinite", "radial-kappa1"])
     def test_a_point_that_breaks_a_rule_is_refused_before_any_point_runs(
             self, tmp_path, capsys, grid, message):
         # every point's config is made from the base before the first runs,

@@ -532,8 +532,7 @@ class TestContinuation:
         # and a few node arrays of 0.26 MB, on the t > 0 half of the 256
         # polar nodes; earlier stages' profiles are dropped, except the one
         # the next stage starts from
-        cfg = SolveConfig.from_dict(
-            {k: v for k, v in cli.load_preset("thm1").items() if k != "command"})
+        cfg = _preset_cfg("thm1")
         tracemalloc.start()
         try:
             res = continuation_eps_to_zero(cfg)
@@ -574,8 +573,7 @@ class TestContinuation:
 
 
 def _preset_cfg(name):
-    return SolveConfig.from_dict(
-        {k: v for k, v in cli.load_preset(name).items() if k != "command"})
+    return cli._read_input(cli.load_preset(name), "preset", "solve")
 
 
 @pytest.fixture
